@@ -1,26 +1,25 @@
-//! The incremental-load-accounting hot kernels (ISSUE 5).
+//! The incremental-load-accounting hot kernels.
 //!
-//! Three layers of the online TE loop's per-round cost:
+//! Two layers of the online TE loop's per-round cost:
 //!
-//! * `arc_loads`: the from-scratch O(flows × paths × arcs) scan vs the
-//!   O(arcs) snapshot of the incrementally-maintained vector — the
-//!   observation every control round, sample, and delivery query needs.
+//! * `arc_loads`: the from-scratch O(flows × paths × arcs) oracle scan
+//!   vs the O(arcs) snapshot of the incrementally-maintained vector —
+//!   the observation every control round, sample, and delivery query
+//!   needs.
 //! * `te_kernel`: the decision halves (`waterfill_target` +
 //!   `apply_step`) one agent runs per round.
-//! * `end_to_end`: whole te-stability scenarios (scaled down) under
-//!   both accounting modes — the number BENCH_simnet.json tracks at
-//!   full duration.
 //!
 //! Run offline with `cargo bench -p ecp-bench --bench load_accounting`.
-//! With `--features count-allocs` a fourth layer, `alloc_accounting`,
+//! With `--features count-allocs` a third layer, `alloc_accounting`,
 //! installs the counting global allocator (`ecp-telemetry`) and reports
-//! heap allocations per control round alongside the wall-clock — the
-//! measurement baseline for the ROADMAP "zero-alloc decision path"
-//! item.
+//! heap allocations per control round alongside the wall-clock; CI pins
+//! the decision path at 0.0 allocs/round for every policy arm.
+//! Whole-scenario timings live in the repository benchmark
+//! (`benchmark/`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ecp_scenario::ControlSpec;
-use ecp_simnet::{LoadAccounting, SimConfig, Simulation};
+use ecp_simnet::{SimConfig, Simulation};
 use respons_core::te::{apply_step, waterfill_target, PathView};
 
 #[cfg(feature = "count-allocs")]
@@ -43,9 +42,6 @@ fn warmed_sim(
         ..SimConfig::default()
     };
     let mut sim = Simulation::new(&resolved.built.topo, &resolved.power, &resolved.tables, cfg);
-    // Pin the mode: the kernel comparison must measure the maintained
-    // vector even if ECP_LOAD_ACCOUNTING=scratch is exported.
-    sim.set_load_accounting(LoadAccounting::Incremental);
     let flows = resolved
         .pairs
         .iter()
@@ -92,35 +88,6 @@ fn te_kernel(c: &mut Criterion) {
     g.finish();
 }
 
-fn end_to_end(c: &mut Criterion) {
-    let restore = ecp_simnet::default_load_accounting();
-    let mut g = c.benchmark_group("te_stability_10s_end_to_end");
-    g.sample_size(10);
-    for (label, control) in [
-        ("undamped", ControlSpec::Undamped),
-        ("desync", ControlSpec::Desync { salt: 1 }),
-    ] {
-        let scenario = ecp_bench::scenarios::te_stability(10.0, 0.7, control);
-        let resolved = ecp_scenario::resolve(&scenario).expect("te-stability resolves");
-        for mode in [LoadAccounting::Scratch, LoadAccounting::Incremental] {
-            ecp_simnet::set_default_load_accounting(mode);
-            let id = format!(
-                "{label}/{}",
-                if mode == LoadAccounting::Scratch {
-                    "scratch"
-                } else {
-                    "incremental"
-                }
-            );
-            g.bench_with_input(BenchmarkId::from_parameter(id), &(), |b, _| {
-                b.iter(|| ecp_scenario::run_resolved(&scenario, &resolved).expect("runs"))
-            });
-        }
-    }
-    g.finish();
-    ecp_simnet::set_default_load_accounting(restore);
-}
-
 /// A warmed te-stability simulation whose future event stream is pure
 /// decision path: the recorder's sampling interval is pushed past the
 /// measured window, so every event from `t = 5 s` on is a control
@@ -147,7 +114,6 @@ fn warmed_decision_sim<'a>(
         cfg,
         control.build(),
     );
-    sim.set_load_accounting(LoadAccounting::Incremental);
     for &(o, d) in &resolved.pairs {
         sim.add_flow(&resolved.tables, o, d, 2e7);
     }
@@ -199,5 +165,5 @@ fn alloc_accounting(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, arc_loads, te_kernel, end_to_end, alloc_accounting);
+criterion_group!(benches, arc_loads, te_kernel, alloc_accounting);
 criterion_main!(benches);

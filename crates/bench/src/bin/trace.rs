@@ -12,15 +12,16 @@
 //! ```
 //!
 //! `run` executes a scenario (experiment-registry id, or a scenario
-//! TOML path) through [`ecp_scenario::run_scenario_traced`] and writes
+//! TOML path) through [`ecp_scenario::run_resolved_traced`] and writes
 //! the JSONL event trace to stdout or `--out`; `--snapshot` also writes
 //! the counter/histogram snapshot as pretty JSON. Traces are
 //! deterministic — a pure function of the scenario — so two `run`s of
-//! the same id `diff` clean. With `--profile` the run goes through the
-//! span-profiled entry point instead: wall-clock `Span` lines ride the
-//! trace (event lines stay byte-identical), and `--timing FILE` writes
-//! the per-phase [`ecp_scenario::TimingSnapshot`] (count, total/self
-//! time, p50/p95/p99) as pretty JSON.
+//! the same id `diff` clean. With `--profile` the scenario is resolved
+//! and run into one [`ecp_scenario::SpanSink`] instead: wall-clock
+//! `Span` lines ride the trace (event lines stay byte-identical), and
+//! `--timing FILE` writes the per-phase
+//! [`ecp_scenario::TimingSnapshot`] (count, total/self time,
+//! p50/p95/p99) as pretty JSON.
 //!
 //! `summarize` prints per-kind event counts, the control/power headline
 //! numbers, and — when the trace carries `Span` lines — a per-span
@@ -109,16 +110,19 @@ fn cmd_run(
         fail("--timing requires --profile");
     }
     let scenario = resolve_scenario(input);
-    let (trace, timing) = if profile {
-        match ecp_scenario::run_scenario_profiled(&scenario) {
-            Ok((_, trace, timing)) => (trace, Some(timing)),
-            Err(e) => fail(&format!("run `{}`: {e}", scenario.name)),
-        }
+    let outcome = if profile {
+        let mut sink = ecp_scenario::SpanSink::new();
+        ecp_scenario::resolve_with_sink(&scenario, &mut sink)
+            .and_then(|resolved| ecp_scenario::run_resolved_with_sink(&scenario, &resolved, sink))
+            .map(|(_, trace, mut sink)| (trace, Some(sink.timing())))
     } else {
-        match ecp_scenario::run_scenario_traced(&scenario) {
-            Ok((_, trace)) => (trace, None),
-            Err(e) => fail(&format!("run `{}`: {e}", scenario.name)),
-        }
+        ecp_scenario::resolve(&scenario)
+            .and_then(|resolved| ecp_scenario::run_resolved_traced(&scenario, &resolved))
+            .map(|(_, trace)| (trace, None))
+    };
+    let (trace, timing) = match outcome {
+        Ok(out) => out,
+        Err(e) => fail(&format!("run `{}`: {e}", scenario.name)),
     };
     match out {
         Some(path) => {

@@ -942,9 +942,8 @@ pub fn te_stability(duration: f64, load: f64, control: ControlSpec) -> Scenario 
 /// [`te_stability`] at `scale`× the network/agent count: `scale`× the
 /// metro and backbone tiers and `scale`× the OD pairs, same coupling
 /// regime. `scale = 1` is exactly the registry family (golden-pinned);
-/// larger scales are the perf harness's measurement points, where the
-/// O(flows × paths × arcs) scans the incremental accounting removes
-/// actually dominate the control loop.
+/// larger scales are where the O(flows × paths × arcs) scans the
+/// incremental accounting removes would dominate the control loop.
 pub fn te_stability_scaled(
     duration: f64,
     load: f64,

@@ -4,10 +4,24 @@
 //! (event drain plus the observe/decide/apply/install round phases),
 //! and on a `FakeClock` the whole profile — span tree, counts,
 //! durations — must be deterministic run to run. This is the
-//! observability contract the BENCH trajectory's phase breakdowns and
-//! the chrome trace converter build on.
+//! observability contract the campaign timing sidecars and the chrome
+//! trace converter build on. The non-simnet engines go through the
+//! same run path and must come out of it untouched by the sink.
 
-use ecp_scenario::{run::run_scenario_profiled_with_clock, FakeClock};
+use ecp_scenario::{
+    resolve, resolve_with_sink, run_resolved_traced, run_resolved_with_sink, run_scenario,
+    FakeClock, Scenario, ScenarioReport, SpanSink, TimingSnapshot, TraceOutput,
+};
+
+/// Resolve and run `scenario` into one deterministic profiling sink.
+fn profile(scenario: &Scenario) -> (ScenarioReport, TraceOutput, TimingSnapshot) {
+    let mut sink = SpanSink::with_clock(FakeClock::new(1e-6));
+    let resolved = resolve_with_sink(scenario, &mut sink)
+        .unwrap_or_else(|e| panic!("{}: resolve failed: {e}", scenario.name));
+    let (report, trace, mut sink) = run_resolved_with_sink(scenario, &resolved, sink)
+        .unwrap_or_else(|e| panic!("{}: profiled run failed: {e}", scenario.name));
+    (report, trace, sink.timing())
+}
 
 /// Shortened te-stability shape: same topology/coupling regime as the
 /// golden-pinned family, cut to 10 s so six profiled arms stay fast.
@@ -19,8 +33,7 @@ fn family_scenario(control: ecp_scenario::ControlSpec) -> ecp_scenario::Scenario
 fn every_policy_arm_profiles_all_control_phases() {
     for (id, control) in ecp_bench::scenarios::te_stability_policies() {
         let scenario = family_scenario(control);
-        let (_, trace, timing) = run_scenario_profiled_with_clock(&scenario, FakeClock::new(1e-6))
-            .unwrap_or_else(|e| panic!("{id}: profiled run failed: {e}"));
+        let (_, trace, timing) = profile(&scenario);
         for phase in [
             "event_drain",
             "round_observe",
@@ -65,10 +78,8 @@ fn every_policy_arm_profiles_all_control_phases() {
 fn fake_clock_profiles_are_deterministic_per_arm() {
     for (id, control) in ecp_bench::scenarios::te_stability_policies() {
         let scenario = family_scenario(control);
-        let (ra, ta, tma) =
-            run_scenario_profiled_with_clock(&scenario, FakeClock::new(1e-6)).unwrap();
-        let (rb, tb, tmb) =
-            run_scenario_profiled_with_clock(&scenario, FakeClock::new(1e-6)).unwrap();
+        let (ra, ta, tma) = profile(&scenario);
+        let (rb, tb, tmb) = profile(&scenario);
         assert_eq!(
             serde_json::to_string(&ra).unwrap(),
             serde_json::to_string(&rb).unwrap(),
@@ -80,5 +91,44 @@ fn fake_clock_profiles_are_deterministic_per_arm() {
             serde_json::to_string(&tmb).unwrap(),
             "{id}: timing snapshots diverged"
         );
+    }
+}
+
+/// Replay, packet and app runs share the simnet engine's run path but
+/// are not instrumented inside it: the sink never changes their report,
+/// a traced run records nothing, and a profiled run records its spans
+/// only. None of them has a telemetry snapshot.
+#[test]
+fn non_simnet_engines_ignore_the_sink() {
+    for id in [
+        "fig1a-traffic-deviation",
+        "extension-packet-latency-response",
+        "text-web-response",
+    ] {
+        let scenario = ecp_bench::scenarios::campaign_scenario(id).unwrap();
+        let plain = serde_json::to_string(&run_scenario(&scenario).unwrap()).unwrap();
+
+        let (traced, trace) = run_resolved_traced(&scenario, &resolve(&scenario).unwrap())
+            .unwrap_or_else(|e| panic!("{id}: traced run failed: {e}"));
+        assert_eq!(
+            serde_json::to_string(&traced).unwrap(),
+            plain,
+            "{id}: traced report"
+        );
+        assert!(trace.lines.is_empty(), "{id}: traced run recorded lines");
+        assert_eq!(trace.snapshot, None, "{id}: traced snapshot");
+
+        let (profiled, trace, timing) = profile(&scenario);
+        assert_eq!(
+            serde_json::to_string(&profiled).unwrap(),
+            plain,
+            "{id}: profiled report"
+        );
+        assert!(
+            !trace.lines.is_empty() && trace.lines.iter().all(|l| l.starts_with("{\"Span\"")),
+            "{id}: profiled trace must hold Span lines only"
+        );
+        assert_eq!(trace.snapshot, None, "{id}: profiled snapshot");
+        assert!(timing.span("scenario_run").is_some_and(|s| s.count == 1));
     }
 }

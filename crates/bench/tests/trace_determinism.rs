@@ -1,4 +1,4 @@
-//! Telemetry-trace determinism (ISSUE 6).
+//! Telemetry-trace determinism.
 //!
 //! A trace is a pure function of the scenario: re-running, changing the
 //! rayon thread count, or re-sharding a campaign must all produce
@@ -15,7 +15,7 @@
 //! ```
 
 use ecp_campaign::{exec, CampaignSpec, EntrySpec, ResultStore};
-use ecp_scenario::Param;
+use ecp_scenario::{resolve, run_resolved_traced, Param, Scenario, ScenarioReport, TraceOutput};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -35,7 +35,7 @@ fn golden_path() -> PathBuf {
 #[test]
 fn fig7_trace_matches_golden() {
     let scenario = ecp_bench::scenarios::campaign_scenario("fig7-click-adaptation").unwrap();
-    let (_, trace) = ecp_scenario::run_scenario_traced(&scenario).unwrap();
+    let (_, trace) = traced_run(&scenario);
     let body = trace.to_jsonl();
     assert!(!trace.lines.is_empty(), "fig7 must trace events");
 
@@ -50,6 +50,10 @@ fn fig7_trace_matches_golden() {
         body, want,
         "fig7 trace drifted from the golden event stream"
     );
+}
+
+fn traced_run(scenario: &Scenario) -> (ScenarioReport, TraceOutput) {
+    run_resolved_traced(scenario, &resolve(scenario).unwrap()).unwrap()
 }
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -97,8 +101,8 @@ proptest! {
         Param::Seed.apply(&mut scenario, seed as f64);
         Param::LoadScale.apply(&mut scenario, load);
 
-        let (report_a, trace_a) = ecp_scenario::run_scenario_traced(&scenario).unwrap();
-        let (report_b, trace_b) = ecp_scenario::run_scenario_traced(&scenario).unwrap();
+        let (report_a, trace_a) = traced_run(&scenario);
+        let (report_b, trace_b) = traced_run(&scenario);
         prop_assert_eq!(&trace_a.lines, &trace_b.lines, "{}: trace not deterministic", ids[which]);
         prop_assert_eq!(&trace_a.snapshot, &trace_b.snapshot);
         prop_assert!(!trace_a.lines.is_empty());

@@ -4,7 +4,10 @@
 use crate::spec::CampaignSpec;
 use crate::store::{run_hash, ResultStore, RunFailure, RunTiming, StoredRun};
 use crate::{CampaignError, Resolver};
-use ecp_scenario::{Axis, Param, ResolveCache, Scenario, ScenarioReport, SweepRunner};
+use ecp_scenario::{
+    run_resolved_traced, run_resolved_with_sink, Axis, Param, ResolveCache, Scenario,
+    ScenarioReport, SpanSink, SweepRunner,
+};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -297,57 +300,43 @@ pub fn run_shard(
                     });
                 }
                 let t_run = Instant::now();
-                let (report, telemetry, failure, phases) = if opts.profile {
-                    match resolve_cache.run_profiled(&u.scenario) {
-                        Ok((r, trace, timing)) => {
+                let outcome = if opts.profile {
+                    let mut sink = SpanSink::new();
+                    resolve_cache
+                        .resolve_with_sink(&u.scenario, &mut sink)
+                        .and_then(|resolved| run_resolved_with_sink(&u.scenario, &resolved, sink))
+                        .map(|(r, mut trace, mut sink)| {
                             // Span lines carry wall-clock durations;
                             // strip them so the stored trace artifact
                             // stays the deterministic event stream.
-                            let event_lines: Vec<String> = trace
-                                .lines
-                                .iter()
-                                .filter(|l| !l.starts_with("{\"Span\""))
-                                .cloned()
-                                .collect();
-                            if !event_lines.is_empty() {
-                                store.save_trace(hash, &event_lines)?;
-                            }
-                            if let Some(ts) = &trace.timeseries {
-                                store.save_timeseries(hash, ts)?;
-                            }
-                            (Some(r), trace.snapshot, None, timing.top_phases(3))
-                        }
-                        Err(e) => (
-                            None,
-                            None,
-                            Some(RunFailure {
-                                kind: e.kind().into(),
-                                message: e.to_string(),
-                            }),
-                            Vec::new(),
-                        ),
-                    }
+                            trace.lines.retain(|l| !l.starts_with("{\"Span\""));
+                            (r, trace, sink.timing().top_phases(3))
+                        })
                 } else {
-                    match resolve_cache.run_traced(&u.scenario) {
-                        Ok((r, trace)) => {
-                            if !trace.lines.is_empty() {
-                                store.save_trace(hash, &trace.lines)?;
-                            }
-                            if let Some(ts) = &trace.timeseries {
-                                store.save_timeseries(hash, ts)?;
-                            }
-                            (Some(r), trace.snapshot, None, Vec::new())
+                    resolve_cache
+                        .resolve(&u.scenario)
+                        .and_then(|resolved| run_resolved_traced(&u.scenario, &resolved))
+                        .map(|(r, trace)| (r, trace, Vec::new()))
+                };
+                let (report, telemetry, failure, phases) = match outcome {
+                    Ok((r, trace, phases)) => {
+                        if !trace.lines.is_empty() {
+                            store.save_trace(hash, &trace.lines)?;
                         }
-                        Err(e) => (
-                            None,
-                            None,
-                            Some(RunFailure {
-                                kind: e.kind().into(),
-                                message: e.to_string(),
-                            }),
-                            Vec::new(),
-                        ),
+                        if let Some(ts) = &trace.timeseries {
+                            store.save_timeseries(hash, ts)?;
+                        }
+                        (Some(r), trace.snapshot, None, phases)
                     }
+                    Err(e) => (
+                        None,
+                        None,
+                        Some(RunFailure {
+                            kind: e.kind().into(),
+                            message: e.to_string(),
+                        }),
+                        Vec::new(),
+                    ),
                 };
                 let timing = RunTiming {
                     wall_s: t_run.elapsed().as_secs_f64(),

@@ -96,14 +96,14 @@ pub mod sweep;
 
 pub use ecp_simnet::TelemetrySnapshot;
 pub use ecp_simnet::TimeseriesPoint;
-pub use ecp_simnet::{FakeClock, MonoClock, SpanTiming, TimingSnapshot};
+pub use ecp_simnet::{Clock, FakeClock, MonoClock, SpanSink, SpanTiming, TimingSnapshot};
 pub use error::ScenarioError;
 pub use run::{
     resolution_key, resolve, resolve_with_sink, run_resolved, run_resolved_profiled,
-    run_resolved_traced, run_scenario, run_scenario_profiled, run_scenario_profiled_with_clock,
-    run_scenario_traced, AppDetail, CapacityStats, CompareResult, DriftStats, FailoverStats,
-    PacketDetail, RecomputeStats, ReplayDetail, ResolveCache, ResolvedScenario, ScenarioReport,
-    SleepStats, StreamingRunStats, TableStats, TimeseriesOutput, TraceOutput,
+    run_resolved_traced, run_resolved_with_sink, run_scenario, AppDetail, CapacityStats,
+    CompareResult, DriftStats, FailoverStats, PacketDetail, RecomputeStats, ReplayDetail,
+    ResolveCache, ResolvedScenario, ScenarioReport, SleepStats, StreamingRunStats, TableStats,
+    TimeseriesOutput, TraceOutput,
 };
 pub use spec::{
     AppSpec, CompareSpec, ControlSpec, EngineSpec, EventSpec, FlowProgram, LinkRef, MatrixSpec,

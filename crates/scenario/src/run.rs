@@ -13,9 +13,9 @@ use ecp_routing::{
     OracleConfig, RouteSet,
 };
 use ecp_simnet::{
-    run_packet_sim_full, ArcActivity, CbrFlow, Clock, JsonlSink, NoopSink, PacketSimConfig,
-    PacketStats, Sample, SimEvent, Simulation, SpanName, SpanSink, TelemetrySink,
-    TelemetrySnapshot, TimeseriesPoint, TimingSnapshot,
+    run_packet_sim_full, ArcActivity, CbrFlow, JsonlSink, NoopSink, PacketSimConfig, PacketStats,
+    Sample, SimEvent, Simulation, SpanName, SpanSink, TelemetrySink, TelemetrySnapshot,
+    TimeseriesPoint, TimingSnapshot,
 };
 use ecp_topo::gen::BuiltTopology;
 use ecp_topo::{ArcId, NodeId, Path, Topology};
@@ -304,14 +304,6 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, ScenarioError
     run_resolved(scenario, &resolved)
 }
 
-/// Run a scenario end to end with telemetry capture (JSONL sink).
-pub fn run_scenario_traced(
-    scenario: &Scenario,
-) -> Result<(ScenarioReport, TraceOutput), ScenarioError> {
-    let resolved = resolve(scenario)?;
-    run_resolved_traced(scenario, &resolved)
-}
-
 /// Resolve the static parts of a scenario (topology, pairs, tables)
 /// without running it.
 pub fn resolve(scenario: &Scenario) -> Result<ResolvedScenario, ScenarioError> {
@@ -466,6 +458,19 @@ impl ResolveCache {
         &self,
         scenario: &Scenario,
     ) -> Result<std::sync::Arc<ResolvedScenario>, ScenarioError> {
+        self.resolve_with_sink(scenario, &mut NoopSink)
+    }
+
+    /// [`ResolveCache::resolve`] with profiling spans recorded into
+    /// `sink`. Whether this key's resolution was served from the cache
+    /// shows up as a `resolve_cache_hit` / `resolve_cache_miss` span
+    /// (the miss span covers the planning pass, including any time
+    /// spent blocked on another worker planning the same key).
+    pub fn resolve_with_sink<S: TelemetrySink>(
+        &self,
+        scenario: &Scenario,
+        sink: &mut S,
+    ) -> Result<std::sync::Arc<ResolvedScenario>, ScenarioError> {
         let key = resolution_key(scenario);
         let slot = std::sync::Arc::clone(
             self.map
@@ -476,66 +481,23 @@ impl ResolveCache {
         );
         let mut guard = slot.lock().expect("resolve slot lock");
         if let Some(hit) = guard.as_ref() {
+            if S::SPANS {
+                sink.span_enter(SpanName::ResolveCacheHit);
+                sink.span_exit(SpanName::ResolveCacheHit);
+            }
             return Ok(std::sync::Arc::clone(hit));
         }
         // Plan while holding only this key's slot lock. On error the
         // slot stays empty, so a later caller retries.
-        let resolved = std::sync::Arc::new(resolve(scenario)?);
-        *guard = Some(std::sync::Arc::clone(&resolved));
-        Ok(resolved)
-    }
-
-    /// Run a scenario end to end, sharing resolution artifacts with
-    /// every other run of the same key.
-    pub fn run(&self, scenario: &Scenario) -> Result<ScenarioReport, ScenarioError> {
-        let resolved = self.resolve(scenario)?;
-        run_resolved(scenario, &resolved)
-    }
-
-    /// Like [`ResolveCache::run`], but capturing telemetry. Resolution
-    /// artifacts are shared with untraced runs of the same key
-    /// (tracing never affects resolution).
-    pub fn run_traced(
-        &self,
-        scenario: &Scenario,
-    ) -> Result<(ScenarioReport, TraceOutput), ScenarioError> {
-        let resolved = self.resolve(scenario)?;
-        run_resolved_traced(scenario, &resolved)
-    }
-
-    /// Like [`ResolveCache::run_traced`], but with profiling spans.
-    /// Whether this key's resolution was served from the cache shows
-    /// up as a `resolve_cache_hit` / `resolve_cache_miss` span (the
-    /// miss span covers the planning pass, including any time spent
-    /// blocked on another worker planning the same key).
-    pub fn run_profiled(
-        &self,
-        scenario: &Scenario,
-    ) -> Result<(ScenarioReport, TraceOutput, TimingSnapshot), ScenarioError> {
-        let mut sink = SpanSink::new();
-        let key = resolution_key(scenario);
-        let slot = std::sync::Arc::clone(
-            self.map
-                .lock()
-                .expect("resolve cache lock")
-                .entry(key)
-                .or_default(),
-        );
-        let mut guard = slot.lock().expect("resolve slot lock");
-        let resolved = if let Some(hit) = guard.as_ref() {
-            sink.span_enter(SpanName::ResolveCacheHit);
-            let resolved = std::sync::Arc::clone(hit);
-            sink.span_exit(SpanName::ResolveCacheHit);
-            resolved
-        } else {
+        if S::SPANS {
             sink.span_enter(SpanName::ResolveCacheMiss);
-            let resolved = std::sync::Arc::new(resolve_with_sink(scenario, &mut sink)?);
-            *guard = Some(std::sync::Arc::clone(&resolved));
+        }
+        let resolved = std::sync::Arc::new(resolve_with_sink(scenario, sink)?);
+        *guard = Some(std::sync::Arc::clone(&resolved));
+        if S::SPANS {
             sink.span_exit(SpanName::ResolveCacheMiss);
-            resolved
-        };
-        drop(guard);
-        run_resolved_profiled_into(scenario, &resolved, sink)
+        }
+        Ok(resolved)
     }
 }
 
@@ -571,8 +533,8 @@ impl TimeseriesOutput {
 /// The telemetry by-products of a traced run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceOutput {
-    /// JSONL trace lines in emission order. Empty for engines without
-    /// tracing support (everything but simnet).
+    /// JSONL trace lines in emission order. Engines other than simnet
+    /// record profiling `Span` lines at most.
     pub lines: Vec<String>,
     /// Aggregated snapshot; `None` for engines without tracing.
     pub snapshot: Option<TelemetrySnapshot>,
@@ -606,37 +568,35 @@ fn validate_engine_features(scenario: &Scenario) -> Result<(), ScenarioError> {
         .control
         .validate()
         .map_err(ScenarioError::Invalid)?;
-    if !matches!(scenario.engine, EngineSpec::Simnet) {
-        let engine = match &scenario.engine {
-            EngineSpec::Replay(_) => "replay",
-            EngineSpec::Packet(_) => "packet",
-            EngineSpec::App(_) => "app",
-            EngineSpec::Simnet => unreachable!(),
-        };
-        if scenario.control != ControlSpec::Undamped {
-            return Err(ScenarioError::unsupported(
-                engine,
-                "control policies (use the Simnet engine)",
-            ));
-        }
-        if scenario.metrics.stability {
-            return Err(ScenarioError::unsupported(
-                engine,
-                "stability analysis (use the Simnet engine)",
-            ));
-        }
-        if scenario.metrics.telemetry {
-            return Err(ScenarioError::unsupported(
-                engine,
-                "telemetry capture (use the Simnet engine)",
-            ));
-        }
-        if scenario.metrics.timeseries {
-            return Err(ScenarioError::unsupported(
-                engine,
-                "timeseries capture (use the Simnet engine)",
-            ));
-        }
+    let engine = match &scenario.engine {
+        EngineSpec::Simnet => return Ok(()),
+        EngineSpec::Replay(_) => "replay",
+        EngineSpec::Packet(_) => "packet",
+        EngineSpec::App(_) => "app",
+    };
+    if scenario.control != ControlSpec::Undamped {
+        return Err(ScenarioError::unsupported(
+            engine,
+            "control policies (use the Simnet engine)",
+        ));
+    }
+    if scenario.metrics.stability {
+        return Err(ScenarioError::unsupported(
+            engine,
+            "stability analysis (use the Simnet engine)",
+        ));
+    }
+    if scenario.metrics.telemetry {
+        return Err(ScenarioError::unsupported(
+            engine,
+            "telemetry capture (use the Simnet engine)",
+        ));
+    }
+    if scenario.metrics.timeseries {
+        return Err(ScenarioError::unsupported(
+            engine,
+            "timeseries capture (use the Simnet engine)",
+        ));
     }
     Ok(())
 }
@@ -646,142 +606,95 @@ pub fn run_resolved(
     scenario: &Scenario,
     resolved: &ResolvedScenario,
 ) -> Result<ScenarioReport, ScenarioError> {
-    validate_engine_features(scenario)?;
-    let mut report = match &scenario.engine {
-        EngineSpec::Simnet => run_simnet_with_sink(scenario, resolved, NoopSink).map(|(r, ..)| r),
-        EngineSpec::Replay(spec) => run_replay(scenario, resolved, spec),
-        EngineSpec::Packet(spec) => run_packet(scenario, resolved, spec),
-        EngineSpec::App(spec) => run_app(scenario, resolved, spec),
-    }?;
-    attach_table_metrics(scenario, resolved, &mut report)?;
-    Ok(report)
+    run_resolved_with_sink(scenario, resolved, NoopSink).map(|(report, ..)| report)
 }
 
-/// Run a scenario against an already-resolved context with telemetry
-/// capture. For the simnet engine the returned [`TraceOutput`] holds
-/// the JSONL event trace and the aggregated snapshot (attached to
-/// `report.telemetry` only when `metrics.telemetry` is set, so traced
-/// and untraced reports stay byte-identical otherwise); the other
-/// engines run exactly as [`run_resolved`] and return an empty trace.
+/// [`run_resolved`] with telemetry capture: for the simnet engine the
+/// returned [`TraceOutput`] holds the JSONL event trace and the
+/// aggregated snapshot; the other engines return an empty trace.
 pub fn run_resolved_traced(
     scenario: &Scenario,
     resolved: &ResolvedScenario,
 ) -> Result<(ScenarioReport, TraceOutput), ScenarioError> {
-    validate_engine_features(scenario)?;
-    let (mut report, trace) = match &scenario.engine {
-        EngineSpec::Simnet => {
-            let (report, sink, timeseries) =
-                run_simnet_with_sink(scenario, resolved, JsonlSink::new())?;
-            let snapshot = sink.snapshot();
-            (
-                report,
-                TraceOutput {
-                    lines: sink.into_lines(),
-                    snapshot,
-                    timeseries,
-                },
-            )
-        }
-        EngineSpec::Replay(spec) => (
-            run_replay(scenario, resolved, spec)?,
-            TraceOutput::default(),
-        ),
-        EngineSpec::Packet(spec) => (
-            run_packet(scenario, resolved, spec)?,
-            TraceOutput::default(),
-        ),
-        EngineSpec::App(spec) => (run_app(scenario, resolved, spec)?, TraceOutput::default()),
-    };
-    attach_table_metrics(scenario, resolved, &mut report)?;
-    Ok((report, trace))
+    run_resolved_with_sink(scenario, resolved, JsonlSink::new())
+        .map(|(report, trace, _)| (report, trace))
 }
 
-/// Run a scenario end to end with profiling spans (wall-clock timing).
-///
-/// Resolve, oracle-probe, and simulation phases are timed into the
-/// returned [`TimingSnapshot`]; the [`TraceOutput`] carries the normal
-/// event lines interleaved with `Span` lines. The report is
-/// byte-identical to an unprofiled [`run_scenario`] — spans observe
-/// wall time but never simulation behavior (pinned by the
-/// `profiling_parity` proptest).
-pub fn run_scenario_profiled(
-    scenario: &Scenario,
-) -> Result<(ScenarioReport, TraceOutput, TimingSnapshot), ScenarioError> {
-    let mut sink = SpanSink::new();
-    let resolved = resolve_with_sink(scenario, &mut sink)?;
-    run_resolved_profiled_into(scenario, &resolved, sink)
-}
-
-/// [`run_scenario_profiled`] against an already-resolved context (the
-/// resolve phases are then missing from the profile).
+/// [`run_resolved`] with profiling spans on the wall clock; the
+/// resolve phases are missing from the profile (see
+/// [`run_resolved_with_sink`] for whole-scenario profiling).
 pub fn run_resolved_profiled(
     scenario: &Scenario,
     resolved: &ResolvedScenario,
 ) -> Result<(ScenarioReport, TraceOutput, TimingSnapshot), ScenarioError> {
-    run_resolved_profiled_into(scenario, resolved, SpanSink::new())
+    let (report, trace, mut sink) = run_resolved_with_sink(scenario, resolved, SpanSink::new())?;
+    Ok((report, trace, sink.timing()))
 }
 
-/// [`run_scenario_profiled`] on an explicit [`Clock`] — with
-/// [`ecp_simnet::FakeClock`] the resulting span tree is fully
-/// deterministic (used by tests pinning span names/nesting/self-times).
-pub fn run_scenario_profiled_with_clock<C: Clock>(
-    scenario: &Scenario,
-    clock: C,
-) -> Result<(ScenarioReport, TraceOutput, TimingSnapshot), ScenarioError> {
-    let mut sink = SpanSink::with_clock(clock);
-    let resolved = resolve_with_sink(scenario, &mut sink)?;
-    run_resolved_profiled_into(scenario, &resolved, sink)
-}
-
-/// Shared tail of the profiled entry points: probe the oracle under
-/// its own span when the traffic scale needs it, run the simulation
-/// under `scenario_run`, and split the sink into trace + timing. For
-/// non-simnet engines the run itself is not instrumented — the
-/// returned timing covers the resolve spans only and the trace is
-/// span lines only.
-fn run_resolved_profiled_into<C: Clock>(
+/// Run a scenario against an already-resolved context, recording into
+/// `sink` — the one run path behind every other entry point. The sink
+/// type selects what is observed: [`NoopSink`] compiles every
+/// instrumentation site out, a [`JsonlSink`] captures the event trace,
+/// and a [`SpanSink`] adds profiling spans: the oracle probe (when the
+/// traffic scale needs it) under `resolve_oracle` and the run under
+/// `scenario_run`. Only the simnet engine is instrumented inside, so
+/// the other engines' traces hold span lines at most and no snapshot.
+///
+/// Observing never changes behaviour: the report is byte-identical
+/// whatever the sink (pinned by the `profiling_parity` proptest), and
+/// carries the telemetry snapshot only when `metrics.telemetry` asks
+/// for it. Whole-scenario profiling resolves into the same sink first:
+///
+/// ```no_run
+/// # use ecp_scenario::{resolve_with_sink, run_resolved_with_sink, Scenario, SpanSink};
+/// # fn profile(scenario: &Scenario) -> Result<(), ecp_scenario::ScenarioError> {
+/// let mut sink = SpanSink::new();
+/// let resolved = resolve_with_sink(scenario, &mut sink)?;
+/// let (report, trace, mut sink) = run_resolved_with_sink(scenario, &resolved, sink)?;
+/// let timing = sink.timing();
+/// # Ok(()) }
+/// ```
+pub fn run_resolved_with_sink<S: TelemetrySink>(
     scenario: &Scenario,
     resolved: &ResolvedScenario,
-    mut sink: SpanSink<C>,
-) -> Result<(ScenarioReport, TraceOutput, TimingSnapshot), ScenarioError> {
+    mut sink: S,
+) -> Result<(ScenarioReport, TraceOutput, S), ScenarioError> {
     validate_engine_features(scenario)?;
-    if matches!(
-        scenario.traffic.scale,
-        ScaleSpec::MaxFeasibleFraction { .. }
-    ) {
+    if S::SPANS
+        && matches!(
+            scenario.traffic.scale,
+            ScaleSpec::MaxFeasibleFraction { .. }
+        )
+    {
         // Force the (cached) probe now so its cost lands in its own
         // span instead of inside the first demand computation.
         sink.span_enter(SpanName::ResolveOracle);
         let _ = resolved.max_feasible_volume();
         sink.span_exit(SpanName::ResolveOracle);
     }
+    if S::SPANS {
+        sink.span_enter(SpanName::ScenarioRun);
+    }
     let (mut report, mut sink, timeseries) = match &scenario.engine {
-        EngineSpec::Simnet => {
-            sink.span_enter(SpanName::ScenarioRun);
-            let (report, mut sink, ts) = run_simnet_with_sink(scenario, resolved, sink)?;
-            sink.span_exit(SpanName::ScenarioRun);
-            (report, sink, ts)
-        }
+        EngineSpec::Simnet => run_simnet_with_sink(scenario, resolved, sink)?,
         EngineSpec::Replay(spec) => (run_replay(scenario, resolved, spec)?, sink, None),
         EngineSpec::Packet(spec) => (run_packet(scenario, resolved, spec)?, sink, None),
         EngineSpec::App(spec) => (run_app(scenario, resolved, spec)?, sink, None),
     };
+    if S::SPANS {
+        sink.span_exit(SpanName::ScenarioRun);
+    }
     attach_table_metrics(scenario, resolved, &mut report)?;
-    let timing = sink.timing();
-    let snapshot = if matches!(scenario.engine, EngineSpec::Simnet) {
-        sink.snapshot()
-    } else {
-        None
-    };
-    Ok((
-        report,
-        TraceOutput {
-            lines: sink.into_lines(),
-            snapshot,
-            timeseries,
+    let trace = TraceOutput {
+        lines: sink.take_lines(),
+        snapshot: if matches!(scenario.engine, EngineSpec::Simnet) {
+            sink.snapshot()
+        } else {
+            None
         },
-        timing,
-    ))
+        timeseries,
+    };
+    Ok((report, trace, sink))
 }
 
 // ---- pair/table resolution ------------------------------------------------

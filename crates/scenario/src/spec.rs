@@ -995,17 +995,17 @@ pub struct MetricsSpec {
     /// Attach an `ecp-telemetry` snapshot (event/decision counters,
     /// waterfill and idle-drain histograms, settle time, peak overload)
     /// to [`ScenarioReport::telemetry`](crate::ScenarioReport). Simnet
-    /// engine only; requires running through the traced entry points
-    /// (`run_scenario_traced` / `run_resolved_traced`).
+    /// engine only; requires a recording sink (`run_resolved_traced`,
+    /// or `run_resolved_with_sink` with a `JsonlSink` or `SpanSink`).
     #[serde(default)]
     pub telemetry: bool,
     /// Capture the campaign-observatory timeseries (delivered fraction,
     /// power fraction, max arc utilization, overloaded-arc count,
     /// cumulative reconfig count) into
     /// [`TraceOutput::timeseries`](crate::TraceOutput). Simnet engine
-    /// only; surfaces through the traced entry points
-    /// (`run_scenario_traced` / `run_resolved_traced`), which is how
-    /// campaigns always run.
+    /// only; surfaces wherever a [`TraceOutput`](crate::TraceOutput) is
+    /// returned (`run_resolved_traced`, `run_resolved_with_sink`), which
+    /// is how campaigns always run.
     #[serde(default)]
     pub timeseries: bool,
     /// Sampling interval for `timeseries` in seconds; defaults to the

@@ -277,9 +277,9 @@ impl SweepRunner {
             instances
                 .into_par_iter()
                 .map(|(params, scenario)| {
-                    cache
-                        .run(&scenario)
-                        .map(|report| SweepRow { params, report })
+                    let resolved = cache.resolve(&scenario)?;
+                    let report = crate::run::run_resolved(&scenario, &resolved)?;
+                    Ok(SweepRow { params, report })
                 })
                 .collect()
         };

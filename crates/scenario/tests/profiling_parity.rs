@@ -4,13 +4,33 @@
 //! span tree contract at the scenario level.
 
 use ecp_scenario::{
-    run_scenario, run_scenario_profiled, run_scenario_profiled_with_clock, run_scenario_traced,
-    ControlSpec, EventSpec, FakeClock, MatrixSpec, PairsSpec, ScaleSpec, ScenarioBuilder,
-    SweepRunner,
+    resolve, resolve_with_sink, run_resolved_traced, run_resolved_with_sink, run_scenario, Clock,
+    ControlSpec, EventSpec, FakeClock, MatrixSpec, MonoClock, NodeRef, PairsSpec, ResolveCache,
+    ScaleSpec, Scenario, ScenarioBuilder, ScenarioReport, SpanSink, SweepRunner, TimingSnapshot,
+    TraceOutput,
 };
 use ecp_topo::gen::TopoSpec;
 use ecp_traffic::{Program, Shape};
 use proptest::prelude::*;
+
+/// Resolve and run `scenario` into one profiling sink on `clock`.
+fn profile<C: Clock>(
+    scenario: &Scenario,
+    clock: C,
+) -> (ScenarioReport, TraceOutput, TimingSnapshot) {
+    let mut sink = SpanSink::with_clock(clock);
+    let resolved = resolve_with_sink(scenario, &mut sink).unwrap();
+    let (report, trace, mut sink) = run_resolved_with_sink(scenario, &resolved, sink).unwrap();
+    (report, trace, sink.timing())
+}
+
+/// Run `scenario` through a cache into one wall-clock profiling sink.
+fn profile_cached(cache: &ResolveCache, scenario: &Scenario) -> (ScenarioReport, TimingSnapshot) {
+    let mut sink = SpanSink::new();
+    let resolved = cache.resolve_with_sink(scenario, &mut sink).unwrap();
+    let (report, _, mut sink) = run_resolved_with_sink(scenario, &resolved, sink).unwrap();
+    (report, sink.timing())
+}
 
 /// One of the six registry policy families, parameterized by two
 /// generic knobs in `(0, 1)` (mapped into each family's valid range).
@@ -81,7 +101,7 @@ proptest! {
     #[test]
     fn profiled_reports_are_byte_identical(scenario in arb_scenario()) {
         let plain = run_scenario(&scenario).unwrap();
-        let (profiled, trace, timing) = run_scenario_profiled(&scenario).unwrap();
+        let (profiled, trace, timing) = profile(&scenario, MonoClock::default());
         prop_assert_eq!(
             serde_json::to_string(&plain).unwrap(),
             serde_json::to_string(&profiled).unwrap()
@@ -89,7 +109,8 @@ proptest! {
 
         // The event lines under the Span lines are exactly the traced
         // run's lines, and the aggregated snapshot matches too.
-        let (traced_report, traced) = run_scenario_traced(&scenario).unwrap();
+        let (traced_report, traced) =
+            run_resolved_traced(&scenario, &resolve(&scenario).unwrap()).unwrap();
         prop_assert_eq!(
             serde_json::to_string(&plain).unwrap(),
             serde_json::to_string(&traced_report).unwrap()
@@ -123,10 +144,8 @@ proptest! {
     /// profiled runs agree on every count, duration, and self-time.
     #[test]
     fn fake_clock_span_trees_are_deterministic(scenario in arb_scenario()) {
-        let (ra, ta, tma) =
-            run_scenario_profiled_with_clock(&scenario, FakeClock::new(1e-6)).unwrap();
-        let (rb, tb, tmb) =
-            run_scenario_profiled_with_clock(&scenario, FakeClock::new(1e-6)).unwrap();
+        let (ra, ta, tma) = profile(&scenario, FakeClock::new(1e-6));
+        let (rb, tb, tmb) = profile(&scenario, FakeClock::new(1e-6));
         prop_assert_eq!(
             serde_json::to_string(&ra).unwrap(),
             serde_json::to_string(&rb).unwrap()
@@ -139,24 +158,23 @@ proptest! {
     }
 }
 
-/// The `ResolveCache` profiled path records hit/miss spans and keeps
+/// Profiling through a `ResolveCache` records hit/miss spans and keeps
 /// report parity with the unprofiled cache path.
 #[test]
 fn cache_profiling_records_hit_and_miss() {
-    use ecp_scenario::ResolveCache;
     let scenario = ScenarioBuilder::new("cache-profile")
         .topology(TopoSpec::small_waxman(8, 1))
         .pairs(PairsSpec::Random { count: 4 })
         .duration_s(2.0)
         .build();
     let cache = ResolveCache::new();
-    let (first, _, timing_miss) = cache.run_profiled(&scenario).unwrap();
+    let (first, timing_miss) = profile_cached(&cache, &scenario);
     assert!(timing_miss
         .span("resolve_cache_miss")
         .is_some_and(|s| s.count == 1));
     assert!(timing_miss.span("resolve_cache_hit").is_none());
 
-    let (second, _, timing_hit) = cache.run_profiled(&scenario).unwrap();
+    let (second, timing_hit) = profile_cached(&cache, &scenario);
     assert!(timing_hit
         .span("resolve_cache_hit")
         .is_some_and(|s| s.count == 1));
@@ -165,13 +183,43 @@ fn cache_profiling_records_hit_and_miss() {
         serde_json::to_string(&first).unwrap(),
         serde_json::to_string(&second).unwrap()
     );
+    let plain = ecp_scenario::run_resolved(&scenario, &cache.resolve(&scenario).unwrap()).unwrap();
     assert_eq!(
         serde_json::to_string(&first).unwrap(),
-        serde_json::to_string(&cache.run(&scenario).unwrap()).unwrap()
+        serde_json::to_string(&plain).unwrap()
     );
 }
 
-/// `run_scenario_profiled` composes with sweep-style parameterization:
+/// A failed resolution is returned, not cached: the cache stays empty
+/// and the next call plans again instead of replaying the failure.
+#[test]
+fn cache_does_not_keep_failed_resolutions() {
+    let node = NodeRef::ByIndex { index: 0 };
+    let scenario = ScenarioBuilder::new("cache-error")
+        .topology(TopoSpec::small_waxman(8, 1))
+        .pairs(PairsSpec::Explicit {
+            pairs: vec![(node.clone(), node)],
+        })
+        .duration_s(2.0)
+        .build();
+    let cache = ResolveCache::new();
+    for attempt in 0..2 {
+        let mut sink = SpanSink::with_clock(FakeClock::new(1e-6));
+        let err = cache.resolve_with_sink(&scenario, &mut sink).err();
+        assert!(
+            err.is_some_and(|e| e.to_string().contains("self-loop")),
+            "attempt {attempt}: a self-loop pair must fail to resolve"
+        );
+        assert!(
+            cache.is_empty(),
+            "attempt {attempt}: the failure was cached"
+        );
+        // Every attempt plans: no attempt is served a cached failure.
+        assert!(sink.timing().span("resolve_cache_hit").is_none());
+    }
+}
+
+/// Whole-scenario profiling composes with sweep-style parameterization:
 /// profiled grid points match their unprofiled twins.
 #[test]
 fn profiled_sweep_points_match_unprofiled() {
@@ -184,7 +232,7 @@ fn profiled_sweep_points_match_unprofiled() {
     let runner = SweepRunner::new(scenario, vec![Axis::new(Param::Threshold, [0.7, 0.9])]);
     for (_, instance) in runner.instances() {
         let plain = run_scenario(&instance).unwrap();
-        let (profiled, _, _) = run_scenario_profiled(&instance).unwrap();
+        let (profiled, _, _) = profile(&instance, MonoClock::default());
         assert_eq!(
             serde_json::to_string(&plain).unwrap(),
             serde_json::to_string(&profiled).unwrap()

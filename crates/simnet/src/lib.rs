@@ -48,7 +48,4 @@ pub use packet::{
     run_packet_sim, run_packet_sim_full, ArcActivity, CbrFlow, PacketSimConfig, PacketStats,
 };
 pub use recorder::{Recorder, Sample, TimeseriesPoint};
-pub use sim::{
-    default_load_accounting, set_default_load_accounting, FlowId, LinkPowerState, LoadAccounting,
-    SimConfig, SimEvent, Simulation,
-};
+pub use sim::{FlowId, LinkPowerState, SimConfig, SimEvent, Simulation};

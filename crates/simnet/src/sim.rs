@@ -12,56 +12,6 @@ use respons_core::PathTables;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::AtomicU8;
-use std::sync::OnceLock;
-
-/// How a [`Simulation`] maintains per-arc delivered load.
-///
-/// The load vector is the online TE loop's shared observable: every
-/// control round, recorder sample, and delivery query needs it. The
-/// two modes are **bit-identical** in every output (pinned by the
-/// golden-parity suite and a continuous `debug_assert` cross-check);
-/// they differ only in wall-clock cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[repr(u8)]
-pub enum LoadAccounting {
-    /// Maintain `loads` incrementally: O(changed paths × path length)
-    /// bookkeeping per event plus a dirty-arc recompute, instead of an
-    /// O(flows × paths × arcs) scan per query. The default.
-    #[default]
-    Incremental = 0,
-    /// Recompute every load query from scratch — the pre-incremental
-    /// behavior, kept as the verification oracle and as the "before"
-    /// arm of the perf harness (`ecp-bench perf`, BENCH_simnet.json).
-    Scratch = 1,
-}
-
-/// Unset sentinel for the process-wide accounting override.
-static ACCOUNTING_OVERRIDE: AtomicU8 = AtomicU8::new(u8::MAX);
-
-/// The accounting mode new simulations start in: the value set by
-/// [`set_default_load_accounting`] if any, else `ECP_LOAD_ACCOUNTING`
-/// (`scratch` selects the slow oracle; read once), else incremental.
-pub fn default_load_accounting() -> LoadAccounting {
-    match ACCOUNTING_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed) {
-        0 => LoadAccounting::Incremental,
-        1 => LoadAccounting::Scratch,
-        _ => {
-            static FROM_ENV: OnceLock<LoadAccounting> = OnceLock::new();
-            *FROM_ENV.get_or_init(|| match std::env::var("ECP_LOAD_ACCOUNTING") {
-                Ok(v) if v.eq_ignore_ascii_case("scratch") => LoadAccounting::Scratch,
-                _ => LoadAccounting::Incremental,
-            })
-        }
-    }
-}
-
-/// Override the process-wide default accounting mode (the perf harness
-/// uses this to time both arms in one process). Affects simulations
-/// constructed afterwards; running ones keep their mode.
-pub fn set_default_load_accounting(mode: LoadAccounting) {
-    ACCOUNTING_OVERRIDE.store(mode as u8, std::sync::atomic::Ordering::Relaxed);
-}
 
 /// Handle to a flow (OD traffic aggregate) in a [`Simulation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -332,16 +282,13 @@ pub struct Simulation<'a, S: TelemetrySink = NoopSink> {
     /// decisions (default: [`ecp_control::Undamped`], the original
     /// hard-wired `decide_shares` behavior).
     policy: Box<dyn ControlPolicy>,
-    /// Load-accounting mode (incremental by default).
-    accounting: LoadAccounting,
     /// Cached [`ControlPolicy::memoryless`] of `policy`: decision
     /// skipping for observation-clean agents is only sound for pure
-    /// policies (and only engages in `Incremental` mode, where load
-    /// changes propagate to the per-flow dirty flags).
+    /// policies.
     policy_memoryless: bool,
-    /// Incremental per-arc delivered load. In `Incremental` mode this
-    /// is flushed after every event and is bit-identical to
-    /// [`Simulation::arc_loads_scratch`] at every public API boundary.
+    /// Incremental per-arc delivered load, flushed after every event
+    /// and bit-identical to [`Simulation::arc_loads_scratch`] at every
+    /// public API boundary.
     loads: Vec<f64>,
     /// Arcs whose load must be recomputed at the next flush.
     arc_dirty: Vec<bool>,
@@ -452,7 +399,6 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             recorder: Recorder::new(),
             always_on_links,
             policy,
-            accounting: default_load_accounting(),
             policy_memoryless,
             loads: vec![0.0; n_arcs],
             arc_dirty: vec![false; n_arcs],
@@ -561,9 +507,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
                 self.mark_path_dirty(fi, pi);
             }
         }
-        if self.accounting == LoadAccounting::Incremental {
-            self.flush_loads();
-        }
+        self.flush_loads();
         FlowId(fi)
     }
 
@@ -681,10 +625,9 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
 
     /// Delivered rate per installed path of a flow.
     pub fn per_path_delivered(&self, f: FlowId) -> Vec<f64> {
-        let loads = self.loads_for_query();
         let flow = &self.flows[f.0];
         (0..flow.paths.len())
-            .map(|pi| self.path_delivery(flow, pi, &loads))
+            .map(|pi| self.path_delivery(flow, pi, &self.loads))
             .collect()
     }
 
@@ -716,15 +659,11 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         self.dispatch(ev);
         if S::SPANS {
             self.sink.span_exit(SpanName::EventDrain);
+            self.sink.span_enter(SpanName::LoadFlush);
         }
-        if self.accounting == LoadAccounting::Incremental {
-            if S::SPANS {
-                self.sink.span_enter(SpanName::LoadFlush);
-            }
-            self.flush_loads();
-            if S::SPANS {
-                self.sink.span_exit(SpanName::LoadFlush);
-            }
+        self.flush_loads();
+        if S::SPANS {
+            self.sink.span_exit(SpanName::LoadFlush);
         }
     }
 
@@ -962,9 +901,9 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
     }
 
     /// Delivered (transmitted) load per arc, recomputed from scratch in
-    /// O(flows × paths × arcs) — the pre-incremental hot loop, kept
-    /// public as the verification oracle (debug cross-checks, the
-    /// parity proptests) and as the perf harness baseline.
+    /// O(flows × paths × arcs) — the verification oracle of the
+    /// incremental load state (debug cross-checks, the parity
+    /// proptests, the `arc_loads` microbench).
     pub fn arc_loads_scratch(&self) -> Vec<f64> {
         let mut load = vec![0.0; self.topo.arc_count()];
         for fl in &self.flows {
@@ -982,48 +921,12 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         load
     }
 
-    /// The incrementally-maintained per-arc delivered load. Clean (and
-    /// in debug builds, cross-checked against
-    /// [`Simulation::arc_loads_scratch`]) at every public API boundary;
-    /// meaningful in [`LoadAccounting::Incremental`] mode only.
+    /// The incrementally-maintained per-arc delivered load: clean at
+    /// every public API boundary and bit-identical there to
+    /// [`Simulation::arc_loads_scratch`] (cross-checked after every
+    /// event in debug builds).
     pub fn current_arc_loads(&self) -> &[f64] {
         &self.loads
-    }
-
-    /// This simulation's accounting mode.
-    pub fn load_accounting(&self) -> LoadAccounting {
-        self.accounting
-    }
-
-    /// Switch accounting modes mid-run (results are bit-identical
-    /// either way; only wall-clock changes). Entering `Incremental`
-    /// rebuilds the load cache from the oracle.
-    pub fn set_load_accounting(&mut self, mode: LoadAccounting) {
-        if self.accounting == mode {
-            return;
-        }
-        self.accounting = mode;
-        if mode == LoadAccounting::Incremental {
-            for ai in self.dirty_arcs.drain(..) {
-                self.arc_dirty[ai] = false;
-            }
-            self.loads = self.arc_loads_scratch();
-            // Load-change propagation to the per-flow observation flags
-            // was off while in scratch mode.
-            for fl in &mut self.flows {
-                fl.obs_dirty = true;
-            }
-        }
-    }
-
-    /// The load vector for a read-only query: borrowed from the
-    /// maintained cache in incremental mode, recomputed in scratch
-    /// mode.
-    fn loads_for_query(&self) -> std::borrow::Cow<'_, [f64]> {
-        match self.accounting {
-            LoadAccounting::Incremental => std::borrow::Cow::Borrowed(&self.loads[..]),
-            LoadAccounting::Scratch => std::borrow::Cow::Owned(self.arc_loads_scratch()),
-        }
     }
 
     /// Mark every arc of one path for recomputation at the next flush.
@@ -1298,19 +1201,15 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
 
     /// Whether any positive-rate path is assigned to a link, in either
     /// direction — the sleep-check guard. O(1) from the incremental
-    /// assigned counts (debug-checked against the scan); the scratch
-    /// mode keeps the original O(flows × paths × arcs) rescan.
+    /// assigned counts (debug-checked against the scan).
     fn link_has_assigned_traffic(&self, l: ArcId) -> bool {
-        match self.accounting {
-            LoadAccounting::Incremental => {
-                let has = self.assigned[l.idx()] > 0;
-                debug_assert_eq!(has, self.link_has_assigned_traffic_scratch(l));
-                has
-            }
-            LoadAccounting::Scratch => self.link_has_assigned_traffic_scratch(l),
-        }
+        let has = self.assigned[l.idx()] > 0;
+        debug_assert_eq!(has, self.link_has_assigned_traffic_scratch(l));
+        has
     }
 
+    /// The O(flows × paths × arcs) rescan behind
+    /// [`Simulation::link_has_assigned_traffic`] — its oracle.
     fn link_has_assigned_traffic_scratch(&self, l: ArcId) -> bool {
         let rev = self.topo.reverse(l);
         for fl in &self.flows {
@@ -1345,9 +1244,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
                 self.set_link_state(l, LinkPowerState::Active);
             }
         }
-        if self.accounting == LoadAccounting::Incremental {
-            self.flush_loads();
-        }
+        self.flush_loads();
     }
 
     /// What one agent sees of its paths given an arc-load snapshot,
@@ -1375,21 +1272,21 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         }
     }
 
-    /// One agent's observe + decide against a load snapshot (shared by
-    /// the batched round and the phase-jittered path, so both always
-    /// construct the observation identically). `cached` observes the
-    /// maintained load cache instead of a snapshot — sound whenever no
-    /// share application happens between the observation and the
-    /// decision: batched rounds defer every apply until all phase-0
-    /// decisions are in, and the phase-jittered path decides one agent
-    /// at a time. Writes the decided shares into `out`; the views
-    /// scratch is reused across calls, so nothing here allocates.
-    fn decide_flow_into(&mut self, fi: usize, loads: Option<&[f64]>, out: &mut Vec<f64>) {
+    /// One agent's observe + decide (shared by the batched round and
+    /// the phase-jittered path, so both always construct the
+    /// observation identically). It observes the maintained load
+    /// cache, which is sound because no share application happens
+    /// between the observation and the decision: batched rounds defer
+    /// every apply until all phase-0 decisions are in, and the
+    /// phase-jittered path decides one agent at a time. Writes the
+    /// decided shares into `out`; the views scratch is reused across
+    /// calls, so nothing here allocates.
+    fn decide_flow_into(&mut self, fi: usize, out: &mut Vec<f64>) {
         let mut views = std::mem::take(&mut self.scratch.views);
         if S::SPANS {
             self.sink.span_enter(SpanName::RoundObserve);
         }
-        self.flow_views_into(fi, loads.unwrap_or(&self.loads), &mut views);
+        self.flow_views_into(fi, &self.loads, &mut views);
         if S::SPANS {
             self.sink.span_exit(SpanName::RoundObserve);
         }
@@ -1487,17 +1384,12 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         if self.now + 1e-12 < self.cfg.te_start {
             return;
         }
-        // Scratch mode recomputes one shared round snapshot (the old
-        // engine's cost); incremental mode observes the maintained
-        // cache directly — constant during the decision loop because
-        // every apply is deferred past it.
+        // Agents observe the maintained load cache directly — constant
+        // during the decision loop because every apply is deferred past
+        // it.
         if S::SPANS {
             self.sink.span_enter(SpanName::RoundSnapshot);
         }
-        let scratch_loads = match self.accounting {
-            LoadAccounting::Scratch => Some(self.arc_loads_scratch()),
-            LoadAccounting::Incremental => None,
-        };
         if S::ENABLED {
             self.sink.add(Counter::ControlRounds, 1);
             if immediate {
@@ -1505,7 +1397,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             }
             // Per-round arc-load summary over the loads the agents of
             // this round observe (pre-decision).
-            let ev = self.arc_loads_event(scratch_loads.as_deref().unwrap_or(&self.loads));
+            let ev = self.arc_loads_event(&self.loads);
             self.sink.emit(&ev);
         }
         if S::SPANS {
@@ -1549,7 +1441,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             } else {
                 0
             };
-            self.decide_flow_into(fi, scratch_loads.as_deref(), &mut shares);
+            self.decide_flow_into(fi, &mut shares);
             if S::ENABLED {
                 self.sink.add(Counter::AgentDecisions, 1);
                 self.sink.observe(
@@ -1650,13 +1542,10 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
     /// Whether an agent's decision can be skipped outright: nothing it
     /// observes has changed since its last decision and the policy is a
     /// pure function of the observation, so the skipped call would
-    /// return exactly the shares already installed. Only sound in
-    /// incremental mode, where load changes propagate to the per-flow
-    /// observation flags.
+    /// return exactly the shares already installed. Load changes reach
+    /// the per-flow observation flags through the load flush.
     fn can_skip_decision(&self, fi: usize) -> bool {
-        self.policy_memoryless
-            && self.accounting == LoadAccounting::Incremental
-            && !self.flows[fi].obs_dirty
+        self.policy_memoryless && !self.flows[fi].obs_dirty
     }
 
     /// One phase-jittered agent's decision against fresh loads.
@@ -1677,19 +1566,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             0
         };
         let mut shares = std::mem::take(&mut self.scratch.shares);
-        match self.accounting {
-            LoadAccounting::Scratch => {
-                if S::SPANS {
-                    self.sink.span_enter(SpanName::RoundSnapshot);
-                }
-                let loads = self.arc_loads_scratch();
-                if S::SPANS {
-                    self.sink.span_exit(SpanName::RoundSnapshot);
-                }
-                self.decide_flow_into(fi, Some(&loads), &mut shares);
-            }
-            LoadAccounting::Incremental => self.decide_flow_into(fi, None, &mut shares),
-        }
+        self.decide_flow_into(fi, &mut shares);
         if S::ENABLED {
             let dw = waterfill_iterations() - wf_before;
             self.sink.add(Counter::AgentDecisions, 1);
@@ -1747,14 +1624,14 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             self.sink.add(Counter::Samples, 1);
         }
         let (offered_total, delivered_total, per_flow) = {
-            let loads = self.loads_for_query();
+            let loads = &self.loads;
             let mut offered_total = 0.0;
             let mut delivered_total = 0.0;
             let mut per_flow: Vec<Vec<f64>> = Vec::with_capacity(self.flows.len());
             for fl in &self.flows {
                 offered_total += fl.offered;
                 let rates: Vec<f64> = (0..fl.paths.len())
-                    .map(|pi| self.path_delivery(fl, pi, &loads))
+                    .map(|pi| self.path_delivery(fl, pi, loads))
                     .collect();
                 delivered_total += rates.iter().sum::<f64>();
                 per_flow.push(rates);
@@ -1777,13 +1654,13 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
     /// without per-path vectors or telemetry events.
     fn take_timeseries_point(&mut self) {
         let (delivered_fraction, max_util, overloaded) = {
-            let loads = self.loads_for_query();
+            let loads = &self.loads;
             let mut offered_total = 0.0;
             let mut delivered_total = 0.0;
             for fl in &self.flows {
                 offered_total += fl.offered;
                 for pi in 0..fl.paths.len() {
-                    delivered_total += self.path_delivery(fl, pi, &loads);
+                    delivered_total += self.path_delivery(fl, pi, loads);
                 }
             }
             let delivered_fraction = if offered_total > 0.0 {

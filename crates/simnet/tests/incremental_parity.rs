@@ -1,22 +1,21 @@
-//! Parity of the incremental load accounting (ISSUE 5) against the
-//! from-scratch oracle under arbitrary event sequences.
+//! Parity of the incremental load accounting against the from-scratch
+//! oracle under arbitrary event scripts.
 //!
-//! Two layers of defense: while any simulation runs in debug builds,
-//! `flush_loads` cross-checks the whole incremental state (loads,
-//! cached rates, blocked counts, assigned counts) against the
-//! from-scratch recomputation after *every* event; these proptests
-//! additionally drive randomized event scripts (demand changes,
-//! link/node fail + repair, share moves, wake-time and TE
-//! reconfiguration, phased agents) and assert that
+//! Randomized scripts (demand changes, link/node fail + repair, share
+//! moves, wake-time and TE reconfiguration, phased agents) are driven
+//! one event at a time, and the proptest asserts that
 //!
-//! * the final incremental state matches the oracle bit for bit, and
-//! * an identical simulation in `Scratch` mode (the pre-incremental
-//!   engine) records the exact same sample series — end-to-end
-//!   bit-parity, including the memoryless-policy decision skipping
-//!   which only engages in incremental mode.
+//! * after *every* event — in release builds too, not only through the
+//!   debug assertion in `flush_loads` — the whole incremental state
+//!   (loads, cached rates, blocked counts, assigned counts) matches the
+//!   from-scratch recomputation bit for bit, and
+//! * a twin run whose policy never reports itself memoryless, so no
+//!   agent decision is ever skipped, records the exact same sample
+//!   series and final deliveries — end-to-end parity of the
+//!   clean-agent decision skipping.
 
-use ecp_control::ControlPolicy;
-use ecp_simnet::{LoadAccounting, SimConfig, SimEvent, Simulation};
+use ecp_control::{ControlPolicy, Observation};
+use ecp_simnet::{SimConfig, SimEvent, Simulation};
 use ecp_topo::gen::fig3_click;
 use ecp_topo::{ArcId, NodeId, Path};
 use proptest::prelude::*;
@@ -94,13 +93,40 @@ fn policy(which: usize) -> Box<dyn ControlPolicy> {
     }
 }
 
-/// Run the scripted simulation in one accounting mode; returns the
+/// A policy that delegates everything but claims to have memory, so
+/// the simulator decides for every agent in every round.
+struct NeverSkip(Box<dyn ControlPolicy>);
+
+impl ControlPolicy for NeverSkip {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn phase(&self, agent: usize, interval: f64) -> f64 {
+        self.0.phase(agent, interval)
+    }
+
+    fn decide(&mut self, obs: &Observation<'_>) -> Vec<f64> {
+        self.0.decide(obs)
+    }
+
+    fn decide_into(&mut self, obs: &Observation<'_>, out: &mut Vec<f64>) {
+        self.0.decide_into(obs, out)
+    }
+
+    fn memoryless(&self) -> bool {
+        false
+    }
+}
+
+/// Run the scripted simulation one event at a time, checking the
+/// incremental state against the oracle after each; returns the
 /// recorded series plus the final per-path delivery of both flows.
 fn run_script(
     events: &[RawEvent],
     which_policy: usize,
     spread: bool,
-    mode: LoadAccounting,
+    never_skip: bool,
 ) -> (Vec<ecp_simnet::Sample>, Vec<Vec<f64>>) {
     let (t, n, pt) = click_tables();
     let cfg = SimConfig {
@@ -112,25 +138,31 @@ fn run_script(
         ..Default::default()
     };
     let pm = ecp_power::PowerModel::cisco12000();
-    let mut sim = Simulation::with_policy(&t, &pm, &pt, cfg, policy(which_policy));
-    sim.set_load_accounting(mode);
+    let mut policy = policy(which_policy);
+    if never_skip {
+        policy = Box::new(NeverSkip(policy));
+    }
+    let mut sim = Simulation::with_policy(&t, &pm, &pt, cfg, policy);
     let fa = sim.add_flow(&pt, n.a, n.k, 2.5e6);
     let fc = sim.add_flow(&pt, n.c, n.k, 2.5e6);
     if spread {
         sim.set_shares(fa, vec![0.5, 0.5]);
         sim.set_shares(fc, vec![0.5, 0.5]);
     }
+    assert!(sim.incremental_state_matches_scratch());
     for &raw in events {
         let (at, ev) = decode_event(&t, raw);
         sim.schedule(at, ev);
     }
-    sim.run_until(9.0);
-    if mode == LoadAccounting::Incremental {
+    const T_END: f64 = 9.0;
+    while sim.next_event_time().is_some_and(|at| at <= T_END + 1e-12) {
+        let at = sim.step();
         assert!(
             sim.incremental_state_matches_scratch(),
-            "incremental state diverged from the from-scratch oracle"
+            "incremental state diverged from the from-scratch oracle after the event at {at:?}"
         );
     }
+    sim.run_until(T_END);
     let deliveries = vec![sim.per_path_delivered(fa), sim.per_path_delivered(fc)];
     (sim.recorder().samples().to_vec(), deliveries)
 }
@@ -138,22 +170,23 @@ fn run_script(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Incremental and scratch accounting record bit-identical series
-    /// under arbitrary event scripts and every control policy.
+    /// The incremental state matches the from-scratch oracle after
+    /// every event, and skipping clean agents' decisions records
+    /// bit-identical series, under arbitrary event scripts and every
+    /// control policy.
     #[test]
     fn incremental_is_bit_identical_to_scratch(
         events in proptest::collection::vec(
             (0.0f64..8.0, 0usize..7, 0usize..16, 0.0f64..9e6),
             0..20,
         ),
-        which_policy in 0usize..6,
         spread in proptest::bool::ANY,
     ) {
-        let (inc_samples, inc_delivery) =
-            run_script(&events, which_policy, spread, LoadAccounting::Incremental);
-        let (scr_samples, scr_delivery) =
-            run_script(&events, which_policy, spread, LoadAccounting::Scratch);
-        prop_assert_eq!(inc_samples, scr_samples);
-        prop_assert_eq!(inc_delivery, scr_delivery);
+        for which_policy in 0..6 {
+            let (samples, delivery) = run_script(&events, which_policy, spread, false);
+            let (twin_samples, twin_delivery) = run_script(&events, which_policy, spread, true);
+            prop_assert_eq!(samples, twin_samples);
+            prop_assert_eq!(delivery, twin_delivery);
+        }
     }
 }

@@ -559,6 +559,13 @@ pub trait TelemetrySink {
     fn snapshot(&self) -> Option<TelemetrySnapshot> {
         None
     }
+
+    /// Take the recorded JSONL lines, in emission order, leaving the
+    /// sink's line buffer empty (aggregates are kept). Empty for sinks
+    /// that record no lines.
+    fn take_lines(&mut self) -> Vec<String> {
+        Vec::new()
+    }
 }
 
 /// The default sink: records nothing, costs nothing.
@@ -675,11 +682,6 @@ impl JsonlSink {
         &self.lines
     }
 
-    /// Consume the sink, returning its lines.
-    pub fn into_lines(self) -> Vec<String> {
-        self.lines
-    }
-
     /// Current value of one counter.
     pub fn counter(&self, c: Counter) -> u64 {
         self.counters[c.index()]
@@ -745,6 +747,10 @@ impl TelemetrySink for JsonlSink {
                 .map(|&h| self.hists[h.index()].snapshot(h))
                 .collect(),
         })
+    }
+
+    fn take_lines(&mut self) -> Vec<String> {
+        std::mem::take(&mut self.lines)
     }
 }
 

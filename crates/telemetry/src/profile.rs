@@ -208,12 +208,6 @@ impl<C: Clock> SpanSink<C> {
         &self.inner
     }
 
-    /// Consume the sink, returning the combined trace lines (inner
-    /// events interleaved with Span lines, in emission order).
-    pub fn into_lines(self) -> Vec<String> {
-        self.inner.into_lines()
-    }
-
     /// Per-span timing profile so far. Reads the clock once for
     /// `wall_s`; open spans are not included until they close.
     pub fn timing(&mut self) -> TimingSnapshot {
@@ -308,6 +302,11 @@ impl<C: Clock> TelemetrySink for SpanSink<C> {
     fn snapshot(&self) -> Option<TelemetrySnapshot> {
         self.inner.snapshot()
     }
+
+    /// The combined trace: inner events interleaved with Span lines.
+    fn take_lines(&mut self) -> Vec<String> {
+        self.inner.take_lines()
+    }
 }
 
 #[cfg(test)]
@@ -359,7 +358,7 @@ mod tests {
         plain.emit(&ev);
         assert_eq!(s.snapshot(), plain.snapshot());
 
-        let lines = s.into_lines();
+        let lines = s.take_lines();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("{\"ArcLoads\":"));
         assert!(lines[1].starts_with("{\"Span\":"));
