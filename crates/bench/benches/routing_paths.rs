@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ecp_routing::ospf::invcap_weight;
-use ecp_topo::algo::{k_shortest_paths, shortest_path};
+use ecp_topo::algo::{k_shortest_paths, shortest_path, ShortestPathTrees};
 use ecp_topo::gen::{geant, pop_access, PopAccessConfig};
 use ecp_topo::{NodeId, Topology};
 
@@ -47,6 +47,39 @@ fn dijkstra(c: &mut Criterion) {
     g.finish();
 }
 
+/// The planner's and oracle's batch form: all pairs of a planned table
+/// read from one shortest-path tree per origin, against one search per
+/// pair.
+fn shared_trees(c: &mut Criterion) {
+    let mut g = c.benchmark_group("dijkstra_all_edge_pairs");
+    for (name, topo) in isp_topos() {
+        let w = invcap_weight(&topo);
+        let edge = topo.edge_nodes();
+        let pairs: Vec<(NodeId, NodeId)> = edge
+            .iter()
+            .flat_map(|&o| edge.iter().filter(move |&&d| d != o).map(move |&d| (o, d)))
+            .collect();
+        g.bench_with_input(BenchmarkId::new("per_pair", name), &(), |b, _| {
+            b.iter(|| {
+                pairs
+                    .iter()
+                    .filter_map(|&(o, d)| shortest_path(&topo, o, d, &w, None))
+                    .count()
+            })
+        });
+        g.bench_with_input(BenchmarkId::new("per_origin", name), &(), |b, _| {
+            b.iter(|| {
+                let mut trees = ShortestPathTrees::new(&topo, &w, None);
+                pairs
+                    .iter()
+                    .filter_map(|&(o, d)| trees.path(&topo, o, d))
+                    .count()
+            })
+        });
+    }
+    g.finish();
+}
+
 fn yen(c: &mut Criterion) {
     let mut g = c.benchmark_group("yen_k_shortest_k3");
     g.sample_size(10);
@@ -65,5 +98,5 @@ fn yen(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, dijkstra, yen);
+criterion_group!(benches, dijkstra, shared_trees, yen);
 criterion_main!(benches);

@@ -24,7 +24,7 @@ use ecp_power::PowerModel;
 use ecp_routing::oracle::OracleConfig;
 use ecp_routing::ospf::invcap_weight;
 use ecp_routing::subset::{greente_like, optimal_subset};
-use ecp_topo::algo::{link_disjoint_path, shortest_path, shortest_path_bounded};
+use ecp_topo::algo::{link_disjoint_path, shortest_path, shortest_path_bounded, ShortestPathTrees};
 use ecp_topo::{ActiveSet, ArcId, NodeId, Path, Topology};
 use ecp_traffic::TrafficMatrix;
 
@@ -176,11 +176,11 @@ impl<'a> Planner<'a> {
 
         // REsPoNse-lat: enforce the delay bound by rerouting violators.
         if let Some(beta) = cfg.beta {
-            let w_inv = invcap_weight(topo);
+            let mut ospf = ShortestPathTrees::new(topo, &invcap_weight(topo), None);
             let mut on = elements_of(topo, always_on.iter().map(|(_, _, p)| p));
             for entry in always_on.iter_mut() {
                 let (o, d, ref p) = *entry;
-                let ospf_delay = match shortest_path(topo, o, d, &w_inv, None) {
+                let ospf_delay = match ospf.path(topo, o, d) {
                     Some(sp) => sp.latency(topo),
                     None => continue,
                 };
@@ -221,16 +221,22 @@ impl<'a> Planner<'a> {
                         assigned.iter().flat_map(|(_, _, ps)| ps.iter()),
                         *exclude_fraction,
                     );
-                    let w = self.new_power_weight(&on, Some(&excluded));
-                    let w_free = self.new_power_weight(&on, None);
+                    let mut avoiding = ShortestPathTrees::new(
+                        topo,
+                        &self.new_power_weight(&on, Some(&excluded)),
+                        None,
+                    );
+                    let mut free =
+                        ShortestPathTrees::new(topo, &self.new_power_weight(&on, None), None);
                     always_on
                         .iter()
                         .filter_map(|&(o, d, _)| {
                             // Fall back to the unexcluded search when the
                             // exclusion disconnects the pair (the paper
                             // keeps full connectivity in every table).
-                            shortest_path(topo, o, d, &w, None)
-                                .or_else(|| shortest_path(topo, o, d, &w_free, None))
+                            avoiding
+                                .path(topo, o, d)
+                                .or_else(|| free.path(topo, o, d))
                                 .map(|p| (o, d, p))
                         })
                         .collect()
@@ -241,12 +247,10 @@ impl<'a> Planner<'a> {
                     self.route_peak_incremental(peak, &on, od_pairs, &cfg.oracle)
                 }
                 OnDemandStrategy::Ospf => {
-                    let w = invcap_weight(topo);
+                    let mut ospf = ShortestPathTrees::new(topo, &invcap_weight(topo), None);
                     always_on
                         .iter()
-                        .filter_map(|&(o, d, _)| {
-                            shortest_path(topo, o, d, &w, None).map(|p| (o, d, p))
-                        })
+                        .filter_map(|&(o, d, _)| ospf.path(topo, o, d).map(|p| (o, d, p)))
                         .collect()
                 }
                 OnDemandStrategy::Heuristic { k, peak } => {

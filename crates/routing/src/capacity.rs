@@ -1,6 +1,6 @@
 //! Network capacity probing: the paper's max-load scaling procedure.
 
-use crate::oracle::{place_flows, OracleConfig};
+use crate::oracle::{FeasibilityOracle, OracleConfig};
 use ecp_topo::{NodeId, Topology};
 use ecp_traffic::{gravity_matrix, TrafficMatrix};
 
@@ -10,6 +10,10 @@ use ecp_traffic::{gravity_matrix, TrafficMatrix};
 /// this by incrementally increasing the traffic demand by 10% up to a
 /// point where CPLEX cannot find a routing" — our oracle plays CPLEX's
 /// role. Returns the total volume marking 100% load.
+///
+/// Every probe asks about the same network, so one [`FeasibilityOracle`]
+/// serves them all and its shortest-path trees are grown once. Without
+/// OD pairs there is no traffic to scale and the volume is 0.
 pub fn max_feasible_volume(
     topo: &Topology,
     od_pairs: &[(NodeId, NodeId)],
@@ -17,10 +21,14 @@ pub fn max_feasible_volume(
 ) -> f64 {
     let start = topo.total_capacity() * 0.01;
     let base = gravity_matrix(topo, od_pairs, start);
+    if base.is_empty() {
+        return 0.0;
+    }
+    let mut probe = FeasibilityOracle::new(topo, None, oracle);
     // Find an infeasible upper bound by +10% steps.
-    let feasible = |v: f64| -> bool {
+    let mut feasible = |v: f64| -> bool {
         let tm = base.scaled(v / start);
-        place_flows(topo, None, &tm, oracle).is_some()
+        probe.place(&tm).is_some()
     };
     let mut volume = start;
     if !feasible(volume) {
@@ -56,4 +64,28 @@ pub fn gravity_at_utilization(
 ) -> TrafficMatrix {
     let max = max_feasible_volume(topo, od_pairs, oracle);
     gravity_matrix(topo, od_pairs, max * util_percent / 100.0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ecp_topo::gen::line;
+    use ecp_topo::{TopologyBuilder, MBPS, MS};
+
+    #[test]
+    fn no_pairs_means_no_volume() {
+        let t = line(3, 10.0 * MBPS, MS);
+        assert_eq!(max_feasible_volume(&t, &[], &OracleConfig::default()), 0.0);
+    }
+
+    #[test]
+    fn unreachable_pair_shrinks_the_volume_to_nothing() {
+        let mut b = TopologyBuilder::new("split");
+        let n: Vec<NodeId> = (0..4).map(|i| b.add_node(format!("{i}"))).collect();
+        b.add_link(n[0], n[1], 10.0 * MBPS, MS);
+        b.add_link(n[2], n[3], 10.0 * MBPS, MS);
+        let t = b.build();
+        let v = max_feasible_volume(&t, &[(n[0], n[1]), (n[0], n[3])], &OracleConfig::default());
+        assert!(v <= 1.0, "no volume routes 0 -> 3, got {v}");
+    }
 }

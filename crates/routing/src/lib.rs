@@ -13,7 +13,9 @@
 //! * [`oracle`] — the multi-commodity *feasibility oracle*: place all
 //!   unsplittable demands on an active subset within a utilization
 //!   margin, via greedy placement + randomized restarts +
-//!   rip-up-and-reroute.
+//!   rip-up-and-reroute. [`FeasibilityOracle`] binds it to one active
+//!   subset and shares one shortest-path tree per origin across demands
+//!   and calls.
 //! * [`subset`] — minimal-power subset optimizers: Chiaraviglio-style
 //!   greedy pruning, a GreenTE-like k-shortest-paths heuristic, an
 //!   exhaustive exact solver for tiny nets, and the best-of-ensemble
@@ -35,7 +37,7 @@ pub mod subset;
 
 pub use capacity::{gravity_at_utilization, max_feasible_volume};
 pub use elastictree::elastictree_subset;
-pub use oracle::{place_flows, OracleConfig};
+pub use oracle::{place_flows, FeasibilityOracle, OracleConfig};
 pub use ospf::{ecmp_routes, ospf_invcap, EcmpRoutes};
 pub use recompute::{recomputation_rate, ConfigDominance, RecomputationReport};
 pub use routeset::RouteSet;

@@ -17,9 +17,15 @@
 //!
 //! A `margin` (the paper's safety margin `sm`, §4.5) scales usable
 //! capacity: `C ← sm · C`.
+//!
+//! The first choice of every demand is its load-independent
+//! inverse-capacity shortest path, so a [`FeasibilityOracle`] grows one
+//! shortest-path tree per origin and every demand, placement attempt
+//! and matrix it is asked about reads its path from that tree.
 
+use crate::ospf::invcap_weight;
 use crate::routeset::RouteSet;
-use ecp_topo::algo::shortest_path;
+use ecp_topo::algo::{Dijkstra, ShortestPathTrees};
 use ecp_topo::{ActiveSet, ArcId, NodeId, Topology};
 use ecp_traffic::{Demand, TrafficMatrix};
 use rand::rngs::StdRng;
@@ -54,103 +60,199 @@ impl Default for OracleConfig {
 
 /// Attempt to route all demands of `tm` over the active subset within the
 /// margin. Returns the routing on success.
+///
+/// To ask about several matrices on the same subset, bind a
+/// [`FeasibilityOracle`] once: it keeps its shortest-path trees between
+/// calls.
 pub fn place_flows(
     topo: &Topology,
     active: Option<&ActiveSet>,
     tm: &TrafficMatrix,
     cfg: &OracleConfig,
 ) -> Option<RouteSet> {
-    if tm.is_empty() {
-        return Some(RouteSet::new());
-    }
-    let mut order: Vec<Demand> = tm.demands().to_vec();
-    // Deterministic primary order: descending rate, then OD for ties.
-    order.sort_by(|a, b| {
-        b.rate
-            .partial_cmp(&a.rate)
-            .unwrap()
-            .then_with(|| (a.origin, a.dst).cmp(&(b.origin, b.dst)))
-    });
-
-    if let Some(rs) = try_place(topo, active, &order, cfg) {
-        return Some(rs);
-    }
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    for _ in 0..cfg.restarts {
-        order.shuffle(&mut rng);
-        if let Some(rs) = try_place(topo, active, &order, cfg) {
-            return Some(rs);
-        }
-    }
-    None
+    FeasibilityOracle::new(topo, active, cfg).place(tm)
 }
 
-fn try_place(
-    topo: &Topology,
-    active: Option<&ActiveSet>,
-    order: &[Demand],
-    cfg: &OracleConfig,
-) -> Option<RouteSet> {
-    let cap: Vec<f64> = topo
-        .arc_ids()
-        .map(|a| topo.arc(a).capacity * cfg.margin)
-        .collect();
-    let mut load = vec![0.0; topo.arc_count()];
-    let mut rs = RouteSet::new();
-    let mut pending: Vec<Demand> = order.to_vec();
-    let mut passes = 0;
+/// Whether the whole of `tm`, twice over, fits into the usable capacity
+/// of every arc — true of the planner's ε-demand matrices.
+///
+/// Then no placement can congest an arc, even counting rounding, so the
+/// oracle routes each demand on its first try and succeeds on an active
+/// subset exactly when every origin there reaches its destination. That
+/// holds whenever the subset keeps the matrix's endpoints connected.
+pub(crate) fn fits_every_arc(topo: &Topology, tm: &TrafficMatrix, cfg: &OracleConfig) -> bool {
+    let need = 2.0 * tm.total();
+    topo.arc_ids()
+        .all(|a| need <= topo.arc(a).capacity * cfg.margin)
+}
 
-    while !pending.is_empty() {
-        let mut failed: Vec<Demand> = Vec::new();
-        for d in pending.drain(..) {
-            match route_one(topo, active, &cap, &load, &d) {
-                Some(p) => {
-                    apply(topo, &mut load, &p, d.rate, 1.0);
-                    rs.insert(p);
-                }
-                None => failed.push(d),
-            }
+/// The feasibility oracle bound to one topology, active subset and
+/// configuration.
+///
+/// It keeps what does not depend on the traffic: the margin-scaled
+/// capacities, the active-arc mask and one inverse-capacity
+/// shortest-path tree per origin, grown on first use. [`place`] answers
+/// exactly as [`place_flows`] would for the same inputs.
+///
+/// [`place`]: FeasibilityOracle::place
+pub struct FeasibilityOracle<'t> {
+    topo: &'t Topology,
+    cfg: OracleConfig,
+    /// Usable capacity per arc (`margin × capacity`).
+    cap: Vec<f64>,
+    /// Whether each arc is in the active subset.
+    arc_on: Vec<bool>,
+    /// The first-choice routes: inverse-capacity trees, one per origin.
+    static_routes: ShortestPathTrees,
+    /// Buffers of the congestion-aware fallback search.
+    scratch: Dijkstra,
+}
+
+impl<'t> FeasibilityOracle<'t> {
+    /// Bind the oracle to `topo`, restricted to `active` if given.
+    pub fn new(topo: &'t Topology, active: Option<&ActiveSet>, cfg: &OracleConfig) -> Self {
+        FeasibilityOracle {
+            topo,
+            cfg: *cfg,
+            cap: topo
+                .arc_ids()
+                .map(|a| topo.arc(a).capacity * cfg.margin)
+                .collect(),
+            arc_on: topo
+                .arc_ids()
+                .map(|a| active.map(|s| s.arc_on(topo, a)).unwrap_or(true))
+                .collect(),
+            static_routes: ShortestPathTrees::new(topo, &invcap_weight(topo), active),
+            scratch: Dijkstra::default(),
         }
-        if failed.is_empty() {
+    }
+
+    /// Attempt to route all demands of `tm` within the margin. Returns
+    /// the routing on success.
+    pub fn place(&mut self, tm: &TrafficMatrix) -> Option<RouteSet> {
+        if tm.is_empty() {
+            return Some(RouteSet::new());
+        }
+        let mut order: Vec<Demand> = tm.demands().to_vec();
+        // Deterministic primary order: descending rate, then OD for ties.
+        order.sort_by(|a, b| {
+            b.rate
+                .partial_cmp(&a.rate)
+                .unwrap()
+                .then_with(|| (a.origin, a.dst).cmp(&(b.origin, b.dst)))
+        });
+
+        if let Some(rs) = self.try_place(&order) {
             return Some(rs);
         }
-        passes += 1;
-        if passes > cfg.reroute_passes {
-            return None;
+        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
+        for _ in 0..self.cfg.restarts {
+            order.shuffle(&mut rng);
+            if let Some(rs) = self.try_place(&order) {
+                return Some(rs);
+            }
         }
-        // Rip-up: remove the largest flows sharing arcs near saturation,
-        // requeue them after the failed demands.
-        let hot: Vec<ArcId> = topo
-            .arc_ids()
-            .filter(|&a| load[a.idx()] > 0.7 * cap[a.idx()])
-            .collect();
-        let mut ripped: Vec<Demand> = Vec::new();
-        let keys: Vec<(NodeId, NodeId)> = rs.iter().map(|(k, _)| *k).collect();
-        for (o, dd) in keys {
-            let p = rs.get(o, dd).unwrap().clone();
-            let crosses_hot = p
-                .arcs(topo)
-                .map(|arcs| arcs.iter().any(|a| hot.contains(a)))
-                .unwrap_or(false);
-            if crosses_hot {
-                // Recover the rate from the original order list.
-                if let Some(d0) = order.iter().find(|d| d.origin == o && d.dst == dd) {
-                    apply(topo, &mut load, &p, d0.rate, -1.0);
-                    rs.remove(o, dd);
-                    ripped.push(*d0);
+        None
+    }
+
+    fn try_place(&mut self, order: &[Demand]) -> Option<RouteSet> {
+        let topo = self.topo;
+        let mut load = vec![0.0; topo.arc_count()];
+        let mut rs = RouteSet::new();
+        let mut pending: Vec<Demand> = order.to_vec();
+        let mut passes = 0;
+
+        while !pending.is_empty() {
+            let mut failed: Vec<Demand> = Vec::new();
+            for d in pending.drain(..) {
+                match self.route_one(&load, &d) {
+                    Some(p) => {
+                        apply(topo, &mut load, &p, d.rate, 1.0);
+                        rs.insert(p);
+                    }
+                    None => failed.push(d),
                 }
             }
-            if ripped.len() >= 8 {
-                break;
+            if failed.is_empty() {
+                return Some(rs);
+            }
+            passes += 1;
+            if passes > self.cfg.reroute_passes {
+                return None;
+            }
+            // Rip-up: remove the largest flows sharing arcs near saturation,
+            // requeue them after the failed demands.
+            let cap = &self.cap;
+            let hot: Vec<ArcId> = topo
+                .arc_ids()
+                .filter(|&a| load[a.idx()] > 0.7 * cap[a.idx()])
+                .collect();
+            let mut ripped: Vec<Demand> = Vec::new();
+            let keys: Vec<(NodeId, NodeId)> = rs.iter().map(|(k, _)| *k).collect();
+            for (o, dd) in keys {
+                let p = rs.get(o, dd).unwrap().clone();
+                let crosses_hot = p
+                    .arcs(topo)
+                    .map(|arcs| arcs.iter().any(|a| hot.contains(a)))
+                    .unwrap_or(false);
+                if crosses_hot {
+                    // Recover the rate from the original order list.
+                    if let Some(d0) = order.iter().find(|d| d.origin == o && d.dst == dd) {
+                        apply(topo, &mut load, &p, d0.rate, -1.0);
+                        rs.remove(o, dd);
+                        ripped.push(*d0);
+                    }
+                }
+                if ripped.len() >= 8 {
+                    break;
+                }
+            }
+            if ripped.is_empty() {
+                return None; // nothing to rip: truly stuck
+            }
+            pending = failed;
+            pending.extend(ripped);
+        }
+        Some(rs)
+    }
+
+    /// Route a single demand over residual capacity.
+    ///
+    /// Two-stage for *path stability*: first try the load-independent
+    /// inverse-capacity shortest path (what a solver re-run on similar
+    /// demands would keep choosing); only when that path cannot absorb the
+    /// demand switch to congestion-aware weights (`1 + load/capacity`) over
+    /// arcs with enough residual. Stability matters beyond aesthetics — the
+    /// energy-critical-path analysis (Fig. 2b) counts recurring paths, and
+    /// gratuitous churn would be an artifact of the oracle, not the network.
+    fn route_one(&mut self, load: &[f64], d: &Demand) -> Option<ecp_topo::Path> {
+        let topo = self.topo;
+        let cap = &self.cap;
+        if let Some(p) = self.static_routes.path(topo, d.origin, d.dst) {
+            let fits = p
+                .arcs(topo)
+                .map(|arcs| {
+                    arcs.iter()
+                        .all(|&a| load[a.idx()] + d.rate <= cap[a.idx()] + 1e-6)
+                })
+                .unwrap_or(false);
+            if fits {
+                return Some(p);
             }
         }
-        if ripped.is_empty() {
-            return None; // nothing to rip: truly stuck
-        }
-        pending = failed;
-        pending.extend(ripped);
+        let arc_on = &self.arc_on;
+        let w = |a: ArcId| {
+            let i = a.idx();
+            if !arc_on[i] || load[i] + d.rate > cap[i] + 1e-6 {
+                f64::INFINITY
+            } else {
+                1.0 + load[i] / cap[i].max(1e-9)
+            }
+        };
+        // A dark origin's arcs are all off, so its tree stays empty.
+        self.scratch.grow(topo, d.origin, true, w);
+        self.scratch.path_to(topo, d.origin, d.dst)
     }
-    Some(rs)
 }
 
 fn apply(topo: &Topology, load: &mut [f64], p: &ecp_topo::Path, rate: f64, sign: f64) {
@@ -159,50 +261,6 @@ fn apply(topo: &Topology, load: &mut [f64], p: &ecp_topo::Path, rate: f64, sign:
             load[a.idx()] += sign * rate;
         }
     }
-}
-
-/// Route a single demand over residual capacity.
-///
-/// Two-stage for *path stability*: first try the load-independent
-/// inverse-capacity shortest path (what a solver re-run on similar
-/// demands would keep choosing); only when that path cannot absorb the
-/// demand switch to congestion-aware weights (`1 + load/capacity`) over
-/// arcs with enough residual. Stability matters beyond aesthetics — the
-/// energy-critical-path analysis (Fig. 2b) counts recurring paths, and
-/// gratuitous churn would be an artifact of the oracle, not the network.
-fn route_one(
-    topo: &Topology,
-    active: Option<&ActiveSet>,
-    cap: &[f64],
-    load: &[f64],
-    d: &Demand,
-) -> Option<ecp_topo::Path> {
-    let cmax = topo
-        .arc_ids()
-        .map(|a| topo.arc(a).capacity)
-        .fold(0.0, f64::max);
-    let static_w = |a: ArcId| cmax / topo.arc(a).capacity;
-    if let Some(p) = shortest_path(topo, d.origin, d.dst, &static_w, active) {
-        let fits = p
-            .arcs(topo)
-            .map(|arcs| {
-                arcs.iter()
-                    .all(|&a| load[a.idx()] + d.rate <= cap[a.idx()] + 1e-6)
-            })
-            .unwrap_or(false);
-        if fits {
-            return Some(p);
-        }
-    }
-    let w = |a: ArcId| {
-        let i = a.idx();
-        if load[i] + d.rate > cap[i] + 1e-6 {
-            f64::INFINITY
-        } else {
-            1.0 + load[i] / cap[i].max(1e-9)
-        }
-    };
-    shortest_path(topo, d.origin, d.dst, &w, active)
 }
 
 #[cfg(test)]

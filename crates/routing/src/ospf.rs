@@ -8,7 +8,7 @@
 //! evenly across all equal-cost shortest paths.
 
 use crate::routeset::RouteSet;
-use ecp_topo::algo::{k_shortest_paths, shortest_path};
+use ecp_topo::algo::{k_shortest_paths, ShortestPathTrees};
 use ecp_topo::{ActiveSet, ArcId, NodeId, Path, Topology};
 use ecp_traffic::TrafficMatrix;
 
@@ -25,16 +25,16 @@ pub fn invcap_weight(topo: &Topology) -> impl Fn(ArcId) -> f64 + '_ {
 
 /// Compute the OSPF-InvCap routing for the given OD pairs (or all routed
 /// pairs of a matrix). Ties are broken deterministically by Dijkstra's
-/// ordering.
+/// ordering; pairs sharing an origin share its shortest-path tree.
 pub fn ospf_invcap(
     topo: &Topology,
     od_pairs: &[(NodeId, NodeId)],
     active: Option<&ActiveSet>,
 ) -> RouteSet {
-    let w = invcap_weight(topo);
+    let mut trees = ShortestPathTrees::new(topo, &invcap_weight(topo), active);
     let mut rs = RouteSet::new();
     for &(o, d) in od_pairs {
-        if let Some(p) = shortest_path(topo, o, d, &w, active) {
+        if let Some(p) = trees.path(topo, o, d) {
             rs.insert(p);
         }
     }

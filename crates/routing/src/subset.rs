@@ -20,7 +20,7 @@
 //!   ensemble over several orderings. DESIGN.md documents this
 //!   substitution.
 
-use crate::oracle::{place_flows, OracleConfig};
+use crate::oracle::{fits_every_arc, place_flows, OracleConfig};
 use crate::routeset::RouteSet;
 use ecp_power::PowerModel;
 use ecp_topo::algo::is_connected;
@@ -78,6 +78,10 @@ pub fn greedy_prune(
     let mut active = ActiveSet::all_on(topo);
     let mut routes = place_flows(topo, Some(&active), tm, oracle)?;
     let required = required_nodes(tm);
+    // A matrix that cannot congest any arc is placeable on every subset
+    // that keeps its endpoints connected: the connectivity check decides
+    // each candidate, and each pass routes once, on the subset it keeps.
+    let light = fits_every_arc(topo, tm, oracle);
 
     // ---- Router pass -------------------------------------------------
     let mut node_candidates: Vec<NodeId> =
@@ -114,10 +118,15 @@ pub fn greedy_prune(
         if !is_connected(topo, &required, Some(&tentative)) {
             continue;
         }
-        if let Some(rs) = place_flows(topo, Some(&tentative), tm, oracle) {
+        if light {
+            active = tentative;
+        } else if let Some(rs) = place_flows(topo, Some(&tentative), tm, oracle) {
             active = tentative;
             routes = rs;
         }
+    }
+    if light {
+        routes = place_flows(topo, Some(&active), tm, oracle)?;
     }
 
     // ---- Link pass ----------------------------------------------------
@@ -151,10 +160,15 @@ pub fn greedy_prune(
         if !is_connected(topo, &required, Some(&tentative)) {
             continue;
         }
-        if let Some(rs) = place_flows(topo, Some(&tentative), tm, oracle) {
+        if light {
+            active = tentative;
+        } else if let Some(rs) = place_flows(topo, Some(&tentative), tm, oracle) {
             active = tentative;
             routes = rs;
         }
+    }
+    if light {
+        routes = place_flows(topo, Some(&active), tm, oracle)?;
     }
 
     active.prune_isolated_nodes(topo);

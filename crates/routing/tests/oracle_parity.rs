@@ -1,0 +1,408 @@
+//! The feasibility oracle shares one inverse-capacity shortest-path tree
+//! per origin across demands, placement attempts and calls, and greedy
+//! pruning lets connectivity decide matrices too light to congest an
+//! arc. These properties pin both to references that run a fresh
+//! per-demand search every time a path is needed and ask the oracle
+//! about every candidate: same routing or same refusal, on random
+//! networks with mixed capacities, dark elements and shared origins.
+
+use ecp_power::PowerModel;
+use ecp_routing::ospf::invcap_weight;
+use ecp_routing::subset::PruneOrder;
+use ecp_routing::{
+    greedy_prune, max_feasible_volume, ospf_invcap, place_flows, FeasibilityOracle, OracleConfig,
+    RouteSet, SubsetResult,
+};
+use ecp_topo::algo::{reachable_from, shortest_path};
+use ecp_topo::{ActiveSet, ArcId, NodeId, Topology, TopologyBuilder, MBPS, MS};
+use ecp_traffic::{gravity_matrix, Demand, TrafficMatrix};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+
+/// A random network with mixed link capacities (so inverse-capacity
+/// weights tie and differ), an optional active subset that may cut it
+/// apart, and demands from a few origins (so origins are shared).
+struct Instance {
+    topo: Topology,
+    active: Option<ActiveSet>,
+    tm: TrafficMatrix,
+}
+
+fn instance(n: usize, seed: u64, load: f64) -> Instance {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let caps = [10.0 * MBPS, 25.0 * MBPS, 40.0 * MBPS, 100.0 * MBPS];
+    let mut b = TopologyBuilder::new("parity");
+    let ids: Vec<NodeId> = (0..n).map(|i| b.add_node(format!("p{i}"))).collect();
+    let link = |b: &mut TopologyBuilder, i: usize, j: usize, rng: &mut StdRng| {
+        b.add_link(ids[i], ids[j], caps[rng.gen_range(0..caps.len())], MS);
+    };
+    for i in 1..n {
+        let j = rng.gen_range(0..i);
+        link(&mut b, i, j, &mut rng);
+    }
+    for _ in 0..n {
+        let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if i != j {
+            link(&mut b, i, j, &mut rng);
+        }
+    }
+    let topo = b.build();
+    let active = rng.gen_bool(0.5).then(|| {
+        let mut s = ActiveSet::all_on(&topo);
+        for v in topo.node_ids() {
+            if rng.gen_bool(0.05) {
+                s.set_node(v, false);
+            }
+        }
+        for l in topo.link_ids() {
+            if rng.gen_bool(0.1) {
+                s.set_link(&topo, l, false);
+            }
+        }
+        s
+    });
+    let origins: Vec<NodeId> = (0..3).map(|_| ids[rng.gen_range(0..n)]).collect();
+    let demands = (0..rng.gen_range(1..3 * n))
+        .map(|_| Demand {
+            origin: *origins.choose(&mut rng).unwrap(),
+            dst: ids[rng.gen_range(0..n)],
+            rate: rng.gen_range(0.1..1.0) * load * MBPS,
+        })
+        .collect();
+    Instance {
+        topo,
+        active,
+        tm: TrafficMatrix::new(demands),
+    }
+}
+
+/// The oracle with every path found by its own single-pair search.
+fn reference_place(
+    topo: &Topology,
+    active: Option<&ActiveSet>,
+    tm: &TrafficMatrix,
+    cfg: &OracleConfig,
+) -> Option<RouteSet> {
+    if tm.is_empty() {
+        return Some(RouteSet::new());
+    }
+    let mut order: Vec<Demand> = tm.demands().to_vec();
+    order.sort_by(|a, b| {
+        b.rate
+            .partial_cmp(&a.rate)
+            .unwrap()
+            .then_with(|| (a.origin, a.dst).cmp(&(b.origin, b.dst)))
+    });
+    if let Some(rs) = reference_try(topo, active, &order, cfg) {
+        return Some(rs);
+    }
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    for _ in 0..cfg.restarts {
+        order.shuffle(&mut rng);
+        if let Some(rs) = reference_try(topo, active, &order, cfg) {
+            return Some(rs);
+        }
+    }
+    None
+}
+
+fn reference_try(
+    topo: &Topology,
+    active: Option<&ActiveSet>,
+    order: &[Demand],
+    cfg: &OracleConfig,
+) -> Option<RouteSet> {
+    let cap: Vec<f64> = topo
+        .arc_ids()
+        .map(|a| topo.arc(a).capacity * cfg.margin)
+        .collect();
+    let mut load = vec![0.0; topo.arc_count()];
+    let apply = |load: &mut [f64], p: &ecp_topo::Path, rate: f64| {
+        for a in p.arcs(topo).unwrap() {
+            load[a.idx()] += rate;
+        }
+    };
+    let mut rs = RouteSet::new();
+    let mut pending: Vec<Demand> = order.to_vec();
+    let mut passes = 0;
+    while !pending.is_empty() {
+        let mut failed = Vec::new();
+        for d in pending.drain(..) {
+            match reference_route(topo, active, &cap, &load, &d) {
+                Some(p) => {
+                    apply(&mut load, &p, d.rate);
+                    rs.insert(p);
+                }
+                None => failed.push(d),
+            }
+        }
+        if failed.is_empty() {
+            return Some(rs);
+        }
+        passes += 1;
+        if passes > cfg.reroute_passes {
+            return None;
+        }
+        let hot: Vec<ArcId> = topo
+            .arc_ids()
+            .filter(|&a| load[a.idx()] > 0.7 * cap[a.idx()])
+            .collect();
+        let mut ripped = Vec::new();
+        let keys: Vec<(NodeId, NodeId)> = rs.iter().map(|(k, _)| *k).collect();
+        for (o, dd) in keys {
+            let p = rs.get(o, dd).unwrap().clone();
+            if p.arcs(topo).unwrap().iter().any(|a| hot.contains(a)) {
+                if let Some(d0) = order.iter().find(|d| d.origin == o && d.dst == dd) {
+                    apply(&mut load, &p, -d0.rate);
+                    rs.remove(o, dd);
+                    ripped.push(*d0);
+                }
+            }
+            if ripped.len() >= 8 {
+                break;
+            }
+        }
+        if ripped.is_empty() {
+            return None;
+        }
+        pending = failed;
+        pending.extend(ripped);
+    }
+    Some(rs)
+}
+
+fn reference_route(
+    topo: &Topology,
+    active: Option<&ActiveSet>,
+    cap: &[f64],
+    load: &[f64],
+    d: &Demand,
+) -> Option<ecp_topo::Path> {
+    let fits = |a: &ArcId| load[a.idx()] + d.rate <= cap[a.idx()] + 1e-6;
+    if let Some(p) = shortest_path(topo, d.origin, d.dst, &invcap_weight(topo), active) {
+        if p.arcs(topo).unwrap().iter().all(fits) {
+            return Some(p);
+        }
+    }
+    let w = |a: ArcId| {
+        let i = a.idx();
+        if load[i] + d.rate > cap[i] + 1e-6 {
+            f64::INFINITY
+        } else {
+            1.0 + load[i] / cap[i].max(1e-9)
+        }
+    };
+    shortest_path(topo, d.origin, d.dst, &w, active)
+}
+
+/// Greedy power-down asking the reference oracle about every candidate
+/// that keeps the endpoints connected, connectivity checked from every
+/// endpoint.
+fn reference_greedy_prune(
+    topo: &Topology,
+    power: &PowerModel,
+    tm: &TrafficMatrix,
+    cfg: &OracleConfig,
+    order: PruneOrder,
+) -> Option<SubsetResult> {
+    let mut required: Vec<NodeId> = tm
+        .demands()
+        .iter()
+        .flat_map(|d| [d.origin, d.dst])
+        .collect();
+    required.sort_unstable();
+    required.dedup();
+    let connected = |s: &ActiveSet| {
+        required.iter().all(|&r| {
+            let seen = reachable_from(topo, r, Some(s));
+            required.iter().all(|&q| seen[q.idx()])
+        })
+    };
+    let mut active = ActiveSet::all_on(topo);
+    let mut routes = reference_place(topo, Some(&active), tm, cfg)?;
+    let mut nodes: Vec<NodeId> = topo.node_ids().filter(|n| !required.contains(n)).collect();
+    let node_power = |n: NodeId| -> f64 {
+        let ports: f64 = topo.out_arcs(n).iter().map(|&a| power.port(topo, a)).sum();
+        power.chassis(topo, n) + ports
+    };
+    match order {
+        PruneOrder::PowerDesc => nodes.sort_by(|&a, &b| {
+            node_power(b)
+                .partial_cmp(&node_power(a))
+                .unwrap()
+                .then(a.cmp(&b))
+        }),
+        PruneOrder::LoadAsc => {
+            let loads = routes.link_loads(topo, tm);
+            let thru =
+                |n: NodeId| -> f64 { topo.out_arcs(n).iter().map(|&a| loads[a.idx()]).sum() };
+            nodes.sort_by(|&a, &b| thru(a).partial_cmp(&thru(b)).unwrap().then(a.cmp(&b)));
+        }
+        PruneOrder::Random(seed) => nodes.shuffle(&mut StdRng::seed_from_u64(seed)),
+    }
+    for n in nodes {
+        let mut tentative = active.clone();
+        tentative.set_node(n, false);
+        if !connected(&tentative) {
+            continue;
+        }
+        if let Some(rs) = reference_place(topo, Some(&tentative), tm, cfg) {
+            active = tentative;
+            routes = rs;
+        }
+    }
+    let mut links: Vec<ArcId> = topo
+        .link_ids()
+        .filter(|&l| active.arc_on(topo, l))
+        .collect();
+    match order {
+        PruneOrder::PowerDesc => links.sort_by(|&a, &b| {
+            power
+                .link_full(topo, b)
+                .partial_cmp(&power.link_full(topo, a))
+                .unwrap()
+                .then(a.cmp(&b))
+        }),
+        PruneOrder::LoadAsc => {
+            let loads = routes.link_loads(topo, tm);
+            let both = |l: ArcId| loads[l.idx()] + topo.reverse(l).map_or(0.0, |r| loads[r.idx()]);
+            links.sort_by(|&a, &b| both(a).partial_cmp(&both(b)).unwrap().then(a.cmp(&b)));
+        }
+        PruneOrder::Random(seed) => links.shuffle(&mut StdRng::seed_from_u64(seed ^ 0x9E37_79B9)),
+    }
+    for l in links {
+        let mut tentative = active.clone();
+        tentative.set_link(topo, l, false);
+        if !connected(&tentative) {
+            continue;
+        }
+        if let Some(rs) = reference_place(topo, Some(&tentative), tm, cfg) {
+            active = tentative;
+            routes = rs;
+        }
+    }
+    active.prune_isolated_nodes(topo);
+    let power_w = power.network_power(topo, &active);
+    Some(SubsetResult {
+        active,
+        routes,
+        power_w,
+    })
+}
+
+/// The §5.1 probe with the reference oracle.
+fn reference_max_volume(topo: &Topology, pairs: &[(NodeId, NodeId)], cfg: &OracleConfig) -> f64 {
+    let start = topo.total_capacity() * 0.01;
+    let base = gravity_matrix(topo, pairs, start);
+    let feasible = |v: f64| reference_place(topo, None, &base.scaled(v / start), cfg).is_some();
+    let mut volume = start;
+    if !feasible(volume) {
+        while volume > 1.0 && !feasible(volume) {
+            volume /= 2.0;
+        }
+        return volume;
+    }
+    let mut hi = volume;
+    while feasible(hi) {
+        hi *= 1.1;
+    }
+    let mut lo = hi / 1.1;
+    for _ in 0..10 {
+        let mid = 0.5 * (lo + hi);
+        if feasible(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Same routing or same refusal as the per-demand reference, at loads
+    /// from trivially feasible to hopeless.
+    #[test]
+    fn place_flows_matches_per_demand_search(
+        n in 3usize..14,
+        seed in 0u64..100_000,
+        load in 0.5f64..60.0,
+        margin in 0.5f64..1.0,
+    ) {
+        let Instance { topo, active, tm } = instance(n, seed, load);
+        let cfg = OracleConfig { margin, ..Default::default() };
+        prop_assert_eq!(
+            place_flows(&topo, active.as_ref(), &tm, &cfg),
+            reference_place(&topo, active.as_ref(), &tm, &cfg)
+        );
+    }
+
+    /// One bound oracle asked about a sequence of matrices answers each
+    /// as a fresh reference would: trees kept between calls never leak
+    /// one matrix's state into the next.
+    #[test]
+    fn bound_oracle_matches_reference_across_calls(n in 3usize..14, seed in 0u64..100_000) {
+        let Instance { topo, active, tm } = instance(n, seed, 10.0);
+        let cfg = OracleConfig::default();
+        let mut oracle = FeasibilityOracle::new(&topo, active.as_ref(), &cfg);
+        for factor in [4.0, 0.25, 1.0, 8.0, 0.5] {
+            let m = tm.scaled(factor);
+            prop_assert_eq!(oracle.place(&m), reference_place(&topo, active.as_ref(), &m, &cfg));
+        }
+    }
+
+    /// Greedy pruning keeps and routes exactly what the per-candidate
+    /// reference does, for ε-demand matrices (decided by connectivity
+    /// alone) and for loads where capacity binds, under every order.
+    #[test]
+    fn greedy_prune_matches_per_candidate_oracle(
+        n in 3usize..11,
+        seed in 0u64..100_000,
+        heavy in proptest::bool::ANY,
+        order in 0u64..4,
+    ) {
+        let Instance { topo, tm, .. } = instance(n, seed, 10.0);
+        // ε demands: 1 bit/s per pair, as the planner's always-on tree uses.
+        let tm = if heavy { tm } else { tm.scaled(1.0 / (10.0 * MBPS)) };
+        let order = match order {
+            0 => PruneOrder::PowerDesc,
+            1 => PruneOrder::LoadAsc,
+            k => PruneOrder::Random(k),
+        };
+        let pm = PowerModel::cisco12000();
+        let cfg = OracleConfig::default();
+        let got = greedy_prune(&topo, &pm, &tm, &cfg, order);
+        let want = reference_greedy_prune(&topo, &pm, &tm, &cfg, order);
+        prop_assert_eq!(got.is_some(), want.is_some());
+        if let (Some(got), Some(want)) = (got, want) {
+            prop_assert_eq!(&got.active, &want.active);
+            prop_assert_eq!(&got.routes, &want.routes);
+            prop_assert_eq!(got.power_w.to_bits(), want.power_w.to_bits());
+        }
+    }
+
+    /// The shared-oracle probe returns the reference volume bit for bit,
+    /// and OSPF-InvCap routes every pair as its own search would.
+    #[test]
+    fn probe_and_ospf_match_reference(n in 3usize..10, seed in 0u64..100_000) {
+        let Instance { topo, active, tm } = instance(n, seed, 1.0);
+        let pairs = tm.od_pairs();
+        // Without demands the reference probe raises the volume forever.
+        prop_assume!(!pairs.is_empty());
+        let cfg = OracleConfig::default();
+        prop_assert_eq!(
+            max_feasible_volume(&topo, &pairs, &cfg).to_bits(),
+            reference_max_volume(&topo, &pairs, &cfg).to_bits()
+        );
+        let mut expected = RouteSet::new();
+        for &(o, d) in &pairs {
+            if let Some(p) = shortest_path(&topo, o, d, &invcap_weight(&topo), active.as_ref()) {
+                expected.insert(p);
+            }
+        }
+        prop_assert_eq!(ospf_invcap(&topo, &pairs, active.as_ref()), expected);
+    }
+}

@@ -1068,9 +1068,10 @@ fn attach_table_metrics(
             .network_power(topo, &tables.always_on_active(topo))
             / full;
         let w = ecp_routing::ospf::invcap_weight(topo);
+        let mut ospf = ecp_topo::algo::ShortestPathTrees::new(topo, &w, None);
         let mut stretches = Vec::new();
         for (&(o, d), p) in tables.iter() {
-            if let Some(sp) = ecp_topo::algo::shortest_path(topo, o, d, &w, None) {
+            if let Some(sp) = ospf.path(topo, o, d) {
                 let base = sp.latency(topo);
                 if base > 0.0 {
                     stretches.push(p.always_on.latency(topo) / base);

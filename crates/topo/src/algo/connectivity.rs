@@ -9,6 +9,12 @@ use crate::graph::{NodeId, Topology};
 
 /// Set of nodes reachable from `src` following active arcs.
 pub fn reachable_from(topo: &Topology, src: NodeId, active: Option<&ActiveSet>) -> Vec<bool> {
+    search(topo, src, active, false)
+}
+
+/// Depth-first search from `src` over active arcs, along them or, with
+/// `backward`, against them (the nodes that can reach `src`).
+fn search(topo: &Topology, src: NodeId, active: Option<&ActiveSet>, backward: bool) -> Vec<bool> {
     let mut seen = vec![false; topo.node_count()];
     if let Some(s) = active {
         if !s.node_on(src) {
@@ -18,12 +24,18 @@ pub fn reachable_from(topo: &Topology, src: NodeId, active: Option<&ActiveSet>) 
     let mut stack = vec![src];
     seen[src.idx()] = true;
     while let Some(u) = stack.pop() {
-        for &a in topo.out_arcs(u) {
+        let arcs = if backward {
+            topo.in_arcs(u)
+        } else {
+            topo.out_arcs(u)
+        };
+        for &a in arcs {
             let usable = active.map(|s| s.arc_on(topo, a)).unwrap_or(true);
             if !usable {
                 continue;
             }
-            let v = topo.arc(a).dst;
+            let arc = topo.arc(a);
+            let v = if backward { arc.src } else { arc.dst };
             if !seen[v.idx()] {
                 seen[v.idx()] = true;
                 stack.push(v);
@@ -34,21 +46,23 @@ pub fn reachable_from(topo: &Topology, src: NodeId, active: Option<&ActiveSet>) 
 }
 
 /// Whether every node in `required` can reach every other node in
-/// `required` over active arcs. With paired symmetric arcs this is
-/// equivalent to mutual reachability from any single required node, but
-/// we verify from each required node to stay correct for asymmetric
-/// topologies.
+/// `required` over active arcs.
+///
+/// Two searches from the first required node (the hub) decide it, on
+/// asymmetric topologies too: if every required node is reachable from
+/// the hub and can reach it, any two of them connect through the hub;
+/// if one of those fails, that node and the hub are not connected.
 pub fn is_connected(topo: &Topology, required: &[NodeId], active: Option<&ActiveSet>) -> bool {
     if required.len() <= 1 {
         return true;
     }
-    for &r in required {
-        let seen = reachable_from(topo, r, active);
-        if required.iter().any(|&q| !seen[q.idx()]) {
-            return false;
-        }
+    let hub = required[0];
+    let from_hub = search(topo, hub, active, false);
+    if required.iter().any(|&q| !from_hub[q.idx()]) {
+        return false;
     }
-    true
+    let to_hub = search(topo, hub, active, true);
+    required.iter().all(|&q| to_hub[q.idx()])
 }
 
 #[cfg(test)]

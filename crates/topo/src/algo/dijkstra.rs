@@ -44,6 +44,97 @@ fn arc_usable(topo: &Topology, active: Option<&ActiveSet>, a: ArcId) -> bool {
     }
 }
 
+/// `weight(a)` on the active subset, `INFINITY` off it.
+fn active_weight(topo: &Topology, weight: &ArcWeight, active: Option<&ActiveSet>, a: ArcId) -> f64 {
+    if arc_usable(topo, active, a) {
+        weight(a)
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// `src`'s shortest-path tree under `weight` on the active subset.
+fn grow_active(
+    topo: &Topology,
+    src: NodeId,
+    weight: &ArcWeight,
+    active: Option<&ActiveSet>,
+) -> Dijkstra {
+    let mut sp = Dijkstra::default();
+    let src_on = active.map(|s| s.node_on(src)).unwrap_or(true);
+    sp.grow(topo, src, src_on, |a| {
+        active_weight(topo, weight, active, a)
+    });
+    sp
+}
+
+/// Reusable buffers for repeated single-source Dijkstra runs: growing a
+/// tree allocates nothing once the buffers have reached the topology's
+/// size. Every unbounded shortest-path search in this crate runs through
+/// [`Dijkstra::grow`].
+#[derive(Default)]
+pub struct Dijkstra {
+    dist: Vec<f64>,
+    parent: Vec<Option<ArcId>>,
+    heap: BinaryHeap<HeapItem>,
+}
+
+impl Dijkstra {
+    /// Grow the shortest-path tree rooted at `src`. `weight` gives each
+    /// arc's weight; a non-finite weight forbids the arc. With `src_on`
+    /// false nothing is reachable, not even `src`.
+    pub fn grow(
+        &mut self,
+        topo: &Topology,
+        src: NodeId,
+        src_on: bool,
+        weight: impl Fn(ArcId) -> f64,
+    ) {
+        let n = topo.node_count();
+        self.dist.clear();
+        self.dist.resize(n, f64::INFINITY);
+        self.parent.clear();
+        self.parent.resize(n, None);
+        self.heap.clear();
+        let (dist, parent, heap) = (&mut self.dist, &mut self.parent, &mut self.heap);
+        if src_on {
+            dist[src.idx()] = 0.0;
+            heap.push(HeapItem {
+                dist: 0.0,
+                node: src,
+            });
+        }
+        while let Some(HeapItem { dist: d, node: u }) = heap.pop() {
+            if d > dist[u.idx()] {
+                continue; // stale entry
+            }
+            for &a in topo.out_arcs(u) {
+                let w = weight(a);
+                if !w.is_finite() {
+                    continue;
+                }
+                debug_assert!(w >= 0.0, "negative arc weight");
+                let v = topo.arc(a).dst;
+                let nd = d + w;
+                if nd + 1e-15 < dist[v.idx()] {
+                    dist[v.idx()] = nd;
+                    parent[v.idx()] = Some(a);
+                    heap.push(HeapItem { dist: nd, node: v });
+                }
+            }
+        }
+    }
+
+    /// The last grown tree's path from its root `src` to `dst`: the
+    /// trivial path when `dst == src`, `None` when `dst` is unreachable.
+    pub fn path_to(&self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<Path> {
+        if src == dst {
+            return Some(Path::trivial(src));
+        }
+        extract_path(topo, &self.parent, src, dst)
+    }
+}
+
 /// Single-source shortest path tree. Returns `(dist, parent_arc)` arrays;
 /// unreachable nodes have `dist = INFINITY` and `parent_arc = None`.
 pub fn shortest_path_tree(
@@ -52,42 +143,60 @@ pub fn shortest_path_tree(
     weight: &ArcWeight,
     active: Option<&ActiveSet>,
 ) -> (Vec<f64>, Vec<Option<ArcId>>) {
-    let n = topo.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut parent: Vec<Option<ArcId>> = vec![None; n];
-    let mut heap = BinaryHeap::new();
-    if active.map(|s| s.node_on(src)).unwrap_or(true) {
-        dist[src.idx()] = 0.0;
-        heap.push(HeapItem {
-            dist: 0.0,
-            node: src,
-        });
-    }
-    while let Some(HeapItem { dist: d, node: u }) = heap.pop() {
-        if d > dist[u.idx()] {
-            continue; // stale entry
-        }
-        for &a in topo.out_arcs(u) {
-            if !arc_usable(topo, active, a) {
-                continue;
-            }
-            let w = weight(a);
-            if !w.is_finite() {
-                continue;
-            }
-            debug_assert!(w >= 0.0, "negative arc weight");
-            let v = topo.arc(a).dst;
-            let nd = d + w;
-            if nd + 1e-15 < dist[v.idx()] {
-                dist[v.idx()] = nd;
-                parent[v.idx()] = Some(a);
-                heap.push(HeapItem { dist: nd, node: v });
-            }
-        }
-    }
-    (dist, parent)
+    let sp = grow_active(topo, src, weight, active);
+    (sp.dist, sp.parent)
 }
 
+/// One shortest-path tree per origin under a fixed arc weight.
+///
+/// The weight is evaluated once per arc when the trees are created, and
+/// an origin's tree is grown the first time a path from it is asked for
+/// and kept. Every destination of that origin reads the same tree, so
+/// routing a batch of OD pairs costs one Dijkstra per distinct origin
+/// instead of one per pair. The paths are exactly those
+/// [`shortest_path`] returns for the same weight and active subset.
+pub struct ShortestPathTrees {
+    /// Per-arc weight, `INFINITY` for arcs outside the active subset.
+    /// A dark node's arcs are all outside it, so its tree is empty.
+    weights: Vec<f64>,
+    /// `trees[o]`: the parent arcs of origin `o`'s tree, once grown.
+    trees: Vec<Option<Box<[Option<ArcId>]>>>,
+    scratch: Dijkstra,
+}
+
+impl ShortestPathTrees {
+    /// Trees under `weight`, restricted to the active subset if given.
+    pub fn new(topo: &Topology, weight: &ArcWeight, active: Option<&ActiveSet>) -> Self {
+        let weights = topo
+            .arc_ids()
+            .map(|a| active_weight(topo, weight, active, a))
+            .collect();
+        ShortestPathTrees {
+            weights,
+            trees: vec![None; topo.node_count()],
+            scratch: Dijkstra::default(),
+        }
+    }
+
+    fn tree(&mut self, topo: &Topology, src: NodeId) -> &[Option<ArcId>] {
+        let (weights, scratch) = (&self.weights, &mut self.scratch);
+        self.trees[src.idx()].get_or_insert_with(|| {
+            scratch.grow(topo, src, true, |a| weights[a.idx()]);
+            scratch.parent.clone().into_boxed_slice()
+        })
+    }
+
+    /// The shortest path from `src` to `dst`, as [`shortest_path`] gives it.
+    pub fn path(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<Path> {
+        if src == dst {
+            return Some(Path::trivial(src));
+        }
+        extract_path(topo, self.tree(topo, src), src, dst)
+    }
+}
+
+/// Walk `parent` arcs back from `dst` to `src`; `None` when `dst` (not
+/// `src`) has no parent, i.e. is unreachable.
 fn extract_path(
     topo: &Topology,
     parent: &[Option<ArcId>],
@@ -117,12 +226,7 @@ pub fn shortest_path(
     if src == dst {
         return Some(Path::trivial(src));
     }
-    let (dist, parent) = shortest_path_tree(topo, src, weight, active);
-    if dist[dst.idx()].is_finite() {
-        extract_path(topo, &parent, src, dst)
-    } else {
-        None
-    }
+    grow_active(topo, src, weight, active).path_to(topo, src, dst)
 }
 
 /// Delay-bounded cheapest path: minimize `weight` subject to total

@@ -14,7 +14,10 @@ pub mod maxflow;
 pub mod yen;
 
 pub use connectivity::{is_connected, reachable_from};
-pub use dijkstra::{shortest_path, shortest_path_bounded, shortest_path_tree, ArcWeight};
+pub use dijkstra::{
+    shortest_path, shortest_path_bounded, shortest_path_tree, ArcWeight, Dijkstra,
+    ShortestPathTrees,
+};
 pub use disjoint::link_disjoint_path;
 pub use maxflow::max_flow;
 pub use yen::k_shortest_paths;

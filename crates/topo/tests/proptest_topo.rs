@@ -1,16 +1,191 @@
 //! Property-based tests on the topology substrate.
 
-use ecp_topo::algo::{k_shortest_paths, max_flow, shortest_path, shortest_path_bounded};
+use ecp_topo::algo::{
+    is_connected, k_shortest_paths, max_flow, reachable_from, shortest_path, shortest_path_bounded,
+    ShortestPathTrees,
+};
 use ecp_topo::gen::random_waxman;
-use ecp_topo::{ActiveSet, NodeId, MBPS};
+use ecp_topo::{ActiveSet, ArcId, NodeId, Path, Topology, TopologyBuilder, MBPS, MS};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 fn arb_topo() -> impl Strategy<Value = ecp_topo::Topology> {
     (4usize..20, 0u64..500).prop_map(|(n, seed)| random_waxman(n, 0.6, 0.3, 10.0 * MBPS, seed))
 }
 
+/// A sparse random graph with one-way arcs, small integer arc weights
+/// (so equal-cost ties are everywhere, some arcs forbidden) and an
+/// optional random active subset that may cut it apart.
+struct TieInstance {
+    topo: Topology,
+    weights: Vec<f64>,
+    active: Option<ActiveSet>,
+}
+
+fn tie_instance(n: usize, seed: u64) -> TieInstance {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut b = TopologyBuilder::new("ties");
+    let ids: Vec<NodeId> = (0..n).map(|i| b.add_node(format!("t{i}"))).collect();
+    let connect = |b: &mut TopologyBuilder, i: usize, j: usize, rng: &mut StdRng| {
+        if rng.gen_bool(0.3) {
+            b.add_arc(ids[i], ids[j], MBPS, MS);
+        } else {
+            b.add_link(ids[i], ids[j], MBPS, MS);
+        }
+    };
+    for i in 1..n {
+        let j = rng.gen_range(0..i);
+        connect(&mut b, i, j, &mut rng);
+    }
+    for _ in 0..n {
+        let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if i != j {
+            connect(&mut b, i, j, &mut rng);
+        }
+    }
+    let topo = b.build();
+    let weights = topo
+        .arc_ids()
+        .map(|_| match rng.gen_range(0..8u32) {
+            0 => f64::INFINITY,
+            k => (k % 3 + 1) as f64,
+        })
+        .collect();
+    let active = rng.gen_bool(0.6).then(|| {
+        let mut s = ActiveSet::all_on(&topo);
+        for v in topo.node_ids() {
+            if rng.gen_bool(0.1) {
+                s.set_node(v, false);
+            }
+        }
+        for l in topo.link_ids() {
+            if rng.gen_bool(0.15) {
+                s.set_link(&topo, l, false);
+            }
+        }
+        s
+    });
+    TieInstance {
+        topo,
+        weights,
+        active,
+    }
+}
+
+/// Reference single-pair Dijkstra: one full search per call, the arc
+/// weight and the active subset consulted arc by arc.
+fn reference_path(
+    topo: &Topology,
+    src: NodeId,
+    dst: NodeId,
+    weight: &dyn Fn(ArcId) -> f64,
+    active: Option<&ActiveSet>,
+) -> Option<Path> {
+    #[derive(PartialEq)]
+    struct Item(f64, NodeId);
+    impl Eq for Item {}
+    impl Ord for Item {
+        fn cmp(&self, o: &Self) -> Ordering {
+            o.0.partial_cmp(&self.0)
+                .unwrap_or(Ordering::Equal)
+                .then_with(|| o.1 .0.cmp(&self.1 .0))
+        }
+    }
+    impl PartialOrd for Item {
+        fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
+            Some(self.cmp(o))
+        }
+    }
+    if src == dst {
+        return Some(Path::trivial(src));
+    }
+    let mut dist = vec![f64::INFINITY; topo.node_count()];
+    let mut parent: Vec<Option<ArcId>> = vec![None; topo.node_count()];
+    let mut heap = BinaryHeap::new();
+    if active.map(|s| s.node_on(src)).unwrap_or(true) {
+        dist[src.idx()] = 0.0;
+        heap.push(Item(0.0, src));
+    }
+    while let Some(Item(d, u)) = heap.pop() {
+        if d > dist[u.idx()] {
+            continue;
+        }
+        for &a in topo.out_arcs(u) {
+            if !active.map(|s| s.arc_on(topo, a)).unwrap_or(true) {
+                continue;
+            }
+            let w = weight(a);
+            if !w.is_finite() {
+                continue;
+            }
+            let v = topo.arc(a).dst;
+            if d + w + 1e-15 < dist[v.idx()] {
+                dist[v.idx()] = d + w;
+                parent[v.idx()] = Some(a);
+                heap.push(Item(d + w, v));
+            }
+        }
+    }
+    if !dist[dst.idx()].is_finite() {
+        return None;
+    }
+    let mut rev = vec![dst];
+    let mut cur = dst;
+    while cur != src {
+        cur = topo.arc(parent[cur.idx()]?).src;
+        rev.push(cur);
+    }
+    rev.reverse();
+    Path::try_new(rev)
+}
+
+/// Reference connectivity: a search from every required node.
+fn reference_connected(topo: &Topology, required: &[NodeId], active: Option<&ActiveSet>) -> bool {
+    required.iter().all(|&r| {
+        let seen = reachable_from(topo, r, active);
+        required.iter().all(|&q| seen[q.idx()])
+    }) || required.len() <= 1
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One tree per origin answers every pair exactly as a separate
+    /// per-pair search does, ties and forbidden arcs included, and
+    /// `shortest_path` still matches that search too.
+    #[test]
+    fn shared_trees_match_per_pair_search(n in 2usize..16, seed in 0u64..100_000) {
+        let TieInstance { topo, weights, active } = tie_instance(n, seed);
+        let w = |a: ArcId| weights[a.idx()];
+        let mut trees = ShortestPathTrees::new(&topo, &w, active.as_ref());
+        for src in topo.node_ids() {
+            for dst in topo.node_ids() {
+                let expected = reference_path(&topo, src, dst, &w, active.as_ref());
+                prop_assert_eq!(&trees.path(&topo, src, dst), &expected);
+                prop_assert_eq!(&shortest_path(&topo, src, dst, &w, active.as_ref()), &expected);
+            }
+        }
+    }
+
+    /// The two-search connectivity check agrees with a search from every
+    /// required node, one-way arcs and dark elements included.
+    #[test]
+    fn hub_connectivity_matches_all_sources(
+        n in 2usize..16,
+        seed in 0u64..100_000,
+        picks in proptest::collection::vec(0usize..16, 0..6),
+    ) {
+        let TieInstance { topo, active, .. } = tie_instance(n, seed);
+        let mut required: Vec<NodeId> = picks.iter().map(|&i| NodeId((i % n) as u32)).collect();
+        required.dedup();
+        prop_assert_eq!(
+            is_connected(&topo, &required, active.as_ref()),
+            reference_connected(&topo, &required, active.as_ref())
+        );
+    }
 
     /// Dijkstra distances satisfy the triangle inequality property:
     /// d(s, v) <= d(s, u) + w(u, v) for every arc u->v.
