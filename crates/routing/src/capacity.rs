@@ -28,7 +28,7 @@ pub fn max_feasible_volume(
     // Find an infeasible upper bound by +10% steps.
     let mut feasible = |v: f64| -> bool {
         let tm = base.scaled(v / start);
-        probe.place(&tm).is_some()
+        probe.fits(&tm)
     };
     let mut volume = start;
     if !feasible(volume) {

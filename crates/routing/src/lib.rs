@@ -20,6 +20,8 @@
 //!   greedy pruning, a GreenTE-like k-shortest-paths heuristic, an
 //!   exhaustive exact solver for tiny nets, and the best-of-ensemble
 //!   "optimal" used where the paper ran CPLEX for hours.
+//!   [`SubsetSolver`] keeps one bound oracle per probed subset across
+//!   the matrices of a trace.
 //! * [`relaxation`] — the splittable-flow LP relaxation built on
 //!   `ecp-lp`, giving certified lower bounds / infeasibility proofs on
 //!   small instances.
@@ -41,4 +43,6 @@ pub use oracle::{place_flows, FeasibilityOracle, OracleConfig};
 pub use ospf::{ecmp_routes, ospf_invcap, EcmpRoutes};
 pub use recompute::{recomputation_rate, ConfigDominance, RecomputationReport};
 pub use routeset::RouteSet;
-pub use subset::{exact_small_subset, greedy_prune, greente_like, optimal_subset, SubsetResult};
+pub use subset::{
+    exact_small_subset, greedy_prune, greente_like, optimal_subset, SubsetResult, SubsetSolver,
+};

@@ -20,13 +20,14 @@
 //!
 //! The first choice of every demand is its load-independent
 //! inverse-capacity shortest path, so a [`FeasibilityOracle`] grows one
-//! shortest-path tree per origin and every demand, placement attempt
-//! and matrix it is asked about reads its path from that tree.
+//! shortest-path tree per origin, resolves each OD pair's route on it
+//! once, and every placement attempt and matrix it is asked about reads
+//! the route from there.
 
 use crate::ospf::invcap_weight;
 use crate::routeset::RouteSet;
 use ecp_topo::algo::{Dijkstra, ShortestPathTrees};
-use ecp_topo::{ActiveSet, ArcId, NodeId, Topology};
+use ecp_topo::{ActiveSet, ArcId, NodeId, Path, Topology};
 use ecp_traffic::{Demand, TrafficMatrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -62,8 +63,8 @@ impl Default for OracleConfig {
 /// margin. Returns the routing on success.
 ///
 /// To ask about several matrices on the same subset, bind a
-/// [`FeasibilityOracle`] once: it keeps its shortest-path trees between
-/// calls.
+/// [`FeasibilityOracle`] once: it keeps its shortest-path trees and
+/// first-choice routes between calls.
 pub fn place_flows(
     topo: &Topology,
     active: Option<&ActiveSet>,
@@ -86,15 +87,49 @@ pub(crate) fn fits_every_arc(topo: &Topology, tm: &TrafficMatrix, cfg: &OracleCo
         .all(|a| need <= topo.arc(a).capacity * cfg.margin)
 }
 
+/// A route held by the placement engine: `len` arcs from `start` in
+/// [`FeasibilityOracle`]'s arc arena.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    /// The arena's arcs from `start` up to `end`.
+    fn new(start: usize, end: usize) -> Span {
+        Span {
+            start: start as u32,
+            len: (end - start) as u32,
+        }
+    }
+
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// One origin's first-choice routes by destination: `None` until
+/// resolved, then the route's arcs or `None` when unreachable.
+type FirstRoutes = Box<[Option<Option<Span>>]>;
+
 /// The feasibility oracle bound to one topology, active subset and
 /// configuration.
 ///
 /// It keeps what does not depend on the traffic: the margin-scaled
-/// capacities, the active-arc mask and one inverse-capacity
-/// shortest-path tree per origin, grown on first use. [`place`] answers
-/// exactly as [`place_flows`] would for the same inputs.
+/// capacities, the active-arc mask, one inverse-capacity shortest-path
+/// tree per origin and, per OD pair, the arcs of its first-choice route
+/// on that tree, each grown or resolved on first use. Its answers depend
+/// only on the subset and the matrix asked about: [`place`] answers
+/// exactly as [`place_flows`] would for the same inputs, and [`fits`]
+/// answers whether it would succeed.
+///
+/// Both run one placement engine that holds routes as per-demand arc
+/// spans in reusable buffers; it allocates nothing once the buffers have
+/// grown, and [`place`] builds [`Path`]s only for the routing it returns.
 ///
 /// [`place`]: FeasibilityOracle::place
+/// [`fits`]: FeasibilityOracle::fits
 pub struct FeasibilityOracle<'t> {
     topo: &'t Topology,
     cfg: OracleConfig,
@@ -104,8 +139,26 @@ pub struct FeasibilityOracle<'t> {
     arc_on: Vec<bool>,
     /// The first-choice routes: inverse-capacity trees, one per origin.
     static_routes: ShortestPathTrees,
-    /// Buffers of the congestion-aware fallback search.
+    /// `first[o]`: origin `o`'s first-choice routes, once it has one.
+    first: Vec<Option<FirstRoutes>>,
+    /// The arc arena: the resolved first-choice routes in its first
+    /// `resolved` arcs, which stay, then the latest attempt's detours.
+    arcs: Vec<ArcId>,
+    resolved: usize,
+    /// Buffers of the congestion-aware detour search.
     scratch: Dijkstra,
+    /// Per-arc load of the current attempt.
+    load: Vec<f64>,
+    /// Arcs above 70 % of their usable capacity, for rip-up.
+    hot: Vec<bool>,
+    /// Per demand of the current matrix: its first-choice route.
+    demand_first: Vec<Option<Span>>,
+    /// Per demand: its route in the current attempt, if placed.
+    routes: Vec<Option<Span>>,
+    /// Placement order, demands to place this pass, demands that failed.
+    order: Vec<usize>,
+    pending: Vec<usize>,
+    failed: Vec<usize>,
 }
 
 impl<'t> FeasibilityOracle<'t> {
@@ -123,97 +176,152 @@ impl<'t> FeasibilityOracle<'t> {
                 .map(|a| active.map(|s| s.arc_on(topo, a)).unwrap_or(true))
                 .collect(),
             static_routes: ShortestPathTrees::new(topo, &invcap_weight(topo), active),
+            first: vec![None; topo.node_count()],
+            arcs: Vec::new(),
+            resolved: 0,
             scratch: Dijkstra::default(),
+            load: Vec::new(),
+            hot: Vec::new(),
+            demand_first: Vec::new(),
+            routes: Vec::new(),
+            order: Vec::new(),
+            pending: Vec::new(),
+            failed: Vec::new(),
         }
     }
 
     /// Attempt to route all demands of `tm` within the margin. Returns
     /// the routing on success.
     pub fn place(&mut self, tm: &TrafficMatrix) -> Option<RouteSet> {
-        if tm.is_empty() {
-            return Some(RouteSet::new());
+        if !self.run(tm) {
+            return None;
         }
-        let mut order: Vec<Demand> = tm.demands().to_vec();
+        let topo = self.topo;
+        let paths = tm.demands().iter().zip(&self.routes).map(|(d, r)| {
+            let arcs = &self.arcs[r.expect("a successful attempt routes every demand").range()];
+            let hops = arcs.iter().map(|&a| topo.arc(a).dst);
+            Path::new(std::iter::once(d.origin).chain(hops).collect())
+        });
+        Some(paths.collect())
+    }
+
+    /// Whether [`FeasibilityOracle::place`] would route `tm`, without
+    /// building the routing.
+    pub fn fits(&mut self, tm: &TrafficMatrix) -> bool {
+        self.run(tm)
+    }
+
+    /// The placement engine: greedy placement in the deterministic
+    /// order, then in `restarts` shuffled ones. On success the winning
+    /// attempt's routes are left in `routes`.
+    fn run(&mut self, tm: &TrafficMatrix) -> bool {
+        let demands = tm.demands();
+        // Rip-up visits placed demands in index order, which must be the
+        // OD-key order a `RouteSet` iterates in.
+        debug_assert!(demands
+            .windows(2)
+            .all(|w| (w[0].origin, w[0].dst) < (w[1].origin, w[1].dst)));
+        self.arcs.truncate(self.resolved);
+        self.demand_first.clear();
+        for d in demands {
+            let first = self.first_choice(d.origin, d.dst);
+            self.demand_first.push(first);
+        }
+        self.resolved = self.arcs.len();
         // Deterministic primary order: descending rate, then OD for ties.
-        order.sort_by(|a, b| {
+        self.order.clear();
+        self.order.extend(0..demands.len());
+        self.order.sort_by(|&a, &b| {
+            let (a, b) = (&demands[a], &demands[b]);
             b.rate
                 .partial_cmp(&a.rate)
                 .unwrap()
                 .then_with(|| (a.origin, a.dst).cmp(&(b.origin, b.dst)))
         });
-
-        if let Some(rs) = self.try_place(&order) {
-            return Some(rs);
+        if self.attempt(demands) {
+            return true;
         }
+        // Shuffling indices permutes them exactly as shuffling the
+        // demands would: the shuffle depends only on the length.
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         for _ in 0..self.cfg.restarts {
-            order.shuffle(&mut rng);
-            if let Some(rs) = self.try_place(&order) {
-                return Some(rs);
+            self.order.shuffle(&mut rng);
+            if self.attempt(demands) {
+                return true;
             }
         }
-        None
+        false
     }
 
-    fn try_place(&mut self, order: &[Demand]) -> Option<RouteSet> {
-        let topo = self.topo;
-        let mut load = vec![0.0; topo.arc_count()];
-        let mut rs = RouteSet::new();
-        let mut pending: Vec<Demand> = order.to_vec();
-        let mut passes = 0;
+    /// The first-choice route from `o` to `d`, resolved on first use.
+    fn first_choice(&mut self, o: NodeId, d: NodeId) -> Option<Span> {
+        let n = self.topo.node_count();
+        let row = self.first[o.idx()].get_or_insert_with(|| vec![None; n].into_boxed_slice());
+        *row[d.idx()].get_or_insert_with(|| {
+            let start = self.arcs.len();
+            self.static_routes
+                .path_arcs(self.topo, o, d, &mut self.arcs)
+                .then(|| Span::new(start, self.arcs.len()))
+        })
+    }
 
-        while !pending.is_empty() {
-            let mut failed: Vec<Demand> = Vec::new();
-            for d in pending.drain(..) {
-                match self.route_one(&load, &d) {
-                    Some(p) => {
-                        apply(topo, &mut load, &p, d.rate, 1.0);
-                        rs.insert(p);
+    /// One placement attempt in `order`, with rip-up-and-reroute passes.
+    fn attempt(&mut self, demands: &[Demand]) -> bool {
+        self.arcs.truncate(self.resolved);
+        self.load.clear();
+        self.load.resize(self.topo.arc_count(), 0.0);
+        self.routes.clear();
+        self.routes.resize(demands.len(), None);
+        self.pending.clone_from(&self.order);
+        let mut passes = 0;
+        loop {
+            self.failed.clear();
+            for k in 0..self.pending.len() {
+                let i = self.pending[k];
+                match self.route_one(&demands[i], self.demand_first[i]) {
+                    Some(r) => {
+                        for &a in &self.arcs[r.range()] {
+                            self.load[a.idx()] += demands[i].rate;
+                        }
+                        self.routes[i] = Some(r);
                     }
-                    None => failed.push(d),
+                    None => self.failed.push(i),
                 }
             }
-            if failed.is_empty() {
-                return Some(rs);
+            if self.failed.is_empty() {
+                return true;
             }
             passes += 1;
             if passes > self.cfg.reroute_passes {
-                return None;
+                return false;
             }
-            // Rip-up: remove the largest flows sharing arcs near saturation,
-            // requeue them after the failed demands.
-            let cap = &self.cap;
-            let hot: Vec<ArcId> = topo
-                .arc_ids()
-                .filter(|&a| load[a.idx()] > 0.7 * cap[a.idx()])
-                .collect();
-            let mut ripped: Vec<Demand> = Vec::new();
-            let keys: Vec<(NodeId, NodeId)> = rs.iter().map(|(k, _)| *k).collect();
-            for (o, dd) in keys {
-                let p = rs.get(o, dd).unwrap().clone();
-                let crosses_hot = p
-                    .arcs(topo)
-                    .map(|arcs| arcs.iter().any(|a| hot.contains(a)))
-                    .unwrap_or(false);
-                if crosses_hot {
-                    // Recover the rate from the original order list.
-                    if let Some(d0) = order.iter().find(|d| d.origin == o && d.dst == dd) {
-                        apply(topo, &mut load, &p, d0.rate, -1.0);
-                        rs.remove(o, dd);
-                        ripped.push(*d0);
+            // Rip-up: remove up to eight placed flows crossing arcs near
+            // saturation, in OD order, and requeue them after the failed
+            // demands.
+            self.hot.clear();
+            self.hot
+                .extend(self.load.iter().zip(&self.cap).map(|(&l, &c)| l > 0.7 * c));
+            let stuck = self.failed.len();
+            for (i, d) in demands.iter().enumerate() {
+                if let Some(r) = self.routes[i] {
+                    let arcs = &self.arcs[r.range()];
+                    if arcs.iter().any(|a| self.hot[a.idx()]) {
+                        for &a in arcs {
+                            self.load[a.idx()] -= d.rate;
+                        }
+                        self.routes[i] = None;
+                        self.failed.push(i);
                     }
                 }
-                if ripped.len() >= 8 {
+                if self.failed.len() - stuck >= 8 {
                     break;
                 }
             }
-            if ripped.is_empty() {
-                return None; // nothing to rip: truly stuck
+            if self.failed.len() == stuck {
+                return false; // nothing to rip: truly stuck
             }
-            pending = failed;
-            pending.extend(ripped);
+            std::mem::swap(&mut self.pending, &mut self.failed);
         }
-        Some(rs)
     }
 
     /// Route a single demand over residual capacity.
@@ -225,19 +333,12 @@ impl<'t> FeasibilityOracle<'t> {
     /// arcs with enough residual. Stability matters beyond aesthetics — the
     /// energy-critical-path analysis (Fig. 2b) counts recurring paths, and
     /// gratuitous churn would be an artifact of the oracle, not the network.
-    fn route_one(&mut self, load: &[f64], d: &Demand) -> Option<ecp_topo::Path> {
-        let topo = self.topo;
-        let cap = &self.cap;
-        if let Some(p) = self.static_routes.path(topo, d.origin, d.dst) {
-            let fits = p
-                .arcs(topo)
-                .map(|arcs| {
-                    arcs.iter()
-                        .all(|&a| load[a.idx()] + d.rate <= cap[a.idx()] + 1e-6)
-                })
-                .unwrap_or(false);
-            if fits {
-                return Some(p);
+    fn route_one(&mut self, d: &Demand, first: Option<Span>) -> Option<Span> {
+        let (topo, load, cap) = (self.topo, &self.load, &self.cap);
+        let room = |a: &ArcId| load[a.idx()] + d.rate <= cap[a.idx()] + 1e-6;
+        if let Some(r) = first {
+            if self.arcs[r.range()].iter().all(room) {
+                return Some(r);
             }
         }
         let arc_on = &self.arc_on;
@@ -251,15 +352,10 @@ impl<'t> FeasibilityOracle<'t> {
         };
         // A dark origin's arcs are all off, so its tree stays empty.
         self.scratch.grow(topo, d.origin, true, w);
-        self.scratch.path_to(topo, d.origin, d.dst)
-    }
-}
-
-fn apply(topo: &Topology, load: &mut [f64], p: &ecp_topo::Path, rate: f64, sign: f64) {
-    if let Some(arcs) = p.arcs(topo) {
-        for a in arcs {
-            load[a.idx()] += sign * rate;
-        }
+        let start = self.arcs.len();
+        self.scratch
+            .path_arcs(topo, d.origin, d.dst, &mut self.arcs)
+            .then(|| Span::new(start, self.arcs.len()))
     }
 }
 
@@ -409,6 +505,29 @@ mod tests {
         let m2 = tm(&[(0, 3, 8e6), (1, 3, 2e6)]);
         let rs = place_flows(&t, None, &m2, &OracleConfig::default()).unwrap();
         assert!(rs.is_feasible(&t, &m2, 1.0));
+    }
+
+    #[test]
+    fn repeated_calls_reuse_the_arena() {
+        // The upper branch is the first choice; once 0->3 fills it, 1->3
+        // detours 1->0->2->3.
+        let mut b = TopologyBuilder::new("two-branch");
+        let n: Vec<NodeId> = (0..4).map(|i| b.add_node(format!("{i}"))).collect();
+        b.add_link(n[0], n[1], 100.0 * MBPS, MS);
+        b.add_link(n[1], n[3], 100.0 * MBPS, MS);
+        b.add_link(n[0], n[2], 90.0 * MBPS, MS);
+        b.add_link(n[2], n[3], 90.0 * MBPS, MS);
+        let t = b.build();
+        let m = tm(&[(0, 3, 60e6), (1, 3, 50e6)]);
+        let mut oracle = FeasibilityOracle::new(&t, None, &OracleConfig::default());
+        let rs = oracle.place(&m).unwrap();
+        assert_eq!(rs.get(NodeId(1), NodeId(3)).unwrap().hops(), 3, "detoured");
+        let arena = oracle.arcs.len();
+        for _ in 0..20 {
+            assert!(oracle.fits(&m));
+            assert_eq!(oracle.place(&m).unwrap(), rs);
+        }
+        assert_eq!(oracle.arcs.len(), arena, "detours do not pile up");
     }
 
     #[test]

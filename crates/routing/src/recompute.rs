@@ -7,7 +7,8 @@
 //! for existing approaches goes up to four per hour."
 
 use crate::subset::SubsetResult;
-use ecp_topo::Topology;
+use ecp_power::PowerModel;
+use ecp_topo::{ActiveSet, Topology};
 use ecp_traffic::{Trace, TrafficMatrix};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -59,37 +60,58 @@ impl RecomputationReport {
 }
 
 /// Replay a trace, recomputing the minimal subset each interval with the
-/// provided optimizer (e.g. a closure over
-/// [`crate::subset::optimal_subset`]).
-pub fn recomputation_rate<F>(topo: &Topology, trace: &Trace, mut optimize: F) -> RecomputationReport
+/// provided optimizer, e.g. a closure over one
+/// [`SubsetSolver`](crate::subset::SubsetSolver) held for the whole trace:
+///
+/// ```
+/// # use ecp_power::PowerModel;
+/// # use ecp_routing::{recomputation_rate, OracleConfig, SubsetSolver};
+/// # use ecp_topo::{gen::ring, NodeId, MBPS, MS};
+/// # use ecp_traffic::{Demand, Trace, TrafficMatrix};
+/// # let topo = ring(4, 10.0 * MBPS, MS);
+/// # let power = PowerModel::cisco12000();
+/// # let tm = |rate| TrafficMatrix::new(vec![Demand { origin: NodeId(0), dst: NodeId(2), rate }]);
+/// # let trace = Trace { name: "t".into(), interval_s: 900.0, matrices: vec![tm(1e6), tm(2e6)] };
+/// let mut solver = SubsetSolver::new(&topo, &power, &OracleConfig::default());
+/// let report = recomputation_rate(&topo, &power, &trace, |tm| solver.optimal(tm));
+/// assert_eq!(report.failures, 0);
+/// ```
+///
+/// An interval where the optimizer fails keeps the previous
+/// configuration; before the first success that is the all-on network
+/// at full power.
+pub fn recomputation_rate<F>(
+    topo: &Topology,
+    power: &PowerModel,
+    trace: &Trace,
+    mut optimize: F,
+) -> RecomputationReport
 where
     F: FnMut(&TrafficMatrix) -> Option<SubsetResult>,
 {
     let mut changed = Vec::with_capacity(trace.len().saturating_sub(1));
     let mut power_w = Vec::with_capacity(trace.len());
     let mut signatures = Vec::with_capacity(trace.len());
-    let mut prev_sig: Option<u64> = None;
+    let mut prev: Option<(u64, f64)> = None;
     let mut failures = 0;
 
     for m in &trace.matrices {
-        let sig;
-        match optimize(m) {
-            Some(r) => {
-                sig = r.active.signature(topo);
-                power_w.push(r.power_w);
-            }
+        let (sig, watts) = match optimize(m) {
+            Some(r) => (r.active.signature(topo), r.power_w),
             None => {
                 failures += 1;
-                // Keep previous configuration; replicate previous power.
-                sig = prev_sig.unwrap_or(0);
-                power_w.push(power_w.last().copied().unwrap_or(0.0));
+                prev.unwrap_or_else(|| {
+                    let all_on = ActiveSet::all_on(topo);
+                    (all_on.signature(topo), power.network_power(topo, &all_on))
+                })
             }
-        }
-        if let Some(p) = prev_sig {
+        };
+        if let Some((p, _)) = prev {
             changed.push(p != sig);
         }
+        power_w.push(watts);
         signatures.push(sig);
-        prev_sig = Some(sig);
+        prev = Some((sig, watts));
     }
     RecomputationReport {
         interval_s: trace.interval_s,
@@ -177,7 +199,7 @@ mod tests {
         let pm = PowerModel::cisco12000();
         let oc = OracleConfig::default();
         let trace = mk_trace(900.0, &[1e6, 1e6, 1e6, 1e6]);
-        let rep = recomputation_rate(&t, &trace, |m| optimal_subset(&t, &pm, m, &oc));
+        let rep = recomputation_rate(&t, &pm, &trace, |m| optimal_subset(&t, &pm, m, &oc));
         assert_eq!(rep.total_changes(), 0);
         assert_eq!(rep.failures, 0);
     }
@@ -214,7 +236,7 @@ mod tests {
             interval_s: 900.0,
             matrices: vec![light.clone(), heavy.clone(), light.clone(), heavy],
         };
-        let rep = recomputation_rate(&t, &trace, |m| optimal_subset(&t, &pm, m, &oc));
+        let rep = recomputation_rate(&t, &pm, &trace, |m| optimal_subset(&t, &pm, m, &oc));
         assert!(rep.total_changes() >= 3, "every swing changes the subset");
         let dom = ConfigDominance::from_signatures(&rep.signatures);
         assert_eq!(dom.distinct(), 2);
@@ -241,10 +263,40 @@ mod tests {
         let trace = mk_trace(900.0, &[1e6, 99e6, 1e6]);
         let pm = PowerModel::cisco12000();
         let oc = OracleConfig::default();
-        let rep = recomputation_rate(&t, &trace, |m| optimal_subset(&t, &pm, m, &oc));
+        let rep = recomputation_rate(&t, &pm, &trace, |m| optimal_subset(&t, &pm, m, &oc));
         assert_eq!(rep.failures, 1);
         assert_eq!(rep.power_w.len(), 3);
         assert_eq!(rep.power_w[0], rep.power_w[1], "carried forward");
+    }
+
+    #[test]
+    fn infeasible_start_keeps_the_all_on_network() {
+        let t = ring(4, 10.0 * MBPS, MS);
+        let trace = mk_trace(900.0, &[99e6, 1e6, 99e6]);
+        let pm = PowerModel::cisco12000();
+        let oc = OracleConfig::default();
+        let rep = recomputation_rate(&t, &pm, &trace, |m| optimal_subset(&t, &pm, m, &oc));
+        let all_on = ActiveSet::all_on(&t);
+        assert_eq!(rep.failures, 2);
+        assert_eq!(rep.signatures[0], all_on.signature(&t));
+        assert_eq!(rep.power_w[0], pm.full_power(&t));
+        assert_eq!(
+            rep.changed,
+            vec![true, false],
+            "on to the subset, then kept"
+        );
+        assert!(rep.power_w[1] < rep.power_w[0]);
+        assert_eq!(rep.power_w[2], rep.power_w[1], "carried forward");
+        let dom = ConfigDominance::from_signatures(&rep.signatures);
+        assert_eq!(dom.distinct(), 2, "all-on and the subset, no phantom");
+
+        let hopeless = mk_trace(900.0, &[99e6, 99e6]);
+        let rep = recomputation_rate(&t, &pm, &hopeless, |m| optimal_subset(&t, &pm, m, &oc));
+        assert_eq!(
+            rep.power_w,
+            vec![pm.full_power(&t); 2],
+            "no savings claimed"
+        );
     }
 
     #[test]

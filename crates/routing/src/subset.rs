@@ -19,8 +19,13 @@
 //!   hours": exact on tiny nets, otherwise the best of a greedy-prune
 //!   ensemble over several orderings. DESIGN.md documents this
 //!   substitution.
+//!
+//! [`greedy_prune`] and [`optimal_subset`] bind a fresh feasibility
+//! oracle for each subset they probe. A [`SubsetSolver`] runs the same
+//! two solvers but keeps one oracle per probed subset for as long as it
+//! lives, for callers that solve a whole trace on one network.
 
-use crate::oracle::{fits_every_arc, place_flows, OracleConfig};
+use crate::oracle::{fits_every_arc, place_flows, FeasibilityOracle, OracleConfig};
 use crate::routeset::RouteSet;
 use ecp_power::PowerModel;
 use ecp_topo::algo::is_connected;
@@ -29,6 +34,7 @@ use ecp_traffic::TrafficMatrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::collections::HashMap;
 
 /// A minimal-subset solution.
 #[derive(Debug, Clone)]
@@ -68,6 +74,9 @@ fn required_nodes(tm: &TrafficMatrix) -> Vec<NodeId> {
 /// Greedy power-down: start from the full network and switch off
 /// routers, then links, most-power-hungry first, keeping every tentative
 /// configuration multi-commodity feasible.
+///
+/// Binds a fresh oracle for every subset it asks about; to prune many
+/// matrices on one network, hold a [`SubsetSolver`].
 pub fn greedy_prune(
     topo: &Topology,
     power: &PowerModel,
@@ -75,109 +84,197 @@ pub fn greedy_prune(
     oracle: &OracleConfig,
     order: PruneOrder,
 ) -> Option<SubsetResult> {
-    let mut active = ActiveSet::all_on(topo);
-    let mut routes = place_flows(topo, Some(&active), tm, oracle)?;
-    let required = required_nodes(tm);
-    // A matrix that cannot congest any arc is placeable on every subset
-    // that keeps its endpoints connected: the connectivity check decides
-    // each candidate, and each pass routes once, on the subset it keeps.
-    let light = fits_every_arc(topo, tm, oracle);
+    SubsetSolver::one_shot(topo, power, oracle).greedy_prune(tm, order)
+}
 
-    // ---- Router pass -------------------------------------------------
-    let mut node_candidates: Vec<NodeId> =
-        topo.node_ids().filter(|n| !required.contains(n)).collect();
-    let node_power = |n: NodeId| -> f64 {
-        power.chassis(topo, n)
-            + topo
-                .out_arcs(n)
-                .iter()
-                .map(|&a| power.port(topo, a))
-                .sum::<f64>()
-    };
-    match order {
-        PruneOrder::PowerDesc => node_candidates.sort_by(|&a, &b| {
-            node_power(b)
-                .partial_cmp(&node_power(a))
-                .unwrap()
-                .then(a.cmp(&b))
-        }),
-        PruneOrder::LoadAsc => {
-            let loads = routes.link_loads(topo, tm);
-            let thru =
-                |n: NodeId| -> f64 { topo.out_arcs(n).iter().map(|&a| loads[a.idx()]).sum() };
-            node_candidates
-                .sort_by(|&a, &b| thru(a).partial_cmp(&thru(b)).unwrap().then(a.cmp(&b)));
+/// The minimal-subset solvers bound to one topology, power model and
+/// oracle configuration.
+///
+/// A solver made with [`SubsetSolver::new`] keeps the bound
+/// [`FeasibilityOracle`] of every active subset it has asked about, keyed
+/// by exact [`ActiveSet`] equality, for as long as it lives. A trace
+/// replay asks about the same few subsets interval after interval, so
+/// holding one solver for the whole trace grows each subset's trees and
+/// resolves its routes once. An oracle's answer depends only on the
+/// subset and the matrix, so a held solver returns exactly what the
+/// one-shot [`optimal_subset`] and [`greedy_prune`] return; those bind a
+/// fresh oracle per subset and drop it.
+pub struct SubsetSolver<'t> {
+    topo: &'t Topology,
+    power: &'t PowerModel,
+    cfg: OracleConfig,
+    /// The oracle of every subset asked about; `None` for one-shot use.
+    oracles: Option<HashMap<ActiveSet, FeasibilityOracle<'t>>>,
+}
+
+impl<'t> SubsetSolver<'t> {
+    /// A solver that keeps one oracle per subset it asks about.
+    pub fn new(topo: &'t Topology, power: &'t PowerModel, oracle: &OracleConfig) -> Self {
+        SubsetSolver {
+            oracles: Some(HashMap::new()),
+            ..Self::one_shot(topo, power, oracle)
         }
-        PruneOrder::Random(seed) => {
-            node_candidates.shuffle(&mut StdRng::seed_from_u64(seed));
-        }
-    }
-    for n in node_candidates {
-        let mut tentative = active.clone();
-        tentative.set_node(n, false);
-        if !is_connected(topo, &required, Some(&tentative)) {
-            continue;
-        }
-        if light {
-            active = tentative;
-        } else if let Some(rs) = place_flows(topo, Some(&tentative), tm, oracle) {
-            active = tentative;
-            routes = rs;
-        }
-    }
-    if light {
-        routes = place_flows(topo, Some(&active), tm, oracle)?;
     }
 
-    // ---- Link pass ----------------------------------------------------
-    let mut link_candidates: Vec<ArcId> = topo
-        .link_ids()
-        .filter(|&l| active.arc_on(topo, l))
-        .collect();
-    match order {
-        PruneOrder::PowerDesc => link_candidates.sort_by(|&a, &b| {
-            power
-                .link_full(topo, b)
-                .partial_cmp(&power.link_full(topo, a))
-                .unwrap()
-                .then(a.cmp(&b))
-        }),
-        PruneOrder::LoadAsc => {
-            let loads = routes.link_loads(topo, tm);
-            let l2 = |l: ArcId| -> f64 {
-                let r = topo.reverse(l);
-                loads[l.idx()] + r.map(|r| loads[r.idx()]).unwrap_or(0.0)
-            };
-            link_candidates.sort_by(|&a, &b| l2(a).partial_cmp(&l2(b)).unwrap().then(a.cmp(&b)));
+    fn one_shot(topo: &'t Topology, power: &'t PowerModel, oracle: &OracleConfig) -> Self {
+        SubsetSolver {
+            topo,
+            power,
+            cfg: *oracle,
+            oracles: None,
         }
-        PruneOrder::Random(seed) => {
-            link_candidates.shuffle(&mut StdRng::seed_from_u64(seed ^ 0x9E37_79B9));
-        }
-    }
-    for l in link_candidates {
-        let mut tentative = active.clone();
-        tentative.set_link(topo, l, false);
-        if !is_connected(topo, &required, Some(&tentative)) {
-            continue;
-        }
-        if light {
-            active = tentative;
-        } else if let Some(rs) = place_flows(topo, Some(&tentative), tm, oracle) {
-            active = tentative;
-            routes = rs;
-        }
-    }
-    if light {
-        routes = place_flows(topo, Some(&active), tm, oracle)?;
     }
 
-    active.prune_isolated_nodes(topo);
-    let power_w = power.network_power(topo, &active);
-    Some(SubsetResult {
-        active,
-        routes,
-        power_w,
-    })
+    /// Number of subsets whose oracle the solver holds.
+    pub fn subsets(&self) -> usize {
+        self.oracles.as_ref().map_or(0, HashMap::len)
+    }
+
+    /// Ask the oracle bound to `active`.
+    fn ask<R>(&mut self, active: &ActiveSet, f: impl FnOnce(&mut FeasibilityOracle<'t>) -> R) -> R {
+        let (topo, cfg) = (self.topo, &self.cfg);
+        let bind = || FeasibilityOracle::new(topo, Some(active), cfg);
+        match &mut self.oracles {
+            None => f(&mut bind()),
+            Some(kept) => match kept.get_mut(active) {
+                Some(oracle) => f(oracle),
+                None => f(kept.entry(active.clone()).or_insert_with(bind)),
+            },
+        }
+    }
+
+    /// The reproduction's "optimal" subset for `tm`, as
+    /// [`optimal_subset`] computes it. The exact search on tiny nets
+    /// binds its own oracles and keeps none.
+    pub fn optimal(&mut self, tm: &TrafficMatrix) -> Option<SubsetResult> {
+        if self.topo.link_count() <= 12 {
+            return exact_small_subset(self.topo, self.power, tm, &self.cfg, 12);
+        }
+        let mut best: Option<SubsetResult> = None;
+        let orders = [
+            PruneOrder::PowerDesc,
+            PruneOrder::LoadAsc,
+            PruneOrder::Random(1),
+            PruneOrder::Random(2),
+        ];
+        for ord in orders {
+            if let Some(r) = self.greedy_prune(tm, ord) {
+                // 0.5% improvement margin: without it, near-equal optima from
+                // different orders alternate across trace intervals, creating
+                // artificial configuration churn (the canonical PowerDesc
+                // result is kept on ties).
+                if best
+                    .as_ref()
+                    .map(|b| r.power_w < 0.995 * b.power_w)
+                    .unwrap_or(true)
+                {
+                    best = Some(r);
+                }
+            }
+        }
+        best
+    }
+
+    /// Greedy power-down of `tm` in `order`, as [`greedy_prune`]
+    /// computes it.
+    ///
+    /// A candidate is kept when the endpoints stay connected and the
+    /// matrix fits on what is left. A matrix that cannot congest any arc
+    /// fits on every subset that keeps its endpoints connected, so
+    /// connectivity alone decides its candidates. Each pass routes once,
+    /// on the subset it keeps.
+    pub fn greedy_prune(&mut self, tm: &TrafficMatrix, order: PruneOrder) -> Option<SubsetResult> {
+        let (topo, power) = (self.topo, self.power);
+        let mut active = ActiveSet::all_on(topo);
+        let mut routes = self.ask(&active, |o| o.place(tm))?;
+        let required = required_nodes(tm);
+        let light = fits_every_arc(topo, tm, &self.cfg);
+        let keeps = |solver: &mut Self, tentative: &ActiveSet| {
+            is_connected(topo, &required, Some(tentative))
+                && (light || solver.ask(tentative, |o| o.fits(tm)))
+        };
+
+        // ---- Router pass -------------------------------------------------
+        let mut node_candidates: Vec<NodeId> =
+            topo.node_ids().filter(|n| !required.contains(n)).collect();
+        let node_power = |n: NodeId| -> f64 {
+            power.chassis(topo, n)
+                + topo
+                    .out_arcs(n)
+                    .iter()
+                    .map(|&a| power.port(topo, a))
+                    .sum::<f64>()
+        };
+        match order {
+            PruneOrder::PowerDesc => node_candidates.sort_by(|&a, &b| {
+                node_power(b)
+                    .partial_cmp(&node_power(a))
+                    .unwrap()
+                    .then(a.cmp(&b))
+            }),
+            PruneOrder::LoadAsc => {
+                let loads = routes.link_loads(topo, tm);
+                let thru =
+                    |n: NodeId| -> f64 { topo.out_arcs(n).iter().map(|&a| loads[a.idx()]).sum() };
+                node_candidates
+                    .sort_by(|&a, &b| thru(a).partial_cmp(&thru(b)).unwrap().then(a.cmp(&b)));
+            }
+            PruneOrder::Random(seed) => {
+                node_candidates.shuffle(&mut StdRng::seed_from_u64(seed));
+            }
+        }
+        for n in node_candidates {
+            let mut tentative = active.clone();
+            tentative.set_node(n, false);
+            if keeps(self, &tentative) {
+                active = tentative;
+            }
+        }
+        routes = self.ask(&active, |o| o.place(tm))?;
+
+        // ---- Link pass ----------------------------------------------------
+        let mut link_candidates: Vec<ArcId> = topo
+            .link_ids()
+            .filter(|&l| active.arc_on(topo, l))
+            .collect();
+        match order {
+            PruneOrder::PowerDesc => link_candidates.sort_by(|&a, &b| {
+                power
+                    .link_full(topo, b)
+                    .partial_cmp(&power.link_full(topo, a))
+                    .unwrap()
+                    .then(a.cmp(&b))
+            }),
+            PruneOrder::LoadAsc => {
+                let loads = routes.link_loads(topo, tm);
+                let l2 = |l: ArcId| -> f64 {
+                    let r = topo.reverse(l);
+                    loads[l.idx()] + r.map(|r| loads[r.idx()]).unwrap_or(0.0)
+                };
+                link_candidates
+                    .sort_by(|&a, &b| l2(a).partial_cmp(&l2(b)).unwrap().then(a.cmp(&b)));
+            }
+            PruneOrder::Random(seed) => {
+                link_candidates.shuffle(&mut StdRng::seed_from_u64(seed ^ 0x9E37_79B9));
+            }
+        }
+        for l in link_candidates {
+            let mut tentative = active.clone();
+            tentative.set_link(topo, l, false);
+            if keeps(self, &tentative) {
+                active = tentative;
+            }
+        }
+        routes = self.ask(&active, |o| o.place(tm))?;
+
+        active.prune_isolated_nodes(topo);
+        let power_w = power.network_power(topo, &active);
+        Some(SubsetResult {
+            active,
+            routes,
+            power_w,
+        })
+    }
 }
 
 /// GreenTE-like heuristic: each OD pair is restricted to its `k` shortest
@@ -322,39 +419,17 @@ pub fn exact_small_subset(
 
 /// The reproduction's "optimal" solver: exact for tiny topologies,
 /// otherwise best-of-ensemble greedy pruning (power-descending,
-/// load-ascending, and `extra_random` random orders).
+/// load-ascending, and two seeded random orders).
+///
+/// Binds a fresh oracle for every subset it asks about; to solve many
+/// matrices on one network, hold a [`SubsetSolver`].
 pub fn optimal_subset(
     topo: &Topology,
     power: &PowerModel,
     tm: &TrafficMatrix,
     oracle: &OracleConfig,
 ) -> Option<SubsetResult> {
-    if topo.link_count() <= 12 {
-        return exact_small_subset(topo, power, tm, oracle, 12);
-    }
-    let mut best: Option<SubsetResult> = None;
-    let orders = [
-        PruneOrder::PowerDesc,
-        PruneOrder::LoadAsc,
-        PruneOrder::Random(1),
-        PruneOrder::Random(2),
-    ];
-    for ord in orders {
-        if let Some(r) = greedy_prune(topo, power, tm, oracle, ord) {
-            // 0.5% improvement margin: without it, near-equal optima from
-            // different orders alternate across trace intervals, creating
-            // artificial configuration churn (the canonical PowerDesc
-            // result is kept on ties).
-            if best
-                .as_ref()
-                .map(|b| r.power_w < 0.995 * b.power_w)
-                .unwrap_or(true)
-            {
-                best = Some(r);
-            }
-        }
-    }
-    best
+    SubsetSolver::one_shot(topo, power, oracle).optimal(tm)
 }
 
 #[cfg(test)]
@@ -521,6 +596,31 @@ mod tests {
             "light load should allow >15% savings, got {frac}"
         );
         assert!(r.routes.is_feasible(&t, &m, 1.0));
+    }
+
+    #[test]
+    fn held_solver_binds_each_subset_once() {
+        let t = geant();
+        let pairs = random_od_pairs(&t, 60, 5);
+        let m = gravity_matrix(&t, &pairs, 2e9);
+        let pm = PowerModel::cisco12000();
+        let oc = OracleConfig::default();
+        let fresh = optimal_subset(&t, &pm, &m, &oc).unwrap();
+        let mut solver = SubsetSolver::new(&t, &pm, &oc);
+        let first = solver.optimal(&m).unwrap();
+        let bound = solver.subsets();
+        assert!(bound > 1);
+        let again = solver.optimal(&m).unwrap();
+        assert_eq!(
+            solver.subsets(),
+            bound,
+            "the same matrix asks about the same subsets"
+        );
+        for r in [first, again] {
+            assert_eq!(r.active, fresh.active);
+            assert_eq!(r.routes, fresh.routes);
+            assert_eq!(r.power_w.to_bits(), fresh.power_w.to_bits());
+        }
     }
 
     #[test]

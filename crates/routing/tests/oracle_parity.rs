@@ -1,17 +1,18 @@
 //! The feasibility oracle shares one inverse-capacity shortest-path tree
-//! per origin across demands, placement attempts and calls, and greedy
+//! per origin across demands, placement attempts and calls, greedy
 //! pruning lets connectivity decide matrices too light to congest an
-//! arc. These properties pin both to references that run a fresh
-//! per-demand search every time a path is needed and ask the oracle
-//! about every candidate: same routing or same refusal, on random
+//! arc, and a held `SubsetSolver` keeps one oracle per probed subset
+//! across matrices. These properties pin all three to references that
+//! run a fresh per-demand search every time a path is needed and ask the
+//! oracle about every candidate: same routing or same refusal, on random
 //! networks with mixed capacities, dark elements and shared origins.
 
 use ecp_power::PowerModel;
 use ecp_routing::ospf::invcap_weight;
 use ecp_routing::subset::PruneOrder;
 use ecp_routing::{
-    greedy_prune, max_feasible_volume, ospf_invcap, place_flows, FeasibilityOracle, OracleConfig,
-    RouteSet, SubsetResult,
+    greedy_prune, max_feasible_volume, optimal_subset, ospf_invcap, place_flows, FeasibilityOracle,
+    OracleConfig, RouteSet, SubsetResult, SubsetSolver,
 };
 use ecp_topo::algo::{reachable_from, shortest_path};
 use ecp_topo::{ActiveSet, ArcId, NodeId, Topology, TopologyBuilder, MBPS, MS};
@@ -63,19 +64,24 @@ fn instance(n: usize, seed: u64, load: f64) -> Instance {
         }
         s
     });
+    let tm = matrix(&topo, &mut rng, load);
+    Instance { topo, active, tm }
+}
+
+/// Demands from three random origins (so origins are shared) to random
+/// destinations, at rates of 10–100 % of `load` Mbit/s.
+fn matrix(topo: &Topology, rng: &mut StdRng, load: f64) -> TrafficMatrix {
+    let ids: Vec<NodeId> = topo.node_ids().collect();
+    let n = ids.len();
     let origins: Vec<NodeId> = (0..3).map(|_| ids[rng.gen_range(0..n)]).collect();
     let demands = (0..rng.gen_range(1..3 * n))
         .map(|_| Demand {
-            origin: *origins.choose(&mut rng).unwrap(),
+            origin: *origins.choose(rng).unwrap(),
             dst: ids[rng.gen_range(0..n)],
             rate: rng.gen_range(0.1..1.0) * load * MBPS,
         })
         .collect();
-    Instance {
-        topo,
-        active,
-        tm: TrafficMatrix::new(demands),
-    }
+    TrafficMatrix::new(demands)
 }
 
 /// The oracle with every path found by its own single-pair search.
@@ -292,6 +298,26 @@ fn reference_greedy_prune(
     })
 }
 
+/// Greedy-prune orders: both fixed orders and two seeded random ones.
+const ORDERS: [PruneOrder; 4] = [
+    PruneOrder::PowerDesc,
+    PruneOrder::LoadAsc,
+    PruneOrder::Random(2),
+    PruneOrder::Random(3),
+];
+
+/// Same subset, same routing and the same power bit for bit, or both
+/// refused.
+fn same_subset(got: Option<SubsetResult>, want: Option<SubsetResult>) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.is_some(), want.is_some());
+    if let (Some(got), Some(want)) = (got, want) {
+        prop_assert_eq!(&got.active, &want.active);
+        prop_assert_eq!(&got.routes, &want.routes);
+        prop_assert_eq!(got.power_w.to_bits(), want.power_w.to_bits());
+    }
+    Ok(())
+}
+
 /// The §5.1 probe with the reference oracle.
 fn reference_max_volume(topo: &Topology, pairs: &[(NodeId, NodeId)], cfg: &OracleConfig) -> f64 {
     let start = topo.total_capacity() * 0.01;
@@ -350,7 +376,9 @@ proptest! {
         let mut oracle = FeasibilityOracle::new(&topo, active.as_ref(), &cfg);
         for factor in [4.0, 0.25, 1.0, 8.0, 0.5] {
             let m = tm.scaled(factor);
-            prop_assert_eq!(oracle.place(&m), reference_place(&topo, active.as_ref(), &m, &cfg));
+            let placed = oracle.place(&m);
+            prop_assert_eq!(oracle.fits(&m), placed.is_some());
+            prop_assert_eq!(placed, reference_place(&topo, active.as_ref(), &m, &cfg));
         }
     }
 
@@ -367,21 +395,12 @@ proptest! {
         let Instance { topo, tm, .. } = instance(n, seed, 10.0);
         // ε demands: 1 bit/s per pair, as the planner's always-on tree uses.
         let tm = if heavy { tm } else { tm.scaled(1.0 / (10.0 * MBPS)) };
-        let order = match order {
-            0 => PruneOrder::PowerDesc,
-            1 => PruneOrder::LoadAsc,
-            k => PruneOrder::Random(k),
-        };
+        let order = ORDERS[order as usize];
         let pm = PowerModel::cisco12000();
         let cfg = OracleConfig::default();
         let got = greedy_prune(&topo, &pm, &tm, &cfg, order);
         let want = reference_greedy_prune(&topo, &pm, &tm, &cfg, order);
-        prop_assert_eq!(got.is_some(), want.is_some());
-        if let (Some(got), Some(want)) = (got, want) {
-            prop_assert_eq!(&got.active, &want.active);
-            prop_assert_eq!(&got.routes, &want.routes);
-            prop_assert_eq!(got.power_w.to_bits(), want.power_w.to_bits());
-        }
+        same_subset(got, want)?;
     }
 
     /// The shared-oracle probe returns the reference volume bit for bit,
@@ -404,5 +423,44 @@ proptest! {
             }
         }
         prop_assert_eq!(ospf_invcap(&topo, &pairs, active.as_ref()), expected);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One solver held across a sequence of matrices (heavy, ε-light and
+    /// scaled, their OD pairs and endpoints changing from call to call)
+    /// answers each exactly as a fresh `optimal_subset` does, and prunes
+    /// exactly as the per-candidate reference does under every order:
+    /// oracles kept between matrices never leak one matrix's state into
+    /// the next.
+    #[test]
+    fn held_solver_matches_fresh_solvers_across_matrices(
+        n in 8usize..13,
+        seed in 0u64..100_000,
+    ) {
+        let Instance { topo, tm, .. } = instance(n, seed, 10.0);
+        let other = matrix(&topo, &mut StdRng::seed_from_u64(!seed), 10.0);
+        let eps = |m: &TrafficMatrix| m.scaled(1.0 / (10.0 * MBPS));
+        let sequence = [
+            tm.clone(),
+            eps(&other),
+            tm.scaled(0.5),
+            other.clone(),
+            eps(&tm),
+            other.scaled(3.0),
+            tm.clone(),
+        ];
+        let pm = PowerModel::cisco12000();
+        let cfg = OracleConfig::default();
+        let mut solver = SubsetSolver::new(&topo, &pm, &cfg);
+        for m in &sequence {
+            same_subset(solver.optimal(m), optimal_subset(&topo, &pm, m, &cfg))?;
+            for order in ORDERS {
+                let want = reference_greedy_prune(&topo, &pm, m, &cfg, order);
+                same_subset(solver.greedy_prune(m, order), want)?;
+            }
+        }
     }
 }

@@ -10,7 +10,7 @@ use ecp_control::{StabilityConfig, StabilityReport, StabilitySample};
 use ecp_routing::subset::PruneOrder;
 use ecp_routing::{
     elastictree_subset, max_feasible_volume, ospf_invcap, recomputation_rate, ConfigDominance,
-    OracleConfig, RouteSet,
+    OracleConfig, RouteSet, SubsetSolver,
 };
 use ecp_simnet::{
     run_packet_sim_full, ArcActivity, CbrFlow, JsonlSink, NoopSink, PacketSimConfig, PacketStats,
@@ -1637,16 +1637,19 @@ fn run_replay_tables(
                     })
                     .collect()
             }
-            CompareSpec::OptimalPerInterval => rt
-                .trace
-                .matrices
-                .iter()
-                .map(|tm| {
-                    ecp_routing::optimal_subset(topo, &resolved.power, tm, &oc)
-                        .map(|r| r.power_w / full)
-                        .unwrap_or(f64::NAN)
-                })
-                .collect(),
+            CompareSpec::OptimalPerInterval => {
+                let mut solver = SubsetSolver::new(topo, &resolved.power, &oc);
+                rt.trace
+                    .matrices
+                    .iter()
+                    .map(|tm| {
+                        solver
+                            .optimal(tm)
+                            .map(|r| r.power_w / full)
+                            .unwrap_or(f64::NAN)
+                    })
+                    .collect()
+            }
             CompareSpec::OptimalAtPeak { peak_level } => {
                 let tm = offered_matrix(scenario, resolved)?.at(*peak_level)?;
                 vec![ecp_routing::optimal_subset(topo, &resolved.power, &tm, &oc)
@@ -1680,12 +1683,13 @@ fn run_replay_recompute(
     let mut usage = PathUsage::new();
     let mut last_routes: Option<RouteSet> = None;
     let interval_s = rt.trace.interval_s;
-    let rep = recomputation_rate(topo, &rt.trace, |tm| {
+    // One solver for the whole trace: each probed subset's oracle is
+    // bound once and asked again in later intervals.
+    let mut solver = SubsetSolver::new(topo, pm, &oc);
+    let rep = recomputation_rate(topo, pm, &rt.trace, |tm| {
         let result = match scheme {
-            SubsetScheme::Optimal => ecp_routing::optimal_subset(topo, pm, tm, &oc),
-            SubsetScheme::GreedyPrunePowerDesc => {
-                ecp_routing::greedy_prune(topo, pm, tm, &oc, PruneOrder::PowerDesc)
-            }
+            SubsetScheme::Optimal => solver.optimal(tm),
+            SubsetScheme::GreedyPrunePowerDesc => solver.greedy_prune(tm, PruneOrder::PowerDesc),
         };
         match &result {
             Some(r) => {

@@ -15,10 +15,11 @@ use serde::{Deserialize, Serialize};
 
 /// The power state of every router and link in a topology.
 ///
-/// Cheap to clone (two bit-vectors); hashable via its canonical signature
-/// ([`ActiveSet::signature`]), which is how routing *configurations* are
-/// counted in the Fig. 2a analysis.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Cheap to clone (two bit-vectors). `Hash` and `Eq` compare the bits
+/// exactly, so a set can key a cache of per-subset state; routing
+/// *configurations* are counted by the canonical signature
+/// ([`ActiveSet::signature`]) in the Fig. 2a analysis.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ActiveSet {
     nodes_on: Vec<bool>,
     /// Indexed by canonical link id (arc id of the canonical direction);

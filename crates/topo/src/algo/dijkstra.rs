@@ -133,6 +133,19 @@ impl Dijkstra {
         }
         extract_path(topo, &self.parent, src, dst)
     }
+
+    /// Append to `out` the arcs of `path_to(topo, src, dst)` as
+    /// [`Path::arcs`] resolves them, without building the path. Returns
+    /// false, appending nothing, when `dst` is unreachable.
+    pub fn path_arcs(
+        &self,
+        topo: &Topology,
+        src: NodeId,
+        dst: NodeId,
+        out: &mut Vec<ArcId>,
+    ) -> bool {
+        extract_arcs(topo, &self.parent, src, dst, out)
+    }
 }
 
 /// Single-source shortest path tree. Returns `(dist, parent_arc)` arrays;
@@ -193,6 +206,19 @@ impl ShortestPathTrees {
         }
         extract_path(topo, self.tree(topo, src), src, dst)
     }
+
+    /// Append to `out` the arcs of `path(topo, src, dst)` as
+    /// [`Path::arcs`] resolves them, without building the path. Returns
+    /// false, appending nothing, when `dst` is unreachable.
+    pub fn path_arcs(
+        &mut self,
+        topo: &Topology,
+        src: NodeId,
+        dst: NodeId,
+        out: &mut Vec<ArcId>,
+    ) -> bool {
+        extract_arcs(topo, self.tree(topo, src), src, dst, out)
+    }
 }
 
 /// Walk `parent` arcs back from `dst` to `src`; `None` when `dst` (not
@@ -212,6 +238,31 @@ fn extract_path(
     }
     rev.reverse();
     Path::try_new(rev)
+}
+
+/// The arcs of `extract_path(topo, parent, src, dst)`, appended to `out`.
+/// Each hop resolves to the first arc between its two nodes, as
+/// [`Path::arcs`] does; on parallel arcs that need not be the tree's own.
+fn extract_arcs(
+    topo: &Topology,
+    parent: &[Option<ArcId>],
+    src: NodeId,
+    dst: NodeId,
+    out: &mut Vec<ArcId>,
+) -> bool {
+    let start = out.len();
+    let mut cur = dst;
+    while cur != src {
+        let Some(a) = parent[cur.idx()] else {
+            out.truncate(start);
+            return false;
+        };
+        let prev = topo.arc(a).src;
+        out.push(topo.find_arc(prev, cur).expect("a tree arc joins its ends"));
+        cur = prev;
+    }
+    out[start..].reverse();
+    true
 }
 
 /// Shortest path from `src` to `dst` under the given weight, restricted

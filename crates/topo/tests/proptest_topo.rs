@@ -2,7 +2,7 @@
 
 use ecp_topo::algo::{
     is_connected, k_shortest_paths, max_flow, reachable_from, shortest_path, shortest_path_bounded,
-    ShortestPathTrees,
+    Dijkstra, ShortestPathTrees,
 };
 use ecp_topo::gen::random_waxman;
 use ecp_topo::{ActiveSet, ArcId, NodeId, Path, Topology, TopologyBuilder, MBPS, MS};
@@ -155,17 +155,32 @@ proptest! {
 
     /// One tree per origin answers every pair exactly as a separate
     /// per-pair search does, ties and forbidden arcs included, and
-    /// `shortest_path` still matches that search too.
+    /// `shortest_path` still matches that search too. Both trees give
+    /// the arcs `Path::arcs` resolves, parallel arcs included.
     #[test]
     fn shared_trees_match_per_pair_search(n in 2usize..16, seed in 0u64..100_000) {
         let TieInstance { topo, weights, active } = tie_instance(n, seed);
         let w = |a: ArcId| weights[a.idx()];
         let mut trees = ShortestPathTrees::new(&topo, &w, active.as_ref());
+        let mut search = Dijkstra::default();
+        let mut arcs = Vec::new();
         for src in topo.node_ids() {
+            let src_on = active.as_ref().is_none_or(|s| s.node_on(src));
+            search.grow(&topo, src, src_on, |a| match &active {
+                Some(s) if !s.arc_on(&topo, a) => f64::INFINITY,
+                _ => w(a),
+            });
             for dst in topo.node_ids() {
                 let expected = reference_path(&topo, src, dst, &w, active.as_ref());
                 prop_assert_eq!(&trees.path(&topo, src, dst), &expected);
                 prop_assert_eq!(&shortest_path(&topo, src, dst, &w, active.as_ref()), &expected);
+                let expected_arcs = expected.as_ref().map(|p| p.arcs(&topo).unwrap());
+                arcs.clear();
+                let found = trees.path_arcs(&topo, src, dst, &mut arcs);
+                prop_assert_eq!(found.then(|| arcs.clone()), expected_arcs.clone());
+                arcs.clear();
+                let found = search.path_arcs(&topo, src, dst, &mut arcs);
+                prop_assert_eq!(found.then(|| arcs.clone()), expected_arcs);
             }
         }
     }
