@@ -81,6 +81,16 @@ fn simnet_registry() -> Vec<(&'static str, Scenario)> {
         .collect()
 }
 
+/// Every registry scenario passes the simulator-timing checks of the
+/// scenario boundary.
+#[test]
+fn every_registry_scenario_has_valid_sim_timing() {
+    for (id, scenario) in ecp_bench::scenarios::campaign_registry() {
+        assert_eq!(scenario.sim.validate(), Ok(()), "{id}");
+        assert_eq!(scenario.metrics.validate(), Ok(()), "{id}");
+    }
+}
+
 /// Every `Undamped` Simnet registry scenario must hash to the value
 /// the pre-refactor engine produced.
 #[test]

@@ -12,9 +12,10 @@
 
 use serde::{Deserialize, Serialize};
 
-/// One input sample (a projection of the simulator's recorder sample).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StabilitySample {
+/// One input sample (a projection of the simulator's recorder sample,
+/// borrowing its per-path rates).
+#[derive(Debug, Clone, PartialEq)]
+pub struct StabilitySample<'a> {
     /// Sample time (seconds).
     pub t: f64,
     /// Total offered rate (bits/s).
@@ -23,7 +24,7 @@ pub struct StabilitySample {
     pub delivered: f64,
     /// Delivered rate per installed path of each flow (share churn is
     /// computed from the per-flow distributions).
-    pub per_flow_path_rates: Vec<Vec<f64>>,
+    pub per_flow_path_rates: &'a [Vec<f64>],
 }
 
 /// Analyzer thresholds.
@@ -87,7 +88,7 @@ pub struct StabilityReport {
 }
 
 /// Analyze a sample series. Samples must be in time order.
-pub fn analyze(samples: &[StabilitySample], cfg: &StabilityConfig) -> StabilityReport {
+pub fn analyze(samples: &[StabilitySample<'_>], cfg: &StabilityConfig) -> StabilityReport {
     let duration_s = match (samples.first(), samples.last()) {
         (Some(a), Some(b)) => b.t - a.t,
         _ => 0.0,
@@ -202,7 +203,7 @@ pub fn analyze(samples: &[StabilitySample], cfg: &StabilityConfig) -> StabilityR
             continue;
         }
         let mut l1 = 0.0;
-        for (ra, rb) in a.per_flow_path_rates.iter().zip(&b.per_flow_path_rates) {
+        for (ra, rb) in a.per_flow_path_rates.iter().zip(b.per_flow_path_rates) {
             if ra.len() != rb.len() {
                 continue;
             }
@@ -243,25 +244,30 @@ pub fn analyze(samples: &[StabilitySample], cfg: &StabilityConfig) -> StabilityR
 mod tests {
     use super::*;
 
+    /// One flow carrying everything on its first path.
     fn flat_rates() -> Vec<Vec<f64>> {
         vec![vec![1.0, 0.0]]
     }
 
-    fn series(points: &[(f64, f64, f64)]) -> Vec<StabilitySample> {
+    fn series<'a>(points: &[(f64, f64, f64)], rates: &'a [Vec<f64>]) -> Vec<StabilitySample<'a>> {
         points
             .iter()
             .map(|&(t, offered, delivered)| StabilitySample {
                 t,
                 offered,
                 delivered,
-                per_flow_path_rates: flat_rates(),
+                per_flow_path_rates: rates,
             })
             .collect()
     }
 
     #[test]
     fn constant_series_is_quiet() {
-        let s = series(&[(0.0, 10.0, 10.0), (1.0, 10.0, 10.0), (2.0, 10.0, 10.0)]);
+        let flat = flat_rates();
+        let s = series(
+            &[(0.0, 10.0, 10.0), (1.0, 10.0, 10.0), (2.0, 10.0, 10.0)],
+            &flat,
+        );
         let r = analyze(&s, &StabilityConfig::default());
         assert_eq!(r.shortfall_fraction, 0.0);
         assert_eq!(r.mean_shortfall, 0.0);
@@ -286,7 +292,7 @@ mod tests {
                 )
             })
             .collect();
-        let r = analyze(&series(&pts), &StabilityConfig::default());
+        let r = analyze(&series(&pts, &flat_rates()), &StabilityConfig::default());
         // 2 reversals per cycle, minus edge effects.
         assert!(
             (14..=16).contains(&r.oscillation_count),
@@ -300,13 +306,17 @@ mod tests {
 
     #[test]
     fn shortfall_counts_only_offered_samples() {
-        let s = series(&[
-            (0.0, 10.0, 10.0),
-            (1.0, 10.0, 8.0), // 20% short
-            (2.0, 10.0, 9.0), // 10% short
-            (3.0, 0.0, 0.0),  // nothing offered: ignored
-            (4.0, 10.0, 10.0),
-        ]);
+        let flat = flat_rates();
+        let s = series(
+            &[
+                (0.0, 10.0, 10.0),
+                (1.0, 10.0, 8.0), // 20% short
+                (2.0, 10.0, 9.0), // 10% short
+                (3.0, 0.0, 0.0),  // nothing offered: ignored
+                (4.0, 10.0, 10.0),
+            ],
+            &flat,
+        );
         let r = analyze(&s, &StabilityConfig::default());
         assert!((r.shortfall_fraction - 0.5).abs() < 1e-12);
         assert!((r.mean_shortfall - 0.3 / 4.0).abs() < 1e-12);
@@ -316,15 +326,19 @@ mod tests {
     fn step_series_settles_at_the_step() {
         let mut pts = vec![(0.0, 10.0, 5.0), (1.0, 10.0, 5.0), (2.0, 10.0, 5.0)];
         pts.extend((3..10).map(|i| (i as f64, 10.0, 10.0)));
-        let r = analyze(&series(&pts), &StabilityConfig::default());
+        let r = analyze(&series(&pts, &flat_rates()), &StabilityConfig::default());
         assert_eq!(r.settling_time_s, Some(2.0), "last out-of-band instant");
     }
 
     #[test]
     fn churn_counts_share_distribution_moves() {
-        let mut s = series(&[(0.0, 10.0, 10.0), (1.0, 10.0, 10.0), (2.0, 10.0, 10.0)]);
+        let (flat, flipped) = (flat_rates(), vec![vec![0.0, 1.0]]);
+        let mut s = series(
+            &[(0.0, 10.0, 10.0), (1.0, 10.0, 10.0), (2.0, 10.0, 10.0)],
+            &flat,
+        );
         // Flow flips from path 0 to path 1 between samples 1 and 2.
-        s[2].per_flow_path_rates = vec![vec![0.0, 1.0]];
+        s[2].per_flow_path_rates = &flipped;
         let r = analyze(&s, &StabilityConfig::default());
         assert_eq!(r.churn_moves, 1);
         assert!((r.churn_total - 2.0).abs() < 1e-12, "full flip = L1 of 2");
@@ -335,7 +349,11 @@ mod tests {
         let r = analyze(&[], &StabilityConfig::default());
         assert_eq!(r.duration_s, 0.0);
         assert_eq!(r.settling_time_s, None);
-        let r = analyze(&series(&[(0.0, 10.0, 10.0)]), &StabilityConfig::default());
+        let flat = flat_rates();
+        let r = analyze(
+            &series(&[(0.0, 10.0, 10.0)], &flat),
+            &StabilityConfig::default(),
+        );
         assert_eq!(r.oscillation_count, 0);
         assert_eq!(r.settling_time_s, Some(0.0));
     }

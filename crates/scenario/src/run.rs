@@ -562,14 +562,18 @@ impl TraceOutput {
 
 /// Reject spec combinations an engine would otherwise silently ignore
 /// (control policies, stability analysis, and telemetry capture only
-/// exist in the event-driven simulator).
+/// exist in the event-driven simulator), and simulator timing the
+/// event loop cannot run.
 fn validate_engine_features(scenario: &Scenario) -> Result<(), ScenarioError> {
     scenario
         .control
         .validate()
         .map_err(ScenarioError::Invalid)?;
     let engine = match &scenario.engine {
-        EngineSpec::Simnet => return Ok(()),
+        EngineSpec::Simnet => {
+            scenario.sim.validate().map_err(ScenarioError::Invalid)?;
+            return scenario.metrics.validate().map_err(ScenarioError::Invalid);
+        }
         EngineSpec::Replay(_) => "replay",
         EngineSpec::Packet(_) => "packet",
         EngineSpec::App(_) => "app",
@@ -1252,12 +1256,24 @@ fn run_simnet_with_sink<S: TelemetrySink>(
                 t: s.t,
                 offered: s.offered_total,
                 delivered: s.delivered_total,
-                per_flow_path_rates: s.per_flow_path_rates.clone(),
+                per_flow_path_rates: &s.per_flow_path_rates,
             })
             .collect();
         ecp_control::analyze(&series, &StabilityConfig::default())
     });
-    let n = samples.len().max(1) as f64;
+    let sample_count = samples.len();
+    let n = sample_count.max(1) as f64;
+    let power_series = scenario
+        .metrics
+        .power_series
+        .then(|| samples.iter().map(|s| (s.t, s.power_frac)).collect());
+    let delivered_series = scenario.metrics.delivered_series.then(|| {
+        samples
+            .iter()
+            .map(|s| (s.t, s.offered_total, s.delivered_total))
+            .collect()
+    });
+    let per_path_samples = scenario.metrics.per_path_rates.then(|| sim.take_samples());
     // Attach the snapshot only when the spec asks for it, so traced and
     // untraced runs of a telemetry-off scenario stay byte-identical.
     let telemetry = if scenario.metrics.telemetry {
@@ -1269,7 +1285,7 @@ fn run_simnet_with_sink<S: TelemetrySink>(
         name: scenario.name.clone(),
         seed: scenario.seed,
         engine: "simnet".into(),
-        samples: samples.len(),
+        samples: sample_count,
         mean_power_frac: power_sum / n,
         mean_delivered_fraction: if offered_sum > 0.0 {
             delivered_sum / offered_sum
@@ -1279,17 +1295,9 @@ fn run_simnet_with_sink<S: TelemetrySink>(
         max_tracking_lag_s: lag,
         congested_fraction: None,
         mean_spilled_demands: None,
-        power_series: scenario
-            .metrics
-            .power_series
-            .then(|| samples.iter().map(|s| (s.t, s.power_frac)).collect()),
-        delivered_series: scenario.metrics.delivered_series.then(|| {
-            samples
-                .iter()
-                .map(|s| (s.t, s.offered_total, s.delivered_total))
-                .collect()
-        }),
-        per_path_samples: scenario.metrics.per_path_rates.then(|| samples.to_vec()),
+        power_series,
+        delivered_series,
+        per_path_samples,
         replay: None,
         packet: None,
         app: None,

@@ -686,6 +686,34 @@ impl Default for SimSpec {
 }
 
 impl SimSpec {
+    /// Reject timing values the simulator cannot run: the control and
+    /// sample periods must be finite and > 0 (their events re-schedule
+    /// themselves one period later, so a zero period never advances
+    /// time), the delays and the TE start finite and ≥ 0.
+    pub fn validate(&self) -> Result<(), String> {
+        let periods = [
+            ("control_interval_s", self.control_interval_s),
+            ("sample_interval_s", self.sample_interval_s),
+        ];
+        for (name, v) in periods {
+            if !(v.is_finite() && v > 0.0) {
+                return Err(format!("sim {name} must be finite and > 0, got {v}"));
+            }
+        }
+        let delays = [
+            ("wake_time_s", self.wake_time_s),
+            ("detect_delay_s", self.detect_delay_s),
+            ("sleep_after_s", self.sleep_after_s),
+            ("te_start_s", self.te_start_s),
+        ];
+        for (name, v) in delays {
+            if !(v.is_finite() && v >= 0.0) {
+                return Err(format!("sim {name} must be finite and >= 0, got {v}"));
+            }
+        }
+        Ok(())
+    }
+
     /// Convert to the simulator configuration.
     pub fn to_config(&self) -> ecp_simnet::SimConfig {
         ecp_simnet::SimConfig {
@@ -1027,6 +1055,20 @@ impl Default for MetricsSpec {
             telemetry: false,
             timeseries: false,
             timeseries_interval_s: None,
+        }
+    }
+}
+
+impl MetricsSpec {
+    /// Reject a `timeseries_interval_s` the simulator cannot run: it
+    /// must be finite and > 0 (the sampling event re-schedules itself
+    /// one interval later).
+    pub fn validate(&self) -> Result<(), String> {
+        match self.timeseries_interval_s {
+            Some(dt) if !(dt.is_finite() && dt > 0.0) => Err(format!(
+                "metrics timeseries_interval_s must be finite and > 0, got {dt}"
+            )),
+            _ => Ok(()),
         }
     }
 }

@@ -1,5 +1,6 @@
-//! Control-spec behavior at the scenario layer: validation, engine
-//! gating, sweep axes, and the stability analyzer attachment.
+//! Control-spec behavior at the scenario layer: validation (control
+//! parameters and simulator timing), engine gating, sweep axes, and the
+//! stability analyzer attachment.
 
 use ecp_scenario::{
     run_scenario, Axis, ControlSpec, EngineSpec, MatrixSpec, MetricsSpec, PairsSpec, Param,
@@ -102,6 +103,72 @@ fn malformed_control_values_are_typed_invalid_errors() {
         );
         assert_eq!(err.kind(), "invalid");
     }
+}
+
+/// Periods the event loop cannot advance on: zero or negative (the
+/// event re-schedules itself at or before the same instant forever),
+/// NaN (misordered in the queue) and infinite.
+const BAD_PERIODS: [f64; 4] = [0.0, -1.0, f64::NAN, f64::INFINITY];
+/// Delays and start times that are negative or not finite.
+const BAD_DELAYS: [f64; 4] = [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+/// Every `bad` value of one timing field makes `run_scenario` return
+/// `Invalid` naming the field, before anything is simulated.
+fn assert_rejected(field: &str, bad: &[f64], set: impl Fn(&mut Scenario, f64)) {
+    for &v in bad {
+        let mut s = base(ControlSpec::Undamped);
+        set(&mut s, v);
+        let err = run_scenario(&s).unwrap_err();
+        assert!(
+            matches!(err, ScenarioError::Invalid(_)),
+            "{field} = {v}: got {err:?}"
+        );
+        assert!(err.to_string().contains(field), "{field} = {v}: {err}");
+    }
+}
+
+#[test]
+fn degenerate_control_interval_is_invalid() {
+    assert_rejected("control_interval_s", &BAD_PERIODS, |s, v| {
+        s.sim.control_interval_s = v
+    });
+}
+
+#[test]
+fn degenerate_sample_interval_is_invalid() {
+    assert_rejected("sample_interval_s", &BAD_PERIODS, |s, v| {
+        s.sim.sample_interval_s = v
+    });
+}
+
+#[test]
+fn degenerate_timeseries_interval_is_invalid() {
+    assert_rejected("timeseries_interval_s", &BAD_PERIODS, |s, v| {
+        s.metrics.timeseries = true;
+        s.metrics.timeseries_interval_s = Some(v);
+    });
+}
+
+#[test]
+fn degenerate_wake_time_is_invalid() {
+    assert_rejected("wake_time_s", &BAD_DELAYS, |s, v| s.sim.wake_time_s = v);
+}
+
+#[test]
+fn degenerate_detect_delay_is_invalid() {
+    assert_rejected("detect_delay_s", &BAD_DELAYS, |s, v| {
+        s.sim.detect_delay_s = v
+    });
+}
+
+#[test]
+fn degenerate_sleep_after_is_invalid() {
+    assert_rejected("sleep_after_s", &BAD_DELAYS, |s, v| s.sim.sleep_after_s = v);
+}
+
+#[test]
+fn degenerate_te_start_is_invalid() {
+    assert_rejected("te_start_s", &BAD_DELAYS, |s, v| s.sim.te_start_s = v);
 }
 
 #[test]

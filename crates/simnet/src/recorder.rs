@@ -67,6 +67,11 @@ impl Recorder {
         &self.samples
     }
 
+    /// The samples, by value.
+    pub(crate) fn into_samples(self) -> Vec<Sample> {
+        self.samples
+    }
+
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.samples.len()

@@ -185,6 +185,11 @@ struct Flow {
     /// is currently not ready (down or not Active). `0` ⇔ the path is
     /// ready — the incremental mirror of [`Simulation::path_ready`].
     blocked: Vec<u32>,
+    /// Per path: how many of its arc occurrences traverse a link the
+    /// agents know to be down. `0` ⇔ the path is available in the
+    /// agent's view — the incremental mirror of scanning the path with
+    /// [`Simulation::link_down_known`].
+    known_down: Vec<u32>,
     /// All paths' distinct canonical link indices (either direction) in
     /// one flat pool addressed by `link_spans`, for the per-link
     /// assigned-traffic counts.
@@ -274,7 +279,16 @@ pub struct Simulation<'a, S: TelemetrySink = NoopSink> {
     /// the detection delay).
     link_failed_known: Vec<bool>,
     node_failed_known: Vec<bool>,
+    /// Per canonical link: [`Simulation::link_down_known`], refreshed on
+    /// the four `*Known` events — the per-link mirror behind the
+    /// per-path `known_down` counts.
+    link_known_down: Vec<bool>,
     full_power_w: f64,
+    /// [`Simulation::power_w`] as last read by a sampler; cleared at
+    /// every write to its inputs (link power state, failure flags, flow
+    /// endpoints), so power is recomputed only after a power-state
+    /// change.
+    power_cache: Option<f64>,
     recorder: Recorder,
     /// Links that must never sleep (the always-on set).
     always_on_links: Vec<bool>,
@@ -395,7 +409,9 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             node_failed: vec![false; topo.node_count()],
             link_failed_known: vec![false; n_arcs],
             node_failed_known: vec![false; topo.node_count()],
+            link_known_down: vec![false; n_arcs],
             full_power_w: power.full_power(topo),
+            power_cache: None,
             recorder: Recorder::new(),
             always_on_links,
             policy,
@@ -455,24 +471,30 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         let fi = self.flows.len();
         // Incremental bookkeeping: register every arc occurrence in the
         // reverse index (append keeps (flow, path) order), seed the
-        // blocked counts from the current link readiness, and collect
-        // the distinct links each path touches. Arcs and links go into
-        // flat per-flow pools addressed by (offset, len) spans.
+        // blocked and known-down counts from the current link readiness
+        // and known failures, and collect the distinct links each path
+        // touches. Arcs and links go into flat per-flow pools addressed
+        // by (offset, len) spans.
         let mut arc_pool: Vec<ArcId> = Vec::new();
         let mut arc_spans: Vec<(u32, u32)> = Vec::with_capacity(n);
         let mut link_pool: Vec<usize> = Vec::new();
         let mut link_spans: Vec<(u32, u32)> = Vec::with_capacity(n);
         let mut rate = Vec::with_capacity(n);
         let mut blocked = Vec::with_capacity(n);
+        let mut known_down = Vec::with_capacity(n);
         for (pi, p) in uniq.iter().enumerate() {
             let arcs = p.arcs(self.topo).expect("installed path must resolve");
             rate.push(offered * shares[pi]);
             let mut b = 0u32;
+            let mut k = 0u32;
             let link_off = link_pool.len();
             for &a in &arcs {
                 let li = self.topo.link_of(a).idx();
                 if !self.link_ready[li] {
                     b += 1;
+                }
+                if self.link_known_down[li] {
+                    k += 1;
                 }
                 if !link_pool[link_off..].contains(&li) {
                     link_pool.push(li);
@@ -483,6 +505,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             arc_spans.push((arc_pool.len() as u32, arcs.len() as u32));
             arc_pool.extend_from_slice(&arcs);
             blocked.push(b);
+            known_down.push(k);
         }
         self.flows.push(Flow {
             origin: o,
@@ -494,10 +517,13 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             shares,
             rate,
             blocked,
+            known_down,
             link_pool,
             link_spans,
             obs_dirty: true,
         });
+        // The new flow's endpoints join the powered set.
+        self.power_cache = None;
         for pi in 0..n {
             if self.flows[fi].rate[pi] > 0.0 {
                 for k in 0..self.flows[fi].path_links(pi).len() {
@@ -576,6 +602,15 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         &self.recorder
     }
 
+    /// Take the recorded samples, leaving the recorder empty, with the
+    /// `Vec` shrunk to its length — hands the series to a report
+    /// without copying a sample.
+    pub fn take_samples(&mut self) -> Vec<Sample> {
+        let mut samples = std::mem::take(&mut self.recorder).into_samples();
+        samples.shrink_to_fit();
+        samples
+    }
+
     /// Turn on campaign-observatory sampling at `interval_s` seconds.
     /// Call before running; the first point lands at the current time.
     /// Off by default — when never called, no timeseries event is ever
@@ -627,7 +662,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
     pub fn per_path_delivered(&self, f: FlowId) -> Vec<f64> {
         let flow = &self.flows[f.0];
         (0..flow.paths.len())
-            .map(|pi| self.path_delivery(flow, pi, &self.loads))
+            .map(|pi| self.path_delivery(flow, pi))
             .collect()
     }
 
@@ -692,6 +727,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             Event::LinkFail(a) => {
                 let l = self.topo.link_of(a);
                 self.link_failed[l.idx()] = true;
+                self.power_cache = None;
                 self.refresh_link_ready(l);
                 if S::ENABLED {
                     self.sink.add(Counter::FailuresInjected, 1);
@@ -702,6 +738,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             Event::LinkRepair(a) => {
                 let l = self.topo.link_of(a);
                 self.link_failed[l.idx()] = false;
+                self.power_cache = None;
                 self.refresh_link_ready(l);
                 if S::ENABLED {
                     self.sink.add(Counter::RepairsInjected, 1);
@@ -711,6 +748,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             }
             Event::NodeFail(n) => {
                 self.node_failed[n.idx()] = true;
+                self.power_cache = None;
                 self.refresh_node_links(n);
                 if S::ENABLED {
                     self.sink.add(Counter::FailuresInjected, 1);
@@ -720,6 +758,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             }
             Event::NodeRepair(n) => {
                 self.node_failed[n.idx()] = false;
+                self.power_cache = None;
                 self.refresh_node_links(n);
                 if S::ENABLED {
                     self.sink.add(Counter::RepairsInjected, 1);
@@ -753,7 +792,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
                 }
                 let l = self.topo.link_of(a);
                 self.link_failed_known[l.idx()] = true;
-                self.mark_link_obs_dirty(l);
+                self.refresh_link_known(l);
                 if S::ENABLED {
                     self.emit_element_event(Element::Link, l.idx() as u32, false, true);
                 }
@@ -771,7 +810,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
                 }
                 let l = self.topo.link_of(a);
                 self.link_failed_known[l.idx()] = false;
-                self.mark_link_obs_dirty(l);
+                self.refresh_link_known(l);
                 if S::ENABLED {
                     self.emit_element_event(Element::Link, l.idx() as u32, true, true);
                 }
@@ -784,7 +823,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
                     self.sink.span_enter(SpanName::FailureHandling);
                 }
                 self.node_failed_known[n.idx()] = true;
-                self.mark_node_obs_dirty(n);
+                self.refresh_node_known(n);
                 if S::ENABLED {
                     self.emit_element_event(Element::Node, n.idx() as u32, false, true);
                 }
@@ -799,7 +838,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
                     self.sink.span_enter(SpanName::FailureHandling);
                 }
                 self.node_failed_known[n.idx()] = false;
-                self.mark_node_obs_dirty(n);
+                self.refresh_node_known(n);
                 if S::ENABLED {
                     self.emit_element_event(Element::Node, n.idx() as u32, true, true);
                 }
@@ -985,7 +1024,9 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
 
     /// Full consistency check of the incremental state against the
     /// from-scratch recomputation (debug builds; also used by the
-    /// parity proptests).
+    /// parity proptests): loads, cached rates, blocked, known-down and
+    /// assigned counts, per-path delivery and the cached power, each
+    /// bit for bit.
     pub fn incremental_state_matches_scratch(&self) -> bool {
         let scratch = self.arc_loads_scratch();
         if scratch.len() != self.loads.len()
@@ -996,15 +1037,32 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         {
             return false;
         }
-        for fl in &self.flows {
+        for (fi, fl) in self.flows.iter().enumerate() {
             for pi in 0..fl.paths.len() {
+                let arcs = fl.path_arcs(pi);
                 if (fl.offered * fl.shares[pi]).to_bits() != fl.rate[pi].to_bits() {
                     return false;
                 }
-                if self.path_ready(fl.path_arcs(pi)) != (fl.blocked[pi] == 0) {
+                if self.path_ready(arcs) != (fl.blocked[pi] == 0) {
+                    return false;
+                }
+                let known_down = arcs.iter().any(|&a| self.link_down_known(a));
+                if known_down != (fl.known_down[pi] != 0) {
                     return false;
                 }
             }
+            let delivered = self.per_path_delivered(FlowId(fi));
+            if (0..fl.paths.len()).any(|pi| {
+                delivered[pi].to_bits() != self.path_delivery_scratch(fl, pi, &scratch).to_bits()
+            }) {
+                return false;
+            }
+        }
+        if self
+            .power_cache
+            .is_some_and(|w| w.to_bits() != self.power_w().to_bits())
+        {
+            return false;
         }
         self.topo
             .link_ids()
@@ -1086,21 +1144,36 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         }
     }
 
-    /// Flag every agent with a path through a link as observation-dirty
-    /// (known-failure flips change path availability).
-    fn mark_link_obs_dirty(&mut self, l: ArcId) {
+    /// Re-derive one link's known-down state after a `*Known` event,
+    /// adjusting the known-down counts of every path traversing it
+    /// (either direction) when it flips, and flag every agent with a
+    /// path through it as observation-dirty (known-failure flips change
+    /// path availability).
+    fn refresh_link_known(&mut self, l: ArcId) {
         let l = self.topo.link_of(l);
+        let down = self.link_down_known(l);
+        let flipped = self.link_known_down[l.idx()] != down;
+        self.link_known_down[l.idx()] = down;
         for d in [Some(l), self.topo.reverse(l)].into_iter().flatten() {
-            for &(fi, _) in &self.users[d.idx()] {
-                self.flows[fi as usize].obs_dirty = true;
+            for &(fi, pi) in &self.users[d.idx()] {
+                let fl = &mut self.flows[fi as usize];
+                fl.obs_dirty = true;
+                if flipped {
+                    if down {
+                        fl.known_down[pi as usize] += 1;
+                    } else {
+                        fl.known_down[pi as usize] -= 1;
+                    }
+                }
             }
         }
     }
 
-    /// Flag every agent adjacent to a node's links as observation-dirty.
-    fn mark_node_obs_dirty(&mut self, n: NodeId) {
+    /// [`Simulation::refresh_link_known`] for every link adjacent to a
+    /// node.
+    fn refresh_node_known(&mut self, n: NodeId) {
         for a in self.adjacent_arcs(n) {
-            self.mark_link_obs_dirty(a);
+            self.refresh_link_known(a);
         }
     }
 
@@ -1163,6 +1236,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
     /// consistent. Every `link_state` mutation routes through here.
     fn set_link_state(&mut self, l: ArcId, st: LinkPowerState) {
         self.link_state[l.idx()] = st;
+        self.power_cache = None;
         self.refresh_link_ready(l);
     }
 
@@ -1181,14 +1255,34 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         })
     }
 
-    /// Delivered rate of one path of one flow given arc loads, applying
-    /// proportional throttling at overloaded arcs.
-    fn path_delivery(&self, flow: &Flow, pi: usize, loads: &[f64]) -> f64 {
+    /// Delivered rate of one path of one flow: its cached rate when the
+    /// path is ready, proportionally throttled at overloaded arcs. Reads
+    /// the incremental state (`rate`, `blocked`, the load cache), so it
+    /// is exact only where the loads are flushed; bit-identical there to
+    /// [`Simulation::path_delivery_scratch`] (checked by
+    /// [`Simulation::incremental_state_matches_scratch`]).
+    fn path_delivery(&self, flow: &Flow, pi: usize) -> f64 {
+        let r = flow.rate[pi];
+        if r <= 0.0 || flow.blocked[pi] != 0 {
+            return 0.0;
+        }
+        r * self.overload_scale(flow.path_arcs(pi), &self.loads)
+    }
+
+    /// The arc-scan definition behind [`Simulation::path_delivery`]:
+    /// offered × share, zero unless every link is up and Active.
+    fn path_delivery_scratch(&self, flow: &Flow, pi: usize, loads: &[f64]) -> f64 {
         let arcs = flow.path_arcs(pi);
         let r = flow.offered * flow.shares[pi];
         if r <= 0.0 || !self.path_ready(arcs) {
             return 0.0;
         }
+        r * self.overload_scale(arcs, loads)
+    }
+
+    /// Proportional throttling of a path: the smallest capacity/load
+    /// ratio over its overloaded arcs (1 when none is overloaded).
+    fn overload_scale(&self, arcs: &[ArcId], loads: &[f64]) -> f64 {
         let mut scale = 1.0_f64;
         for &a in arcs {
             let c = self.topo.arc(a).capacity;
@@ -1196,7 +1290,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
                 scale = scale.min(c / loads[a.idx()]);
             }
         }
-        r * scale
+        scale
     }
 
     /// Whether any positive-rate path is assigned to a link, in either
@@ -1255,10 +1349,9 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         let fl = &self.flows[fi];
         out.clear();
         for pi in 0..fl.paths.len() {
-            let arcs = fl.path_arcs(pi);
-            let own = fl.offered * fl.shares[pi];
-            let failed = arcs.iter().any(|&a| self.link_down_known(a));
-            let headroom = arcs
+            let own = fl.rate[pi];
+            let headroom = fl
+                .path_arcs(pi)
                 .iter()
                 .map(|&a| {
                     let others = (loads[a.idx()] - own).max(0.0);
@@ -1267,7 +1360,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
                 .fold(f64::INFINITY, f64::min);
             out.push(PathView {
                 headroom,
-                available: !failed,
+                available: fl.known_down[pi] == 0,
             });
         }
     }
@@ -1619,26 +1712,38 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         s
     }
 
+    /// [`Simulation::power_w`] through the power cache: recomputed only
+    /// when a power-state write has cleared the cache since the last
+    /// read (debug-checked against a fresh computation on every read).
+    fn sampled_power_w(&mut self) -> f64 {
+        let w = match self.power_cache {
+            Some(w) => w,
+            None => *self.power_cache.insert(self.power_w()),
+        };
+        debug_assert_eq!(
+            w.to_bits(),
+            self.power_w().to_bits(),
+            "power cache missed an invalidation"
+        );
+        w
+    }
+
     fn take_sample(&mut self) {
         if S::ENABLED {
             self.sink.add(Counter::Samples, 1);
         }
-        let (offered_total, delivered_total, per_flow) = {
-            let loads = &self.loads;
-            let mut offered_total = 0.0;
-            let mut delivered_total = 0.0;
-            let mut per_flow: Vec<Vec<f64>> = Vec::with_capacity(self.flows.len());
-            for fl in &self.flows {
-                offered_total += fl.offered;
-                let rates: Vec<f64> = (0..fl.paths.len())
-                    .map(|pi| self.path_delivery(fl, pi, loads))
-                    .collect();
-                delivered_total += rates.iter().sum::<f64>();
-                per_flow.push(rates);
-            }
-            (offered_total, delivered_total, per_flow)
-        };
-        let power_w = self.power_w();
+        let mut offered_total = 0.0;
+        let mut delivered_total = 0.0;
+        let mut per_flow: Vec<Vec<f64>> = Vec::with_capacity(self.flows.len());
+        for fl in &self.flows {
+            offered_total += fl.offered;
+            let rates: Vec<f64> = (0..fl.paths.len())
+                .map(|pi| self.path_delivery(fl, pi))
+                .collect();
+            delivered_total += rates.iter().sum::<f64>();
+            per_flow.push(rates);
+        }
+        let power_w = self.sampled_power_w();
         self.recorder.push(Sample {
             t: self.now,
             power_w,
@@ -1660,7 +1765,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             for fl in &self.flows {
                 offered_total += fl.offered;
                 for pi in 0..fl.paths.len() {
-                    delivered_total += self.path_delivery(fl, pi, loads);
+                    delivered_total += self.path_delivery(fl, pi);
                 }
             }
             let delivered_fraction = if offered_total > 0.0 {
@@ -1684,7 +1789,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             }
             (delivered_fraction, max_util, overloaded)
         };
-        let power_frac = self.power_w() / self.full_power_w;
+        let power_frac = self.sampled_power_w() / self.full_power_w;
         self.ts_points.push(TimeseriesPoint {
             t: self.now,
             delivered_fraction,

@@ -7,8 +7,9 @@
 //!
 //! * after *every* event — in release builds too, not only through the
 //!   debug assertion in `flush_loads` — the whole incremental state
-//!   (loads, cached rates, blocked counts, assigned counts) matches the
-//!   from-scratch recomputation bit for bit, and
+//!   (loads, cached rates, blocked, known-down and assigned counts,
+//!   per-path delivery, the cached power) matches the from-scratch
+//!   recomputation bit for bit, and
 //! * a twin run whose policy never reports itself memoryless, so no
 //!   agent decision is ever skipped, records the exact same sample
 //!   series and final deliveries — end-to-end parity of the
@@ -165,6 +166,46 @@ fn run_script(
     sim.run_until(T_END);
     let deliveries = vec![sim.per_path_delivered(fa), sim.per_path_delivered(fc)];
     (sim.recorder().samples().to_vec(), deliveries)
+}
+
+/// A fixed script failing and repairing a node and a link on the
+/// always-on paths, so the per-event parity check runs through node
+/// failures and all four `*Known` events whatever the proptest draws.
+#[test]
+fn fixed_script_reaches_node_failures_and_known_events() {
+    let (t, n, _) = click_tables();
+    let node_e = n.e.idx();
+    let eh = t.link_of(t.find_arc(n.e, n.h).unwrap());
+    let link_eh = t.link_ids().position(|l| l == eh).unwrap();
+    // (time, kind, target, value), kinds as in `decode_event`; each
+    // failure and repair is detected 0.1 s later.
+    let script = [
+        (1.0, 3, node_e, 0.0),
+        (2.0, 4, node_e, 0.0),
+        (3.0, 1, link_eh, 0.0),
+        (4.0, 2, link_eh, 0.0),
+        (5.0, 0, 0, 7e6),
+        (5.5, 5, 0, 4.5e6),
+        (6.0, 6, 0, 4.5e6),
+    ];
+    for which_policy in 0..6 {
+        for spread in [false, true] {
+            let (samples, delivery) = run_script(&script, which_policy, spread, false);
+            let (twin_samples, twin_delivery) = run_script(&script, which_policy, spread, true);
+            assert_eq!(samples, twin_samples);
+            assert_eq!(delivery, twin_delivery);
+        }
+    }
+    // Undamped: the detected node failure moves flow A to its failover
+    // path, and the detected repair brings it back.
+    let (samples, _) = run_script(&script, 0, false, false);
+    let rates_at = |t: f64| {
+        let s = samples.iter().rev().find(|s| s.t <= t + 1e-9).unwrap();
+        &s.per_flow_path_rates[0]
+    };
+    assert_eq!(rates_at(1.05)[1], 0.0, "undetected: nothing moved yet");
+    assert!(rates_at(1.9)[1] > 2.4e6, "failover after NodeFailureKnown");
+    assert!(rates_at(2.9)[0] > 2.4e6, "back after NodeRepairKnown");
 }
 
 proptest! {
