@@ -213,7 +213,7 @@ pub fn run_streaming(
         .collect();
     StreamingResult {
         clients: clients_out,
-        mean_power_fraction: sim.recorder().mean_power_fraction(),
+        mean_power_fraction: sim.series().mean_power_fraction(),
     }
 }
 

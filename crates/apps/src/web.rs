@@ -202,7 +202,7 @@ pub fn run_web(
     WebResult {
         latencies,
         unfinished,
-        mean_power_fraction: sim.recorder().mean_power_fraction(),
+        mean_power_fraction: sim.series().mean_power_fraction(),
     }
 }
 

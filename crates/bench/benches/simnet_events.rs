@@ -45,7 +45,7 @@ fn simnet_run(c: &mut Criterion) {
                 let _fc = sim.add_flow(&pt, n.c, n.k, 2.5e6);
                 sim.schedule_demand(secs as f64 / 2.0, fa, 7e6);
                 sim.run_until(secs as f64);
-                assert!(!sim.recorder().is_empty());
+                assert!(!sim.series().samples().is_empty());
             })
         });
     }

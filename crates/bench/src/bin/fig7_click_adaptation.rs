@@ -35,13 +35,13 @@ fn main() {
 
     // Extract the three series: middle = sum of always-on paths, upper =
     // A's on-demand, lower = C's on-demand.
-    let samples = report.per_path_samples.as_deref().unwrap_or_default();
+    let samples = report.per_path_samples.expect("fig7 keeps per-path rates");
     let series: Vec<(f64, f64, f64, f64)> = samples
-        .iter()
-        .map(|s| {
-            let middle = s.per_flow_path_rates[0][0] + s.per_flow_path_rates[1][0];
-            let upper = s.per_flow_path_rates[0][1];
-            let lower = s.per_flow_path_rates[1][1];
+        .rows()
+        .map(|(s, rates)| {
+            let middle = rates.flow(0)[0] + rates.flow(1)[0];
+            let upper = rates.flow(0)[1];
+            let lower = rates.flow(1)[1];
             (s.t, middle / 1e6, upper / 1e6, lower / 1e6)
         })
         .collect();

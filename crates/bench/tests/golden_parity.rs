@@ -190,18 +190,18 @@ fn fig7_scenario_matches_seed_pipeline_including_t0() {
     let eh = topo.find_arc(n.e, n.h).unwrap();
     sim.schedule_link_failure(5.7, eh);
     sim.run_until(duration);
-    let seed_samples = sim.recorder().samples().to_vec();
+    let seed_samples = sim.series();
 
     let report = run_scenario(&ecp_bench::scenarios::fig7(duration)).unwrap();
-    let engine_samples = report.per_path_samples.as_deref().unwrap();
-    assert_eq!(engine_samples, &seed_samples[..], "bit-identical series");
+    let engine_samples = report.per_path_samples.as_ref().unwrap();
+    assert_eq!(engine_samples, seed_samples, "bit-identical series");
 
     // The t = 0 sample is the true pre-TE initial state: both flows
     // spread 50/50, every candidate path delivering its half.
-    let first = &engine_samples[0];
+    let (first, rates) = engine_samples.rows().next().unwrap();
     assert_eq!(first.t, 0.0);
     assert_eq!(
-        first.per_flow_path_rates,
+        rates.iter().collect::<Vec<_>>(),
         vec![vec![1.25e6, 1.25e6], vec![1.25e6, 1.25e6]],
         "series starts from the spread initial state, not a post-round one"
     );

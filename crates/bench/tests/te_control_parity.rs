@@ -33,7 +33,7 @@ struct ReportProjection {
     max_tracking_lag_s: f64,
     power_series: Option<Vec<(f64, f64)>>,
     delivered_series: Option<Vec<(f64, f64, f64)>>,
-    per_path_samples: Option<Vec<ecp_simnet::Sample>>,
+    per_path_samples: Option<ecp_simnet::Series>,
 }
 
 /// 128-bit content hash of a report projection
@@ -86,8 +86,7 @@ fn simnet_registry() -> Vec<(&'static str, Scenario)> {
 #[test]
 fn every_registry_scenario_has_valid_sim_timing() {
     for (id, scenario) in ecp_bench::scenarios::campaign_registry() {
-        assert_eq!(scenario.sim.validate(), Ok(()), "{id}");
-        assert_eq!(scenario.metrics.validate(), Ok(()), "{id}");
+        assert_eq!(scenario.validate_sim_timing(), Ok(()), "{id}");
     }
 }
 
@@ -151,12 +150,12 @@ fn fig7_adaptation_latency_does_not_regress_under_damping() {
         let mut scenario = ecp_bench::scenarios::fig7(8.0);
         scenario.control = control;
         let report = ecp_scenario::run_scenario(&scenario).unwrap();
-        let samples = report.per_path_samples.as_deref().unwrap();
+        let samples = report.per_path_samples.as_ref().unwrap();
         let series: Vec<(f64, f64, f64)> = samples
-            .iter()
-            .map(|s| {
-                let middle = s.per_flow_path_rates[0][0] + s.per_flow_path_rates[1][0];
-                let spread = s.per_flow_path_rates[0][1] + s.per_flow_path_rates[1][1];
+            .rows()
+            .map(|(s, rates)| {
+                let middle = rates.flow(0)[0] + rates.flow(1)[0];
+                let spread = rates.flow(0)[1] + rates.flow(1)[1];
                 (s.t, middle, spread)
             })
             .collect();

@@ -297,8 +297,15 @@ impl ResultStore {
     pub fn save_timeseries(
         &self,
         hash: &str,
-        ts: &ecp_scenario::TimeseriesOutput,
+        points: &[ecp_scenario::TimeseriesPoint],
     ) -> Result<(), CampaignError> {
+        // The sidecar format: one serialized point per line,
+        // newline-terminated.
+        let mut body = String::new();
+        for p in points {
+            body.push_str(&serde_json::to_string(p).expect("timeseries point serializes"));
+            body.push('\n');
+        }
         let tmp = self.timeseries.join(format!(
             ".{}.{}.{}.tmp",
             hash,
@@ -306,7 +313,7 @@ impl ResultStore {
             TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
         let io = |e: std::io::Error, what: &str| CampaignError::Io(format!("{what}: {e}"));
-        std::fs::write(&tmp, ts.to_jsonl()).map_err(|e| io(e, "write timeseries"))?;
+        std::fs::write(&tmp, body).map_err(|e| io(e, "write timeseries"))?;
         std::fs::rename(&tmp, self.timeseries_path(hash))
             .map_err(|e| io(e, "publish timeseries"))?;
         Ok(())

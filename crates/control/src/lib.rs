@@ -46,4 +46,4 @@ pub use policy::{
     AdaptiveEwma, AdaptiveEwmaCfg, ControlPolicy, DampedStep, DampedStepCfg, Desync, Ewma, EwmaCfg,
     Hysteresis, HysteresisCfg, Observation, Undamped,
 };
-pub use stability::{analyze, StabilityConfig, StabilityReport, StabilitySample};
+pub use stability::{analyze, PathRates, Sample, StabilityConfig, StabilityReport};

@@ -12,19 +12,44 @@
 
 use serde::{Deserialize, Serialize};
 
-/// One input sample (a projection of the simulator's recorder sample,
-/// borrowing its per-path rates).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StabilitySample<'a> {
-    /// Sample time (seconds).
+/// The scalar readings of one sampled instant of a run.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct Sample {
+    /// Simulation time (seconds).
     pub t: f64,
-    /// Total offered rate (bits/s).
-    pub offered: f64,
-    /// Total delivered rate (bits/s).
-    pub delivered: f64,
-    /// Delivered rate per installed path of each flow (share churn is
-    /// computed from the per-flow distributions).
-    pub per_flow_path_rates: &'a [Vec<f64>],
+    /// Network power in Watts.
+    pub power_w: f64,
+    /// Power as a fraction of the fully-on network (the y-axis of the
+    /// paper's power figures).
+    pub power_frac: f64,
+    /// Total offered rate across flows (bits/s).
+    pub offered_total: f64,
+    /// Total delivered rate across flows (bits/s).
+    pub delivered_total: f64,
+}
+
+/// One sample's delivered rate on every installed path of every flow,
+/// as one flat row: flow `f`'s paths end at column `ends[f]` and start
+/// where flow `f - 1`'s end.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PathRates<'a> {
+    /// The row's rates, flow after flow (bits/s).
+    pub rates: &'a [f64],
+    /// Per flow: the column after its last path.
+    pub ends: &'a [u32],
+}
+
+impl<'a> PathRates<'a> {
+    /// Delivered rate on each installed path of flow `f`.
+    pub fn flow(&self, f: usize) -> &'a [f64] {
+        let start = if f == 0 { 0 } else { self.ends[f - 1] as usize };
+        &self.rates[start..self.ends[f] as usize]
+    }
+
+    /// Every flow's per-path rates, in flow order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a [f64]> + '_ {
+        (0..self.ends.len()).map(|f| self.flow(f))
+    }
 }
 
 /// Analyzer thresholds.
@@ -87,8 +112,13 @@ pub struct StabilityReport {
     pub churn_total: f64,
 }
 
-/// Analyze a sample series. Samples must be in time order.
-pub fn analyze(samples: &[StabilitySample<'_>], cfg: &StabilityConfig) -> StabilityReport {
+/// Analyze a sampled series: each row's scalar readings and per-path
+/// rates, in time order.
+pub fn analyze<'a>(
+    rows: impl IntoIterator<Item = (&'a Sample, PathRates<'a>)>,
+    cfg: &StabilityConfig,
+) -> StabilityReport {
+    let (samples, path_rates): (Vec<&Sample>, Vec<PathRates>) = rows.into_iter().unzip();
     let duration_s = match (samples.first(), samples.last()) {
         (Some(a), Some(b)) => b.t - a.t,
         _ => 0.0,
@@ -98,10 +128,10 @@ pub fn analyze(samples: &[StabilitySample<'_>], cfg: &StabilityConfig) -> Stabil
     let mut offered_samples = 0usize;
     let mut short = 0usize;
     let mut short_sum = 0.0;
-    for s in samples {
-        if s.offered > 0.0 {
+    for s in &samples {
+        if s.offered_total > 0.0 {
             offered_samples += 1;
-            let frac = s.delivered / s.offered;
+            let frac = s.delivered_total / s.offered_total;
             if frac < cfg.shortfall_threshold {
                 short += 1;
             }
@@ -112,17 +142,18 @@ pub fn analyze(samples: &[StabilitySample<'_>], cfg: &StabilityConfig) -> Stabil
     let mean_shortfall = short_sum / offered_samples.max(1) as f64;
 
     // ---- oscillation (direction reversals with hysteresis) ------------
-    let mean_offered = samples.iter().map(|s| s.offered).sum::<f64>() / samples.len().max(1) as f64;
+    let mean_offered =
+        samples.iter().map(|s| s.offered_total).sum::<f64>() / samples.len().max(1) as f64;
     let amp = cfg.min_cycle_amplitude * mean_offered;
     let mut reversal_times: Vec<f64> = Vec::new();
     if samples.len() >= 2 && amp > 0.0 {
         // Pivot-walk: follow the series; each time it retraces more than
         // `amp` from the running extremum, record a reversal there.
         let mut dir = 0i8; // +1 rising, -1 falling, 0 undecided
-        let mut extreme = samples[0].delivered;
+        let mut extreme = samples[0].delivered_total;
         let mut extreme_t = samples[0].t;
         for s in &samples[1..] {
-            let v = s.delivered;
+            let v = s.delivered_total;
             match dir {
                 0 => {
                     if v > extreme + amp {
@@ -172,22 +203,22 @@ pub fn analyze(samples: &[StabilitySample<'_>], cfg: &StabilityConfig) -> Stabil
 
     // ---- settling -----------------------------------------------------
     let settling_time_s = samples.last().map(|last| {
-        let base = if last.offered > 0.0 {
-            last.offered
+        let base = if last.offered_total > 0.0 {
+            last.offered_total
         } else {
-            last.delivered.abs().max(1.0)
+            last.delivered_total.abs().max(1.0)
         };
         let band = cfg.settle_band * base;
         let t0 = samples[0].t;
         let mut settle = t0;
-        for s in samples {
-            if (s.delivered - last.delivered).abs() > band {
+        for s in &samples {
+            if (s.delivered_total - last.delivered_total).abs() > band {
                 settle = s.t;
             }
         }
         // `settle` is the last out-of-band instant; settled from start
         // when the series never leaves the band.
-        if settle == t0 && (samples[0].delivered - last.delivered).abs() <= band {
+        if settle == t0 && (samples[0].delivered_total - last.delivered_total).abs() <= band {
             0.0
         } else {
             settle - t0
@@ -197,13 +228,13 @@ pub fn analyze(samples: &[StabilitySample<'_>], cfg: &StabilityConfig) -> Stabil
     // ---- reconfiguration churn ---------------------------------------
     let mut churn_moves = 0usize;
     let mut churn_total = 0.0;
-    for w in samples.windows(2) {
-        let (a, b) = (&w[0], &w[1]);
-        if a.per_flow_path_rates.len() != b.per_flow_path_rates.len() {
+    for w in path_rates.windows(2) {
+        let (a, b) = (w[0], w[1]);
+        if a.ends.len() != b.ends.len() {
             continue;
         }
         let mut l1 = 0.0;
-        for (ra, rb) in a.per_flow_path_rates.iter().zip(b.per_flow_path_rates) {
+        for (ra, rb) in a.iter().zip(b.iter()) {
             if ra.len() != rb.len() {
                 continue;
             }
@@ -244,21 +275,39 @@ pub fn analyze(samples: &[StabilitySample<'_>], cfg: &StabilityConfig) -> Stabil
 mod tests {
     use super::*;
 
+    /// One flow with two paths.
+    const ONE_FLOW: [u32; 1] = [2];
+
     /// One flow carrying everything on its first path.
-    fn flat_rates() -> Vec<Vec<f64>> {
-        vec![vec![1.0, 0.0]]
+    fn flat_rates() -> PathRates<'static> {
+        PathRates {
+            rates: &[1.0, 0.0],
+            ends: &ONE_FLOW,
+        }
     }
 
-    fn series<'a>(points: &[(f64, f64, f64)], rates: &'a [Vec<f64>]) -> Vec<StabilitySample<'a>> {
+    fn series<'a>(
+        points: &[(f64, f64, f64)],
+        rates: PathRates<'a>,
+    ) -> Vec<(Sample, PathRates<'a>)> {
         points
             .iter()
-            .map(|&(t, offered, delivered)| StabilitySample {
-                t,
-                offered,
-                delivered,
-                per_flow_path_rates: rates,
+            .map(|&(t, offered_total, delivered_total)| {
+                let s = Sample {
+                    t,
+                    power_w: 0.0,
+                    power_frac: 0.0,
+                    offered_total,
+                    delivered_total,
+                };
+                (s, rates)
             })
             .collect()
+    }
+
+    /// [`super::analyze`] over owned rows.
+    fn analyze(rows: &[(Sample, PathRates)], cfg: &StabilityConfig) -> StabilityReport {
+        super::analyze(rows.iter().map(|(s, rates)| (s, *rates)), cfg)
     }
 
     #[test]
@@ -266,7 +315,7 @@ mod tests {
         let flat = flat_rates();
         let s = series(
             &[(0.0, 10.0, 10.0), (1.0, 10.0, 10.0), (2.0, 10.0, 10.0)],
-            &flat,
+            flat,
         );
         let r = analyze(&s, &StabilityConfig::default());
         assert_eq!(r.shortfall_fraction, 0.0);
@@ -292,7 +341,7 @@ mod tests {
                 )
             })
             .collect();
-        let r = analyze(&series(&pts, &flat_rates()), &StabilityConfig::default());
+        let r = analyze(&series(&pts, flat_rates()), &StabilityConfig::default());
         // 2 reversals per cycle, minus edge effects.
         assert!(
             (14..=16).contains(&r.oscillation_count),
@@ -315,7 +364,7 @@ mod tests {
                 (3.0, 0.0, 0.0),  // nothing offered: ignored
                 (4.0, 10.0, 10.0),
             ],
-            &flat,
+            flat,
         );
         let r = analyze(&s, &StabilityConfig::default());
         assert!((r.shortfall_fraction - 0.5).abs() < 1e-12);
@@ -326,22 +375,55 @@ mod tests {
     fn step_series_settles_at_the_step() {
         let mut pts = vec![(0.0, 10.0, 5.0), (1.0, 10.0, 5.0), (2.0, 10.0, 5.0)];
         pts.extend((3..10).map(|i| (i as f64, 10.0, 10.0)));
-        let r = analyze(&series(&pts, &flat_rates()), &StabilityConfig::default());
+        let r = analyze(&series(&pts, flat_rates()), &StabilityConfig::default());
         assert_eq!(r.settling_time_s, Some(2.0), "last out-of-band instant");
     }
 
     #[test]
     fn churn_counts_share_distribution_moves() {
-        let (flat, flipped) = (flat_rates(), vec![vec![0.0, 1.0]]);
+        let (flat, flipped) = (
+            flat_rates(),
+            PathRates {
+                rates: &[0.0, 1.0],
+                ends: &ONE_FLOW,
+            },
+        );
         let mut s = series(
             &[(0.0, 10.0, 10.0), (1.0, 10.0, 10.0), (2.0, 10.0, 10.0)],
-            &flat,
+            flat,
         );
         // Flow flips from path 0 to path 1 between samples 1 and 2.
-        s[2].per_flow_path_rates = &flipped;
+        s[2].1 = flipped;
         let r = analyze(&s, &StabilityConfig::default());
         assert_eq!(r.churn_moves, 1);
         assert!((r.churn_total - 2.0).abs() < 1e-12, "full flip = L1 of 2");
+    }
+
+    #[test]
+    fn churn_skips_a_row_width_change() {
+        // A second flow joins between samples 1 and 2 while the first
+        // one flips paths: the pair of rows of different widths is not
+        // compared, the pairs of equal width are.
+        let joined = PathRates {
+            rates: &[0.0, 1.0, 1.0],
+            ends: &[2, 3],
+        };
+        let mut s = series(
+            &[(0.0, 10.0, 10.0), (1.0, 10.0, 10.0), (2.0, 10.0, 10.0)],
+            flat_rates(),
+        );
+        s[2].1 = joined;
+        let r = analyze(&s, &StabilityConfig::default());
+        assert_eq!(r.churn_moves, 0);
+        let later = Sample { t: 3.0, ..s[2].0 };
+        let flipped = PathRates {
+            rates: &[1.0, 0.0, 1.0],
+            ..joined
+        };
+        s.push((later, flipped));
+        let r = analyze(&s, &StabilityConfig::default());
+        assert_eq!(r.churn_moves, 1);
+        assert!((r.churn_total - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -351,7 +433,7 @@ mod tests {
         assert_eq!(r.settling_time_s, None);
         let flat = flat_rates();
         let r = analyze(
-            &series(&[(0.0, 10.0, 10.0)], &flat),
+            &series(&[(0.0, 10.0, 10.0)], flat),
             &StabilityConfig::default(),
         );
         assert_eq!(r.oscillation_count, 0);

@@ -22,9 +22,6 @@
 //!   "optimal" used where the paper ran CPLEX for hours.
 //!   [`SubsetSolver`] keeps one bound oracle per probed subset across
 //!   the matrices of a trace.
-//! * [`relaxation`] — the splittable-flow LP relaxation built on
-//!   `ecp-lp`, giving certified lower bounds / infeasibility proofs on
-//!   small instances.
 //! * [`recompute`] — the paper's *recomputation rate* metric (§3.2,
 //!   Fig. 1b) and the routing-configuration dominance analysis (Fig. 2a).
 
@@ -33,7 +30,6 @@ pub mod elastictree;
 pub mod oracle;
 pub mod ospf;
 pub mod recompute;
-pub mod relaxation;
 pub mod routeset;
 pub mod subset;
 

@@ -103,7 +103,7 @@ pub use run::{
     run_resolved_traced, run_resolved_with_sink, run_scenario, AppDetail, CapacityStats,
     CompareResult, DriftStats, FailoverStats, PacketDetail, RecomputeStats, ReplayDetail,
     ResolveCache, ResolvedScenario, ScenarioReport, SleepStats, StreamingRunStats, TableStats,
-    TimeseriesOutput, TraceOutput,
+    TraceOutput,
 };
 pub use spec::{
     AppSpec, CompareSpec, ControlSpec, EngineSpec, EventSpec, FlowProgram, LinkRef, MatrixSpec,

@@ -6,7 +6,7 @@ use crate::spec::{
     PacketPlacement, PacketRateSpec, PacketSpec, PairsSpec, PeakSpec, ReplayMode, ReplaySpec,
     ScaleSpec, Scenario, SubsetScheme, TablesSpec, TraceSpec,
 };
-use ecp_control::{StabilityConfig, StabilityReport, StabilitySample};
+use ecp_control::{StabilityConfig, StabilityReport};
 use ecp_routing::subset::PruneOrder;
 use ecp_routing::{
     elastictree_subset, max_feasible_volume, ospf_invcap, recomputation_rate, ConfigDominance,
@@ -14,7 +14,7 @@ use ecp_routing::{
 };
 use ecp_simnet::{
     run_packet_sim_full, ArcActivity, CbrFlow, JsonlSink, NoopSink, PacketSimConfig, PacketStats,
-    Sample, SimEvent, Simulation, SpanName, SpanSink, TelemetrySink, TelemetrySnapshot,
+    Series, SimEvent, Simulation, SpanName, SpanSink, TelemetrySink, TelemetrySnapshot,
     TimeseriesPoint, TimingSnapshot,
 };
 use ecp_topo::gen::BuiltTopology;
@@ -45,8 +45,8 @@ pub struct ScenarioReport {
     /// `"simnet"`, `"replay"`, `"packet"`, `"app-streaming"`, or
     /// `"app-web"`.
     pub engine: String,
-    /// Number of recorder samples / replay intervals / packet flows /
-    /// app runs.
+    /// Number of series rows / replay intervals / packet flows / app
+    /// runs.
     pub samples: usize,
     /// Mean network power as a fraction of the fully-on network.
     pub mean_power_frac: f64,
@@ -65,8 +65,9 @@ pub struct ScenarioReport {
     pub power_series: Option<Vec<(f64, f64)>>,
     /// `(t, offered, delivered)` series in bits/s, if selected.
     pub delivered_series: Option<Vec<(f64, f64, f64)>>,
-    /// Full recorder samples (per-flow per-path rates), if selected.
-    pub per_path_samples: Option<Vec<Sample>>,
+    /// The simnet run's whole series (per-flow per-path rates), if
+    /// selected.
+    pub per_path_samples: Option<Series>,
     /// Replay-engine detail (trace, per-interval series, recomputation
     /// metrics, drift analysis, baselines).
     #[serde(default)]
@@ -501,35 +502,6 @@ impl ResolveCache {
     }
 }
 
-/// The campaign-observatory timeline of one simnet run
-/// (`metrics.timeseries`): delivered fraction, power fraction, max arc
-/// utilization, overloaded-arc count, and cumulative reconfig count at
-/// a fixed sampling interval. Like traces, it is a pure function of the
-/// scenario — byte-deterministic across re-runs, rayon thread counts,
-/// and campaign shard layouts — but lives outside the run-hash
-/// determinism contract (stored as a `timeseries/<hash>.jsonl` sidecar,
-/// never inside [`ScenarioReport`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TimeseriesOutput {
-    /// Sampling interval (seconds).
-    pub interval_s: f64,
-    /// Sampled points in time order.
-    pub points: Vec<TimeseriesPoint>,
-}
-
-impl TimeseriesOutput {
-    /// The sidecar format: one serialized point per line,
-    /// newline-terminated.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for p in &self.points {
-            out.push_str(&serde_json::to_string(p).expect("timeseries point serializes"));
-            out.push('\n');
-        }
-        out
-    }
-}
-
 /// The telemetry by-products of a traced run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceOutput {
@@ -539,8 +511,16 @@ pub struct TraceOutput {
     /// Aggregated snapshot; `None` for engines without tracing.
     pub snapshot: Option<TelemetrySnapshot>,
     /// Campaign-observatory timeline; `Some` only when the scenario set
-    /// `metrics.timeseries` (simnet engine).
-    pub timeseries: Option<TimeseriesOutput>,
+    /// `metrics.timeseries` (simnet engine): delivered fraction, power
+    /// fraction, max arc utilization, overloaded-arc count and
+    /// cumulative reconfig count at every k-th row of the run's series
+    /// (`metrics.timeseries_interval_s` apart). Like the trace lines, a
+    /// pure function of the scenario — byte-deterministic across
+    /// re-runs, rayon thread counts and campaign shard layouts — but
+    /// outside the run-hash determinism contract (campaigns store it as
+    /// a `timeseries/<hash>.jsonl` sidecar, never inside
+    /// [`ScenarioReport`]).
+    pub timeseries: Option<Vec<TimeseriesPoint>>,
 }
 
 impl TraceOutput {
@@ -570,10 +550,7 @@ fn validate_engine_features(scenario: &Scenario) -> Result<(), ScenarioError> {
         .validate()
         .map_err(ScenarioError::Invalid)?;
     let engine = match &scenario.engine {
-        EngineSpec::Simnet => {
-            scenario.sim.validate().map_err(ScenarioError::Invalid)?;
-            return scenario.metrics.validate().map_err(ScenarioError::Invalid);
-        }
+        EngineSpec::Simnet => return Ok(scenario.validate_sim_timing()?),
         EngineSpec::Replay(_) => "replay",
         EngineSpec::Packet(_) => "packet",
         EngineSpec::App(_) => "app",
@@ -1132,7 +1109,7 @@ fn run_simnet_with_sink<S: TelemetrySink>(
     scenario: &Scenario,
     resolved: &ResolvedScenario,
     sink: S,
-) -> Result<(ScenarioReport, S, Option<TimeseriesOutput>), ScenarioError> {
+) -> Result<(ScenarioReport, S, Option<Vec<TimeseriesPoint>>), ScenarioError> {
     let topo = &resolved.built.topo;
     let schedule = demand_schedule(scenario, resolved)?;
     let mut overrides: HashMap<usize, &Program> = HashMap::new();
@@ -1163,16 +1140,12 @@ fn run_simnet_with_sink<S: TelemetrySink>(
         scenario.control.build(),
         sink,
     );
-    // Observatory sampling must be armed before any flow exists so the
-    // first point lands at t = 0 like the recorder's.
-    let ts_interval = scenario.metrics.timeseries.then(|| {
-        scenario
+    // Observatory points are every k-th series row, the first at t = 0.
+    if scenario.metrics.timeseries {
+        let every = scenario
             .metrics
-            .timeseries_interval_s
-            .unwrap_or(scenario.sim.to_config().sample_interval)
-    });
-    if let Some(dt) = ts_interval {
-        sim.enable_timeseries(dt);
+            .timeseries_every(scenario.sim.sample_interval_s);
+        sim.enable_timeseries(every?);
     }
 
     // One flow per OD pair; initial rate = the schedule's t = 0 level
@@ -1230,14 +1203,12 @@ fn run_simnet_with_sink<S: TelemetrySink>(
     schedule_events(scenario, topo, &mut sim)?;
     sim.run_until(scenario.duration_s);
 
-    let samples = sim.recorder().samples();
+    let series = sim.series();
     let mut offered_sum = 0.0;
     let mut delivered_sum = 0.0;
-    let mut power_sum = 0.0;
     let mut lag: f64 = 0.0;
     let mut lag_start: Option<f64> = None;
-    for s in samples {
-        power_sum += s.power_frac;
+    for s in series.samples() {
         offered_sum += s.offered_total;
         delivered_sum += s.delivered_total;
         if s.offered_total > 0.0 && s.delivered_total < 0.95 * s.offered_total {
@@ -1249,20 +1220,11 @@ fn run_simnet_with_sink<S: TelemetrySink>(
     if let Some(start) = lag_start {
         lag = lag.max(scenario.duration_s - start);
     }
-    let stability = scenario.metrics.stability.then(|| {
-        let series: Vec<StabilitySample> = samples
-            .iter()
-            .map(|s| StabilitySample {
-                t: s.t,
-                offered: s.offered_total,
-                delivered: s.delivered_total,
-                per_flow_path_rates: &s.per_flow_path_rates,
-            })
-            .collect();
-        ecp_control::analyze(&series, &StabilityConfig::default())
-    });
-    let sample_count = samples.len();
-    let n = sample_count.max(1) as f64;
+    let stability = scenario
+        .metrics
+        .stability
+        .then(|| ecp_control::analyze(series.rows(), &StabilityConfig::default()));
+    let samples = series.samples();
     let power_series = scenario
         .metrics
         .power_series
@@ -1273,7 +1235,6 @@ fn run_simnet_with_sink<S: TelemetrySink>(
             .map(|s| (s.t, s.offered_total, s.delivered_total))
             .collect()
     });
-    let per_path_samples = scenario.metrics.per_path_rates.then(|| sim.take_samples());
     // Attach the snapshot only when the spec asks for it, so traced and
     // untraced runs of a telemetry-off scenario stay byte-identical.
     let telemetry = if scenario.metrics.telemetry {
@@ -1281,12 +1242,13 @@ fn run_simnet_with_sink<S: TelemetrySink>(
     } else {
         None
     };
+    let (series, points, sink) = sim.finish();
     let report = ScenarioReport {
         name: scenario.name.clone(),
         seed: scenario.seed,
         engine: "simnet".into(),
-        samples: sample_count,
-        mean_power_frac: power_sum / n,
+        samples: series.samples().len(),
+        mean_power_frac: series.mean_power_fraction(),
         mean_delivered_fraction: if offered_sum > 0.0 {
             delivered_sum / offered_sum
         } else {
@@ -1297,7 +1259,7 @@ fn run_simnet_with_sink<S: TelemetrySink>(
         mean_spilled_demands: None,
         power_series,
         delivered_series,
-        per_path_samples,
+        per_path_samples: scenario.metrics.per_path_rates.then_some(series),
         replay: None,
         packet: None,
         app: None,
@@ -1307,11 +1269,7 @@ fn run_simnet_with_sink<S: TelemetrySink>(
         stability,
         telemetry,
     };
-    let timeseries = ts_interval.map(|interval_s| TimeseriesOutput {
-        interval_s,
-        points: sim.take_timeseries(),
-    });
-    Ok((report, sim.into_telemetry(), timeseries))
+    Ok((report, sink, scenario.metrics.timeseries.then_some(points)))
 }
 
 // ---- replay engine --------------------------------------------------------

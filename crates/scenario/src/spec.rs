@@ -42,7 +42,7 @@ pub struct Scenario {
     /// with traffic split over both candidate paths). Length must match
     /// the installed (deduplicated) path count of each flow.
     pub initial_shares: Option<Vec<f64>>,
-    /// Which recorder outputs the report keeps.
+    /// Which outputs of the sampled series the report keeps.
     pub metrics: MetricsSpec,
 }
 
@@ -662,7 +662,7 @@ pub struct SimSpec {
     pub detect_delay_s: f64,
     /// Idle drain time before a link sleeps, in seconds.
     pub sleep_after_s: f64,
-    /// Recorder sampling interval in seconds.
+    /// Sampling interval of the run's series in seconds.
     pub sample_interval_s: f64,
     /// TE does nothing before this time (seconds).
     pub te_start_s: f64,
@@ -686,34 +686,6 @@ impl Default for SimSpec {
 }
 
 impl SimSpec {
-    /// Reject timing values the simulator cannot run: the control and
-    /// sample periods must be finite and > 0 (their events re-schedule
-    /// themselves one period later, so a zero period never advances
-    /// time), the delays and the TE start finite and ≥ 0.
-    pub fn validate(&self) -> Result<(), String> {
-        let periods = [
-            ("control_interval_s", self.control_interval_s),
-            ("sample_interval_s", self.sample_interval_s),
-        ];
-        for (name, v) in periods {
-            if !(v.is_finite() && v > 0.0) {
-                return Err(format!("sim {name} must be finite and > 0, got {v}"));
-            }
-        }
-        let delays = [
-            ("wake_time_s", self.wake_time_s),
-            ("detect_delay_s", self.detect_delay_s),
-            ("sleep_after_s", self.sleep_after_s),
-            ("te_start_s", self.te_start_s),
-        ];
-        for (name, v) in delays {
-            if !(v.is_finite() && v >= 0.0) {
-                return Err(format!("sim {name} must be finite and >= 0, got {v}"));
-            }
-        }
-        Ok(())
-    }
-
     /// Convert to the simulator configuration.
     pub fn to_config(&self) -> ecp_simnet::SimConfig {
         ecp_simnet::SimConfig {
@@ -1033,11 +1005,13 @@ pub struct MetricsSpec {
     /// [`TraceOutput::timeseries`](crate::TraceOutput). Simnet engine
     /// only; surfaces wherever a [`TraceOutput`](crate::TraceOutput) is
     /// returned (`run_resolved_traced`, `run_resolved_with_sink`), which
-    /// is how campaigns always run.
+    /// is how campaigns always run. The points are every k-th row of
+    /// the run's sampled series, so the report does not depend on them.
     #[serde(default)]
     pub timeseries: bool,
-    /// Sampling interval for `timeseries` in seconds; defaults to the
-    /// engine's `sample_interval` when unset.
+    /// Sampling interval for `timeseries` in seconds: a whole multiple
+    /// k ≥ 1 of `sim.sample_interval_s`, each point being every k-th
+    /// series row. Defaults to the sample interval (every row).
     #[serde(default)]
     pub timeseries_interval_s: Option<f64>,
 }
@@ -1060,20 +1034,89 @@ impl Default for MetricsSpec {
 }
 
 impl MetricsSpec {
-    /// Reject a `timeseries_interval_s` the simulator cannot run: it
-    /// must be finite and > 0 (the sampling event re-schedules itself
-    /// one interval later).
-    pub fn validate(&self) -> Result<(), String> {
-        match self.timeseries_interval_s {
-            Some(dt) if !(dt.is_finite() && dt > 0.0) => Err(format!(
-                "metrics timeseries_interval_s must be finite and > 0, got {dt}"
-            )),
-            _ => Ok(()),
+    /// Every how many series rows an observatory point is taken:
+    /// `timeseries_interval_s / sample_interval_s` (1 when unset), which
+    /// must be a whole number ≥ 1 — the points are rows of the one
+    /// sampled series, so they cannot fall between two samples.
+    pub fn timeseries_every(&self, sample_interval_s: f64) -> Result<usize, String> {
+        let dt = self.timeseries_interval_s.unwrap_or(sample_interval_s);
+        let k = (dt / sample_interval_s).round();
+        if dt.is_finite() && k >= 1.0 && (k * sample_interval_s - dt).abs() <= 1e-9 * dt {
+            return Ok(k as usize);
         }
+        Err(format!(
+            "metrics timeseries_interval_s must be a whole multiple (>= 1) of \
+             sample_interval_s = {sample_interval_s}, got {dt}"
+        ))
+    }
+}
+
+/// `Ok` when `v` is finite and ≥ 0, else an error naming `name`.
+fn non_negative(name: &str, v: f64) -> Result<(), String> {
+    if v.is_finite() && v >= 0.0 {
+        Ok(())
+    } else {
+        Err(format!("{name} must be finite and >= 0, got {v}"))
     }
 }
 
 impl Scenario {
+    /// Reject timing the simulator's event loop cannot run. The control
+    /// and sample periods must be finite and > 0: their events
+    /// re-schedule themselves one period later, so a zero period never
+    /// advances time. The observatory interval must be a whole multiple
+    /// of the sample interval. The [`SimSpec`] delays, the TE start,
+    /// `duration_s`, and every event time, spacing, repair delay, window
+    /// length and wake time must be finite and ≥ 0: an infinite horizon
+    /// never ends, and a NaN time would fire at an arbitrary point.
+    pub fn validate_sim_timing(&self) -> Result<(), String> {
+        let sim = &self.sim;
+        let periods = [
+            ("control_interval_s", sim.control_interval_s),
+            ("sample_interval_s", sim.sample_interval_s),
+        ];
+        for (name, v) in periods {
+            if !(v.is_finite() && v > 0.0) {
+                return Err(format!("sim {name} must be finite and > 0, got {v}"));
+            }
+        }
+        self.metrics.timeseries_every(sim.sample_interval_s)?;
+        non_negative("sim wake_time_s", sim.wake_time_s)?;
+        non_negative("sim detect_delay_s", sim.detect_delay_s)?;
+        non_negative("sim sleep_after_s", sim.sleep_after_s)?;
+        non_negative("sim te_start_s", sim.te_start_s)?;
+        non_negative("duration_s", self.duration_s)?;
+        for (i, ev) in self.events.iter().enumerate() {
+            let times = match *ev {
+                EventSpec::LinkFail { at, .. }
+                | EventSpec::LinkRepair { at, .. }
+                | EventSpec::NodeFail { at, .. }
+                | EventSpec::NodeRepair { at, .. }
+                | EventSpec::SetThreshold { at, .. } => vec![("at", at)],
+                EventSpec::SetWakeTime { at, wake_time_s } => {
+                    vec![("at", at), ("wake_time_s", wake_time_s)]
+                }
+                EventSpec::FailureBurst {
+                    start,
+                    spacing_s,
+                    repair_after_s,
+                    ..
+                } => vec![
+                    ("start", start),
+                    ("spacing_s", spacing_s),
+                    ("repair_after_s", repair_after_s),
+                ],
+                EventSpec::MaintenanceWindow {
+                    start, duration_s, ..
+                } => vec![("start", start), ("duration_s", duration_s)],
+            };
+            for (field, v) in times {
+                non_negative(&format!("events[{i}].{field}"), v)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Parse a scenario from a TOML document.
     pub fn from_toml(doc: &str) -> Result<Self, crate::ScenarioError> {
         toml::from_str(doc).map_err(|e| crate::ScenarioError::Parse(e.to_string()))

@@ -42,9 +42,12 @@ pub enum Param {
     StepDamp,
     /// `metrics.timeseries`: a positive value enables campaign
     /// observatory capture with the value as the sampling interval in
-    /// seconds; 0 (or negative) disables it. Lets campaign entries opt
-    /// whole registry scenarios into `timeseries/<hash>.jsonl` sidecars
-    /// without forking them.
+    /// seconds — a whole multiple of the scenario's
+    /// `sim.sample_interval_s`, since the points are every k-th row of
+    /// the run's series (anything else is rejected as invalid); 0 (or
+    /// negative) disables it. Lets campaign entries opt whole registry
+    /// scenarios into `timeseries/<hash>.jsonl` sidecars without forking
+    /// them.
     Timeseries,
 }
 

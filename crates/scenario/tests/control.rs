@@ -2,9 +2,10 @@
 //! parameters and simulator timing), engine gating, sweep axes, and the
 //! stability analyzer attachment.
 
+use ecp_control::{PathRates, Sample, StabilityConfig};
 use ecp_scenario::{
-    run_scenario, Axis, ControlSpec, EngineSpec, MatrixSpec, MetricsSpec, PairsSpec, Param,
-    ScaleSpec, Scenario, ScenarioBuilder, ScenarioError, SweepRunner,
+    run_scenario, Axis, ControlSpec, EngineSpec, EventSpec, LinkRef, MatrixSpec, MetricsSpec,
+    NodeRef, PairsSpec, Param, ScaleSpec, Scenario, ScenarioBuilder, ScenarioError, SweepRunner,
 };
 use ecp_topo::gen::TopoSpec;
 use ecp_traffic::{Program, Shape};
@@ -65,6 +66,57 @@ fn every_policy_runs_and_attaches_stability() {
             "{}: delivers most traffic",
             control.label()
         );
+    }
+}
+
+/// One series row as the report serializes it: per-flow nested vectors,
+/// the representation the flat series replaced.
+#[derive(serde::Deserialize)]
+struct NestedRow {
+    t: f64,
+    power_w: f64,
+    power_frac: f64,
+    offered_total: f64,
+    delivered_total: f64,
+    per_flow_path_rates: Vec<Vec<f64>>,
+}
+
+/// The stability analysis over the series' borrowed rows equals the
+/// same analysis over the nested per-flow vectors of the serialized
+/// report, flattened row by row in the test.
+#[test]
+fn stability_over_borrowed_rows_matches_nested_oracle() {
+    for control in [ControlSpec::Undamped, ControlSpec::Desync { salt: 9 }] {
+        let report = run_scenario(&base(control)).unwrap();
+        let json = serde_json::to_string(report.per_path_samples.as_ref().unwrap()).unwrap();
+        let nested: Vec<NestedRow> = serde_json::from_str(&json).unwrap();
+        let flat: Vec<(Sample, Vec<f64>, Vec<u32>)> = nested
+            .iter()
+            .map(|row| {
+                let mut ends = Vec::new();
+                for f in &row.per_flow_path_rates {
+                    ends.push(ends.last().unwrap_or(&0) + f.len() as u32);
+                }
+                let sample = Sample {
+                    t: row.t,
+                    power_w: row.power_w,
+                    power_frac: row.power_frac,
+                    offered_total: row.offered_total,
+                    delivered_total: row.delivered_total,
+                };
+                (sample, row.per_flow_path_rates.concat(), ends)
+            })
+            .collect();
+        let rows = flat
+            .iter()
+            .map(|(s, rates, ends)| (s, PathRates { rates, ends }));
+        let oracle = ecp_control::analyze(rows, &StabilityConfig::default());
+        assert!(
+            oracle.churn_moves > 0,
+            "{}: the run reconfigures",
+            control.label()
+        );
+        assert_eq!(report.stability, Some(oracle), "{}", control.label());
     }
 }
 
@@ -146,6 +198,109 @@ fn degenerate_timeseries_interval_is_invalid() {
     assert_rejected("timeseries_interval_s", &BAD_PERIODS, |s, v| {
         s.metrics.timeseries = true;
         s.metrics.timeseries_interval_s = Some(v);
+    });
+}
+
+#[test]
+fn timeseries_interval_off_the_sample_grid_is_invalid() {
+    // The sample interval is 0.05 s: points are every k-th sample row,
+    // so the interval must be a whole multiple k >= 1 of it.
+    assert_rejected("timeseries_interval_s", &[0.01, 0.07, 0.125], |s, v| {
+        s.metrics.timeseries = true;
+        s.metrics.timeseries_interval_s = Some(v);
+    });
+    let mut s = base(ControlSpec::Undamped);
+    s.metrics.timeseries_interval_s = Some(0.2);
+    assert!(run_scenario(&s).is_ok(), "4 sample intervals");
+}
+
+#[test]
+fn degenerate_duration_is_invalid() {
+    assert_rejected("duration_s", &BAD_DELAYS, |s, v| s.duration_s = v);
+}
+
+/// One event of each kind that carries an `at`, on link 0 / node 0.
+fn at_events(at: f64) -> Vec<EventSpec> {
+    let link = || LinkRef::ByIndex { index: 0 };
+    let node = || NodeRef::ByIndex { index: 0 };
+    vec![
+        EventSpec::LinkFail { at, link: link() },
+        EventSpec::LinkRepair { at, link: link() },
+        EventSpec::NodeFail { at, node: node() },
+        EventSpec::NodeRepair { at, node: node() },
+        EventSpec::SetWakeTime {
+            at,
+            wake_time_s: 0.01,
+        },
+        EventSpec::SetThreshold { at, threshold: 0.8 },
+    ]
+}
+
+fn burst(start: f64, spacing_s: f64, repair_after_s: f64) -> EventSpec {
+    EventSpec::FailureBurst {
+        start,
+        count: 2,
+        spacing_s,
+        repair_after_s,
+        seed_salt: 1,
+    }
+}
+
+fn window(start: f64, duration_s: f64) -> EventSpec {
+    EventSpec::MaintenanceWindow {
+        start,
+        duration_s,
+        node: NodeRef::ByIndex { index: 0 },
+    }
+}
+
+#[test]
+fn degenerate_event_at_is_invalid() {
+    for kind in 0..at_events(0.0).len() {
+        assert_rejected("events[0].at", &BAD_DELAYS, |s, v| {
+            s.events = vec![at_events(v).swap_remove(kind)]
+        });
+    }
+}
+
+#[test]
+fn degenerate_event_start_is_invalid() {
+    assert_rejected("events[0].start", &BAD_DELAYS, |s, v| {
+        s.events = vec![burst(v, 0.5, 1.0)]
+    });
+    assert_rejected("events[0].start", &BAD_DELAYS, |s, v| {
+        s.events = vec![window(v, 1.0)]
+    });
+}
+
+#[test]
+fn degenerate_burst_spacing_is_invalid() {
+    assert_rejected("events[0].spacing_s", &BAD_DELAYS, |s, v| {
+        s.events = vec![burst(1.0, v, 1.0)]
+    });
+}
+
+#[test]
+fn degenerate_burst_repair_after_is_invalid() {
+    assert_rejected("events[0].repair_after_s", &BAD_DELAYS, |s, v| {
+        s.events = vec![burst(1.0, 0.5, v)]
+    });
+}
+
+#[test]
+fn degenerate_window_duration_is_invalid() {
+    assert_rejected("events[0].duration_s", &BAD_DELAYS, |s, v| {
+        s.events = vec![window(1.0, v)]
+    });
+}
+
+#[test]
+fn degenerate_event_wake_time_is_invalid() {
+    assert_rejected("events[0].wake_time_s", &BAD_DELAYS, |s, v| {
+        s.events = vec![EventSpec::SetWakeTime {
+            at: 1.0,
+            wake_time_s: v,
+        }]
     });
 }
 

@@ -31,6 +31,13 @@
 //! * **Congestion**: if offered load exceeds an arc's capacity, every
 //!   flow crossing it is throttled proportionally (fluid approximation
 //!   of FIFO sharing).
+//! * **Sampling**: one self-rescheduling sampler appends a row to the
+//!   run's [`Series`] every [`SimConfig::sample_interval`]: time, power,
+//!   offered and delivered totals, and the delivered rate on every
+//!   installed path, all rows' rates in one flat arena. Rows widen when
+//!   a flow is added mid-run. With the campaign observatory on
+//!   ([`Simulation::enable_timeseries`]), every k-th row also becomes a
+//!   [`TimeseriesPoint`]; no event is added for it.
 //!
 //! The whole simulation is deterministic: events are ordered by
 //! `(time, sequence)` and no randomness is used.
@@ -39,6 +46,7 @@ pub mod packet;
 pub mod recorder;
 pub mod sim;
 
+pub use ecp_control::{PathRates, Sample};
 pub use ecp_telemetry::{
     Clock, Counter, Element, FakeClock, Hist, JsonlSink, MonoClock, NoopSink, PowerKind, SpanName,
     SpanSink, SpanTiming, TelemetryEvent, TelemetrySink, TelemetrySnapshot, TimingSnapshot,
@@ -47,5 +55,5 @@ pub use ecp_telemetry::{
 pub use packet::{
     run_packet_sim, run_packet_sim_full, ArcActivity, CbrFlow, PacketSimConfig, PacketStats,
 };
-pub use recorder::{Recorder, Sample, TimeseriesPoint};
+pub use recorder::{Series, TimeseriesPoint};
 pub use sim::{FlowId, LinkPowerState, SimConfig, SimEvent, Simulation};

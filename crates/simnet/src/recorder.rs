@@ -1,29 +1,11 @@
-//! Time-series recording for simulation runs.
+//! The sampled series of a simulation run.
 
-use serde::{Deserialize, Serialize};
-
-/// One sampled instant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Sample {
-    /// Simulation time (seconds).
-    pub t: f64,
-    /// Network power in Watts.
-    pub power_w: f64,
-    /// Power as a fraction of the fully-on network (the y-axis of the
-    /// paper's power figures).
-    pub power_frac: f64,
-    /// Total offered rate across flows (bits/s).
-    pub offered_total: f64,
-    /// Total delivered rate across flows (bits/s).
-    pub delivered_total: f64,
-    /// `per_flow_path_rates[flow][path]` — delivered rate on each
-    /// installed path of each flow (the Fig. 7 per-path series).
-    pub per_flow_path_rates: Vec<Vec<f64>>,
-}
+use ecp_control::{PathRates, Sample};
+use serde::{Deserialize, FromValue, Map, Serialize, Serializer, Value};
 
 /// One compact campaign-observatory timeline point (`metrics.timeseries`):
 /// the scalar signals the paper's figures plot, without the per-path
-/// detail of [`Sample`]. Serialized one-object-per-line into
+/// detail of a [`Series`] row. Serialized one-object-per-line into
 /// `timeseries/<hash>.jsonl` sidecars by the campaign store.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TimeseriesPoint {
@@ -43,72 +25,48 @@ pub struct TimeseriesPoint {
     pub reconfig_count: u64,
 }
 
-/// Append-only sample store.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Recorder {
+/// Every sample of one run, one row per sampler tick in time order.
+///
+/// A row holds the scalar readings ([`Sample`]) and the delivered rate
+/// on every installed path of every flow (the Fig. 7 per-path series).
+/// The per-path rates of all rows live in one flat arena, flow after
+/// flow; `flow_ends[f]` is where flow `f`'s paths end within a row. A
+/// flow added mid-run appends its columns, so later rows are wider.
+///
+/// Serializes as the nested per-row list
+/// `[{t, power_w, power_frac, offered_total, delivered_total,
+/// per_flow_path_rates: [[..], ..]}, ..]` and parses back from it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Series {
     samples: Vec<Sample>,
+    /// Per row: how many flows it covers.
+    row_flows: Vec<u32>,
+    /// Every row's per-path delivered rates, row after row.
+    rates: Vec<f64>,
+    /// Per flow: the column after its last path.
+    flow_ends: Vec<u32>,
 }
 
-impl Recorder {
-    /// Empty recorder.
-    pub fn new() -> Self {
-        Recorder {
-            samples: Vec::new(),
-        }
-    }
-
-    /// Append a sample.
-    pub fn push(&mut self, s: Sample) {
-        self.samples.push(s);
-    }
-
-    /// All samples in time order.
+impl Series {
+    /// The scalar readings of every row, in time order.
     pub fn samples(&self) -> &[Sample] {
         &self.samples
     }
 
-    /// The samples, by value.
-    pub(crate) fn into_samples(self) -> Vec<Sample> {
-        self.samples
+    /// Every row in time order: its scalar readings and per-path rates.
+    pub fn rows(&self) -> impl Iterator<Item = (&Sample, PathRates<'_>)> + '_ {
+        let mut start = 0;
+        let rows = self.samples.iter().zip(&self.row_flows);
+        rows.map(move |(s, &flows)| {
+            let ends = &self.flow_ends[..flows as usize];
+            let width = ends.last().map_or(0, |&end| end as usize);
+            let rates = &self.rates[start..start + width];
+            start += width;
+            (s, PathRates { rates, ends })
+        })
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no samples were taken.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// The `(t, power_frac)` series.
-    pub fn power_series(&self) -> Vec<(f64, f64)> {
-        self.samples.iter().map(|s| (s.t, s.power_frac)).collect()
-    }
-
-    /// The `(t, delivered_total)` series.
-    pub fn delivered_series(&self) -> Vec<(f64, f64)> {
-        self.samples
-            .iter()
-            .map(|s| (s.t, s.delivered_total))
-            .collect()
-    }
-
-    /// Delivered-rate series of one path of one flow.
-    pub fn path_rate_series(&self, flow: usize, path: usize) -> Vec<(f64, f64)> {
-        self.samples
-            .iter()
-            .filter_map(|s| {
-                s.per_flow_path_rates
-                    .get(flow)
-                    .and_then(|f| f.get(path))
-                    .map(|&r| (s.t, r))
-            })
-            .collect()
-    }
-
-    /// Mean power fraction over the run.
+    /// Mean power fraction over the rows (1.0 when there are none).
     pub fn mean_power_fraction(&self) -> f64 {
         if self.samples.is_empty() {
             return 1.0;
@@ -116,9 +74,60 @@ impl Recorder {
         self.samples.iter().map(|s| s.power_frac).sum::<f64>() / self.samples.len() as f64
     }
 
-    /// First time at which `pred` holds, if any.
-    pub fn first_time<F: Fn(&Sample) -> bool>(&self, pred: F) -> Option<f64> {
-        self.samples.iter().find(|s| pred(s)).map(|s| s.t)
+    /// Register a new flow with `paths` installed paths: the rows taken
+    /// from now on carry its columns.
+    pub(crate) fn add_flow(&mut self, paths: usize) {
+        let end = self.flow_ends.last().map_or(0, |&end| end);
+        self.flow_ends.push(end + paths as u32);
+    }
+
+    /// Append one per-path rate to the row being taken.
+    pub(crate) fn push_rate(&mut self, r: f64) {
+        self.rates.push(r);
+    }
+
+    /// Close the row whose rates were just pushed: one per column of
+    /// every flow registered so far, in flow order.
+    pub(crate) fn end_row(&mut self, sample: Sample) {
+        self.row_flows.push(self.flow_ends.len() as u32);
+        self.samples.push(sample);
+    }
+}
+
+impl Serialize for Series {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let rows = self.rows().map(|(s, rates)| {
+            let Value::Object(mut row) = serde::to_value(s) else {
+                unreachable!("a struct serializes to an object")
+            };
+            let flows = rates.iter().map(serde::to_value).collect();
+            row.insert("per_flow_path_rates".into(), Value::Array(flows));
+            Value::Object(row)
+        });
+        serializer.collect_value(Value::Array(rows.collect()))
+    }
+}
+
+impl FromValue for Series {
+    fn from_value(value: Value) -> Result<Self, String> {
+        let mut series = Series::default();
+        for mut row in Vec::<Map>::from_value(value)? {
+            let flows: Vec<Vec<f64>> = serde::from_value_field(&mut row, "per_flow_path_rates")?;
+            let sample = Sample::from_value(Value::Object(row))?;
+            let mut end = 0;
+            for (f, paths) in flows.iter().enumerate() {
+                end += paths.len() as u32;
+                match series.flow_ends.get(f) {
+                    None => series.flow_ends.push(end),
+                    Some(&known) if known == end => {}
+                    Some(_) => return Err(format!("flow {f} changes its path count")),
+                }
+            }
+            series.row_flows.push(flows.len() as u32);
+            series.rates.extend(flows.into_iter().flatten());
+            series.samples.push(sample);
+        }
+        Ok(series)
     }
 }
 
@@ -133,31 +142,61 @@ mod tests {
             power_frac: frac,
             offered_total: delivered,
             delivered_total: delivered,
-            per_flow_path_rates: vec![vec![delivered]],
         }
+    }
+
+    /// Push one row with the given per-flow rates.
+    fn push(series: &mut Series, s: Sample, flows: &[&[f64]]) {
+        for rates in flows {
+            for &r in *rates {
+                series.push_rate(r);
+            }
+        }
+        series.end_row(s);
     }
 
     #[test]
     fn series_extraction() {
-        let mut r = Recorder::new();
-        r.push(sample(0.0, 0.5, 1e6));
-        r.push(sample(1.0, 0.7, 2e6));
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.power_series(), vec![(0.0, 0.5), (1.0, 0.7)]);
-        assert_eq!(r.delivered_series()[1], (1.0, 2e6));
-        assert_eq!(r.path_rate_series(0, 0).len(), 2);
-        assert!(r.path_rate_series(0, 9).is_empty());
-        assert!(r.path_rate_series(9, 0).is_empty());
+        let mut series = Series::default();
+        series.add_flow(2);
+        push(&mut series, sample(0.0, 0.5, 1e6), &[&[1e6, 0.0]]);
+        series.add_flow(1);
+        push(&mut series, sample(1.0, 0.7, 2e6), &[&[1.5e6, 0.0], &[5e5]]);
+        let rows: Vec<_> = series.rows().collect();
+        assert_eq!(rows.len(), 2);
+        let (s, first) = rows[0];
+        assert_eq!((s.t, s.power_frac), (0.0, 0.5));
+        assert_eq!(first.ends, &[2], "the row before the join has one flow");
+        assert_eq!(first.flow(0), &[1e6, 0.0]);
+        let (s, second) = rows[1];
+        assert_eq!((s.t, s.delivered_total), (1.0, 2e6));
+        assert_eq!(
+            second.iter().collect::<Vec<_>>(),
+            [&[1.5e6, 0.0][..], &[5e5]]
+        );
+        // Serialization nests the rows per flow and parses back.
+        let json = serde_json::to_string(&series).unwrap();
+        assert!(json.contains("\"per_flow_path_rates\":[[1500000.0,0.0],[500000.0]]"));
+        let parse = |json: &str| Series::from_value(serde_json::from_str(json).unwrap());
+        assert_eq!(parse(&json), Ok(series));
+        let clash = json.replace("[[1500000.0,0.0],[500000.0]]", "[[1500000.0],[500000.0]]");
+        assert!(
+            parse(&clash).is_err(),
+            "a flow cannot change its path count"
+        );
     }
 
     #[test]
     fn mean_and_first_time() {
-        let mut r = Recorder::new();
-        assert_eq!(r.mean_power_fraction(), 1.0);
-        r.push(sample(0.0, 0.4, 0.0));
-        r.push(sample(1.0, 0.6, 5e6));
-        assert!((r.mean_power_fraction() - 0.5).abs() < 1e-12);
-        assert_eq!(r.first_time(|s| s.delivered_total > 1e6), Some(1.0));
-        assert_eq!(r.first_time(|s| s.power_frac > 0.9), None);
+        let mut series = Series::default();
+        assert_eq!(series.mean_power_fraction(), 1.0);
+        series.add_flow(1);
+        push(&mut series, sample(0.0, 0.4, 0.0), &[&[0.0]]);
+        push(&mut series, sample(1.0, 0.6, 5e6), &[&[5e6]]);
+        assert!((series.mean_power_fraction() - 0.5).abs() < 1e-12);
+        let first =
+            |pred: fn(&Sample) -> bool| series.samples().iter().find(|s| pred(s)).map(|s| s.t);
+        assert_eq!(first(|s| s.delivered_total > 1e6), Some(1.0));
+        assert_eq!(first(|s| s.power_frac > 0.9), None);
     }
 }

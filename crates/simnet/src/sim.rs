@@ -1,7 +1,7 @@
 //! The simulation core.
 
-use crate::recorder::{Recorder, Sample, TimeseriesPoint};
-use ecp_control::{ControlPolicy, Observation, Undamped};
+use crate::recorder::{Series, TimeseriesPoint};
+use ecp_control::{ControlPolicy, Observation, Sample, Undamped};
 use ecp_power::PowerModel;
 use ecp_telemetry::{
     Counter, Element, Hist, NoopSink, PowerKind, SpanName, TelemetryEvent, TelemetrySink,
@@ -42,7 +42,7 @@ pub struct SimConfig {
     pub detect_delay: f64,
     /// Idle drain time before a link sleeps.
     pub sleep_after: f64,
-    /// Recorder sampling interval.
+    /// Sampling interval of the run's [`Series`].
     pub sample_interval: f64,
     /// REsPoNseTE does nothing before this time (the Fig. 7 experiment
     /// starts the TE component at t = 5 s).
@@ -116,9 +116,6 @@ enum Event {
     /// (scheduled by desynchronizing policies; observes fresh loads).
     AgentControl(usize),
     Sample,
-    /// Campaign-observatory sampling tick (only scheduled when
-    /// [`Simulation::enable_timeseries`] was called).
-    TimeseriesSample,
     DemandChange(FlowId, f64),
     LinkFail(ArcId),
     LinkRepair(ArcId),
@@ -148,11 +145,10 @@ impl PartialEq for QItem {
 impl Eq for QItem {}
 impl Ord for QItem {
     fn cmp(&self, other: &Self) -> Ordering {
-        // min-heap by (t, seq)
+        // min-heap by (t, seq); `total_cmp` keeps the order total
         other
             .t
-            .partial_cmp(&self.t)
-            .unwrap_or(Ordering::Equal)
+            .total_cmp(&self.t)
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
@@ -289,7 +285,8 @@ pub struct Simulation<'a, S: TelemetrySink = NoopSink> {
     /// endpoints), so power is recomputed only after a power-state
     /// change.
     power_cache: Option<f64>,
-    recorder: Recorder,
+    /// The sampled series: one row per [`Event::Sample`].
+    series: Series,
     /// Links that must never sleep (the always-on set).
     always_on_links: Vec<bool>,
     /// The online TE control policy driving every agent's share
@@ -325,9 +322,9 @@ pub struct Simulation<'a, S: TelemetrySink = NoopSink> {
     idle_since: Vec<f64>,
     /// Reusable decision-path buffers (see [`DecisionScratch`]).
     scratch: DecisionScratch,
-    /// Campaign-observatory sampling interval; `None` keeps the whole
-    /// timeseries path disabled (no event is ever scheduled).
-    ts_interval: Option<f64>,
+    /// Every how many series rows an observatory point is taken;
+    /// `None` keeps the observatory off.
+    ts_every: Option<usize>,
     /// Captured observatory points (empty unless enabled).
     ts_points: Vec<TimeseriesPoint>,
     /// Cumulative count of share-change applications (TE
@@ -412,7 +409,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             link_known_down: vec![false; n_arcs],
             full_power_w: power.full_power(topo),
             power_cache: None,
-            recorder: Recorder::new(),
+            series: Series::default(),
             always_on_links,
             policy,
             policy_memoryless,
@@ -429,7 +426,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
                 Vec::new()
             },
             scratch: DecisionScratch::default(),
-            ts_interval: None,
+            ts_every: None,
             ts_points: Vec::new(),
             reconfig_count: 0,
         };
@@ -439,6 +436,10 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
     }
 
     fn push(&mut self, t: f64, ev: Event) {
+        debug_assert!(t.is_finite(), "event time {t} is not finite");
+        // Adding +0.0 turns -0.0 into +0.0, so `total_cmp` orders every
+        // finite time as `partial_cmp` does.
+        let t = t + 0.0;
         self.seq += 1;
         self.queue.push(QItem {
             t,
@@ -507,6 +508,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             blocked.push(b);
             known_down.push(k);
         }
+        self.series.add_flow(n);
         self.flows.push(Flow {
             origin: o,
             dst: d,
@@ -586,8 +588,11 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         Some(t)
     }
 
-    /// Run until `t_end` (inclusive of events at `t_end`).
+    /// Run until `t_end` (inclusive of events at `t_end`), which must be
+    /// finite: the queue refills itself, so the loop ends only at a
+    /// finite horizon.
     pub fn run_until(&mut self, t_end: f64) {
+        debug_assert!(t_end.is_finite(), "run horizon {t_end} is not finite");
         while let Some(top) = self.queue.peek() {
             if top.t > t_end + 1e-12 {
                 break;
@@ -597,43 +602,18 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         self.now = self.now.max(t_end);
     }
 
-    /// The recorded time series.
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
+    /// The sampled series: one row every
+    /// [`SimConfig::sample_interval`], the first at t = 0.
+    pub fn series(&self) -> &Series {
+        &self.series
     }
 
-    /// Take the recorded samples, leaving the recorder empty, with the
-    /// `Vec` shrunk to its length — hands the series to a report
-    /// without copying a sample.
-    pub fn take_samples(&mut self) -> Vec<Sample> {
-        let mut samples = std::mem::take(&mut self.recorder).into_samples();
-        samples.shrink_to_fit();
-        samples
-    }
-
-    /// Turn on campaign-observatory sampling at `interval_s` seconds.
-    /// Call before running; the first point lands at the current time.
-    /// Off by default — when never called, no timeseries event is ever
-    /// scheduled, so the event stream (and every golden hash pinned on
-    /// it) is untouched.
-    pub fn enable_timeseries(&mut self, interval_s: f64) {
-        if self.ts_interval.is_none() {
-            self.ts_interval = Some(interval_s.max(1e-9));
-            self.push(self.now, Event::TimeseriesSample);
-        }
-    }
-
-    /// Captured observatory points (empty unless
-    /// [`Simulation::enable_timeseries`] was called).
-    pub fn timeseries(&self) -> &[TimeseriesPoint] {
-        &self.ts_points
-    }
-
-    /// Take the captured observatory points, leaving the internal
-    /// buffer empty (used to extract them before consuming the
-    /// simulation for its telemetry sink).
-    pub fn take_timeseries(&mut self) -> Vec<TimeseriesPoint> {
-        std::mem::take(&mut self.ts_points)
+    /// Turn every `every`-th series row (rows 0, `every`, 2·`every`, …)
+    /// into a campaign-observatory point as well. Off by default; the
+    /// points come from the sampler's own rows, so turning them on adds
+    /// no event and changes nothing else about the run.
+    pub fn enable_timeseries(&mut self, every: usize) {
+        self.ts_every = Some(every.max(1));
     }
 
     /// The telemetry sink.
@@ -641,10 +621,10 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         &self.sink
     }
 
-    /// Consume the simulation, returning its telemetry sink (e.g. to
-    /// take the recorded JSONL lines).
-    pub fn into_telemetry(self) -> S {
-        self.sink
+    /// Consume the simulation, returning its series, its observatory
+    /// points (empty unless enabled) and its telemetry sink.
+    pub fn finish(self) -> (Series, Vec<TimeseriesPoint>, S) {
+        (self.series, self.ts_points, self.sink)
     }
 
     /// Aggregated telemetry, if the sink keeps any.
@@ -714,12 +694,6 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             Event::Sample => {
                 self.take_sample();
                 self.push(self.now + self.cfg.sample_interval, Event::Sample);
-            }
-            Event::TimeseriesSample => {
-                self.take_timeseries_point();
-                if let Some(dt) = self.ts_interval {
-                    self.push(self.now + dt, Event::TimeseriesSample);
-                }
             }
             Event::DemandChange(f, rate) => {
                 self.set_flow_offered(f.0, rate);
@@ -1490,7 +1464,13 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             }
             // Per-round arc-load summary over the loads the agents of
             // this round observe (pre-decision).
-            let ev = self.arc_loads_event(&self.loads);
+            let (max_util, mean_util, overloaded) = self.arc_utilisation();
+            let ev = TelemetryEvent::ArcLoads {
+                t: self.now,
+                max_util,
+                mean_util,
+                overloaded,
+            };
             self.sink.emit(&ev);
         }
         if S::SPANS {
@@ -1601,10 +1581,10 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         self.scratch.phased = phased;
     }
 
-    /// Build the per-round arc-load summary (telemetry-enabled builds
-    /// only): max/mean utilization over all arcs plus the count of arcs
-    /// above the TE threshold.
-    fn arc_loads_event(&self, loads: &[f64]) -> TelemetryEvent {
+    /// Utilization of the capacity-bearing arcs under the current loads:
+    /// the maximum, the mean, and the count above the TE threshold (the
+    /// per-round `ArcLoads` event and the observatory points).
+    fn arc_utilisation(&self) -> (f64, f64, u32) {
         let threshold = self.cfg.te.threshold;
         let mut max_util = 0.0_f64;
         let mut sum_util = 0.0_f64;
@@ -1615,7 +1595,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             if c <= 0.0 {
                 continue;
             }
-            let util = loads[a.idx()] / c;
+            let util = self.loads[a.idx()] / c;
             max_util = max_util.max(util);
             sum_util += util;
             n += 1;
@@ -1624,12 +1604,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             }
         }
         let mean_util = if n == 0 { 0.0 } else { sum_util / n as f64 };
-        TelemetryEvent::ArcLoads {
-            t: self.now,
-            max_util,
-            mean_util,
-            overloaded,
-        }
+        (max_util, mean_util, overloaded)
     }
 
     /// Whether an agent's decision can be skipped outright: nothing it
@@ -1728,76 +1703,50 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         w
     }
 
+    /// Append one series row: the delivered rate on every installed
+    /// path, flow by flow, and the scalar readings. Every `ts_every`-th
+    /// row also becomes an observatory point.
     fn take_sample(&mut self) {
         if S::ENABLED {
             self.sink.add(Counter::Samples, 1);
         }
         let mut offered_total = 0.0;
         let mut delivered_total = 0.0;
-        let mut per_flow: Vec<Vec<f64>> = Vec::with_capacity(self.flows.len());
         for fl in &self.flows {
             offered_total += fl.offered;
-            let rates: Vec<f64> = (0..fl.paths.len())
-                .map(|pi| self.path_delivery(fl, pi))
-                .collect();
-            delivered_total += rates.iter().sum::<f64>();
-            per_flow.push(rates);
+            let mut flow_delivered = 0.0;
+            for pi in 0..fl.paths.len() {
+                let r = self.path_delivery(fl, pi);
+                flow_delivered += r;
+                self.series.push_rate(r);
+            }
+            delivered_total += flow_delivered;
         }
         let power_w = self.sampled_power_w();
-        self.recorder.push(Sample {
+        let sample = Sample {
             t: self.now,
             power_w,
             power_frac: power_w / self.full_power_w,
             offered_total,
             delivered_total,
-            per_flow_path_rates: per_flow,
-        });
-    }
-
-    /// One campaign-observatory point: the scalar signals of
-    /// [`Simulation::take_sample`] and [`Simulation::arc_loads_event`]
-    /// without per-path vectors or telemetry events.
-    fn take_timeseries_point(&mut self) {
-        let (delivered_fraction, max_util, overloaded) = {
-            let loads = &self.loads;
-            let mut offered_total = 0.0;
-            let mut delivered_total = 0.0;
-            for fl in &self.flows {
-                offered_total += fl.offered;
-                for pi in 0..fl.paths.len() {
-                    delivered_total += self.path_delivery(fl, pi);
-                }
-            }
-            let delivered_fraction = if offered_total > 0.0 {
-                delivered_total / offered_total
-            } else {
-                1.0
-            };
-            let threshold = self.cfg.te.threshold;
-            let mut max_util = 0.0_f64;
-            let mut overloaded = 0u32;
-            for a in self.topo.arc_ids() {
-                let c = self.topo.arc(a).capacity;
-                if c <= 0.0 {
-                    continue;
-                }
-                let util = loads[a.idx()] / c;
-                max_util = max_util.max(util);
-                if util > threshold {
-                    overloaded += 1;
-                }
-            }
-            (delivered_fraction, max_util, overloaded)
         };
-        let power_frac = self.sampled_power_w() / self.full_power_w;
-        self.ts_points.push(TimeseriesPoint {
-            t: self.now,
-            delivered_fraction,
-            power_frac,
-            max_util,
-            overloaded_arcs: overloaded,
-            reconfig_count: self.reconfig_count,
-        });
+        self.series.end_row(sample);
+        let row = self.series.samples().len() - 1;
+        if self.ts_every.is_some_and(|k| row.is_multiple_of(k)) {
+            let (max_util, _, overloaded_arcs) = self.arc_utilisation();
+            self.ts_points.push(TimeseriesPoint {
+                t: sample.t,
+                delivered_fraction: if offered_total > 0.0 {
+                    delivered_total / offered_total
+                } else {
+                    1.0
+                },
+                power_frac: sample.power_frac,
+                max_util,
+                overloaded_arcs,
+                reconfig_count: self.reconfig_count,
+            });
+        }
     }
 }
 
@@ -1971,12 +1920,43 @@ mod tests {
         let mut sim = Simulation::new(&t, &pm, &pt, click_cfg());
         let _ = sim.add_flow(&pt, n.a, n.k, 2.5e6);
         sim.run_until(1.0);
-        let rec = sim.recorder();
-        assert!(rec.len() >= 20, "50 ms sampling over 1 s");
-        let last = rec.samples().last().unwrap();
+        let samples = sim.series().samples();
+        assert!(samples.len() >= 20, "50 ms sampling over 1 s");
+        let last = samples.last().unwrap();
         assert!(last.t <= 1.0 + 1e-9);
         assert!(last.power_frac > 0.0 && last.power_frac < 1.0);
         assert!((last.offered_total - 2.5e6).abs() < 1.0);
+    }
+
+    #[test]
+    fn rows_widen_when_a_flow_joins() {
+        let (t, n, pt) = click_setup();
+        let pm = ecp_power::PowerModel::cisco12000();
+        let mut sim = Simulation::new(&t, &pm, &pt, click_cfg());
+        let fa = sim.add_flow(&pt, n.a, n.k, 2.5e6);
+        sim.set_shares(fa, vec![0.5, 0.5]);
+        sim.run_until(1.0);
+        let before = sim.series().samples().len();
+        let _ = sim.add_flow(&pt, n.c, n.k, 2.5e6);
+        sim.run_until(2.0);
+        let rows: Vec<_> = sim.series().rows().collect();
+        assert!(before >= 20 && rows.len() > before + 10);
+        for (i, (s, rates)) in rows.iter().enumerate() {
+            let flows = if i < before { 1 } else { 2 };
+            assert_eq!(rates.ends.len(), flows, "row at t = {}", s.t);
+            assert_eq!(rates.rates.len(), 2 * flows, "two paths per flow");
+            let delivered: f64 = rates.iter().map(|f| f.iter().sum::<f64>()).sum();
+            assert_eq!(delivered, s.delivered_total);
+        }
+        // The stability analysis skips the one pair of rows that
+        // straddles the join, so the join is no reconfiguration.
+        let churn = |rows: &[(&Sample, ecp_control::PathRates)]| {
+            ecp_control::analyze(rows.iter().copied(), &Default::default()).churn_moves
+        };
+        assert_eq!(
+            churn(&rows),
+            churn(&rows[..before]) + churn(&rows[before..])
+        );
     }
 
     #[test]
@@ -2089,7 +2069,7 @@ mod tests {
             } else {
                 sim.run_until(3.0);
             }
-            sim.recorder()
+            sim.series()
                 .samples()
                 .iter()
                 .map(|s| (s.power_w, s.delivered_total))
@@ -2120,7 +2100,7 @@ mod tests {
             // Phase-jittered agents still aggregate on the always-on path.
             assert!(rates_a[0] > 2.4e6, "aggregated: {rates_a:?}");
             assert!(rates_c[0] > 2.4e6, "aggregated: {rates_c:?}");
-            sim.recorder()
+            sim.series()
                 .samples()
                 .iter()
                 .map(|s| (s.power_w, s.delivered_total))
@@ -2171,7 +2151,7 @@ mod tests {
             sim.schedule_demand(1.0, fa, 7e6);
             sim.schedule_demand(2.0, fc, 7e6);
             sim.run_until(3.0);
-            sim.recorder()
+            sim.series()
                 .samples()
                 .iter()
                 .map(|s| (s.power_w, s.delivered_total))
@@ -2198,7 +2178,7 @@ mod tests {
                     $sim.schedule_link_failure(1.5, eh);
                     $sim.schedule_link_repair(2.0, eh);
                     $sim.run_until(3.0);
-                    $sim.recorder()
+                    $sim.series()
                         .samples()
                         .iter()
                         .map(|s| (s.power_w, s.delivered_total))
@@ -2215,7 +2195,7 @@ mod tests {
                     JsonlSink::new(),
                 );
                 let series = drive!(sim);
-                (series, Some(sim.into_telemetry()))
+                (series, Some(sim.finish().2))
             } else {
                 let mut sim = Simulation::new(&t, &pm, &pt, click_cfg());
                 let series = drive!(sim);

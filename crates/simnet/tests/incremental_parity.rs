@@ -128,7 +128,7 @@ fn run_script(
     which_policy: usize,
     spread: bool,
     never_skip: bool,
-) -> (Vec<ecp_simnet::Sample>, Vec<Vec<f64>>) {
+) -> (ecp_simnet::Series, Vec<Vec<f64>>) {
     let (t, n, pt) = click_tables();
     let cfg = SimConfig {
         control_interval: 0.1,
@@ -165,7 +165,7 @@ fn run_script(
     }
     sim.run_until(T_END);
     let deliveries = vec![sim.per_path_delivered(fa), sim.per_path_delivered(fc)];
-    (sim.recorder().samples().to_vec(), deliveries)
+    (sim.series().clone(), deliveries)
 }
 
 /// A fixed script failing and repairing a node and a link on the
@@ -200,8 +200,12 @@ fn fixed_script_reaches_node_failures_and_known_events() {
     // path, and the detected repair brings it back.
     let (samples, _) = run_script(&script, 0, false, false);
     let rates_at = |t: f64| {
-        let s = samples.iter().rev().find(|s| s.t <= t + 1e-9).unwrap();
-        &s.per_flow_path_rates[0]
+        let (_, rates) = samples
+            .rows()
+            .filter(|(s, _)| s.t <= t + 1e-9)
+            .last()
+            .unwrap();
+        rates.flow(0)
     };
     assert_eq!(rates_at(1.05)[1], 0.0, "undetected: nothing moved yet");
     assert!(rates_at(1.9)[1] > 2.4e6, "failover after NodeFailureKnown");

@@ -301,7 +301,7 @@ pub enum Counter {
     FailuresInjected,
     /// Repairs injected (links + nodes).
     RepairsInjected,
-    /// Recorder samples taken.
+    /// Series rows sampled.
     Samples,
 }
 

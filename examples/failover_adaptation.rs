@@ -65,10 +65,10 @@ fn main() {
     sim.run_until(fail_at + 2.0);
 
     println!("t(s)   middle  upper  lower  sleeping-links  power");
-    for s in sim.recorder().samples().iter().step_by(4) {
-        let middle = s.per_flow_path_rates[0][0] + s.per_flow_path_rates[1][0];
-        let upper = s.per_flow_path_rates[0][1];
-        let lower = s.per_flow_path_rates[1][1];
+    for (s, rates) in sim.series().rows().step_by(4) {
+        let middle = rates.flow(0)[0] + rates.flow(1)[0];
+        let upper = rates.flow(0)[1];
+        let lower = rates.flow(1)[1];
         println!(
             "{:>5.2}  {:>5.2}M {:>5.2}M {:>5.2}M  {}",
             s.t,
@@ -84,7 +84,7 @@ fn main() {
     println!(
         "the middle link fails at t={fail_at}; detection takes 100 ms; the failover paths wake in 10 ms and restore delivery."
     );
-    let last = sim.recorder().samples().last().unwrap();
+    let last = sim.series().samples().last().unwrap();
     println!(
         "final delivery: {:.2} Mbps of {:.2} Mbps offered",
         last.delivered_total / 1e6,

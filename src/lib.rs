@@ -9,8 +9,6 @@
 //! * [`power`] — router/link power models and network power evaluation.
 //! * [`traffic`] — traffic matrices, gravity/sine models, trace
 //!   generators and replay.
-//! * [`lp`] — simplex LP / branch-and-bound MIP solver (CPLEX
-//!   substitute).
 //! * [`routing`] — routing schemes, the feasibility oracle, baselines
 //!   (OSPF-InvCap, ECMP, greedy/GreenTE heuristics, optimal subset).
 //! * [`core`] — the REsPoNse framework itself: always-on / on-demand /
@@ -54,7 +52,6 @@
 pub use ecp_apps as apps;
 pub use ecp_campaign as campaign;
 pub use ecp_control as control;
-pub use ecp_lp as lp;
 pub use ecp_power as power;
 pub use ecp_routing as routing;
 pub use ecp_scenario as scenario;

@@ -55,7 +55,7 @@ fn simulation_runs_are_reproducible() {
         let eh = topo.find_arc(n.e, n.h).unwrap();
         sim.schedule_link_failure(2.0, eh);
         sim.run_until(4.0);
-        sim.recorder()
+        sim.series()
             .samples()
             .iter()
             .map(|s| (s.power_w.to_bits(), s.delivered_total.to_bits()))

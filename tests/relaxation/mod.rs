@@ -1,14 +1,14 @@
 //! Splittable-flow LP relaxations built on `ecp-lp`.
 //!
 //! Two models, both *relaxations* of the paper's MILP (binary `X`, `Y`,
-//! `f` relaxed to `[0, 1]`), used on small instances for:
+//! `f` relaxed to `[0, 1]`), used by the cross-validation tests on small
+//! instances for:
 //!
 //! * **Feasibility certification** — if the splittable LP is infeasible,
 //!   no unsplittable routing exists either, certifying oracle `None`
 //!   answers.
 //! * **Power lower bounds** — the relaxed min-power objective bounds the
-//!   true optimum from below, quantifying heuristic optimality gaps in
-//!   the benches.
+//!   true optimum from below, quantifying heuristic optimality gaps.
 
 use ecp_lp::{solve_lp, Cmp, LpStatus, Problem, Sense, VarId};
 use ecp_power::PowerModel;
@@ -139,8 +139,7 @@ pub fn min_power_lower_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::{place_flows, OracleConfig};
-    use crate::subset::exact_small_subset;
+    use ecp_routing::{exact_small_subset, place_flows, OracleConfig};
     use ecp_topo::gen::{line, ring};
     use ecp_topo::{NodeId, MBPS, MS};
     use ecp_traffic::Demand;

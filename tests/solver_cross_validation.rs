@@ -1,10 +1,13 @@
 //! Cross-validation between the independent solvers: the combinatorial
 //! oracle/subset machinery must agree with the LP relaxation bounds from
-//! `ecp-lp` — two implementations, one truth.
+//! `ecp-lp` — two implementations, one truth. The LP relaxations live
+//! next to this test (`relaxation/`): no library links the solver.
 
-use response::lp::{solve_mip, Cmp, MipConfig, MipStatus, Problem, Sense};
+mod relaxation;
+
+use ecp_lp::{solve_mip, Cmp, MipConfig, MipStatus, Problem, Sense};
+use relaxation::{min_power_lower_bound, splittable_feasible, FlowFeasibility};
 use response::power::PowerModel;
-use response::routing::relaxation::{min_power_lower_bound, splittable_feasible, FlowFeasibility};
 use response::routing::{exact_small_subset, place_flows, OracleConfig};
 use response::topo::gen::{random_waxman, ring};
 use response::topo::{NodeId, MBPS, MS};
