@@ -13,7 +13,9 @@
 //! With `--features count-allocs` a third layer, `alloc_accounting`,
 //! installs the counting global allocator (`ecp-telemetry`) and reports
 //! heap allocations per control round alongside the wall-clock; CI pins
-//! the decision path at 0.0 allocs/round for every policy arm.
+//! the decision path at 0.0 allocs/round for every policy arm, and the
+//! traced path of one arm at one allocation per trace line (the stored
+//! line itself) plus the line vector's doubling growth.
 //! Whole-scenario timings live in the repository benchmark
 //! (`benchmark/`).
 
@@ -88,17 +90,19 @@ fn te_kernel(c: &mut Criterion) {
     g.finish();
 }
 
-/// A warmed te-stability simulation whose future event stream is pure
-/// decision path: the recorder's sampling interval is pushed past the
-/// measured window, so every event from `t = 5 s` on is a control
-/// round (plus the phase-jittered per-agent decisions a desync policy
-/// schedules within it). Used by `alloc_accounting` so the counted
-/// allocations are attributable to observe→decide→apply alone.
+/// A warmed te-stability simulation recording into `sink`, whose
+/// future event stream is pure decision path: the recorder's sampling
+/// interval is pushed past the measured window, so every event from
+/// `t = 5 s` on is a control round (plus the phase-jittered per-agent
+/// decisions a desync policy schedules within it). Used by
+/// `alloc_accounting` so the counted allocations are attributable to
+/// observe→decide→apply alone.
 #[cfg(feature = "count-allocs")]
-fn warmed_decision_sim<'a>(
+fn warmed_decision_sim<'a, S: ecp_telemetry::TelemetrySink>(
     resolved: &'a ecp_scenario::ResolvedScenario,
     control: &ControlSpec,
-) -> Simulation<'a> {
+    sink: S,
+) -> Simulation<'a, S> {
     let cfg = SimConfig {
         control_interval: 0.5,
         wake_time: 5.0,
@@ -107,12 +111,13 @@ fn warmed_decision_sim<'a>(
         sample_interval: 1e9,
         ..SimConfig::default()
     };
-    let mut sim = Simulation::with_policy(
+    let mut sim = Simulation::with_telemetry(
         &resolved.built.topo,
         &resolved.power,
         &resolved.tables,
         cfg,
         control.build(),
+        sink,
     );
     for &(o, d) in &resolved.pairs {
         sim.add_flow(&resolved.tables, o, d, 2e7);
@@ -127,13 +132,16 @@ fn warmed_decision_sim<'a>(
 /// allocs/round and bytes/round averages — pinned at 0.0 by CI's
 /// bench-smoke job — and benches the same region so wall-clock under
 /// the counting allocator stays visible next to the untouched layers
-/// above.
+/// above. Then runs the first arm traced into a `JsonlSink` and prints
+/// its allocation and line counts, which CI holds to one allocation per
+/// line plus the line vector's doubling growth: each event is formatted
+/// in the sink's reused buffer and stored as one string.
 fn alloc_accounting(c: &mut Criterion) {
     #[cfg(not(feature = "count-allocs"))]
     let _ = c;
     #[cfg(feature = "count-allocs")]
     {
-        use ecp_telemetry::alloc_count;
+        use ecp_telemetry::{alloc_count, JsonlSink, NoopSink};
         // 40 control rounds at the 0.5 s interval, single-threaded, so
         // the process-global deltas are this region's allocations only.
         let rounds = 40u64;
@@ -142,7 +150,7 @@ fn alloc_accounting(c: &mut Criterion) {
         for (id, control) in ecp_bench::scenarios::te_stability_policies() {
             let scenario = ecp_bench::scenarios::te_stability(40.0, 0.7, control);
             let resolved = ecp_scenario::resolve(&scenario).expect("te-stability resolves");
-            let mut sim = warmed_decision_sim(&resolved, &control);
+            let mut sim = warmed_decision_sim(&resolved, &control, NoopSink);
             let (a0, b0) = (alloc_count::allocations(), alloc_count::bytes_allocated());
             sim.run_until(5.0 + rounds as f64 * 0.5);
             let da = alloc_count::allocations() - a0;
@@ -155,13 +163,29 @@ fn alloc_accounting(c: &mut Criterion) {
             );
             g.bench_with_input(BenchmarkId::from_parameter(id), &(), |b, _| {
                 b.iter(|| {
-                    let mut sim = warmed_decision_sim(&resolved, &control);
+                    let mut sim = warmed_decision_sim(&resolved, &control, NoopSink);
                     sim.run_until(5.0 + rounds as f64 * 0.5);
                     sim.now()
                 })
             });
         }
         g.finish();
+
+        // The traced path, over ten times as many rounds.
+        let (id, control) = ecp_bench::scenarios::te_stability_policies().remove(0);
+        let scenario = ecp_bench::scenarios::te_stability(40.0, 0.7, control);
+        let resolved = ecp_scenario::resolve(&scenario).expect("te-stability resolves");
+        let mut sim = warmed_decision_sim(&resolved, &control, JsonlSink::new());
+        let l0 = sim.telemetry().lines().len();
+        let a0 = alloc_count::allocations();
+        sim.run_until(5.0 + 10.0 * rounds as f64 * 0.5);
+        let da = alloc_count::allocations() - a0;
+        let lines = sim.telemetry().lines().len() - l0;
+        println!(
+            "alloc_accounting[{id}]: traced path = {da} allocs for {lines} lines \
+             (over {} rounds)",
+            10 * rounds
+        );
     }
 }
 

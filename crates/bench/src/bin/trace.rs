@@ -21,7 +21,9 @@
 //! `Span` lines ride the trace (event lines stay byte-identical), and
 //! `--timing FILE` writes the per-phase
 //! [`ecp_scenario::TimingSnapshot`] (count, total/self time,
-//! p50/p95/p99) as pretty JSON.
+//! p50/p95/p99) as pretty JSON. The per-agent spans (`round_observe`,
+//! `round_decide`) write no `Span` line, so their rows are only in the
+//! `--timing` profile.
 //!
 //! `summarize` prints per-kind event counts, the control/power headline
 //! numbers, and — when the trace carries `Span` lines — a per-span

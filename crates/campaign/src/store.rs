@@ -22,7 +22,9 @@
 
 use crate::CampaignError;
 use ecp_scenario::ScenarioReport;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, JsonWriter, Serialize};
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -142,6 +144,28 @@ pub struct ResultStore {
 
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
+/// Write one artifact through `write` into a unique temp file next to
+/// `path`, then rename it to `path`. `what` names the artifact in
+/// errors.
+fn publish(
+    path: &Path,
+    what: &str,
+    write: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+) -> Result<(), CampaignError> {
+    let hash = path.file_stem().unwrap_or_default().to_string_lossy();
+    let tmp = path.with_file_name(format!(
+        ".{hash}.{}.{}.tmp",
+        std::process::id(),
+        TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
+    ));
+    let io = |e: std::io::Error, step: &str| CampaignError::Io(format!("{step} {what}: {e}"));
+    let mut w = BufWriter::new(File::create(&tmp).map_err(|e| io(e, "write"))?);
+    write(&mut w)
+        .and_then(|()| w.flush())
+        .map_err(|e| io(e, "write"))?;
+    std::fs::rename(&tmp, path).map_err(|e| io(e, "publish"))
+}
+
 impl ResultStore {
     /// Open (creating if needed) the store under a campaign output
     /// directory.
@@ -203,16 +227,9 @@ impl ResultStore {
     /// Persist a run (unique temp file + atomic rename).
     pub fn save(&self, run: &StoredRun) -> Result<(), CampaignError> {
         let body = serde_json::to_string_pretty(run).expect("stored run serializes");
-        let tmp = self.runs.join(format!(
-            ".{}.{}.{}.tmp",
-            run.hash,
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        let io = |e: std::io::Error, what: &str| CampaignError::Io(format!("{what}: {e}"));
-        std::fs::write(&tmp, body).map_err(|e| io(e, "write run"))?;
-        std::fs::rename(&tmp, self.path(&run.hash)).map_err(|e| io(e, "publish run"))?;
-        Ok(())
+        publish(&self.path(&run.hash), "run", |w| {
+            w.write_all(body.as_bytes())
+        })
     }
 
     /// The directory trace artifacts live in.
@@ -230,21 +247,12 @@ impl ResultStore {
     /// function of the run content, so concurrent writers publish
     /// identical bytes).
     pub fn save_trace(&self, hash: &str, lines: &[String]) -> Result<(), CampaignError> {
-        let mut body = String::new();
-        for line in lines {
-            body.push_str(line);
-            body.push('\n');
-        }
-        let tmp = self.traces.join(format!(
-            ".{}.{}.{}.tmp",
-            hash,
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        let io = |e: std::io::Error, what: &str| CampaignError::Io(format!("{what}: {e}"));
-        std::fs::write(&tmp, body).map_err(|e| io(e, "write trace"))?;
-        std::fs::rename(&tmp, self.trace_path(hash)).map_err(|e| io(e, "publish trace"))?;
-        Ok(())
+        publish(&self.trace_path(hash), "trace", |w| {
+            lines.iter().try_for_each(|line| {
+                w.write_all(line.as_bytes())?;
+                w.write_all(b"\n")
+            })
+        })
     }
 
     /// Load a run's trace lines, if present.
@@ -263,16 +271,9 @@ impl ResultStore {
     /// wall-time data).
     pub fn save_timing(&self, hash: &str, timing: &RunTiming) -> Result<(), CampaignError> {
         let body = serde_json::to_string_pretty(timing).expect("run timing serializes");
-        let tmp = self.timings.join(format!(
-            ".{}.{}.{}.tmp",
-            hash,
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        let io = |e: std::io::Error, what: &str| CampaignError::Io(format!("{what}: {e}"));
-        std::fs::write(&tmp, body).map_err(|e| io(e, "write timing"))?;
-        std::fs::rename(&tmp, self.timing_path(hash)).map_err(|e| io(e, "publish timing"))?;
-        Ok(())
+        publish(&self.timing_path(hash), "timing", |w| {
+            w.write_all(body.as_bytes())
+        })
     }
 
     /// Load a run's timing sidecar, if a profiled execution wrote one.
@@ -301,22 +302,15 @@ impl ResultStore {
     ) -> Result<(), CampaignError> {
         // The sidecar format: one serialized point per line,
         // newline-terminated.
-        let mut body = String::new();
-        for p in points {
-            body.push_str(&serde_json::to_string(p).expect("timeseries point serializes"));
-            body.push('\n');
-        }
-        let tmp = self.timeseries.join(format!(
-            ".{}.{}.{}.tmp",
-            hash,
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        let io = |e: std::io::Error, what: &str| CampaignError::Io(format!("{what}: {e}"));
-        std::fs::write(&tmp, body).map_err(|e| io(e, "write timeseries"))?;
-        std::fs::rename(&tmp, self.timeseries_path(hash))
-            .map_err(|e| io(e, "publish timeseries"))?;
-        Ok(())
+        publish(&self.timeseries_path(hash), "timeseries", |w| {
+            let mut line = String::new();
+            points.iter().try_for_each(|p| {
+                line.clear();
+                p.write_json(&mut JsonWriter::compact(&mut line));
+                line.push('\n');
+                w.write_all(line.as_bytes())
+            })
+        })
     }
 
     /// Load a run's timeseries points, if a `metrics.timeseries` run

@@ -1,7 +1,7 @@
 //! The sampled series of a simulation run.
 
 use ecp_control::{PathRates, Sample};
-use serde::{Deserialize, FromValue, Map, Serialize, Serializer, Value};
+use serde::{Deserialize, FromValue, JsonWriter, Map, Serialize, Serializer, Value};
 
 /// One compact campaign-observatory timeline point (`metrics.timeseries`):
 /// the scalar signals the paper's figures plot, without the per-path
@@ -94,17 +94,55 @@ impl Series {
     }
 }
 
+/// The key of a row's per-path rates, next to its [`Sample`] fields.
+const RATES: &str = "per_flow_path_rates";
+
+/// A row's [`Sample`] fields as an object.
+fn sample_fields(s: &Sample) -> Map {
+    let Value::Object(fields) = serde::to_value(s) else {
+        unreachable!("a struct serializes to an object")
+    };
+    fields
+}
+
 impl Serialize for Series {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         let rows = self.rows().map(|(s, rates)| {
-            let Value::Object(mut row) = serde::to_value(s) else {
-                unreachable!("a struct serializes to an object")
-            };
+            let mut row = sample_fields(s);
             let flows = rates.iter().map(serde::to_value).collect();
-            row.insert("per_flow_path_rates".into(), Value::Array(flows));
+            row.insert(RATES.into(), Value::Array(flows));
             Value::Object(row)
         });
         serializer.collect_value(Value::Array(rows.collect()))
+    }
+
+    /// The same JSON with the rates, the bulk of a series, written
+    /// straight from the arena: only each row's few [`Sample`] fields
+    /// go through a tree.
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.begin_array();
+        for (s, rates) in self.rows() {
+            let mut row = sample_fields(s);
+            // A placeholder that puts the rates at their key's place.
+            row.insert(RATES.into(), Value::Null);
+            w.element();
+            w.begin_object();
+            for (k, v) in &row {
+                w.key(k);
+                if k == RATES {
+                    w.begin_array();
+                    for flow in rates.iter() {
+                        w.element();
+                        flow.write_json(w);
+                    }
+                    w.end_array();
+                } else {
+                    w.value(v);
+                }
+            }
+            w.end_object();
+        }
+        w.end_array();
     }
 }
 
@@ -112,7 +150,7 @@ impl FromValue for Series {
     fn from_value(value: Value) -> Result<Self, String> {
         let mut series = Series::default();
         for mut row in Vec::<Map>::from_value(value)? {
-            let flows: Vec<Vec<f64>> = serde::from_value_field(&mut row, "per_flow_path_rates")?;
+            let flows: Vec<Vec<f64>> = serde::from_value_field(&mut row, RATES)?;
             let sample = Sample::from_value(Value::Object(row))?;
             let mut end = 0;
             for (f, paths) in flows.iter().enumerate() {
@@ -174,9 +212,16 @@ mod tests {
             second.iter().collect::<Vec<_>>(),
             [&[1.5e6, 0.0][..], &[5e5]]
         );
-        // Serialization nests the rows per flow and parses back.
+        // Serialization nests the rows per flow, streams the bytes of
+        // the printed tree in both layouts, and parses back.
         let json = serde_json::to_string(&series).unwrap();
         assert!(json.contains("\"per_flow_path_rates\":[[1500000.0,0.0],[500000.0]]"));
+        let tree = serde::to_value(&series);
+        let (mut compact, mut pretty) = (String::new(), String::new());
+        JsonWriter::compact(&mut compact).value(&tree);
+        JsonWriter::pretty(&mut pretty).value(&tree);
+        assert_eq!(json, compact);
+        assert_eq!(serde_json::to_string_pretty(&series).unwrap(), pretty);
         let parse = |json: &str| Series::from_value(serde_json::from_str(json).unwrap());
         assert_eq!(parse(&json), Ok(series));
         let clash = json.replace("[[1500000.0,0.0],[500000.0]]", "[[1500000.0],[500000.0]]");

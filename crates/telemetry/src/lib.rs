@@ -22,7 +22,7 @@
 //!   used by benches to measure allocations per control round — the
 //!   baseline for the ROADMAP "zero-alloc decision path" item.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, JsonWriter, Serialize};
 
 #[cfg(feature = "count-allocs")]
 pub mod alloc_count;
@@ -268,7 +268,15 @@ impl SpanName {
 
     /// Position in [`SpanName::ALL`].
     pub fn index(self) -> usize {
-        SpanName::ALL.iter().position(|s| *s == self).unwrap()
+        self as usize
+    }
+
+    /// Whether [`SpanSink`] writes a `Span` line when this span closes.
+    /// The per-agent spans (`round_observe`, `round_decide`) close once
+    /// per agent decision, millions of times in a simulated day, so
+    /// they only feed the [`TimingSnapshot`] aggregates.
+    pub(crate) fn writes_line(self) -> bool {
+        !matches!(self, SpanName::RoundObserve | SpanName::RoundDecide)
     }
 }
 
@@ -345,7 +353,7 @@ impl Counter {
     }
 
     fn index(self) -> usize {
-        Counter::ALL.iter().position(|c| *c == self).unwrap()
+        self as usize
     }
 }
 
@@ -389,7 +397,7 @@ impl Hist {
     }
 
     fn index(self) -> usize {
-        Hist::ALL.iter().position(|h| *h == self).unwrap()
+        self as usize
     }
 }
 
@@ -655,6 +663,8 @@ impl HistState {
 #[derive(Debug, Clone, PartialEq)]
 pub struct JsonlSink {
     lines: Vec<String>,
+    /// Formatting buffer reused by every line; empty between lines.
+    buf: String,
     events: u64,
     counters: [u64; Counter::ALL.len()],
     hists: Vec<HistState>,
@@ -668,6 +678,7 @@ impl JsonlSink {
     pub fn new() -> Self {
         JsonlSink {
             lines: Vec::new(),
+            buf: String::new(),
             events: 0,
             counters: [0; Counter::ALL.len()],
             hists: Hist::ALL.iter().map(|&h| HistState::new(h)).collect(),
@@ -685,6 +696,14 @@ impl JsonlSink {
     /// Current value of one counter.
     pub fn counter(&self, c: Counter) -> u64 {
         self.counters[c.index()]
+    }
+
+    /// Append `ev` as one JSON line, formatted in the reused buffer and
+    /// stored at its exact size.
+    pub(crate) fn push_line(&mut self, ev: &TelemetryEvent) {
+        ev.write_json(&mut JsonWriter::compact(&mut self.buf));
+        self.lines.push(self.buf.as_str().into());
+        self.buf.clear();
     }
 }
 
@@ -717,8 +736,7 @@ impl TelemetrySink for JsonlSink {
             }
             _ => {}
         }
-        self.lines
-            .push(serde_json::to_string(ev).expect("telemetry events always serialize"));
+        self.push_line(ev);
     }
 
     fn add(&mut self, c: Counter, n: u64) {

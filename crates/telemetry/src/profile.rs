@@ -11,7 +11,9 @@
 //!   events ride in the same ordered line stream as the inner sink's
 //!   events (as [`TelemetryEvent::Span`] lines) but bypass its
 //!   aggregation, so the embedded [`TelemetrySnapshot`] is identical
-//!   to an unprofiled traced run.
+//!   to an unprofiled traced run. The per-agent spans
+//!   ([`SpanName::writes_line`] is false) write no line; like every
+//!   span they are counted and timed in the [`TimingSnapshot`].
 //! * [`TimingSnapshot`] — per-span count / total / self time plus
 //!   p50/p95/p99 interpolated from fixed log-spaced duration buckets.
 //!
@@ -148,7 +150,7 @@ struct SpanStat {
 
 #[derive(Debug, Clone)]
 struct Frame {
-    name: usize,
+    name: SpanName,
     start_s: f64,
     child_s: f64,
 }
@@ -256,7 +258,7 @@ impl<C: Clock> TelemetrySink for SpanSink<C> {
     fn span_enter(&mut self, name: SpanName) {
         let start_s = self.clock.now_s();
         self.stack.push(Frame {
-            name: name.index(),
+            name,
             start_s,
             child_s: 0.0,
         });
@@ -269,8 +271,7 @@ impl<C: Clock> TelemetrySink for SpanSink<C> {
             return;
         };
         debug_assert_eq!(
-            frame.name,
-            name.index(),
+            frame.name, name,
             "span_exit({name:?}) does not match the innermost open span"
         );
         let dur_s = (now - frame.start_s).max(0.0);
@@ -278,14 +279,17 @@ impl<C: Clock> TelemetrySink for SpanSink<C> {
         if let Some(parent) = self.stack.last_mut() {
             parent.child_s += dur_s;
         }
-        let st = &mut self.stats[frame.name];
+        let st = &mut self.stats[frame.name.index()];
         st.count += 1;
         st.total_s += dur_s;
         st.self_s += self_s;
         st.durations.observe(SPAN_DUR_BOUNDS, dur_s);
+        if !frame.name.writes_line() {
+            return;
+        }
         let ev = TelemetryEvent::Span {
             t: self.last_t,
-            name: SpanName::ALL[frame.name].name().to_string(),
+            name: frame.name.name().to_string(),
             start_s: frame.start_s - self.origin_s,
             dur_s,
             self_s,
@@ -294,9 +298,7 @@ impl<C: Clock> TelemetrySink for SpanSink<C> {
         // Pushed directly (not through `inner.emit`) so the inner
         // event count / settle / peak aggregation — and therefore the
         // embedded TelemetrySnapshot — match an unprofiled traced run.
-        self.inner
-            .lines
-            .push(serde_json::to_string(&ev).expect("telemetry events always serialize"));
+        self.inner.push_line(&ev);
     }
 
     fn snapshot(&self) -> Option<TelemetrySnapshot> {
@@ -371,6 +373,34 @@ mod tests {
                 assert_eq!(depth, 0);
             }
             other => panic!("expected Span, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn per_agent_spans_are_timed_without_lines() {
+        let mut s = SpanSink::with_clock(FakeClock::new(1.0));
+        s.span_enter(SpanName::RoundApply);
+        for name in [SpanName::RoundObserve, SpanName::RoundDecide] {
+            assert!(!name.writes_line());
+            s.span_enter(name);
+            s.span_exit(name);
+        }
+        s.span_exit(SpanName::RoundApply);
+
+        // Only the enclosing span writes a line, and its self time
+        // still excludes the two per-agent children.
+        let lines = s.take_lines();
+        assert_eq!(lines.len(), 1);
+        let back: TelemetryEvent = serde_json::from_str(&lines[0]).unwrap();
+        let TelemetryEvent::Span { name, self_s, .. } = back else {
+            panic!("expected Span, got {back:?}");
+        };
+        assert_eq!(name, "round_apply");
+        assert_eq!(self_s, 3.0);
+        let timing = s.timing();
+        for name in ["round_observe", "round_decide"] {
+            let span = timing.span(name).unwrap();
+            assert_eq!((span.count, span.total_s), (1, 1.0));
         }
     }
 
