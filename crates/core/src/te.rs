@@ -199,9 +199,12 @@ pub fn apply_step_into(
 
 /// The shared tail of [`apply_step_into`] / [`decide_shares_into`]:
 /// `new` holds the target on entry and the stepped, hygiened share
-/// vector on exit. The arithmetic (`c + step * (t - c)`, vacate, dust,
-/// clamp, renormalize) is exactly the original allocating sequence, so
-/// results are bit-identical.
+/// vector on exit. One loop steps (`c + step * (t - c)`), vacates,
+/// drops dust, clamps and sums each share, then the vector is
+/// renormalized. Every share goes through the same operations in the
+/// same order as the original four passes, and the sum starts at
+/// `-0.0` as `Iterator::sum` does, so results are bit-identical (the
+/// four-pass form is the test oracle).
 fn step_hygiene_in_place(
     paths: &[PathView],
     current: &[f64],
@@ -209,24 +212,26 @@ fn step_hygiene_in_place(
     min_share: f64,
     new: &mut [f64],
 ) {
-    for (v, &c) in new.iter_mut().zip(current) {
-        *v = c + step * (*v - c);
-    }
-    // Unavailable paths are vacated immediately (failure reaction is not
-    // rate-limited; the paper shifts traffic off failed paths promptly).
-    for (i, p) in paths.iter().enumerate() {
-        if !p.available {
-            new[i] = 0.0;
+    let n = new.len();
+    assert!(paths.len() == n && current.len() == n);
+    let mut sum = -0.0_f64;
+    for i in 0..n {
+        let c = current[i];
+        let mut v = c + step * (new[i] - c);
+        // Unavailable paths are vacated immediately (failure reaction is
+        // not rate-limited; the paper shifts traffic off failed paths
+        // promptly).
+        if !paths[i].available {
+            v = 0.0;
         }
-    }
-    // Hygiene: clamp, drop dust, renormalize.
-    for v in new.iter_mut() {
-        if *v < min_share {
-            *v = 0.0;
+        // Hygiene: drop dust, clamp.
+        if v < min_share {
+            v = 0.0;
         }
-        *v = v.clamp(0.0, 1.0);
+        v = v.clamp(0.0, 1.0);
+        new[i] = v;
+        sum += v;
     }
-    let sum: f64 = new.iter().sum();
     if sum > 0.0 {
         for v in new.iter_mut() {
             *v /= sum;
@@ -261,6 +266,7 @@ pub fn converge_shares(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn up(headroom: f64) -> PathView {
         PathView {
@@ -402,6 +408,98 @@ mod tests {
                 (sum - 1.0).abs() < 1e-6 || sum == 0.0,
                 "sum must be 1 (or 0 if nothing available): {new:?}"
             );
+        }
+    }
+
+    /// The four-pass form of [`step_hygiene_in_place`] — step, vacate,
+    /// dust and clamp, `Iterator::sum` — kept as the oracle of the
+    /// one-loop kernel.
+    fn step_hygiene_four_pass(
+        paths: &[PathView],
+        current: &[f64],
+        step: f64,
+        min_share: f64,
+        new: &mut [f64],
+    ) {
+        for (v, &c) in new.iter_mut().zip(current) {
+            *v = c + step * (*v - c);
+        }
+        for (i, p) in paths.iter().enumerate() {
+            if !p.available {
+                new[i] = 0.0;
+            }
+        }
+        for v in new.iter_mut() {
+            if *v < min_share {
+                *v = 0.0;
+            }
+            *v = v.clamp(0.0, 1.0);
+        }
+        let sum: f64 = new.iter().sum();
+        if sum > 0.0 {
+            for v in new.iter_mut() {
+                *v /= sum;
+            }
+        } else if let Some(first_up) = paths.iter().position(|p| p.available) {
+            new[first_up] = 1.0;
+        }
+    }
+
+    /// A share, target, step or dust floor: signed zeros, 1, NaN, ±∞
+    /// or a value in [-2, 3), so inputs fall outside [0, 1] too.
+    fn edgy() -> impl Strategy<Value = f64> {
+        (0usize..9, -2.0f64..3.0).prop_map(|(k, x)| match k {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 1.0,
+            3 => f64::NAN,
+            4 => f64::INFINITY,
+            5 => f64::NEG_INFINITY,
+            _ => x,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The one-loop kernel is bit-identical to the four passes. The
+        /// `shape` forces the corners every few cases: no dust floor,
+        /// no available path, an all-zero target, and all `-0.0`
+        /// shares with no dust floor.
+        #[test]
+        fn one_loop_hygiene_is_bit_identical_to_four_passes(
+            cells in proptest::collection::vec(
+                (edgy(), edgy(), proptest::bool::weighted(0.7)),
+                1..6,
+            ),
+            step in edgy(),
+            min_share in edgy(),
+            shape in 0usize..6,
+        ) {
+            let mut target: Vec<f64> = cells.iter().map(|c| c.0).collect();
+            let mut current: Vec<f64> = cells.iter().map(|c| c.1).collect();
+            let mut paths: Vec<PathView> = cells
+                .iter()
+                .map(|c| PathView { headroom: 0.0, available: c.2 })
+                .collect();
+            let mut min_share = min_share;
+            match shape {
+                0 => min_share = 0.0,
+                1 => paths.iter_mut().for_each(|p| p.available = false),
+                2 => target.iter_mut().for_each(|t| *t = 0.0),
+                3 => {
+                    min_share = 0.0;
+                    target.iter_mut().for_each(|t| *t = -0.0);
+                    current.iter_mut().for_each(|c| *c = -0.0);
+                }
+                _ => {}
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            let mut want = target.clone();
+            step_hygiene_four_pass(&paths, &current, step, min_share, &mut want);
+            let mut got = target;
+            step_hygiene_in_place(&paths, &current, step, min_share, &mut got);
+            prop_assert_eq!(bits(&got), bits(&want));
         }
     }
 }

@@ -1051,24 +1051,40 @@ impl MetricsSpec {
     }
 }
 
-/// `Ok` when `v` is finite and ≥ 0, else an error naming `name`.
-fn non_negative(name: &str, v: f64) -> Result<(), String> {
-    if v.is_finite() && v >= 0.0 {
+/// `Ok` when `v` is finite and `in_range(v)`, else an error naming
+/// `name` and the `range` it must lie in.
+fn finite_in(
+    name: &str,
+    v: f64,
+    range: &str,
+    in_range: impl Fn(f64) -> bool,
+) -> Result<(), String> {
+    if v.is_finite() && in_range(v) {
         Ok(())
     } else {
-        Err(format!("{name} must be finite and >= 0, got {v}"))
+        Err(format!("{name} must be finite and {range}, got {v}"))
     }
 }
 
+/// `Ok` when `v` is finite and ≥ 0, else an error naming `name`.
+fn non_negative(name: &str, v: f64) -> Result<(), String> {
+    finite_in(name, v, ">= 0", |v| v >= 0.0)
+}
+
 impl Scenario {
-    /// Reject timing the simulator's event loop cannot run. The control
-    /// and sample periods must be finite and > 0: their events
+    /// Reject timing and TE parameters the simulator cannot run. The
+    /// control and sample periods must be finite and > 0: their events
     /// re-schedule themselves one period later, so a zero period never
     /// advances time. The observatory interval must be a whole multiple
     /// of the sample interval. The [`SimSpec`] delays, the TE start,
     /// `duration_s`, and every event time, spacing, repair delay, window
     /// length and wake time must be finite and ≥ 0: an infinite horizon
-    /// never ends, and a NaN time would fire at an arbitrary point.
+    /// never ends, and a NaN time would fire at an arbitrary point. The
+    /// TE threshold (also every `SetThreshold` event's) must be finite
+    /// and > 0, the TE step finite and in (0, 1], and the TE minimum
+    /// share finite and in [0, 1); outside these ranges the run would
+    /// return a silently wrong report (with a NaN threshold or step,
+    /// or a zero step, TE never acts).
     pub fn validate_sim_timing(&self) -> Result<(), String> {
         let sim = &self.sim;
         let periods = [
@@ -1076,10 +1092,15 @@ impl Scenario {
             ("sample_interval_s", sim.sample_interval_s),
         ];
         for (name, v) in periods {
-            if !(v.is_finite() && v > 0.0) {
-                return Err(format!("sim {name} must be finite and > 0, got {v}"));
-            }
+            finite_in(&format!("sim {name}"), v, "> 0", |v| v > 0.0)?;
         }
+        finite_in("sim te_threshold", sim.te_threshold, "> 0", |v| v > 0.0)?;
+        finite_in("sim te_step", sim.te_step, "in (0, 1]", |v| {
+            v > 0.0 && v <= 1.0
+        })?;
+        finite_in("sim te_min_share", sim.te_min_share, "in [0, 1)", |v| {
+            (0.0..1.0).contains(&v)
+        })?;
         self.metrics.timeseries_every(sim.sample_interval_s)?;
         non_negative("sim wake_time_s", sim.wake_time_s)?;
         non_negative("sim detect_delay_s", sim.detect_delay_s)?;
@@ -1112,6 +1133,11 @@ impl Scenario {
             };
             for (field, v) in times {
                 non_negative(&format!("events[{i}].{field}"), v)?;
+            }
+            if let EventSpec::SetThreshold { threshold, .. } = *ev {
+                finite_in(&format!("events[{i}].threshold"), threshold, "> 0", |v| {
+                    v > 0.0
+                })?;
             }
         }
         Ok(())

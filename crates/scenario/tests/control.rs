@@ -327,6 +327,41 @@ fn degenerate_te_start_is_invalid() {
 }
 
 #[test]
+fn degenerate_te_threshold_is_invalid() {
+    let bad = [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    assert_rejected("te_threshold", &bad, |s, v| s.sim.te_threshold = v);
+}
+
+#[test]
+fn degenerate_event_threshold_is_invalid() {
+    let bad = [0.0, -1.0, f64::NAN, f64::INFINITY];
+    assert_rejected("events[0].threshold", &bad, |s, v| {
+        s.events = vec![EventSpec::SetThreshold {
+            at: 1.0,
+            threshold: v,
+        }]
+    });
+}
+
+#[test]
+fn te_step_outside_unit_interval_is_invalid() {
+    let bad = [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY];
+    assert_rejected("te_step", &bad, |s, v| s.sim.te_step = v);
+    let mut s = base(ControlSpec::Undamped);
+    s.sim.te_step = 1.0;
+    assert!(run_scenario(&s).is_ok(), "a step of 1 jumps to the target");
+}
+
+#[test]
+fn te_min_share_outside_unit_interval_is_invalid() {
+    let bad = [-0.1, 1.0, 2.0, f64::NAN, f64::INFINITY];
+    assert_rejected("te_min_share", &bad, |s, v| s.sim.te_min_share = v);
+    let mut s = base(ControlSpec::Undamped);
+    s.sim.te_min_share = 0.0;
+    assert!(run_scenario(&s).is_ok(), "no dust floor");
+}
+
+#[test]
 fn non_simnet_engines_reject_control_and_stability() {
     // Replay engine + a damped policy: Unsupported, not silently ignored.
     let mut s = base(ControlSpec::Ewma { alpha: 0.5 });

@@ -172,10 +172,16 @@ struct Flow {
     arc_pool: Vec<ArcId>,
     /// Per path: `(offset, len)` into `arc_pool`.
     arc_spans: Vec<(u32, u32)>,
+    /// The capacity of every `arc_pool` arc, at the same offsets — the
+    /// headroom views read capacities from here, not from the topology.
+    cap_pool: Vec<f64>,
+    /// Global path id of path 0: path `pi` of this flow is entry
+    /// `first_gp + pi` of [`Simulation::contrib`].
+    first_gp: u32,
     /// Current share vector.
     shares: Vec<f64>,
     /// Cached per-path rate, always exactly `offered * shares[pi]`
-    /// (the incremental accounting's unit of contribution).
+    /// (a ready path's load contribution, see [`Simulation::contrib`]).
     rate: Vec<f64>,
     /// Per path: how many of its arc occurrences traverse a link that
     /// is currently not ready (down or not Active). `0` ⇔ the path is
@@ -214,6 +220,16 @@ impl Flow {
     }
 }
 
+/// A path's entry in [`Simulation::contrib`]: its rate when that is
+/// positive and no link on it is blocked, else `+0.0`.
+fn contribution(rate: f64, blocked: u32) -> f64 {
+    if rate > 0.0 && blocked == 0 {
+        rate
+    } else {
+        0.0
+    }
+}
+
 /// Reusable per-[`Simulation`] buffers for the observe→decide→apply
 /// hot path. Every buffer is cleared before use and retains its
 /// capacity across events, so once warm the entire decision path —
@@ -243,8 +259,6 @@ struct DecisionScratch {
     to_wake: Vec<ArcId>,
     /// Links a share change vacated (sleep-check candidates).
     to_sleepcheck: Vec<ArcId>,
-    /// Paths whose share actually moved in one apply.
-    changed_paths: Vec<usize>,
     /// Readiness flips: `(flow, path)` pairs whose contribution
     /// appeared or vanished.
     to_mark: Vec<(usize, usize)>,
@@ -304,11 +318,18 @@ pub struct Simulation<'a, S: TelemetrySink = NoopSink> {
     /// Arcs whose load must be recomputed at the next flush.
     arc_dirty: Vec<bool>,
     dirty_arcs: Vec<usize>,
-    /// Reverse index: arc → the `(flow, path)` occurrences traversing
-    /// it, in (flow, path, occurrence) order — the same order the
-    /// from-scratch scan adds contributions in, so a per-arc recompute
-    /// is bit-identical to it.
+    /// Reverse index: arc → the `(flow, global path id)` occurrences
+    /// traversing it, in (flow, path, occurrence) order — the same order
+    /// the from-scratch scan adds contributions in, so a per-arc
+    /// recompute is bit-identical to it.
     users: Vec<Vec<(u32, u32)>>,
+    /// Per global path id (see [`Flow::first_gp`]): what the path adds
+    /// to the load of each arc it traverses — its cached rate when that
+    /// is positive and the path is ready, else `+0.0`. Written wherever
+    /// a rate or a readiness changes, so a load flush sums it without a
+    /// branch; adding `+0.0` to a sum that starts at `+0.0` never
+    /// changes its bits, so the sum equals the from-scratch scan's.
+    contrib: Vec<f64>,
     /// Per canonical link: ready to carry traffic (not down, Active).
     link_ready: Vec<bool>,
     /// Per canonical link: number of `(flow, path)` pairs with positive
@@ -417,6 +438,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             arc_dirty: vec![false; n_arcs],
             dirty_arcs: Vec::new(),
             users: vec![Vec::new(); n_arcs],
+            contrib: Vec::new(),
             link_ready,
             assigned: vec![0; n_arcs],
             sink,
@@ -470,14 +492,16 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         let mut shares = vec![0.0; n];
         shares[0] = 1.0; // start aggregated on the always-on path
         let fi = self.flows.len();
+        let first_gp = self.contrib.len();
         // Incremental bookkeeping: register every arc occurrence in the
         // reverse index (append keeps (flow, path) order), seed the
         // blocked and known-down counts from the current link readiness
         // and known failures, and collect the distinct links each path
-        // touches. Arcs and links go into flat per-flow pools addressed
-        // by (offset, len) spans.
+        // touches. Arcs, their capacities and links go into flat
+        // per-flow pools addressed by (offset, len) spans.
         let mut arc_pool: Vec<ArcId> = Vec::new();
         let mut arc_spans: Vec<(u32, u32)> = Vec::with_capacity(n);
+        let mut cap_pool: Vec<f64> = Vec::new();
         let mut link_pool: Vec<usize> = Vec::new();
         let mut link_spans: Vec<(u32, u32)> = Vec::with_capacity(n);
         let mut rate = Vec::with_capacity(n);
@@ -500,11 +524,13 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
                 if !link_pool[link_off..].contains(&li) {
                     link_pool.push(li);
                 }
-                self.users[a.idx()].push((fi as u32, pi as u32));
+                self.users[a.idx()].push((fi as u32, (first_gp + pi) as u32));
+                cap_pool.push(self.topo.arc(a).capacity);
             }
             link_spans.push((link_off as u32, (link_pool.len() - link_off) as u32));
             arc_spans.push((arc_pool.len() as u32, arcs.len() as u32));
             arc_pool.extend_from_slice(&arcs);
+            self.contrib.push(contribution(rate[pi], b));
             blocked.push(b);
             known_down.push(k);
         }
@@ -516,6 +542,8 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             paths: uniq,
             arc_pool,
             arc_spans,
+            cap_pool,
+            first_gp: first_gp as u32,
             shares,
             rate,
             blocked,
@@ -959,10 +987,10 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         }
     }
 
-    /// Recompute every dirty arc's load by walking its reverse-index
-    /// entries in (flow, path, occurrence) order — the exact addition
-    /// order of the from-scratch scan, so the cache stays bit-identical
-    /// to it (asserted in debug builds).
+    /// Recompute every dirty arc's load by summing the contribution
+    /// column over its reverse-index entries in (flow, path, occurrence)
+    /// order — the exact addition order of the from-scratch scan, so the
+    /// cache stays bit-identical to it (asserted in debug builds).
     fn flush_loads(&mut self) {
         if self.dirty_arcs.is_empty() {
             return;
@@ -971,25 +999,32 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             self.sink
                 .add(Counter::DirtyArcRecomputes, self.dirty_arcs.len() as u64);
         }
-        while let Some(ai) = self.dirty_arcs.pop() {
-            self.arc_dirty[ai] = false;
+        let Simulation {
+            flows,
+            loads,
+            arc_dirty,
+            dirty_arcs,
+            users,
+            contrib,
+            ..
+        } = self;
+        for &ai in dirty_arcs.iter() {
+            arc_dirty[ai] = false;
+            let entries = &users[ai];
             let mut sum = 0.0_f64;
-            for &(fi, pi) in &self.users[ai] {
-                let fl = &self.flows[fi as usize];
-                let r = fl.rate[pi as usize];
-                if r > 0.0 && fl.blocked[pi as usize] == 0 {
-                    sum += r;
-                }
+            for &(_, gp) in entries {
+                sum += contrib[gp as usize];
             }
-            if sum.to_bits() != self.loads[ai].to_bits() {
-                self.loads[ai] = sum;
+            if sum.to_bits() != loads[ai].to_bits() {
+                loads[ai] = sum;
                 // The observation of every agent with a path through
                 // this arc has changed.
-                for &(fi, _) in &self.users[ai] {
-                    self.flows[fi as usize].obs_dirty = true;
+                for &(fi, _) in entries {
+                    flows[fi as usize].obs_dirty = true;
                 }
             }
         }
+        dirty_arcs.clear();
         debug_assert!(
             self.incremental_state_matches_scratch(),
             "incremental load accounting diverged from the from-scratch oracle"
@@ -999,8 +1034,8 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
     /// Full consistency check of the incremental state against the
     /// from-scratch recomputation (debug builds; also used by the
     /// parity proptests): loads, cached rates, blocked, known-down and
-    /// assigned counts, per-path delivery and the cached power, each
-    /// bit for bit.
+    /// assigned counts, the contribution column, per-path delivery and
+    /// the cached power, each bit for bit.
     pub fn incremental_state_matches_scratch(&self) -> bool {
         let scratch = self.arc_loads_scratch();
         if scratch.len() != self.loads.len()
@@ -1011,13 +1046,23 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         {
             return false;
         }
+        let paths: usize = self.flows.iter().map(|fl| fl.paths.len()).sum();
+        if self.contrib.len() != paths {
+            return false;
+        }
         for (fi, fl) in self.flows.iter().enumerate() {
             for pi in 0..fl.paths.len() {
                 let arcs = fl.path_arcs(pi);
-                if (fl.offered * fl.shares[pi]).to_bits() != fl.rate[pi].to_bits() {
+                let rate = fl.offered * fl.shares[pi];
+                if rate.to_bits() != fl.rate[pi].to_bits() {
                     return false;
                 }
-                if self.path_ready(arcs) != (fl.blocked[pi] == 0) {
+                let ready = self.path_ready(arcs);
+                if ready != (fl.blocked[pi] == 0) {
+                    return false;
+                }
+                let contrib = if rate > 0.0 && ready { rate } else { 0.0 };
+                if self.contrib[fl.first_gp as usize + pi].to_bits() != contrib.to_bits() {
                     return false;
                 }
                 let known_down = arcs.iter().any(|&a| self.link_down_known(a));
@@ -1043,17 +1088,19 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             .all(|l| (self.assigned[l.idx()] > 0) == self.link_has_assigned_traffic_scratch(l))
     }
 
-    /// Update one path's cached rate, maintaining the per-link assigned
-    /// counts and dirtying the path's arcs when its contribution
-    /// changes.
+    /// Update one path's cached rate and contribution, maintaining the
+    /// per-link assigned counts and dirtying the path's arcs when its
+    /// contribution changes.
     fn set_path_rate(&mut self, fi: usize, pi: usize, new_rate: f64) {
-        let old = self.flows[fi].rate[pi];
+        let fl = &mut self.flows[fi];
+        let old = fl.rate[pi];
         if old.to_bits() == new_rate.to_bits() {
             return;
         }
         let was_pos = old > 0.0;
         let is_pos = new_rate > 0.0;
-        self.flows[fi].rate[pi] = new_rate;
+        fl.rate[pi] = new_rate;
+        self.contrib[fl.first_gp as usize + pi] = contribution(new_rate, fl.blocked[pi]);
         if was_pos != is_pos {
             let now = self.now;
             let Simulation {
@@ -1092,32 +1139,6 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         }
     }
 
-    /// Replace one flow's share vector (copied in place — the flow's
-    /// own buffer is reused), flagging its observation dirty when any
-    /// component actually changed (shares are part of the agent's
-    /// decision input).
-    fn install_shares(&mut self, fi: usize, shares: &[f64]) {
-        let fl = &mut self.flows[fi];
-        if shares.len() != fl.shares.len()
-            || shares
-                .iter()
-                .zip(&fl.shares)
-                .any(|(a, b)| a.to_bits() != b.to_bits())
-        {
-            fl.obs_dirty = true;
-        }
-        if shares.len() == fl.shares.len() {
-            fl.shares.copy_from_slice(shares);
-        } else {
-            fl.shares.clear();
-            fl.shares.extend_from_slice(shares);
-        }
-        for pi in 0..self.flows[fi].rate.len() {
-            let r = self.flows[fi].offered * self.flows[fi].shares[pi];
-            self.set_path_rate(fi, pi, r);
-        }
-    }
-
     /// Re-derive one link's known-down state after a `*Known` event,
     /// adjusting the known-down counts of every path traversing it
     /// (either direction) when it flips, and flag every agent with a
@@ -1129,14 +1150,15 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         let flipped = self.link_known_down[l.idx()] != down;
         self.link_known_down[l.idx()] = down;
         for d in [Some(l), self.topo.reverse(l)].into_iter().flatten() {
-            for &(fi, pi) in &self.users[d.idx()] {
+            for &(fi, gp) in &self.users[d.idx()] {
                 let fl = &mut self.flows[fi as usize];
                 fl.obs_dirty = true;
                 if flipped {
+                    let pi = (gp - fl.first_gp) as usize;
                     if down {
-                        fl.known_down[pi as usize] += 1;
+                        fl.known_down[pi] += 1;
                     } else {
-                        fl.known_down[pi as usize] -= 1;
+                        fl.known_down[pi] -= 1;
                     }
                 }
             }
@@ -1164,9 +1186,9 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             .collect()
     }
 
-    /// Flip one link's readiness, adjusting the blocked counts of every
-    /// path traversing it (either direction) and dirtying the paths
-    /// whose contribution appears or vanishes.
+    /// Flip one link's readiness, adjusting the blocked counts and
+    /// contributions of every path traversing it (either direction) and
+    /// dirtying the paths whose contribution appears or vanishes.
     fn set_link_ready(&mut self, l: ArcId, ready: bool) {
         let li = l.idx();
         if self.link_ready[li] == ready {
@@ -1175,20 +1197,27 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         self.link_ready[li] = ready;
         let mut to_mark = std::mem::take(&mut self.scratch.to_mark);
         to_mark.clear();
-        for d in [Some(l), self.topo.reverse(l)].into_iter().flatten() {
-            for &(fi, pi) in &self.users[d.idx()] {
-                let (fi, pi) = (fi as usize, pi as usize);
-                let fl = &mut self.flows[fi];
-                if ready {
+        let Simulation {
+            topo,
+            flows,
+            users,
+            contrib,
+            ..
+        } = self;
+        for d in [Some(l), topo.reverse(l)].into_iter().flatten() {
+            for &(fi, gp) in &users[d.idx()] {
+                let fl = &mut flows[fi as usize];
+                let pi = (gp - fl.first_gp) as usize;
+                let flipped = if ready {
                     fl.blocked[pi] -= 1;
-                    if fl.blocked[pi] == 0 && fl.rate[pi] > 0.0 {
-                        to_mark.push((fi, pi));
-                    }
+                    fl.blocked[pi] == 0
                 } else {
                     fl.blocked[pi] += 1;
-                    if fl.blocked[pi] == 1 && fl.rate[pi] > 0.0 {
-                        to_mark.push((fi, pi));
-                    }
+                    fl.blocked[pi] == 1
+                };
+                contrib[gp as usize] = contribution(fl.rate[pi], fl.blocked[pi]);
+                if flipped && fl.rate[pi] > 0.0 {
+                    to_mark.push((fi as usize, pi));
                 }
             }
         }
@@ -1301,7 +1330,10 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         let sum: f64 = shares.iter().sum();
         assert!((sum - 1.0).abs() < 1e-6, "shares must sum to 1");
         let fi = f.0;
-        self.install_shares(fi, &shares);
+        // The round's wake and sleep-check candidates do not apply here:
+        // the links of every positive-share path wake at once below.
+        let (mut to_wake, mut to_sleepcheck) = (Vec::new(), Vec::new());
+        self.apply_flow_shares(fi, &shares, &mut to_wake, &mut to_sleepcheck);
         let arcs: Vec<ArcId> = (0..self.flows[fi].paths.len())
             .filter(|&pi| self.flows[fi].shares[pi] > 0.0)
             .flat_map(|pi| self.flows[fi].path_arcs(pi).iter().copied())
@@ -1317,21 +1349,28 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
 
     /// What one agent sees of its paths given an arc-load snapshot,
     /// written into `out` (cleared first; the caller's reusable
-    /// buffer).
+    /// buffer). A path's headroom is the least `threshold · capacity −
+    /// max(load − own rate, 0)` over its arcs. The two compare-selects
+    /// skip a NaN candidate as `f64::max(.., 0.0)` and an `f64::min`
+    /// fold from +∞ do, and give the same bits as those except between
+    /// zeros of opposite sign, which a load (never `-0.0`) and a
+    /// positive threshold cannot produce.
     fn flow_views_into(&self, fi: usize, loads: &[f64], out: &mut Vec<PathView>) {
         let threshold = self.cfg.te.threshold;
         let fl = &self.flows[fi];
         out.clear();
-        for pi in 0..fl.paths.len() {
+        for (pi, &(off, len)) in fl.arc_spans.iter().enumerate() {
             let own = fl.rate[pi];
-            let headroom = fl
-                .path_arcs(pi)
-                .iter()
-                .map(|&a| {
-                    let others = (loads[a.idx()] - own).max(0.0);
-                    threshold * self.topo.arc(a).capacity - others
-                })
-                .fold(f64::INFINITY, f64::min);
+            let span = off as usize..(off + len) as usize;
+            let mut headroom = f64::INFINITY;
+            for (&a, &cap) in fl.arc_pool[span.clone()].iter().zip(&fl.cap_pool[span]) {
+                let d = loads[a.idx()] - own;
+                let others = if d > 0.0 { d } else { 0.0 };
+                let h = threshold * cap - others;
+                if h < headroom {
+                    headroom = h;
+                }
+            }
             out.push(PathView {
                 headroom,
                 available: fl.known_down[pi] == 0,
@@ -1386,9 +1425,15 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         self.scratch.views = views;
     }
 
-    /// Install one flow's new shares; collect the links to wake or
-    /// sleep-check for [`Simulation::commit_power_transitions`].
-    /// Returns whether any share component actually moved.
+    /// Install one flow's new shares in one pass over its paths — the
+    /// one install routine of control rounds, phased agents and
+    /// [`Simulation::set_shares`]. A path whose share changes bits flags
+    /// the agent's observation dirty (shares are part of its decision
+    /// input) and gets its new rate. A path whose share moved by more
+    /// than 1e-12 also queues its links for
+    /// [`Simulation::commit_power_transitions`]: the sleeping ones to
+    /// wake when it now carries traffic, all of them to sleep-check
+    /// when it no longer does. Returns whether any share moved.
     fn apply_flow_shares(
         &mut self,
         fi: usize,
@@ -1396,29 +1441,44 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         to_wake: &mut Vec<ArcId>,
         to_sleepcheck: &mut Vec<ArcId>,
     ) -> bool {
-        let mut changed = std::mem::take(&mut self.scratch.changed_paths);
-        changed.clear();
-        changed.extend(
-            (0..shares.len()).filter(|&i| (shares[i] - self.flows[fi].shares[i]).abs() > 1e-12),
-        );
-        let any_changed = !changed.is_empty();
-        self.install_shares(fi, shares);
-        for &pi in &changed {
+        assert_eq!(shares.len(), self.flows[fi].shares.len());
+        let mut moved = false;
+        for (pi, &new) in shares.iter().enumerate() {
+            let fl = &mut self.flows[fi];
+            let old = fl.shares[pi];
+            if old.to_bits() == new.to_bits() {
+                continue;
+            }
+            fl.obs_dirty = true;
+            fl.shares[pi] = new;
+            let rate = fl.offered * new;
+            self.set_path_rate(fi, pi, rate);
+            // A NaN difference is no move.
+            let moved_path = (new - old).abs() > 1e-12;
+            if !moved_path {
+                continue;
+            }
+            moved = true;
             let fl = &self.flows[fi];
-            let active_now = fl.offered * fl.shares[pi] > 0.0;
-            for &a in fl.path_arcs(pi) {
-                let l = self.topo.link_of(a);
-                if active_now {
+            if rate > 0.0 {
+                // A ready path has every link up and Active, so none of
+                // them sleeps.
+                if fl.blocked[pi] == 0 {
+                    continue;
+                }
+                for &a in fl.path_arcs(pi) {
+                    let l = self.topo.link_of(a);
                     if matches!(self.link_state[l.idx()], LinkPowerState::Sleeping) {
                         to_wake.push(l);
                     }
-                } else {
-                    to_sleepcheck.push(l);
+                }
+            } else {
+                for &a in fl.path_arcs(pi) {
+                    to_sleepcheck.push(self.topo.link_of(a));
                 }
             }
         }
-        self.scratch.changed_paths = changed;
-        any_changed
+        moved
     }
 
     /// Schedule the wake-ups and sleep checks a share change triggered.

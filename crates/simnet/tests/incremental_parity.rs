@@ -7,9 +7,9 @@
 //!
 //! * after *every* event — in release builds too, not only through the
 //!   debug assertion in `flush_loads` — the whole incremental state
-//!   (loads, cached rates, blocked, known-down and assigned counts,
-//!   per-path delivery, the cached power) matches the from-scratch
-//!   recomputation bit for bit, and
+//!   (loads, cached rates, blocked, known-down and assigned counts, the
+//!   per-path contribution column, per-path delivery, the cached power)
+//!   matches the from-scratch recomputation bit for bit, and
 //! * a twin run whose policy never reports itself memoryless, so no
 //!   agent decision is ever skipped, records the exact same sample
 //!   series and final deliveries — end-to-end parity of the
