@@ -1,29 +1,6 @@
-//! The trace CLI: capture, inspect, validate, and convert telemetry
-//! traces (`ecp-telemetry` JSONL) produced by the traced scenario entry
-//! points and the campaign executor.
-//!
-//! ```text
-//! trace run       <registry-id|scenario.toml> [--out FILE] [--snapshot FILE]
-//!                                             [--profile] [--timing FILE]
-//! trace summarize <trace.jsonl> [--json]
-//! trace validate  <trace.jsonl>
-//! trace diff      <a.jsonl> <b.jsonl>
-//! trace chrome    <trace.jsonl> [--out FILE]
-//! ```
-//!
-//! `run` executes a scenario (experiment-registry id, or a scenario
-//! TOML path) through [`ecp_scenario::run_resolved_traced`] and writes
-//! the JSONL event trace to stdout or `--out`; `--snapshot` also writes
-//! the counter/histogram snapshot as pretty JSON. Traces are
-//! deterministic — a pure function of the scenario — so two `run`s of
-//! the same id `diff` clean. With `--profile` the scenario is resolved
-//! and run into one [`ecp_scenario::SpanSink`] instead: wall-clock
-//! `Span` lines ride the trace (event lines stay byte-identical), and
-//! `--timing FILE` writes the per-phase
-//! [`ecp_scenario::TimingSnapshot`] (count, total/self time,
-//! p50/p95/p99) as pretty JSON. The per-agent spans (`round_observe`,
-//! `round_decide`) write no `Span` line, so their rows are only in the
-//! `--timing` profile.
+//! `ecp trace`: inspect, validate, and convert the telemetry traces
+//! (`ecp-telemetry` JSONL) that `ecp run --trace` and the campaign
+//! executor write.
 //!
 //! `summarize` prints per-kind event counts, the control/power headline
 //! numbers, and — when the trace carries `Span` lines — a per-span
@@ -38,133 +15,49 @@
 //! profiling spans render as duration (`ph: "X"`) events in wall-clock
 //! microseconds under pid 2, so the two timebases never share a track.
 
+use crate::args::{Args, Failure, Flags};
 use ecp_simnet::{PowerKind, TelemetryEvent};
 use serde_json::{Map, Value};
-use std::path::Path;
-use std::process::exit;
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.windows(2).find(|w| w[0] == name).map(|w| w[1].clone())
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: trace <run|summarize|validate|diff|chrome> <input> \
-         [second-input] [--out FILE] [--snapshot FILE] [--profile] [--timing FILE] [--json]"
-    );
-    exit(2)
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("trace: {msg}");
-    exit(1)
-}
-
-fn read_lines(path: &str) -> Vec<String> {
-    match std::fs::read_to_string(path) {
-        Ok(doc) => doc.lines().map(str::to_string).collect(),
-        Err(e) => fail(&format!("read {path}: {e}")),
-    }
-}
-
-/// Parse every JSONL line; returns the events or the 1-based line
-/// number and message of the first malformed line.
-fn parse_events(lines: &[String]) -> Result<Vec<TelemetryEvent>, (usize, String)> {
-    let mut out = Vec::with_capacity(lines.len());
-    for (i, line) in lines.iter().enumerate() {
-        match serde_json::from_str::<TelemetryEvent>(line) {
-            Ok(ev) => out.push(ev),
-            Err(e) => return Err((i + 1, e.to_string())),
-        }
-    }
-    Ok(out)
-}
-
-/// Resolve the `run` input: an experiment-registry id, or a path to a
-/// scenario TOML document.
-fn resolve_scenario(input: &str) -> ecp_scenario::Scenario {
-    if let Some(s) = ecp_bench::scenarios::campaign_scenario(input) {
-        return s;
-    }
-    if Path::new(input).is_file() {
-        let doc = match std::fs::read_to_string(input) {
-            Ok(d) => d,
-            Err(e) => fail(&format!("read {input}: {e}")),
-        };
-        match ecp_scenario::Scenario::from_toml(&doc) {
-            Ok(s) => return s,
-            Err(e) => fail(&format!("parse {input}: {e}")),
-        }
-    }
-    fail(&format!(
-        "`{input}` is neither a registry id nor a scenario TOML file"
-    ))
-}
-
-fn cmd_run(
-    input: &str,
-    out: Option<&str>,
-    snapshot_out: Option<&str>,
-    profile: bool,
-    timing_out: Option<&str>,
-) {
-    if timing_out.is_some() && !profile {
-        fail("--timing requires --profile");
-    }
-    let scenario = resolve_scenario(input);
-    let outcome = if profile {
-        let mut sink = ecp_scenario::SpanSink::new();
-        ecp_scenario::resolve_with_sink(&scenario, &mut sink)
-            .and_then(|resolved| ecp_scenario::run_resolved_with_sink(&scenario, &resolved, sink))
-            .map(|(_, trace, mut sink)| (trace, Some(sink.timing())))
-    } else {
-        ecp_scenario::resolve(&scenario)
-            .and_then(|resolved| ecp_scenario::run_resolved_traced(&scenario, &resolved))
-            .map(|(_, trace)| (trace, None))
+pub fn main(argv: &[String]) -> Result<(), Failure> {
+    let Some((cmd, rest)) = argv.split_first() else {
+        return Err(Failure::Usage("missing trace command".into()));
     };
-    let (trace, timing) = match outcome {
-        Ok(out) => out,
-        Err(e) => fail(&format!("run `{}`: {e}", scenario.name)),
+    let (values, switches): (&'static [&'static str], &'static [&'static str]) = match cmd.as_str()
+    {
+        "summarize" => (&[], &["--json"]),
+        "validate" | "diff" => (&[], &[]),
+        "chrome" => (&["--out"], &[]),
+        other => return Err(Failure::Usage(format!("unknown trace command `{other}`"))),
     };
-    match out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, trace.to_jsonl()) {
-                fail(&format!("write {path}: {e}"));
-            }
-            println!("wrote {path} ({} events)", trace.lines.len());
-        }
-        None => {
-            for line in &trace.lines {
-                println!("{line}");
-            }
-        }
-    }
-    if let Some(path) = snapshot_out {
-        let Some(snap) = &trace.snapshot else {
-            fail("scenario produced no telemetry snapshot (non-simnet engine?)");
-        };
-        let body = serde_json::to_string_pretty(snap).expect("snapshot serializes");
-        if let Err(e) = std::fs::write(path, body) {
-            fail(&format!("write {path}: {e}"));
-        }
-        println!("wrote {path}");
-    }
-    if let Some(path) = timing_out {
-        let t = timing.as_ref().expect("profiled run produced a timing");
-        let body = serde_json::to_string_pretty(t).expect("timing serializes");
-        if let Err(e) = std::fs::write(path, body) {
-            fail(&format!("write {path}: {e}"));
-        }
-        println!("wrote {path} ({} spans)", t.spans.len());
+    let args = Args::parse(rest, &Flags { values, switches })?;
+    let files = args.positionals(if cmd == "diff" { 2 } else { 1 }, "trace file")?;
+    match cmd.as_str() {
+        "summarize" => cmd_summarize(&files[0], args.has("--json")),
+        "validate" => cmd_validate(&files[0]),
+        "diff" => cmd_diff(&files[0], &files[1]),
+        _ => cmd_chrome(&files[0], args.value("--out")),
     }
 }
 
-fn cmd_summarize(path: &str, json: bool) {
-    let lines = read_lines(path);
-    let events = match parse_events(&lines) {
-        Ok(ev) => ev,
-        Err((n, e)) => fail(&format!("{path}:{n}: {e}")),
+fn read_lines(path: &str) -> Result<Vec<String>, Failure> {
+    let doc =
+        std::fs::read_to_string(path).map_err(|e| Failure::Failed(format!("read {path}: {e}")))?;
+    Ok(doc.lines().map(str::to_string).collect())
+}
+
+/// Parse every JSONL line of `path`; fails naming the 1-based line
+/// number of the first malformed line.
+fn read_events(path: &str) -> Result<Vec<TelemetryEvent>, Failure> {
+    let lines = read_lines(path)?;
+    let parse = |(i, line): (usize, &String)| {
+        serde_json::from_str(line).map_err(|e| Failure::Failed(format!("{path}:{}: {e}", i + 1)))
     };
+    lines.iter().enumerate().map(parse).collect()
+}
+
+fn cmd_summarize(path: &str, json: bool) -> Result<(), Failure> {
+    let events = read_events(path)?;
     if events.is_empty() {
         if json {
             println!(
@@ -175,7 +68,7 @@ fn cmd_summarize(path: &str, json: bool) {
         } else {
             println!("events: 0");
         }
-        return;
+        return Ok(());
     }
     let (t0, t1) = (events[0].time(), events[events.len() - 1].time());
     let kinds: Vec<(&str, u64)> = [
@@ -323,7 +216,7 @@ fn cmd_summarize(path: &str, json: bool) {
             "{}",
             serde_json::to_string(&obj(doc)).expect("summary serializes")
         );
-        return;
+        return Ok(());
     }
 
     println!("events: {}   span: {t0:.3}s .. {t1:.3}s", events.len());
@@ -357,6 +250,7 @@ fn cmd_summarize(path: &str, json: bool) {
             );
         }
     }
+    Ok(())
 }
 
 /// One row of the per-span profile (percentiles interpolated from the
@@ -446,32 +340,29 @@ fn span_profile(events: &[TelemetryEvent]) -> Vec<SpanRow> {
         .collect()
 }
 
-fn cmd_validate(path: &str) {
-    let lines = read_lines(path);
-    let events = match parse_events(&lines) {
-        Ok(ev) => ev,
-        Err((n, e)) => fail(&format!("{path}:{n}: {e}")),
-    };
+fn cmd_validate(path: &str) -> Result<(), Failure> {
+    let events = read_events(path)?;
     let mut last = f64::NEG_INFINITY;
     for (i, ev) in events.iter().enumerate() {
         let t = ev.time();
         if t < last {
-            fail(&format!(
+            return Err(Failure::Failed(format!(
                 "{path}:{}: time goes backwards ({t} after {last})",
                 i + 1
-            ));
+            )));
         }
         last = t;
     }
     println!("ok: {} events, times monotone", events.len());
+    Ok(())
 }
 
-fn cmd_diff(a_path: &str, b_path: &str) {
-    let a = read_lines(a_path);
-    let b = read_lines(b_path);
+fn cmd_diff(a_path: &str, b_path: &str) -> Result<(), Failure> {
+    let a = read_lines(a_path)?;
+    let b = read_lines(b_path)?;
     if a == b {
         println!("identical: {} events", a.len());
-        return;
+        return Ok(());
     }
     if a.len() != b.len() {
         eprintln!("lengths differ: {} vs {} events", a.len(), b.len());
@@ -484,7 +375,7 @@ fn cmd_diff(a_path: &str, b_path: &str) {
             break;
         }
     }
-    exit(1)
+    Err(Failure::Failed(format!("{a_path} and {b_path} differ")))
 }
 
 fn obj(entries: Vec<(&str, Value)>) -> Value {
@@ -637,12 +528,8 @@ fn chrome_event(ev: &TelemetryEvent) -> Value {
     }
 }
 
-fn cmd_chrome(path: &str, out: Option<&str>) {
-    let lines = read_lines(path);
-    let events = match parse_events(&lines) {
-        Ok(ev) => ev,
-        Err((n, e)) => fail(&format!("{path}:{n}: {e}")),
-    };
+fn cmd_chrome(path: &str, out: Option<&str>) -> Result<(), Failure> {
+    let events = read_events(path)?;
     let doc = obj(vec![
         (
             "traceEvents",
@@ -653,36 +540,10 @@ fn cmd_chrome(path: &str, out: Option<&str>) {
     let body = serde_json::to_string(&doc).expect("chrome trace serializes");
     match out {
         Some(p) => {
-            if let Err(e) = std::fs::write(p, body) {
-                fail(&format!("write {p}: {e}"));
-            }
+            std::fs::write(p, body).map_err(|e| Failure::Failed(format!("write {p}: {e}")))?;
             println!("wrote {p} ({} events)", events.len());
         }
         None => println!("{body}"),
     }
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (Some(cmd), Some(input)) = (args.first(), args.get(1)) else {
-        usage()
-    };
-    let out = flag(&args, "--out");
-    match cmd.as_str() {
-        "run" => cmd_run(
-            input,
-            out.as_deref(),
-            flag(&args, "--snapshot").as_deref(),
-            args.iter().any(|a| a == "--profile"),
-            flag(&args, "--timing").as_deref(),
-        ),
-        "summarize" => cmd_summarize(input, args.iter().any(|a| a == "--json")),
-        "validate" => cmd_validate(input),
-        "diff" => match args.get(2) {
-            Some(b) if !b.starts_with("--") => cmd_diff(input, b),
-            _ => usage(),
-        },
-        "chrome" => cmd_chrome(input, out.as_deref()),
-        _ => usage(),
-    }
+    Ok(())
 }

@@ -1,131 +1,16 @@
 //! # ecp-bench — the experiment harness
 //!
-//! One binary per figure of the paper (see DESIGN.md §4 for the index),
-//! plus ablation binaries and Criterion micro-benchmarks. Every binary:
-//!
-//! * prints a human-readable table mirroring the paper's figure,
-//! * writes machine-readable JSON under `results/`,
-//! * accepts `--key value` overrides for the main knobs (`--days 3`
-//!   etc.) so CI can run scaled-down versions,
-//! * is deterministic (all randomness seeded).
-//!
-//! Run everything (release mode strongly recommended):
+//! The library is the scenario registry ([`scenarios`]): every figure,
+//! in-text analysis, ablation and extension of the evaluation as a
+//! declarative [`ecp_scenario::Scenario`] value under a stable id. The
+//! one binary, `ecp`, runs them:
 //!
 //! ```text
-//! cargo run --release -p ecp-bench --bin fig5_geant_replay
-//! cargo run --release -p ecp-bench --bin run_all
+//! ecp run <registry-id | scenario.toml> [--set Param=value]...   # one scenario, one table per report block
+//! ecp campaign run examples/campaign_full_registry.toml         # the whole evaluation
+//! ecp trace summarize <trace.jsonl>                              # inspect a run's telemetry
 //! ```
-
-use serde::Serialize;
-use std::path::PathBuf;
+//!
+//! The Criterion micro-benchmarks live under `benches/`.
 
 pub mod scenarios;
-
-// Capacity probing moved into `ecp-routing` so the scenario engine can
-// use it; re-exported here for the experiment binaries.
-pub use ecp_routing::capacity::{gravity_at_utilization, max_feasible_volume};
-
-/// Parse `--name value` from argv; fall back to `default`.
-pub fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
-    let args: Vec<String> = std::env::args().collect();
-    for w in args.windows(2) {
-        if w[0] == format!("--{name}") {
-            if let Ok(v) = w[1].parse() {
-                return v;
-            }
-        }
-    }
-    default
-}
-
-/// Results directory (created on demand): `results/` next to the
-/// workspace root, overridable with `ECP_RESULTS_DIR`.
-pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("ECP_RESULTS_DIR").unwrap_or_else(|_| "results".into());
-    let p = PathBuf::from(dir);
-    std::fs::create_dir_all(&p).expect("create results dir");
-    p
-}
-
-/// Serialize a result to `results/<name>.json`.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let path = results_dir().join(format!("{name}.json"));
-    let s = serde_json::to_string_pretty(value).expect("serialize result");
-    std::fs::write(&path, s).expect("write result");
-    println!("[results] wrote {}", path.display());
-}
-
-/// Print an ASCII table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for r in rows {
-        for (i, c) in r.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(c.len());
-            }
-        }
-    }
-    let line = |cells: Vec<String>| {
-        let mut s = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            s.push_str(&format!("{:<width$}  ", c, width = widths[i]));
-        }
-        println!("{}", s.trim_end());
-    };
-    line(headers.iter().map(|h| h.to_string()).collect());
-    line(widths.iter().map(|w| "-".repeat(*w)).collect());
-    for r in rows {
-        line(r.clone());
-    }
-}
-
-/// Format a fraction as a percentage string.
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", 100.0 * x)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ecp_routing::{place_flows, OracleConfig};
-    use ecp_topo::gen::geant;
-    use ecp_traffic::{gravity_matrix, random_od_pairs};
-
-    #[test]
-    fn max_feasible_volume_is_tight() {
-        let t = geant();
-        let pairs = random_od_pairs(&t, 60, 1);
-        let oc = OracleConfig::default();
-        let v = max_feasible_volume(&t, &pairs, &oc);
-        assert!(v > 0.0);
-        let at_100 = gravity_matrix(&t, &pairs, v);
-        assert!(
-            place_flows(&t, None, &at_100, &oc).is_some(),
-            "100% is feasible"
-        );
-        let beyond = gravity_matrix(&t, &pairs, v * 1.25);
-        assert!(place_flows(&t, None, &beyond, &oc).is_none(), "125% is not");
-    }
-
-    #[test]
-    fn gravity_at_utilization_scales() {
-        let t = geant();
-        let pairs = random_od_pairs(&t, 40, 2);
-        let oc = OracleConfig::default();
-        let m50 = gravity_at_utilization(&t, &pairs, &oc, 50.0);
-        let m100 = gravity_at_utilization(&t, &pairs, &oc, 100.0);
-        assert!((m100.total() / m50.total() - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn arg_parsing_defaults() {
-        assert_eq!(arg("definitely-not-passed", 42usize), 42);
-        assert_eq!(arg("also-not-passed", 1.5f64), 1.5);
-    }
-
-    #[test]
-    fn pct_format() {
-        assert_eq!(pct(0.305), "30.5%");
-    }
-}

@@ -1,13 +1,13 @@
 //! The scenario registry: every experiment of the harness as a
 //! declarative [`Scenario`] value.
 //!
-//! Each figure/ablation/extension binary is a thin wrapper that builds
-//! its scenario(s) here, runs them through `ecp_scenario`, and formats
-//! the report — no hand-wired topology/traffic/planner setup anywhere.
-//! [`campaign_registry`] additionally exports every experiment family
-//! as a CI-scaled scenario value keyed by a stable id, which campaign
-//! specs (`ecp-campaign`) reference with `registry = "<id>"`; `run_all`
-//! executes the checked-in full-registry campaign.
+//! Every figure, in-text analysis, ablation and extension is built here
+//! from `ecp_scenario` pieces — no hand-wired topology/traffic/planner
+//! setup anywhere. [`campaign_registry`] exports every experiment
+//! family as a CI-scaled scenario value keyed by a stable id, which
+//! `ecp run <id>` runs and campaign specs (`ecp-campaign`) reference
+//! with `registry = "<id>"`; `ecp campaign run
+//! examples/campaign_full_registry.toml` runs the whole evaluation.
 
 use ecp_scenario::{
     AppSpec, CompareSpec, ControlSpec, EngineSpec, EventSpec, LinkRef, MatrixSpec, MetricsSpec,
@@ -759,8 +759,8 @@ pub fn fig8b(steps: usize) -> Scenario {
 
 /// Cascading correlated link failures during a flash crowd: quiet at
 /// 35 % load, ramp to 95 % of the feasible maximum at t = 30 s, with a
-/// four-link correlated cascade landing mid-ramp (see the
-/// `scenario_cascade_flashcrowd` binary for the narrative output).
+/// four-link correlated cascade landing mid-ramp (`ecp run
+/// scenario-cascade-flashcrowd` prints the served fraction over time).
 pub fn cascade_flashcrowd(duration: f64, fails: usize, seed: u64) -> Scenario {
     ScenarioBuilder::new("cascade-during-flash-crowd")
         .seed(seed)
@@ -895,9 +895,9 @@ pub fn geant_load(invcap: bool) -> Scenario {
 
 /// The control policies the stability family compares, with their
 /// default damping parameters, keyed by **registry id** — the single
-/// source of truth shared by the `te_stability` binary and
-/// [`campaign_registry`], so the two can never disagree on a policy's
-/// parameters. Display labels come from [`ControlSpec::label`].
+/// source of truth shared by [`campaign_registry`], the benches and
+/// the tests, so they can never disagree on a policy's parameters.
+/// Display labels come from [`ControlSpec::label`].
 pub fn te_stability_policies() -> Vec<(&'static str, ControlSpec)> {
     vec![
         ("te-stability-undamped", ControlSpec::Undamped),
@@ -988,14 +988,16 @@ pub fn te_stability_scaled(
 /// CI-scaled [`Scenario`] value keyed by a stable id. Campaign specs
 /// reference these with `registry = "<id>"`; the checked-in
 /// `examples/campaign_full_registry.toml` lists all of them, and
-/// `run_all` executes that campaign.
+/// `ecp campaign run` executes that campaign.
 ///
 /// Building the registry is cheap (scenarios are pure data; planning
 /// happens at run time). Not listed: the Fig.-5 alternative-hardware
 /// run (its trace peak is pinned to the value the today-hardware run
-/// resolves, a cross-run data flow the `fig5_geant_replay` binary still
-/// owns) and the planner ablations beyond the threshold one — those are
-/// campaign *sweep entries* over `"ablation-planner-base"` (see
+/// resolves, which `ecp run fig5-geant-replay` prints: pin it as a
+/// `PeakSpec::TotalBps` in a scenario TOML with `power =
+/// "AlternativeHw"`, as [`fig5_alt_hw`] does) and the planner
+/// ablations beyond the threshold one — those are campaign *sweep
+/// entries* over `"ablation-planner-base"` (see
 /// `examples/campaign_full_registry.toml` for the `NumPaths`, `Beta`,
 /// `ExcludeFraction`, and grid axes).
 pub fn campaign_registry() -> Vec<(&'static str, Scenario)> {

@@ -3,9 +3,9 @@
 //! Executes one shard of a campaign whose entries are all **inline**
 //! scenarios (entries referencing a registry id fail — this worker
 //! resolves none). The full-featured worker with the experiment
-//! registry is `campaign worker` in `ecp-bench`; this binary exists so
-//! `ecp-campaign`'s own tests (and inline-only campaigns) can exercise
-//! subprocess sharding without depending on the bench crate.
+//! registry is `ecp campaign worker` in `ecp-bench`; this binary exists
+//! so `ecp-campaign`'s own tests (and inline-only campaigns) can
+//! exercise subprocess sharding without depending on the bench crate.
 //!
 //! Usage: `campaign_worker <campaign.toml> --shard k/N [--out DIR]
 //!         [--threads T]`

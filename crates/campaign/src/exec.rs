@@ -477,10 +477,10 @@ pub enum Workers {
     Subprocess(WorkerCommand),
 }
 
-/// Execute a campaign with the chosen worker mode (the shared body of
-/// the `campaign` CLI and `run_all`). `ExecOptions::force` is
-/// in-process only — subprocess workers are spawned without it, so
-/// combining the two is an error rather than a silent no-op.
+/// Execute a campaign with the chosen worker mode (the body of `ecp
+/// campaign run`). `ExecOptions::force` is in-process only —
+/// subprocess workers are spawned without it, so combining the two is
+/// an error rather than a silent no-op.
 pub fn execute(
     spec: &CampaignSpec,
     resolver: Resolver,
@@ -503,8 +503,9 @@ pub fn execute(
 }
 
 /// How to launch a worker subprocess: `program args... --shard k/N`.
-/// The bench `campaign` CLI re-invokes itself (`campaign worker <spec>
-/// --out <dir>`); tests use the registry-less `campaign_worker` binary.
+/// `ecp campaign run` re-invokes its own binary (`ecp campaign worker
+/// <spec> --out <dir>`); tests use the registry-less `campaign_worker`
+/// binary.
 #[derive(Debug, Clone)]
 pub struct WorkerCommand {
     /// Worker executable.

@@ -12,8 +12,8 @@
 //! The **executor** ([`exec`]) expands every entry into concrete runs
 //! in a deterministic order, partitions them into shards by global run
 //! index, and executes a shard either in-process (rayon) or across
-//! worker subprocesses (`campaign worker --shard k/N` re-invoking the
-//! same binary). Each finished run is streamed to a content-addressed
+//! worker subprocesses (`ecp campaign worker --shard k/N` re-invoking
+//! the same binary). Each finished run is streamed to a content-addressed
 //! **result store** ([`store`]): `runs/<hash>.json` where the hash
 //! covers the fully-resolved scenario (seed included) plus a
 //! code-version salt — so interrupted or repeated campaigns resume by

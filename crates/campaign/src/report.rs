@@ -463,7 +463,7 @@ impl CampaignSummary {
 }
 
 /// Summarize the store and write every artifact in one step (the
-/// shared tail of `campaign run`, `campaign report`, and `run_all`).
+/// shared tail of `ecp campaign run` and `ecp campaign report`).
 pub fn generate(
     spec: &CampaignSpec,
     resolver: Resolver,

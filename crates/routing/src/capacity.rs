@@ -69,8 +69,36 @@ pub fn gravity_at_utilization(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecp_topo::gen::line;
+    use crate::place_flows;
+    use ecp_topo::gen::{geant, line};
     use ecp_topo::{TopologyBuilder, MBPS, MS};
+    use ecp_traffic::random_od_pairs;
+
+    #[test]
+    fn max_feasible_volume_is_tight() {
+        let t = geant();
+        let pairs = random_od_pairs(&t, 60, 1);
+        let oc = OracleConfig::default();
+        let v = max_feasible_volume(&t, &pairs, &oc);
+        assert!(v > 0.0);
+        let at_100 = gravity_matrix(&t, &pairs, v);
+        assert!(
+            place_flows(&t, None, &at_100, &oc).is_some(),
+            "100% is feasible"
+        );
+        let beyond = gravity_matrix(&t, &pairs, v * 1.25);
+        assert!(place_flows(&t, None, &beyond, &oc).is_none(), "125% is not");
+    }
+
+    #[test]
+    fn gravity_at_utilization_scales() {
+        let t = geant();
+        let pairs = random_od_pairs(&t, 40, 2);
+        let oc = OracleConfig::default();
+        let m50 = gravity_at_utilization(&t, &pairs, &oc, 50.0);
+        let m100 = gravity_at_utilization(&t, &pairs, &oc, 100.0);
+        assert!((m100.total() / m50.total() - 2.0).abs() < 1e-6);
+    }
 
     #[test]
     fn no_pairs_means_no_volume() {

@@ -27,7 +27,8 @@
 //! analysis), the event-per-packet engine (`Packet` — queueing-level
 //! latency and gap-sleep analysis), and the §5.4 application workloads
 //! (`App` — streaming and web). The experiment harness in `ecp-bench`
-//! builds every figure/ablation binary from these pieces.
+//! builds every figure, analysis and ablation as a registry scenario
+//! from these pieces, and its `ecp run` runs any of them by id.
 //!
 //! ## TOML example
 //!

@@ -269,8 +269,8 @@ pub enum AppDetail {
 }
 
 /// Everything the engine resolved from the spec before running —
-/// exposed so thin wrappers (the ported figure binaries) can reuse the
-/// exact planner/pairs context for their extra outputs.
+/// exposed so callers can reuse the exact planner/pairs context, e.g.
+/// to run several scenarios against one resolution.
 pub struct ResolvedScenario {
     /// The built topology (+ generator indices).
     pub built: BuiltTopology,
@@ -320,6 +320,8 @@ pub fn resolve_with_sink<S: TelemetrySink>(
     scenario: &Scenario,
     sink: &mut S,
 ) -> Result<ResolvedScenario, ScenarioError> {
+    // A demand-aware planner reads the offered matrix while resolving.
+    scenario.validate_traffic()?;
     if S::SPANS {
         sink.span_enter(SpanName::ResolveTopo);
     }
@@ -542,13 +544,14 @@ impl TraceOutput {
 
 /// Reject spec combinations an engine would otherwise silently ignore
 /// (control policies, stability analysis, and telemetry capture only
-/// exist in the event-driven simulator), and simulator timing the
-/// event loop cannot run.
+/// exist in the event-driven simulator), offered load no engine can
+/// run, and simulator timing the event loop cannot run.
 fn validate_engine_features(scenario: &Scenario) -> Result<(), ScenarioError> {
     scenario
         .control
         .validate()
         .map_err(ScenarioError::Invalid)?;
+    scenario.validate_traffic()?;
     let engine = match &scenario.engine {
         EngineSpec::Simnet => return Ok(scenario.validate_sim_timing()?),
         EngineSpec::Replay(_) => "replay",

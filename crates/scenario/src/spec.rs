@@ -1,7 +1,7 @@
 //! The declarative scenario model: every knob of an experiment as data.
 
 use ecp_topo::gen::TopoSpec;
-use ecp_traffic::Program;
+use ecp_traffic::{Program, Shape};
 use serde::{Deserialize, Serialize};
 
 /// A complete, self-contained experiment description. Serializable to
@@ -1138,6 +1138,49 @@ impl Scenario {
                 finite_in(&format!("events[{i}].threshold"), threshold, "> 0", |v| {
                     v > 0.0
                 })?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Reject offered load no engine can turn into demands. The traffic
+    /// scale (`fraction` or `bps`), every segment's `duration_s` and
+    /// every level a shape carries must be finite and ≥ 0, in the
+    /// global program and in each per-flow program: a negative or NaN
+    /// volume panics in the gravity split, and an infinite one yields
+    /// NaN delivered fractions.
+    pub fn validate_traffic(&self) -> Result<(), String> {
+        let (field, v) = match self.traffic.scale {
+            ScaleSpec::MaxFeasibleFraction { fraction } => ("fraction", fraction),
+            ScaleSpec::TotalBps { bps } | ScaleSpec::PerFlowBps { bps } => ("bps", bps),
+        };
+        non_negative(&format!("traffic.scale.{field}"), v)?;
+        let per_flow = self.traffic.per_flow.iter().enumerate();
+        let programs = std::iter::once(("traffic.program".to_string(), &self.traffic.program))
+            .chain(per_flow.map(|(i, fp)| (format!("traffic.per_flow[{i}].program"), &fp.program)));
+        for (prefix, program) in programs {
+            for (i, seg) in program.segments.iter().enumerate() {
+                let at = |field: &str| format!("{prefix}.segments[{i}].{field}");
+                non_negative(&at("duration_s"), seg.duration_s)?;
+                let levels: Vec<(String, f64)> = match &seg.shape {
+                    Shape::Constant { level } => vec![("level".into(), *level)],
+                    Shape::Steps { levels, .. } => levels
+                        .iter()
+                        .enumerate()
+                        .map(|(j, &l)| (format!("levels[{j}]"), l))
+                        .collect(),
+                    Shape::Sine { lo, hi, .. } => vec![("lo".into(), *lo), ("hi".into(), *hi)],
+                    Shape::Diurnal { peak, night } => {
+                        vec![("peak".into(), *peak), ("night".into(), *night)]
+                    }
+                    Shape::Ramp { from, to } => vec![("from".into(), *from), ("to".into(), *to)],
+                    Shape::FlashCrowd { base, peak, .. } => {
+                        vec![("base".into(), *base), ("peak".into(), *peak)]
+                    }
+                };
+                for (field, v) in levels {
+                    non_negative(&at(&field), v)?;
+                }
             }
         }
         Ok(())

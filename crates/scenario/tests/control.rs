@@ -4,8 +4,9 @@
 
 use ecp_control::{PathRates, Sample, StabilityConfig};
 use ecp_scenario::{
-    run_scenario, Axis, ControlSpec, EngineSpec, EventSpec, LinkRef, MatrixSpec, MetricsSpec,
-    NodeRef, PairsSpec, Param, ScaleSpec, Scenario, ScenarioBuilder, ScenarioError, SweepRunner,
+    run_scenario, Axis, ControlSpec, EngineSpec, EventSpec, FlowProgram, LinkRef, MatrixSpec,
+    MetricsSpec, NodeRef, PairsSpec, Param, ReplayMode, ReplaySpec, ScaleSpec, Scenario,
+    ScenarioBuilder, ScenarioError, SweepRunner, TraceSpec,
 };
 use ecp_topo::gen::TopoSpec;
 use ecp_traffic::{Program, Shape};
@@ -167,15 +168,32 @@ const BAD_DELAYS: [f64; 4] = [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
 /// Every `bad` value of one timing field makes `run_scenario` return
 /// `Invalid` naming the field, before anything is simulated.
 fn assert_rejected(field: &str, bad: &[f64], set: impl Fn(&mut Scenario, f64)) {
-    for &v in bad {
-        let mut s = base(ControlSpec::Undamped);
-        set(&mut s, v);
-        let err = run_scenario(&s).unwrap_err();
-        assert!(
-            matches!(err, ScenarioError::Invalid(_)),
-            "{field} = {v}: got {err:?}"
-        );
-        assert!(err.to_string().contains(field), "{field} = {v}: {err}");
+    assert_rejected_on(&[base(ControlSpec::Undamped)], field, bad, set);
+}
+
+/// [`assert_rejected`] on each of `bases`.
+fn assert_rejected_on(
+    bases: &[Scenario],
+    field: &str,
+    bad: &[f64],
+    set: impl Fn(&mut Scenario, f64),
+) {
+    for b in bases {
+        for &v in bad {
+            let mut s = b.clone();
+            set(&mut s, v);
+            let err = run_scenario(&s).unwrap_err();
+            assert!(
+                matches!(err, ScenarioError::Invalid(_)),
+                "{}: {field} = {v}: got {err:?}",
+                b.name
+            );
+            assert!(
+                err.to_string().contains(field),
+                "{}: {field} = {v}: {err}",
+                b.name
+            );
+        }
     }
 }
 
@@ -217,6 +235,191 @@ fn timeseries_interval_off_the_sample_grid_is_invalid() {
 #[test]
 fn degenerate_duration_is_invalid() {
     assert_rejected("duration_s", &BAD_DELAYS, |s, v| s.duration_s = v);
+}
+
+/// [`base`] replayed (over its own program) instead of simulated.
+fn replay_base() -> Scenario {
+    let mut s = base(ControlSpec::Undamped);
+    s.name = "control-test-replay".into();
+    s.engine = EngineSpec::Replay(ReplaySpec {
+        trace: TraceSpec::Program,
+        mode: ReplayMode::Tables,
+        window: None,
+        growth_per_day: None,
+        comparisons: Vec::new(),
+    });
+    s.metrics.stability = false;
+    s
+}
+
+/// The offered-load checks hold on every engine: each `bad` value is
+/// rejected on the simnet base and on the replay base.
+fn assert_traffic_rejected(field: &str, set: impl Fn(&mut Scenario, f64)) {
+    let bases = [base(ControlSpec::Undamped), replay_base()];
+    assert_rejected_on(&bases, field, &BAD_DELAYS, set);
+}
+
+/// Replace the global program by one segment of `shape`.
+fn one_segment(s: &mut Scenario, shape: Shape) {
+    s.traffic.program = Program::from_shape(6.0, 1.0, shape);
+}
+
+#[test]
+fn both_traffic_bases_run() {
+    assert!(run_scenario(&base(ControlSpec::Undamped)).is_ok());
+    assert!(run_scenario(&replay_base()).is_ok());
+}
+
+#[test]
+fn degenerate_scale_fraction_is_invalid() {
+    assert_traffic_rejected("traffic.scale.fraction", |s, v| {
+        s.traffic.scale = ScaleSpec::MaxFeasibleFraction { fraction: v }
+    });
+}
+
+#[test]
+fn degenerate_scale_bps_is_invalid() {
+    assert_traffic_rejected("traffic.scale.bps", |s, v| {
+        s.traffic.scale = ScaleSpec::TotalBps { bps: v }
+    });
+}
+
+#[test]
+fn degenerate_segment_duration_is_invalid() {
+    assert_traffic_rejected("traffic.program.segments[0].duration_s", |s, v| {
+        s.traffic.program.segments[0].duration_s = v
+    });
+}
+
+#[test]
+fn degenerate_constant_level_is_invalid() {
+    assert_traffic_rejected("traffic.program.segments[0].level", |s, v| {
+        one_segment(s, Shape::Constant { level: v })
+    });
+}
+
+#[test]
+fn degenerate_step_level_is_invalid() {
+    assert_traffic_rejected("traffic.program.segments[0].levels[1]", |s, v| {
+        s.traffic.program.segments[0].shape = Shape::Steps {
+            levels: vec![0.5, v],
+            step_s: 1.5,
+        }
+    });
+}
+
+#[test]
+fn degenerate_sine_lo_is_invalid() {
+    assert_traffic_rejected("traffic.program.segments[0].lo", |s, v| {
+        let (period_s, hi) = (3.0, 1.0);
+        one_segment(
+            s,
+            Shape::Sine {
+                period_s,
+                lo: v,
+                hi,
+            },
+        )
+    });
+}
+
+#[test]
+fn degenerate_sine_hi_is_invalid() {
+    assert_traffic_rejected("traffic.program.segments[0].hi", |s, v| {
+        let (period_s, lo) = (3.0, 0.1);
+        one_segment(
+            s,
+            Shape::Sine {
+                period_s,
+                lo,
+                hi: v,
+            },
+        )
+    });
+}
+
+#[test]
+fn degenerate_diurnal_peak_is_invalid() {
+    assert_traffic_rejected("traffic.program.segments[0].peak", |s, v| {
+        one_segment(
+            s,
+            Shape::Diurnal {
+                peak: v,
+                night: 0.3,
+            },
+        )
+    });
+}
+
+#[test]
+fn degenerate_diurnal_night_is_invalid() {
+    assert_traffic_rejected("traffic.program.segments[0].night", |s, v| {
+        one_segment(
+            s,
+            Shape::Diurnal {
+                peak: 1.0,
+                night: v,
+            },
+        )
+    });
+}
+
+#[test]
+fn degenerate_ramp_from_is_invalid() {
+    assert_traffic_rejected("traffic.program.segments[0].from", |s, v| {
+        one_segment(s, Shape::Ramp { from: v, to: 1.0 })
+    });
+}
+
+#[test]
+fn degenerate_ramp_to_is_invalid() {
+    assert_traffic_rejected("traffic.program.segments[0].to", |s, v| {
+        one_segment(s, Shape::Ramp { from: 0.2, to: v })
+    });
+}
+
+/// A flash crowd from `base` to `peak` inside the 6 s program.
+fn flash_crowd(base: f64, peak: f64) -> Shape {
+    Shape::FlashCrowd {
+        base,
+        peak,
+        start_s: 1.0,
+        ramp_s: 1.0,
+        hold_s: 1.0,
+        decay_s: 1.0,
+    }
+}
+
+#[test]
+fn degenerate_flash_crowd_base_is_invalid() {
+    assert_traffic_rejected("traffic.program.segments[0].base", |s, v| {
+        one_segment(s, flash_crowd(v, 1.0))
+    });
+}
+
+#[test]
+fn degenerate_flash_crowd_peak_is_invalid() {
+    assert_traffic_rejected("traffic.program.segments[0].peak", |s, v| {
+        one_segment(s, flash_crowd(0.3, v))
+    });
+}
+
+#[test]
+fn degenerate_per_flow_program_is_invalid() {
+    assert_traffic_rejected("traffic.per_flow[0].program.segments[0].level", |s, v| {
+        s.traffic.per_flow = vec![FlowProgram {
+            flow: 0,
+            program: Program::from_shape(6.0, 1.0, Shape::Constant { level: v }),
+        }]
+    });
+    assert_traffic_rejected(
+        "traffic.per_flow[0].program.segments[0].duration_s",
+        |s, v| {
+            let mut program = Program::from_shape(6.0, 1.0, Shape::Constant { level: 1.0 });
+            program.segments[0].duration_s = v;
+            s.traffic.per_flow = vec![FlowProgram { flow: 0, program }]
+        },
+    );
 }
 
 /// One event of each kind that carries an `at`, on link 0 / node 0.
