@@ -2,8 +2,9 @@
 //! evaluation campaigns (`ecp-campaign`), with the experiment registry
 //! resolving `registry = "<id>"` entries.
 //!
-//! `run` executes every entry (sharded in-process by default, or across
-//! `--workers subprocess` re-invocations of `ecp campaign worker`),
+//! `run` executes every entry (in-process by default, as one rayon pass
+//! over every unique run, or across `--shards N` `--workers subprocess`
+//! re-invocations of `ecp campaign worker`, each taking one shard),
 //! streams each `ScenarioReport` into the content-addressed result
 //! store under the output directory, prints `stats: runs=...
 //! executed=... cached=...`, and writes the comparison artifacts. A
@@ -110,6 +111,13 @@ pub fn main(argv: &[String]) -> Result<(), Failure> {
         }
     };
     let shards: Option<usize> = args.parsed("--shards")?;
+    if shards.is_some() && !subprocess {
+        // In-process runs are one pass over every run: a shard count
+        // would silently do nothing.
+        return Err(Failure::Usage(
+            "--shards is the number of worker subprocesses; it needs --workers subprocess".into(),
+        ));
+    }
     let shard = match cmd.as_str() {
         "worker" => Some(
             args.value("--shard")
@@ -161,7 +169,7 @@ pub fn main(argv: &[String]) -> Result<(), Failure> {
                 let shards = spec.shard_count();
                 for u in &units {
                     let hash = ecp_campaign::run_hash(&u.scenario);
-                    let state = if store.contains(&hash) {
+                    let state = if store.load(&hash).is_some() {
                         "cached"
                     } else {
                         "pending"

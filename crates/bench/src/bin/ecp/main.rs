@@ -29,8 +29,9 @@ usage:
       Param: Threshold NumPaths Beta Margin ExcludeFraction WakeTime Seed LoadScale
              EwmaAlpha AdaptiveAlpha HystGap StepDamp Timeseries
   ecp campaign <run|worker|report|list|watch> <campaign.toml> [--out DIR] [--only SUB]
-      run:    [--shards N] [--workers inprocess|subprocess] [--threads T] [--force]
-              [--progress jsonl] [--profile]
+      run:    [--workers inprocess | --workers subprocess [--shards N]] [--threads T]
+              [--force] [--progress jsonl] [--profile]
+              (--shards N: worker subprocesses; in-process runs are one pass)
       worker: --shard k/N [--threads T] [--progress jsonl] [--profile]
       watch:  [--file PATH] [--html] [--interval-ms N] [--timeout-s S]
   ecp trace <summarize [--json] | validate | chrome [--out FILE]> <trace.jsonl>

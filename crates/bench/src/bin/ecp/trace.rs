@@ -17,7 +17,9 @@
 
 use crate::args::{Args, Failure, Flags};
 use ecp_simnet::{PowerKind, TelemetryEvent};
+use ecp_telemetry::{SpanStat, SpanTiming};
 use serde_json::{Map, Value};
+use std::collections::BTreeMap;
 
 pub fn main(argv: &[String]) -> Result<(), Failure> {
     let Some((cmd, rest)) = argv.split_first() else {
@@ -203,9 +205,9 @@ fn cmd_summarize(path: &str, json: bool) -> Result<(), Failure> {
                                 ("count", Value::U64(s.count)),
                                 ("total_s", Value::F64(s.total_s)),
                                 ("self_s", Value::F64(s.self_s)),
-                                ("p50_s", Value::F64(s.p50)),
-                                ("p95_s", Value::F64(s.p95)),
-                                ("p99_s", Value::F64(s.p99)),
+                                ("p50_s", Value::F64(s.p50_s)),
+                                ("p95_s", Value::F64(s.p95_s)),
+                                ("p99_s", Value::F64(s.p99_s)),
                             ])
                         })
                         .collect(),
@@ -246,98 +248,31 @@ fn cmd_summarize(path: &str, json: bool) -> Result<(), Failure> {
         for s in &spans {
             println!(
                 "  {:<18} {:>7} {:>11.6} {:>11.6} {:>10.6} {:>10.6} {:>10.6}",
-                s.name, s.count, s.total_s, s.self_s, s.p50, s.p95, s.p99,
+                s.name, s.count, s.total_s, s.self_s, s.p50_s, s.p95_s, s.p99_s,
             );
         }
     }
     Ok(())
 }
 
-/// One row of the per-span profile (percentiles interpolated from the
-/// same `SPAN_DUR_BOUNDS` buckets the profiling sink uses).
-struct SpanRow {
-    name: String,
-    count: u64,
-    total_s: f64,
-    self_s: f64,
-    p50: f64,
-    p95: f64,
-    p99: f64,
-}
-
-/// Fold the trace's `Span` lines into per-span profile rows with
-/// interpolated percentiles (same `SPAN_DUR_BOUNDS` buckets the
-/// profiling sink uses). Empty when the trace was not profiled.
-fn span_profile(events: &[TelemetryEvent]) -> Vec<SpanRow> {
-    use ecp_telemetry::{HistogramSnapshot, SPAN_DUR_BOUNDS};
-    use std::collections::BTreeMap;
-
-    struct Agg {
-        count: u64,
-        total_s: f64,
-        self_s: f64,
-        min: f64,
-        max: f64,
-        buckets: Vec<u64>,
-    }
-    let mut by_name: BTreeMap<&str, Agg> = BTreeMap::new();
+/// Fold the trace's `Span` lines, per span name (rows in name order),
+/// through the aggregate the profiling sink keeps
+/// ([`ecp_telemetry::SpanStat`]), so the percentiles match its
+/// `TimingSnapshot`. Empty when the trace was not profiled.
+fn span_profile(events: &[TelemetryEvent]) -> Vec<SpanTiming> {
+    let mut by_name: BTreeMap<&str, SpanStat> = BTreeMap::new();
     for ev in events {
-        let TelemetryEvent::Span {
+        if let TelemetryEvent::Span {
             name,
             dur_s,
             self_s,
             ..
         } = ev
-        else {
-            continue;
-        };
-        let a = by_name.entry(name.as_str()).or_insert_with(|| Agg {
-            count: 0,
-            total_s: 0.0,
-            self_s: 0.0,
-            min: f64::INFINITY,
-            max: 0.0,
-            buckets: vec![0; SPAN_DUR_BOUNDS.len() + 1],
-        });
-        a.count += 1;
-        a.total_s += dur_s;
-        a.self_s += self_s;
-        a.min = a.min.min(*dur_s);
-        a.max = a.max.max(*dur_s);
-        let slot = SPAN_DUR_BOUNDS
-            .iter()
-            .position(|&b| *dur_s <= b)
-            .unwrap_or(SPAN_DUR_BOUNDS.len());
-        a.buckets[slot] += 1;
+        {
+            by_name.entry(name).or_default().observe(*dur_s, *self_s);
+        }
     }
-    by_name
-        .iter()
-        .map(|(name, a)| {
-            let mut buckets: Vec<(f64, u64)> = SPAN_DUR_BOUNDS
-                .iter()
-                .zip(&a.buckets)
-                .map(|(&b, &n)| (b, n))
-                .collect();
-            buckets.push((-1.0, a.buckets[SPAN_DUR_BOUNDS.len()]));
-            let hist = HistogramSnapshot {
-                name: name.to_string(),
-                count: a.count,
-                sum: a.total_s,
-                min: a.min,
-                max: a.max,
-                buckets,
-            };
-            SpanRow {
-                name: name.to_string(),
-                count: a.count,
-                total_s: a.total_s,
-                self_s: a.self_s,
-                p50: hist.p50(),
-                p95: hist.p95(),
-                p99: hist.p99(),
-            }
-        })
-        .collect()
+    by_name.iter().map(|(name, st)| st.timing(name)).collect()
 }
 
 fn cmd_validate(path: &str) -> Result<(), Failure> {

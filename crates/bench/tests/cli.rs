@@ -1,9 +1,12 @@
 //! The `ecp` binary end to end: `ecp run` writes the same report, trace
-//! and overrides as the library calls it wraps, and malformed command
+//! and overrides as the library calls it wraps, `ecp trace summarize`
+//! reports the profiling sink's span timings, inputs the scenario
+//! boundary rejects exit 1 naming the field, and malformed command
 //! lines exit 2 without a panic.
 
 use ecp_bench::scenarios::{campaign_registry, campaign_scenario};
 use ecp_scenario::{run_scenario, Param, Scenario};
+use serde::Deserialize;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -92,6 +95,119 @@ fn trace_writes_the_traced_run_lines() {
     let written = std::fs::read_to_string(&path).unwrap();
     assert!(!trace.lines.is_empty());
     assert_eq!(written.lines().collect::<Vec<_>>(), trace.lines);
+}
+
+/// One `spans` row of `ecp trace summarize --json`.
+#[derive(Debug, Deserialize)]
+struct SpanRow {
+    name: String,
+    count: u64,
+    total_s: f64,
+    self_s: f64,
+    p50_s: f64,
+    p95_s: f64,
+    p99_s: f64,
+}
+
+#[derive(Debug, Deserialize)]
+struct Summary {
+    spans: Vec<SpanRow>,
+}
+
+/// `trace summarize` folds the `Span` lines through the profiling
+/// sink's own aggregate: for every span that writes lines, its row
+/// equals the sink's `TimingSnapshot` entry exactly.
+#[test]
+fn trace_summarize_spans_match_the_profiling_sink() {
+    use ecp_scenario::{resolve_with_sink, run_resolved_with_sink, FakeClock, SpanSink};
+    use ecp_telemetry::SpanName;
+
+    let scenario = campaign_scenario("te-stability-undamped").unwrap();
+    let mut sink = SpanSink::with_clock(FakeClock::new(1e-4));
+    let resolved = resolve_with_sink(&scenario, &mut sink).unwrap();
+    let (_, trace, mut sink) = run_resolved_with_sink(&scenario, &resolved, sink).unwrap();
+    let timing = sink.timing();
+    let path = scratch("profiled.jsonl");
+    std::fs::write(&path, trace.to_jsonl()).unwrap();
+
+    let result = ecp(&["trace", "summarize", path.to_str().unwrap(), "--json"]);
+    assert!(result.status.success());
+    let summary: Summary = serde_json::from_str(&String::from_utf8_lossy(&result.stdout)).unwrap();
+    let writes_line = |name: &str| {
+        SpanName::ALL
+            .iter()
+            .any(|s| s.name() == name && s.writes_line())
+    };
+    let expected: Vec<_> = timing
+        .spans
+        .iter()
+        .filter(|t| writes_line(&t.name))
+        .collect();
+    assert!(expected.len() >= 3, "{expected:?}");
+    assert_eq!(summary.spans.len(), expected.len(), "{:?}", summary.spans);
+    for t in expected {
+        let row = summary.spans.iter().find(|r| r.name == t.name);
+        let row = row.unwrap_or_else(|| panic!("no row for {}", t.name));
+        assert_eq!(
+            (row.count, row.total_s, row.self_s),
+            (t.count, t.total_s, t.self_s),
+            "{}",
+            t.name
+        );
+        assert_eq!(
+            (row.p50_s, row.p95_s, row.p99_s),
+            (t.p50_s, t.p95_s, t.p99_s),
+            "{}",
+            t.name
+        );
+    }
+}
+
+/// Values the scenario boundary rejects make `ecp run` exit 1 naming
+/// the field: path counts outside the planner's range, and load scales
+/// whose offered volume overflows (on a simnet and on a replay
+/// scenario).
+#[test]
+fn rejected_inputs_exit_1_naming_the_field() {
+    let cases = [
+        ("ablation-planner-base", "NumPaths=1", "planner.num_paths"),
+        (
+            "ablation-planner-base",
+            "NumPaths=1e12",
+            "planner.num_paths",
+        ),
+        ("te-stability-undamped", "LoadScale=1e308", "traffic.scale"),
+        ("fig6-genuity-stress", "LoadScale=1e308", "traffic.scale"),
+    ];
+    for (id, set, field) in cases {
+        let result = ecp(&["run", id, "--set", set]);
+        let stderr = String::from_utf8_lossy(&result.stderr);
+        assert_eq!(result.status.code(), Some(1), "{id} {set}: {stderr}");
+        assert!(
+            stderr.contains("invalid scenario") && stderr.contains(field),
+            "{id} {set}: {stderr}"
+        );
+    }
+}
+
+/// In-process campaigns are one pass over every run, so an explicit
+/// `--shards` without subprocess workers would do nothing: it is a
+/// usage error that says why.
+#[test]
+fn shards_without_subprocess_workers_exit_2() {
+    let smoke = example("campaign_smoke.toml");
+    for workers in [&[][..], &["--workers", "inprocess"][..]] {
+        let mut args = vec!["campaign", "run", smoke.as_str(), "--shards", "2"];
+        args.extend(workers);
+        let result = ecp(&args);
+        let stderr = String::from_utf8_lossy(&result.stderr);
+        assert_eq!(result.status.code(), Some(2), "ecp {args:?}: {stderr}");
+        assert!(
+            stderr.contains("--shards is the number of worker subprocesses"),
+            "ecp {args:?}: {stderr}"
+        );
+        assert!(stderr.contains("usage:"), "ecp {args:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -14,7 +14,7 @@
 //! ECP_WRITE_TE_GOLDENS=1 cargo test -p ecp-bench --test trace_determinism
 //! ```
 
-use ecp_campaign::{exec, CampaignSpec, EntrySpec, ResultStore};
+use ecp_campaign::{exec, CampaignSpec, EntrySpec, ResultStore, Workers};
 use ecp_scenario::{resolve, run_resolved_traced, Param, Scenario, ScenarioReport, TraceOutput};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -116,8 +116,8 @@ proptest! {
         prop_assert_eq!(serde_json::to_string(&report_a).unwrap(), serde_json::to_string(&report_b).unwrap());
     }
 
-    /// The campaign executor's stored trace artifacts are invariant
-    /// under the rayon worker-thread count.
+    /// The in-process campaign executor's stored runs, trace artifacts
+    /// and stats are invariant under the rayon worker-thread count.
     #[test]
     fn campaign_traces_are_thread_count_invariant(
         seed in 1u64..200,
@@ -134,13 +134,14 @@ proptest! {
         let dir_1 = fresh_dir("t1");
         let store_1 = ResultStore::open(&dir_1).unwrap();
         let opts_1 = exec::ExecOptions { threads: Some(1), ..Default::default() };
-        let stats_1 = exec::run_campaign(&spec, &resolver, &store_1, 1, &opts_1).unwrap();
+        let stats_1 = exec::execute(&spec, &resolver, &store_1, 1, &opts_1, &Workers::InProcess).unwrap();
         prop_assert_eq!(stats_1.failed, 0);
 
         let dir_n = fresh_dir("tn");
         let store_n = ResultStore::open(&dir_n).unwrap();
         let opts_n = exec::ExecOptions { threads: Some(threads), ..Default::default() };
-        exec::run_campaign(&spec, &resolver, &store_n, 1, &opts_n).unwrap();
+        let stats_n = exec::execute(&spec, &resolver, &store_n, 1, &opts_n, &Workers::InProcess).unwrap();
+        prop_assert_eq!(stats_n, stats_1);
 
         prop_assert_eq!(
             dir_files(&dir_1, "traces"),

@@ -1,12 +1,13 @@
-//! Campaign execution: entry expansion, deterministic sharding, and
-//! the in-process / subprocess executors.
+//! Campaign execution: entry expansion, the in-process executor (one
+//! rayon pass over every unique run), and subprocess workers that each
+//! take one shard of the runs.
 
 use crate::spec::CampaignSpec;
 use crate::store::{run_hash, ResultStore, RunFailure, RunTiming, StoredRun};
 use crate::{CampaignError, Resolver};
 use ecp_scenario::{
-    run_resolved_traced, run_resolved_with_sink, Axis, Param, ResolveCache, Scenario,
-    ScenarioReport, SpanSink, SweepRunner,
+    grid, run_resolved_traced, run_resolved_with_sink, Axis, Param, ResolveCache, Scenario,
+    ScenarioReport, SpanSink,
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -21,7 +22,8 @@ pub struct RunUnit {
     pub entry: String,
     /// Index within the entry's expansion.
     pub index: usize,
-    /// Global run index across the campaign — the shard partition key.
+    /// Global run index across the campaign — the shard partition key
+    /// of subprocess workers.
     pub global: usize,
     /// Sweep/seed parameter assignment of this run.
     pub params: Vec<(String, f64)>,
@@ -37,10 +39,10 @@ impl RunUnit {
 }
 
 /// Expand a campaign into its runs, in deterministic order: entries in
-/// spec order, instances in row-major grid order (sweep axes outermost,
-/// then the `seeds` axis, then `repeats`). Every worker expands the
-/// same spec to the same list, which is what makes sharding by global
-/// index coordination-free.
+/// spec order, instances in [`grid`] order (sweep axes outermost, then
+/// the `seeds` axis, then `repeats`). Every worker expands the same
+/// spec to the same list, which is what makes sharding by global index
+/// coordination-free.
 pub fn expand(spec: &CampaignSpec, resolver: Resolver) -> Result<Vec<RunUnit>, CampaignError> {
     spec.validate()?;
     let mut out: Vec<RunUnit> = Vec::new();
@@ -62,16 +64,10 @@ pub fn expand(spec: &CampaignSpec, resolver: Resolver) -> Result<Vec<RunUnit>, C
         if !e.seeds.is_empty() {
             axes.push(Axis::new(Param::Seed, e.seeds.iter().map(|&s| s as f64)));
         }
-        let mut runner = SweepRunner::new(base, axes);
         if let Some(n) = e.repeats {
-            runner = runner.replicates(n);
+            axes.push(Axis::replicates(base.seed, n));
         }
-        let instances = if runner.axes.is_empty() {
-            vec![(Vec::new(), runner.base.clone())]
-        } else {
-            runner.instances()
-        };
-        for (index, (params, scenario)) in instances.into_iter().enumerate() {
+        for (index, (params, scenario)) in grid(&base, &axes).into_iter().enumerate() {
             out.push(RunUnit {
                 entry: e.name.clone(),
                 index,
@@ -208,7 +204,7 @@ fn finished_event(
 /// not executor errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecStats {
-    /// Runs considered (shard-local for [`run_shard`]).
+    /// Runs considered (shard-local for a worker's [`run_shard`]).
     pub runs: usize,
     /// Distinct run hashes among them.
     pub unique: usize,
@@ -218,17 +214,6 @@ pub struct ExecStats {
     pub cached: usize,
     /// Hashes whose stored outcome is a failure.
     pub failed: usize,
-}
-
-impl ExecStats {
-    /// Accumulate another shard's stats.
-    pub fn merge(&mut self, other: ExecStats) {
-        self.runs += other.runs;
-        self.unique += other.unique;
-        self.executed += other.executed;
-        self.cached += other.cached;
-        self.failed += other.failed;
-    }
 }
 
 impl std::fmt::Display for ExecStats {
@@ -241,10 +226,12 @@ impl std::fmt::Display for ExecStats {
     }
 }
 
-/// Execute shard `k` of `n` in-process. Runs are deduplicated by hash,
-/// cached results are skipped (unless `force`), and each fresh result —
-/// report or typed scenario failure — is streamed to the store as it
-/// completes.
+/// Execute shard `k` of `n` in-process, in one rayon pass. Runs are
+/// deduplicated by hash, cached results (those [`ResultStore::load`]
+/// reads) are skipped unless `force`, and each fresh result — report or
+/// typed scenario failure — is streamed to the store as it completes.
+/// The stats count what the runs returned. `(0, 1)` is the whole
+/// campaign; a subprocess worker runs its own `k` of `n`.
 pub fn run_shard(
     spec: &CampaignSpec,
     resolver: Resolver,
@@ -408,9 +395,10 @@ fn unique_hashes(units: &[RunUnit]) -> Vec<String> {
     hashes
 }
 
-/// Campaign-level stats computed from the store after execution —
-/// identical no matter which shard layout or worker mode ran (a hash
-/// duplicated across shards is still one unique run).
+/// Campaign-level stats of a subprocess run, computed from the store
+/// after every worker exited: the workers share nothing but the store
+/// directory, and a hash duplicated across shards is still one unique
+/// run.
 fn audit_stats(
     store: &ResultStore,
     hashes: &[String],
@@ -441,46 +429,23 @@ fn audit_stats(
     })
 }
 
-/// Execute a whole campaign in-process: every shard of `shards`, in
-/// order. (The shard walk is observationally identical to one pass over
-/// all runs — it exists so in-process and subprocess execution share
-/// the exact same partition.) Stats are audited globally from the
-/// store, so they match the subprocess path exactly even when one hash
-/// appears in several shards.
-pub fn run_campaign(
-    spec: &CampaignSpec,
-    resolver: Resolver,
-    store: &ResultStore,
-    shards: usize,
-    opts: &ExecOptions,
-) -> Result<ExecStats, CampaignError> {
-    let shards = shards.max(1);
-    let units = expand(spec, resolver)?;
-    let hashes = unique_hashes(&units);
-    let cached_before = if opts.force {
-        0
-    } else {
-        hashes.iter().filter(|h| store.contains(h)).count()
-    };
-    for k in 0..shards {
-        run_shard(spec, resolver, store, (k, shards), opts)?;
-    }
-    audit_stats(store, &hashes, units.len(), cached_before)
-}
-
 /// Worker selection for [`execute`].
 #[derive(Debug, Clone)]
 pub enum Workers {
-    /// Shards run in this process via rayon.
+    /// Every run in this process: one rayon pass.
     InProcess,
     /// One subprocess per shard, launched from this command.
     Subprocess(WorkerCommand),
 }
 
 /// Execute a campaign with the chosen worker mode (the body of `ecp
-/// campaign run`). `ExecOptions::force` is in-process only —
-/// subprocess workers are spawned without it, so combining the two is
-/// an error rather than a silent no-op.
+/// campaign run`). In-process, this is [`run_shard`] over the single
+/// shard `0/1`: one pool and one [`ResolveCache`] over every unique
+/// run, with stats counted from what the runs returned; `shards` is
+/// ignored. With subprocess workers, `shards` is the number of worker
+/// subprocesses. `ExecOptions::force` is in-process only — subprocess
+/// workers are spawned without it, so combining the two is an error
+/// rather than a silent no-op.
 pub fn execute(
     spec: &CampaignSpec,
     resolver: Resolver,
@@ -490,7 +455,7 @@ pub fn execute(
     workers: &Workers,
 ) -> Result<ExecStats, CampaignError> {
     match workers {
-        Workers::InProcess => run_campaign(spec, resolver, store, shards, opts),
+        Workers::InProcess => run_shard(spec, resolver, store, (0, 1), opts),
         Workers::Subprocess(cmd) => {
             if opts.force {
                 return Err(CampaignError::Spec(
@@ -518,7 +483,9 @@ pub struct WorkerCommand {
 /// shard, then audit the store: every expanded run must be present.
 /// The returned stats are computed by the parent from the store (so
 /// they are exact even though workers share nothing but the directory).
-pub fn run_campaign_subprocess(
+/// A run counts as cached when [`ResultStore::load`] reads it before
+/// the workers start — the same check each worker makes.
+fn run_campaign_subprocess(
     spec: &CampaignSpec,
     resolver: Resolver,
     store: &ResultStore,
@@ -528,7 +495,7 @@ pub fn run_campaign_subprocess(
     let shards = shards.max(1);
     let units = expand(spec, resolver)?;
     let hashes = unique_hashes(&units);
-    let cached_before = hashes.iter().filter(|h| store.contains(h)).count();
+    let cached_before = hashes.iter().filter(|h| store.load(h).is_some()).count();
 
     let mut children: Vec<(usize, Child)> = Vec::new();
     for k in 0..shards {

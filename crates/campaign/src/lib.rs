@@ -6,14 +6,17 @@
 //! registry id resolved through a caller-supplied [`Resolver`], as an
 //! inline `Scenario` document, or as a sweep-grid expansion — with
 //! per-entry overrides (parameter sets, seed lists, replicate counts)
-//! and campaign-level settings (shard count, output directory, a
-//! designated baseline entry).
+//! and campaign-level settings (worker-subprocess count, output
+//! directory, a designated baseline entry). Campaign entries are the
+//! one way to run a set of scenarios: an entry is a base scenario plus
+//! the axes [`ecp_scenario::grid`] expands it over.
 //!
 //! The **executor** ([`exec`]) expands every entry into concrete runs
-//! in a deterministic order, partitions them into shards by global run
-//! index, and executes a shard either in-process (rayon) or across
-//! worker subprocesses (`ecp campaign worker --shard k/N` re-invoking
-//! the same binary). Each finished run is streamed to a content-addressed
+//! in a deterministic order and runs them either in-process, as one
+//! rayon pass over every unique run, or across worker subprocesses
+//! (`ecp campaign worker --shard k/N` re-invoking the same binary),
+//! each taking the runs whose global index is `k` modulo `N`. Each
+//! finished run is streamed to a content-addressed
 //! **result store** ([`store`]): `runs/<hash>.json` where the hash
 //! covers the fully-resolved scenario (seed included) plus a
 //! code-version salt — so interrupted or repeated campaigns resume by
@@ -21,23 +24,24 @@
 //! result no matter which entry or shard produced it. A scenario that
 //! fails (e.g. an unsupported spec combination,
 //! [`ecp_scenario::ScenarioError`]) is recorded in the store as a
-//! failed run instead of aborting the shard.
+//! failed run instead of aborting the campaign.
 //!
 //! The **report generator** ([`report`]) folds the stored reports back
 //! into comparison artifacts: per-metric tables across entries, deltas
 //! against the baseline entry (entry-level and, when run counts line
 //! up, run-by-run), written as Markdown, CSV, and machine-readable
 //! JSON. Because the summary is derived purely from the spec order and
-//! the stored files, it is byte-identical regardless of shard count,
-//! worker mode, or thread count — a property pinned by proptests.
+//! the stored files, it is byte-identical regardless of worker mode,
+//! subprocess count, or thread count — a property pinned by proptests.
 //!
 //! ```no_run
-//! use ecp_campaign::{exec, report, CampaignSpec, ResultStore};
+//! use ecp_campaign::{exec, report, CampaignSpec, ResultStore, Workers};
 //!
 //! let spec = CampaignSpec::from_path("examples/campaign_smoke.toml".as_ref()).unwrap();
 //! let store = ResultStore::open(&spec.resolved_output_dir(None)).unwrap();
 //! let resolver = |_id: &str| None; // inline entries only
-//! let stats = exec::run_campaign(&spec, &resolver, &store, 2, &exec::ExecOptions::default()).unwrap();
+//! let opts = exec::ExecOptions::default();
+//! let stats = exec::execute(&spec, &resolver, &store, 1, &opts, &Workers::InProcess).unwrap();
 //! println!("{stats}");
 //! let summary = report::summarize(&spec, &resolver, &store).unwrap();
 //! report::write_artifacts(&summary, &spec.resolved_output_dir(None)).unwrap();
@@ -51,8 +55,8 @@ pub mod store;
 pub mod watch;
 
 pub use exec::{
-    execute, expand, run_campaign, run_campaign_subprocess, run_shard, ExecOptions, ExecStats,
-    ProgressEvent, RunUnit, WorkerCommand, Workers,
+    execute, expand, run_shard, ExecOptions, ExecStats, ProgressEvent, RunUnit, WorkerCommand,
+    Workers,
 };
 pub use html::{escape_html, render_html, write_html};
 pub use report::{

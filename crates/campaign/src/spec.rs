@@ -103,7 +103,9 @@ pub struct CampaignSpec {
     /// `results/campaigns/<name>`. CLI `--out` overrides.
     #[serde(default)]
     pub output_dir: Option<String>,
-    /// Default shard count (CLI `--shards` overrides); `None` = 1.
+    /// Number of worker subprocesses (shards) a `--workers subprocess`
+    /// run starts (CLI `--shards` overrides); `None` = 1. In-process
+    /// runs are one pass over every run and ignore it.
     #[serde(default)]
     pub shards: Option<usize>,
     /// Entry every other entry is compared against in reports.
@@ -250,7 +252,7 @@ impl CampaignSpec {
         Ok(())
     }
 
-    /// The spec's shard count (≥ 1).
+    /// The spec's worker-subprocess count (≥ 1).
     pub fn shard_count(&self) -> usize {
         self.shards.unwrap_or(1).max(1)
     }

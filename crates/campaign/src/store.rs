@@ -5,9 +5,10 @@
 //! (the seed and every expanded parameter are part of the scenario
 //! document) plus [`CODE_SALT`]. Properties this buys:
 //!
-//! * **Resume** — re-running a campaign skips every run whose file is
-//!   already present (scenarios are deterministic, so the cached report
-//!   is the report).
+//! * **Resume** — re-running a campaign skips every run whose file
+//!   [`ResultStore::load`] reads (scenarios are deterministic, so the
+//!   cached report is the report); a missing, truncated or
+//!   salt-mismatched file is executed again.
 //! * **Shard independence** — workers never coordinate: a run's file
 //!   name is a pure function of its content, so any shard layout
 //!   produces the same file set, byte for byte.
@@ -206,22 +207,6 @@ impl ResultStore {
         let doc = std::fs::read_to_string(self.path(hash)).ok()?;
         let run: StoredRun = serde_json::from_str(&doc).ok()?;
         (run.code_salt == CODE_SALT).then_some(run)
-    }
-
-    /// Whether a valid cached run exists. Cheap: probes the file head
-    /// for the salt field (we write it first) instead of deserializing
-    /// the whole report; falls back to a miss on anything unexpected.
-    pub fn contains(&self, hash: &str) -> bool {
-        use std::io::Read;
-        let Ok(mut f) = std::fs::File::open(self.path(hash)) else {
-            return false;
-        };
-        let mut head = [0u8; 256];
-        let Ok(n) = f.read(&mut head) else {
-            return false;
-        };
-        let probe = format!("\"code_salt\": \"{CODE_SALT}\"");
-        String::from_utf8_lossy(&head[..n]).contains(&probe)
     }
 
     /// Persist a run (unique temp file + atomic rename).

@@ -1,10 +1,11 @@
-//! Shard-layout invariance: executing a campaign with 1 shard, N
-//! in-process shards, or N subprocess shards must leave byte-identical
-//! run files AND byte-identical trace/timeseries artifacts in the
-//! store, and produce byte-identical comparison summaries (including
-//! `report.html`). Plus cache/resume and failure-recording behavior.
+//! Shard-layout invariance: executing a campaign in-process (one pass),
+//! as N in-process shards, or across N subprocess workers must leave
+//! byte-identical run files AND byte-identical trace/timeseries
+//! artifacts in the store, and produce byte-identical comparison
+//! summaries (including `report.html`). Plus cache/resume, torn-file
+//! and failure-recording behavior.
 
-use ecp_campaign::{exec, report, CampaignSpec, EntrySpec, ResultStore};
+use ecp_campaign::{exec, report, CampaignSpec, EntrySpec, ResultStore, Workers, CODE_SALT};
 use ecp_scenario::{
     EngineSpec, EventSpec, MatrixSpec, MetricsSpec, PairsSpec, Param, ScaleSpec, Scenario,
     ScenarioBuilder,
@@ -127,6 +128,31 @@ fn timeseries_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     out
 }
 
+/// Execute the whole campaign in-process.
+fn run_in_process(
+    spec: &CampaignSpec,
+    store: &ResultStore,
+    opts: &exec::ExecOptions,
+) -> exec::ExecStats {
+    exec::execute(spec, &no_registry, store, 1, opts, &Workers::InProcess).unwrap()
+}
+
+/// Registry-less worker subprocesses writing into the store at `dir`
+/// (the spec is saved next to the store for them to read).
+fn subprocess_workers(spec: &CampaignSpec, dir: &Path) -> Workers {
+    std::fs::create_dir_all(dir).unwrap();
+    let spec_path = dir.join("campaign.toml");
+    std::fs::write(&spec_path, spec.to_toml()).unwrap();
+    Workers::Subprocess(exec::WorkerCommand {
+        program: PathBuf::from(env!("CARGO_BIN_EXE_campaign_worker")),
+        args: vec![
+            spec_path.display().to_string(),
+            "--out".into(),
+            dir.display().to_string(),
+        ],
+    })
+}
+
 /// Summarize a store and render every artifact.
 fn artifacts(spec: &CampaignSpec, dir: &Path) -> (String, String, String) {
     let store = ResultStore::open(dir).unwrap();
@@ -137,9 +163,9 @@ fn artifacts(spec: &CampaignSpec, dir: &Path) -> (String, String, String) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// 1 shard, N in-process shards (executed in reverse order), and N
-    /// subprocess shards all yield byte-identical stored runs and
-    /// byte-identical Markdown/CSV/JSON summaries.
+    /// One in-process pass, N in-process shards (executed in reverse
+    /// order), and N subprocess shards all yield byte-identical stored
+    /// runs and byte-identical Markdown/CSV/JSON summaries.
     #[test]
     fn shard_layout_is_invisible(
         nodes in 8usize..12,
@@ -150,10 +176,10 @@ proptest! {
         let spec = tiny_campaign(nodes, seed, &[t0, 0.9]);
         let opts = exec::ExecOptions::default();
 
-        // A: one shard, in-process.
+        // A: one in-process pass.
         let dir_a = fresh_dir("a");
         let store_a = ResultStore::open(&dir_a).unwrap();
-        let stats_a = exec::run_shard(&spec, &no_registry, &store_a, (0, 1), &opts).unwrap();
+        let stats_a = run_in_process(&spec, &store_a, &opts);
         prop_assert_eq!(stats_a.executed, stats_a.unique);
         prop_assert_eq!(stats_a.failed, 0);
 
@@ -167,19 +193,9 @@ proptest! {
         // C: N shards, one worker subprocess each.
         let dir_c = fresh_dir("c");
         let store_c = ResultStore::open(&dir_c).unwrap();
-        let spec_path = dir_c.join("campaign.toml");
-        std::fs::write(&spec_path, spec.to_toml()).unwrap();
-        let worker = exec::WorkerCommand {
-            program: PathBuf::from(env!("CARGO_BIN_EXE_campaign_worker")),
-            args: vec![
-                spec_path.display().to_string(),
-                "--out".into(),
-                dir_c.display().to_string(),
-            ],
-        };
-        let stats_c =
-            exec::run_campaign_subprocess(&spec, &no_registry, &store_c, shards, &worker).unwrap();
-        prop_assert_eq!(stats_c.executed, stats_a.unique);
+        let workers = subprocess_workers(&spec, &dir_c);
+        let stats_c = exec::execute(&spec, &no_registry, &store_c, shards, &opts, &workers).unwrap();
+        prop_assert_eq!(stats_c, stats_a, "subprocess stats differ from in-process stats");
 
         let files_a = store_files(&dir_a);
         let files_b = store_files(&dir_b);
@@ -229,11 +245,11 @@ fn rerun_serves_everything_from_cache() {
     let store = ResultStore::open(&dir).unwrap();
     let opts = exec::ExecOptions::default();
 
-    let first = exec::run_campaign(&spec, &no_registry, &store, 2, &opts).unwrap();
+    let first = run_in_process(&spec, &store, &opts);
     assert_eq!(first.cached, 0);
     assert_eq!(first.executed, first.unique);
 
-    let second = exec::run_campaign(&spec, &no_registry, &store, 3, &opts).unwrap();
+    let second = run_in_process(&spec, &store, &opts);
     assert_eq!(second.executed, 0, "second run must be a full cache hit");
     assert_eq!(second.cached, second.unique);
 
@@ -245,17 +261,14 @@ fn rerun_serves_everything_from_cache() {
         !ts_before.is_empty(),
         "timeseries-enabled runs leave sidecars"
     );
-    let forced = exec::run_campaign(
+    let forced = run_in_process(
         &spec,
-        &no_registry,
         &store,
-        1,
         &exec::ExecOptions {
             force: true,
             ..Default::default()
         },
-    )
-    .unwrap();
+    );
     assert_eq!(forced.executed, forced.unique);
     assert_eq!(
         before,
@@ -273,6 +286,47 @@ fn rerun_serves_everything_from_cache() {
         "forced rerun changed timeseries sidecar bytes"
     );
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A stored run cut short after its salt head reads as a cache miss:
+/// the rerun executes it again and counts it, in-process and with
+/// subprocess workers alike, and the store comes back byte-identical.
+#[test]
+fn truncated_run_is_executed_again_and_counted() {
+    let spec = tiny_campaign(9, 13, &[0.7]);
+    let opts = exec::ExecOptions::default();
+    for subprocess in [false, true] {
+        let dir = fresh_dir("torn");
+        let store = ResultStore::open(&dir).unwrap();
+        let workers = match subprocess {
+            false => Workers::InProcess,
+            true => subprocess_workers(&spec, &dir),
+        };
+        let first = exec::execute(&spec, &no_registry, &store, 2, &opts, &workers).unwrap();
+        assert_eq!(first.executed, first.unique);
+        let clean = store_files(&dir);
+
+        let (victim, bytes) = clean.iter().next().unwrap();
+        let head = &bytes[..300];
+        assert!(
+            String::from_utf8_lossy(head).contains(CODE_SALT),
+            "the cut keeps the salt head"
+        );
+        std::fs::write(dir.join("runs").join(victim), head).unwrap();
+
+        let again = exec::execute(&spec, &no_registry, &store, 2, &opts, &workers).unwrap();
+        assert_eq!(
+            (again.executed, again.cached, again.failed),
+            (1, first.unique - 1, 0),
+            "subprocess={subprocess}: {again}"
+        );
+        assert_eq!(
+            store_files(&dir),
+            clean,
+            "subprocess={subprocess}: the rerun must restore the run byte for byte"
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 #[test]
@@ -300,14 +354,7 @@ fn scenario_failures_are_recorded_not_fatal() {
 
     let dir = fresh_dir("fail");
     let store = ResultStore::open(&dir).unwrap();
-    let stats = exec::run_campaign(
-        &spec,
-        &no_registry,
-        &store,
-        1,
-        &exec::ExecOptions::default(),
-    )
-    .unwrap();
+    let stats = run_in_process(&spec, &store, &exec::ExecOptions::default());
     assert_eq!(stats.failed, 1);
     assert_eq!(stats.executed, 2);
 
@@ -320,14 +367,7 @@ fn scenario_failures_are_recorded_not_fatal() {
     assert_eq!(failure.kind, "unsupported");
     assert!(failure.message.contains("events"), "{}", failure.message);
     // The failure also survives a cache hit.
-    let again = exec::run_campaign(
-        &spec,
-        &no_registry,
-        &store,
-        1,
-        &exec::ExecOptions::default(),
-    )
-    .unwrap();
+    let again = run_in_process(&spec, &store, &exec::ExecOptions::default());
     assert_eq!(again.executed, 0);
     assert_eq!(again.failed, 1);
     let _ = std::fs::remove_dir_all(dir);
@@ -352,14 +392,7 @@ fn report_html_is_byte_deterministic_and_escaped() {
         .with_baseline("plain");
     let dir = fresh_dir("html");
     let store = ResultStore::open(&dir).unwrap();
-    exec::run_campaign(
-        &spec,
-        &no_registry,
-        &store,
-        2,
-        &exec::ExecOptions::default(),
-    )
-    .unwrap();
+    run_in_process(&spec, &store, &exec::ExecOptions::default());
 
     let render = |tag: &str| {
         let out = fresh_dir(tag);

@@ -1,4 +1,4 @@
-//! # ecp-scenario — declarative experiments and parallel sweeps
+//! # ecp-scenario — declarative experiments and parameter grids
 //!
 //! The seed repository hard-codes every experiment as its own binary:
 //! topology, traffic, failures, and TE settings re-wired by hand each
@@ -84,11 +84,12 @@
 //!
 //! ## Sweeps
 //!
-//! [`SweepRunner`] expands parameter grids (`beta × num_paths × margin`,
-//! thresholds, wake times, seed replicates) into scenario instances and
-//! executes them in parallel via rayon. Instance expansion order, seeds,
-//! and the order-preserving parallel map make sweep results independent
-//! of the worker-thread count.
+//! [`grid`] expands a base scenario over [`Axis`] values (`beta ×
+//! num_paths × margin`, thresholds, wake times, [`Axis::replicates`]
+//! seeds) into named instances, row-major with the last axis fastest.
+//! Running a set of scenarios is the campaign executor's job
+//! (`ecp-campaign`): each campaign entry is a base plus its axes, and
+//! one executor runs, caches and reports every instance.
 
 pub mod error;
 pub mod run;
@@ -111,6 +112,6 @@ pub use spec::{
     MetricsSpec, NodeRef, PacketPlacement, PacketRateSpec, PacketSpec, PairsSpec, PeakSpec,
     PlannerSpec, PowerSpec, ReplayMode, ReplaySpec, ScaleSpec, Scenario, ScenarioBuilder, SimSpec,
     SleepSpec, StrategySpec, SubsetScheme, TablesSpec, TraceSpec, TrafficSpec, WaveSpec,
-    WindowSpec,
+    WindowSpec, MAX_NUM_PATHS,
 };
-pub use sweep::{Axis, Param, SweepReport, SweepRow, SweepRunner};
+pub use sweep::{grid, Axis, Param};

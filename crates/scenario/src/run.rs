@@ -322,6 +322,7 @@ pub fn resolve_with_sink<S: TelemetrySink>(
 ) -> Result<ResolvedScenario, ScenarioError> {
     // A demand-aware planner reads the offered matrix while resolving.
     scenario.validate_traffic()?;
+    scenario.validate_planner()?;
     if S::SPANS {
         sink.span_enter(SpanName::ResolveTopo);
     }
@@ -543,15 +544,17 @@ impl TraceOutput {
 }
 
 /// Reject spec combinations an engine would otherwise silently ignore
-/// (control policies, stability analysis, and telemetry capture only
-/// exist in the event-driven simulator), offered load no engine can
-/// run, and simulator timing the event loop cannot run.
+/// (control policies, stability analysis, telemetry capture, scripted
+/// events and per-flow programs only exist in the event-driven
+/// simulator), offered load no engine can run, a path count the planner
+/// cannot build, and simulator timing the event loop cannot run.
 fn validate_engine_features(scenario: &Scenario) -> Result<(), ScenarioError> {
     scenario
         .control
         .validate()
         .map_err(ScenarioError::Invalid)?;
     scenario.validate_traffic()?;
+    scenario.validate_planner()?;
     let engine = match &scenario.engine {
         EngineSpec::Simnet => return Ok(scenario.validate_sim_timing()?),
         EngineSpec::Replay(_) => "replay",
@@ -580,6 +583,18 @@ fn validate_engine_features(scenario: &Scenario) -> Result<(), ScenarioError> {
         return Err(ScenarioError::unsupported(
             engine,
             "timeseries capture (use the Simnet engine)",
+        ));
+    }
+    if !scenario.events.is_empty() {
+        return Err(ScenarioError::unsupported(
+            engine,
+            "scripted events (use the Simnet engine)",
+        ));
+    }
+    if !scenario.traffic.per_flow.is_empty() {
+        return Err(ScenarioError::unsupported(
+            engine,
+            "per-flow programs (use the Simnet engine)",
         ));
     }
     Ok(())
@@ -831,19 +846,29 @@ fn offered_matrix<'a>(
 
 impl OfferedMatrix<'_> {
     /// Total (or per-flow, for `PerFlowBps`) volume at a program level.
-    fn volume(&self, level: f64) -> f64 {
-        match self.scenario.traffic.scale {
+    /// The scale and the level are finite (`Scenario::validate_traffic`),
+    /// but their product with the probed maximum volume can still
+    /// overflow; such a volume is rejected, not offered.
+    fn volume(&self, level: f64) -> Result<f64, ScenarioError> {
+        let v = match self.scenario.traffic.scale {
             ScaleSpec::MaxFeasibleFraction { fraction } => {
                 self.resolved.max_feasible_volume() * level * fraction
             }
             ScaleSpec::TotalBps { bps } => bps * level,
             ScaleSpec::PerFlowBps { bps } => bps * level,
+        };
+        if !v.is_finite() {
+            return Err(format!(
+                "traffic.scale: the offered volume at program level {level} is {v} bps, not finite"
+            )
+            .into());
         }
+        Ok(v)
     }
 
     /// The offered matrix at a program level.
     fn at(&self, level: f64) -> Result<TrafficMatrix, ScenarioError> {
-        let v = self.volume(level);
+        let v = self.volume(level)?;
         let pairs = &self.resolved.pairs[..];
         let per_flow = matches!(self.scenario.traffic.scale, ScaleSpec::PerFlowBps { .. });
         match (self.scenario.traffic.matrix, per_flow) {
@@ -1338,6 +1363,12 @@ fn build_trace(
                 }
                 PeakSpec::TotalBps { bps } => bps,
             };
+            if !peak_bps.is_finite() {
+                return Err(format!(
+                    "trace peak: the GeantLike peak is {peak_bps} bps, not finite"
+                )
+                .into());
+            }
             Ok(ResolvedTrace {
                 trace: geant_like_trace(topo, &resolved.pairs, days, peak_bps, scenario.seed),
                 peak_bps: Some(peak_bps),
@@ -1460,20 +1491,6 @@ fn run_replay(
     resolved: &ResolvedScenario,
     spec: &ReplaySpec,
 ) -> Result<ScenarioReport, ScenarioError> {
-    // The replay engine drives demand from its trace, not from scripted
-    // events — reject specs that would otherwise be silently ignored.
-    if !scenario.events.is_empty() {
-        return Err(ScenarioError::unsupported(
-            "replay",
-            "scripted events (use the Simnet engine)",
-        ));
-    }
-    if !scenario.traffic.per_flow.is_empty() {
-        return Err(ScenarioError::unsupported(
-            "replay",
-            "per-flow programs (use the Simnet engine)",
-        ));
-    }
     let mut rt = build_trace(scenario, resolved, spec)?;
 
     if let Some(growth) = spec.growth_per_day {
@@ -1852,15 +1869,6 @@ fn run_packet(
     resolved: &ResolvedScenario,
     spec: &PacketSpec,
 ) -> Result<ScenarioReport, ScenarioError> {
-    if !scenario.events.is_empty() {
-        return Err(ScenarioError::unsupported(
-            "packet",
-            "scripted events (use the Simnet engine)",
-        ));
-    }
-    if !scenario.traffic.per_flow.is_empty() {
-        return Err(ScenarioError::unsupported("packet", "per-flow programs"));
-    }
     let topo = &resolved.built.topo;
     let per_pair_rate = match spec.rate {
         PacketRateSpec::PerFlowBps { bps } => bps,
@@ -1970,15 +1978,6 @@ fn run_app(
     resolved: &ResolvedScenario,
     spec: &AppSpec,
 ) -> Result<ScenarioReport, ScenarioError> {
-    if !scenario.events.is_empty() {
-        return Err(ScenarioError::unsupported(
-            "app",
-            "scripted events (use the Simnet engine)",
-        ));
-    }
-    if !scenario.traffic.per_flow.is_empty() {
-        return Err(ScenarioError::unsupported("app", "per-flow programs"));
-    }
     let topo = &resolved.built.topo;
     let server = common_origin(&resolved.pairs)?;
     let clients: Vec<NodeId> = resolved.pairs.iter().map(|&(_, d)| d).collect();

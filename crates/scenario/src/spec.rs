@@ -221,10 +221,19 @@ pub enum StrategySpec {
     },
 }
 
+/// The largest `planner.num_paths` a scenario may ask for. Every path
+/// beyond the always-on and failover ones costs the planner one more
+/// round over all pairs and each pair one more installed table; the
+/// paper installs 3 and the evaluation sweeps up to 5. The bound leaves
+/// room for ablations beyond that, and turns a mistyped count (`1e12`)
+/// into an error instead of a planning pass that never ends.
+pub const MAX_NUM_PATHS: usize = 16;
+
 /// Planner parameters — the usual sweep axes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlannerSpec {
-    /// Energy-critical paths per OD pair (`N`, paper: 3).
+    /// Energy-critical paths per OD pair (`N`, paper: 3), in
+    /// `2..=MAX_NUM_PATHS`.
     pub num_paths: usize,
     /// REsPoNse-lat latency slack β; `None` disables the bound.
     pub beta: Option<f64>,
@@ -1184,6 +1193,20 @@ impl Scenario {
             }
         }
         Ok(())
+    }
+
+    /// Reject a path count the planner cannot build: `planner.num_paths`
+    /// must lie in `2..=MAX_NUM_PATHS` (always-on and failover take two
+    /// paths; see [`MAX_NUM_PATHS`] for the upper bound).
+    pub fn validate_planner(&self) -> Result<(), String> {
+        let n = self.planner.num_paths;
+        if (2..=MAX_NUM_PATHS).contains(&n) {
+            Ok(())
+        } else {
+            Err(format!(
+                "planner.num_paths must be in [2, {MAX_NUM_PATHS}], got {n}"
+            ))
+        }
     }
 
     /// Parse a scenario from a TOML document.

@@ -1,9 +1,8 @@
-//! Parameter-grid expansion and the parallel sweep runner.
+//! Sweep knobs and grid expansion: the [`Param`]s a campaign entry can
+//! set or sweep, the [`Axis`] one varies along, and [`grid`], which
+//! expands a base scenario over axes.
 
-use crate::error::ScenarioError;
-use crate::run::ScenarioReport;
 use crate::spec::{ControlSpec, ScaleSpec, Scenario};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// A sweepable scenario parameter.
@@ -11,7 +10,8 @@ use serde::{Deserialize, Serialize};
 pub enum Param {
     /// `sim.te_threshold` (also the replay TE threshold).
     Threshold,
-    /// `planner.num_paths` (value rounded to usize).
+    /// `planner.num_paths` (value rounded to usize; the scenario
+    /// boundary rejects counts outside 2 ..= [`crate::MAX_NUM_PATHS`]).
     NumPaths,
     /// `planner.beta`; negative values mean "no bound" (`None`).
     Beta,
@@ -76,7 +76,7 @@ impl Param {
     pub fn apply(&self, scenario: &mut Scenario, value: f64) {
         match self {
             Param::Threshold => scenario.sim.te_threshold = value,
-            Param::NumPaths => scenario.planner.num_paths = value.max(2.0).round() as usize,
+            Param::NumPaths => scenario.planner.num_paths = value.round() as usize,
             Param::Beta => scenario.planner.beta = (value >= 0.0).then_some(value),
             Param::Margin => scenario.planner.margin = value,
             Param::ExcludeFraction => scenario.planner.exclude_fraction = value,
@@ -144,162 +144,58 @@ impl Axis {
             values: values.into_iter().collect(),
         }
     }
+
+    /// The replicate axis: `n` distinct deterministic seeds derived
+    /// from `base_seed`. Seeds are masked to 53 bits so the f64 axis
+    /// value is exact (the axis value IS the seed the run uses).
+    pub fn replicates(base_seed: u64, n: usize) -> Self {
+        let seeds = (0..n).map(|i| (mix_seed(base_seed, i as u64) & ((1 << 53) - 1)) as f64);
+        Axis::new(Param::Seed, seeds)
+    }
 }
 
 /// One grid cell's parameter assignment.
 pub type ParamAssignment = Vec<(String, f64)>;
 
-/// A fully-expanded grid of scenarios executed in parallel via rayon.
+/// Expand `base` over the grid `axes` spans, in row-major order: the
+/// first axis is outermost and the last varies fastest. Each instance
+/// applies its axis values in axis order and is named
+/// `{base}#{i}[k=v,…]`. An axis with no values makes the grid empty
+/// (there is no assignment for it); no axes at all give `base`
+/// unchanged, with no parameters.
 ///
-/// Every instance is deterministic: the grid expansion order is the
-/// row-major Cartesian product of the axes, each instance inherits the
-/// base scenario's seed (unless a [`Param::Seed`] axis overrides it),
-/// and the parallel map preserves instance order — so sweep results are
-/// independent of the worker-thread count.
-#[derive(Debug, Clone)]
-pub struct SweepRunner {
-    /// Template scenario; axes overwrite fields per instance.
-    pub base: Scenario,
-    /// The grid axes (outermost first).
-    pub axes: Vec<Axis>,
-    /// Worker threads (`None` = all cores).
-    pub threads: Option<usize>,
-}
-
-/// One sweep row: the instance's parameters and its report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SweepRow {
-    /// Axis values of this instance.
-    pub params: ParamAssignment,
-    /// Its scenario report.
-    pub report: ScenarioReport,
-}
-
-/// Aggregated sweep output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SweepReport {
-    /// Base scenario name.
-    pub name: String,
-    /// One row per grid cell, in grid order.
-    pub rows: Vec<SweepRow>,
-}
-
-impl SweepRunner {
-    /// Sweep a base scenario over a grid.
-    pub fn new(base: Scenario, axes: Vec<Axis>) -> Self {
-        SweepRunner {
-            base,
-            axes,
-            threads: None,
-        }
+/// Names, parameters and seeds feed the campaign run hash, so this
+/// order and naming are part of the stored-run contract.
+pub fn grid(base: &Scenario, axes: &[Axis]) -> Vec<(ParamAssignment, Scenario)> {
+    if axes.is_empty() {
+        return vec![(Vec::new(), base.clone())];
     }
-
-    /// Pin the worker-thread count.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Add a replication axis: `n` runs with distinct deterministic
-    /// seeds derived from the base seed. Seeds are masked to 53 bits so
-    /// the f64 axis representation is exact (the axis value IS the
-    /// seed the run uses).
-    pub fn replicates(mut self, n: usize) -> Self {
-        let seeds = (0..n)
-            .map(|i| (mix_seed(self.base.seed, i as u64) & ((1 << 53) - 1)) as f64)
-            .collect();
-        self.axes.push(Axis {
-            param: Param::Seed,
-            values: seeds,
-        });
-        self
-    }
-
-    /// Number of grid cells. An axis with no values makes the grid
-    /// empty (there is no assignment for it).
-    pub fn len(&self) -> usize {
-        self.axes.iter().map(|a| a.values.len()).product()
-    }
-
-    /// Whether the grid is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Expand the grid into concrete scenario instances, in row-major
-    /// axis order. Instance names get a `#i` suffix plus the parameter
-    /// assignment.
-    pub fn instances(&self) -> Vec<(ParamAssignment, Scenario)> {
-        if self.axes.iter().any(|a| a.values.is_empty()) {
-            return Vec::new();
-        }
-        let mut out = Vec::with_capacity(self.len());
-        let mut indices = vec![0usize; self.axes.len()];
-        loop {
-            let mut scenario = self.base.clone();
-            let mut params: ParamAssignment = Vec::with_capacity(self.axes.len());
-            for (axis, &ix) in self.axes.iter().zip(&indices) {
-                let value = axis.values[ix];
-                axis.param.apply(&mut scenario, value);
-                params.push((axis.param.label().to_string(), value));
+    let cells: usize = axes.iter().map(|a| a.values.len()).product();
+    (0..cells)
+        .map(|i| {
+            // The digits of `i` in the grid's mixed radix, last axis
+            // least significant.
+            let mut digits = vec![0; axes.len()];
+            let mut rest = i;
+            for (d, axis) in digits.iter_mut().zip(axes).rev() {
+                *d = rest % axis.values.len();
+                rest /= axis.values.len();
             }
-            let suffix: Vec<String> = params.iter().map(|(k, v)| format!("{k}={v}")).collect();
-            scenario.name = format!("{}#{}[{}]", self.base.name, out.len(), suffix.join(","));
-            out.push((params, scenario));
-            // Odometer increment.
-            let mut i = self.axes.len();
-            loop {
-                if i == 0 {
-                    return out;
-                }
-                i -= 1;
-                indices[i] += 1;
-                if indices[i] < self.axes[i].values.len() {
-                    break;
-                }
-                indices[i] = 0;
-            }
-        }
-    }
-
-    /// Execute every instance in parallel and aggregate the reports.
-    /// Fails if any instance fails.
-    ///
-    /// Planner/routing artifacts (topology build, Dijkstra/Yen path
-    /// construction, oracle probes) are memoized across the grid by
-    /// [`crate::ResolveCache`]: cells that only vary engine-side knobs
-    /// (threshold, load level with a demand-oblivious planner, control
-    /// parameters, the seed when pairs are not seed-sampled) share one
-    /// resolution instead of re-planning per cell. Memoized results
-    /// are byte-identical to per-cell resolution (`resolve` is a
-    /// deterministic function of the cache key).
-    pub fn run(&self) -> Result<SweepReport, ScenarioError> {
-        let instances = self.instances();
-        let cache = crate::run::ResolveCache::new();
-        let execute = || -> Vec<Result<SweepRow, ScenarioError>> {
-            instances
-                .into_par_iter()
-                .map(|(params, scenario)| {
-                    let resolved = cache.resolve(&scenario)?;
-                    let report = crate::run::run_resolved(&scenario, &resolved)?;
-                    Ok(SweepRow { params, report })
+            let mut scenario = base.clone();
+            let params: ParamAssignment = axes
+                .iter()
+                .zip(digits)
+                .map(|(axis, d)| {
+                    let value = axis.values[d];
+                    axis.param.apply(&mut scenario, value);
+                    (axis.param.label().to_string(), value)
                 })
-                .collect()
-        };
-        let results = match self.threads {
-            Some(n) => rayon::ThreadPoolBuilder::new()
-                .num_threads(n)
-                .build()
-                .map_err(|e| ScenarioError::invalid(e.to_string()))?
-                .install(execute),
-            None => execute(),
-        };
-        let rows = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-        Ok(SweepReport {
-            name: self.base.name.clone(),
-            rows,
+                .collect();
+            let suffix: Vec<String> = params.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            scenario.name = format!("{}#{i}[{}]", base.name, suffix.join(","));
+            (params, scenario)
         })
-    }
+        .collect()
 }
 
 /// Derive a per-replicate seed (splitmix64 finalizer over base ⊕ index).
@@ -310,24 +206,4 @@ fn mix_seed(base: u64, index: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-impl SweepReport {
-    /// Rows formatted for `print_table`-style output: one line per cell
-    /// with parameters, mean power, delivered fraction, and lag.
-    pub fn table_rows(&self) -> Vec<Vec<String>> {
-        self.rows
-            .iter()
-            .map(|r| {
-                let params: Vec<String> =
-                    r.params.iter().map(|(k, v)| format!("{k}={v}")).collect();
-                vec![
-                    params.join(" "),
-                    format!("{:.1}%", 100.0 * r.report.mean_power_frac),
-                    format!("{:.3}", r.report.mean_delivered_fraction),
-                    format!("{:.1}", r.report.max_tracking_lag_s),
-                ]
-            })
-            .collect()
-    }
 }

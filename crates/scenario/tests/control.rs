@@ -4,9 +4,9 @@
 
 use ecp_control::{PathRates, Sample, StabilityConfig};
 use ecp_scenario::{
-    run_scenario, Axis, ControlSpec, EngineSpec, EventSpec, FlowProgram, LinkRef, MatrixSpec,
+    grid, run_scenario, Axis, ControlSpec, EngineSpec, EventSpec, FlowProgram, LinkRef, MatrixSpec,
     MetricsSpec, NodeRef, PairsSpec, Param, ReplayMode, ReplaySpec, ScaleSpec, Scenario,
-    ScenarioBuilder, ScenarioError, SweepRunner, TraceSpec,
+    ScenarioBuilder, ScenarioError, TraceSpec, MAX_NUM_PATHS,
 };
 use ecp_topo::gen::TopoSpec;
 use ecp_traffic::{Program, Shape};
@@ -268,6 +268,39 @@ fn one_segment(s: &mut Scenario, shape: Shape) {
 fn both_traffic_bases_run() {
     assert!(run_scenario(&base(ControlSpec::Undamped)).is_ok());
     assert!(run_scenario(&replay_base()).is_ok());
+}
+
+/// `planner.num_paths` outside 2 ..= `MAX_NUM_PATHS` is rejected on
+/// every engine before anything is planned (1 used to panic in the
+/// planner, 1e12 to plan without end); both ends of the range run.
+#[test]
+fn num_paths_out_of_range_is_invalid() {
+    let bases = [base(ControlSpec::Undamped), replay_base()];
+    let too_many = (MAX_NUM_PATHS + 1) as f64;
+    assert_rejected_on(
+        &bases,
+        "planner.num_paths",
+        &[0.0, 1.0, too_many, 1e12],
+        |s, v| Param::NumPaths.apply(s, v),
+    );
+    for b in &bases {
+        for n in [2, MAX_NUM_PATHS] {
+            let mut s = b.clone();
+            s.planner.num_paths = n;
+            assert!(run_scenario(&s).is_ok(), "{}: num_paths = {n}", b.name);
+        }
+    }
+}
+
+/// A finite load scale whose offered volume overflows is rejected
+/// naming the scale on both engines (it used to run to a NaN or zero
+/// delivered fraction).
+#[test]
+fn overflowing_offered_volume_is_invalid() {
+    let bases = [base(ControlSpec::Undamped), replay_base()];
+    assert_rejected_on(&bases, "traffic.scale", &[1e308], |s, v| {
+        Param::LoadScale.apply(s, v)
+    });
 }
 
 #[test]
@@ -622,14 +655,11 @@ fn missing_control_field_defaults_to_undamped() {
 
 #[test]
 fn control_params_sweep_and_label() {
-    let runner = SweepRunner::new(
-        base(ControlSpec::Undamped),
-        vec![
-            Axis::new(Param::EwmaAlpha, [0.3, 0.7]),
-            Axis::new(Param::LoadScale, [0.5]),
-        ],
-    );
-    let instances = runner.instances();
+    let axes = [
+        Axis::new(Param::EwmaAlpha, [0.3, 0.7]),
+        Axis::new(Param::LoadScale, [0.5]),
+    ];
+    let instances = grid(&base(ControlSpec::Undamped), &axes);
     assert_eq!(instances.len(), 2);
     assert_eq!(instances[0].0[0], ("ewma_alpha".to_string(), 0.3));
     assert_eq!(instances[0].1.control, ControlSpec::Ewma { alpha: 0.3 });

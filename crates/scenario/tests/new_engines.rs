@@ -3,10 +3,10 @@
 //! pairs, per-flow programs, and replay windowing.
 
 use ecp_scenario::{
-    run_scenario, AppDetail, AppSpec, EngineSpec, MatrixSpec, MetricsSpec, NodeRef,
-    PacketPlacement, PacketRateSpec, PacketSpec, PairsSpec, PeakSpec, ReplayMode, ReplaySpec,
-    ScaleSpec, Scenario, ScenarioBuilder, SleepSpec, SubsetScheme, TablesSpec, TraceSpec,
-    WindowSpec,
+    run_scenario, AppDetail, AppSpec, EngineSpec, EventSpec, FlowProgram, MatrixSpec, MetricsSpec,
+    NodeRef, PacketPlacement, PacketRateSpec, PacketSpec, PairsSpec, PeakSpec, ReplayMode,
+    ReplaySpec, ScaleSpec, Scenario, ScenarioBuilder, ScenarioError, SleepSpec, SubsetScheme,
+    TablesSpec, TraceSpec, WindowSpec,
 };
 use ecp_topo::gen::TopoSpec;
 use ecp_traffic::{Program, Shape};
@@ -181,9 +181,9 @@ fn app_engines_need_a_common_origin() {
         .contains("common origin"));
 }
 
-#[test]
-fn app_web_runs_on_explicit_star() {
-    let scenario = ScenarioBuilder::new("web-star")
+/// A web workload on the Fig. 3 network: K serves A and C.
+fn web_star() -> Scenario {
+    ScenarioBuilder::new("web-star")
         .seed(2005)
         .duration_s(60.0)
         .topology(TopoSpec::Fig3Click)
@@ -200,8 +200,12 @@ fn app_web_runs_on_explicit_star() {
             ],
         })
         .engine(EngineSpec::App(AppSpec::web_default(2)))
-        .build();
-    let report = run_scenario(&scenario).unwrap();
+        .build()
+}
+
+#[test]
+fn app_web_runs_on_explicit_star() {
+    let report = run_scenario(&web_star()).unwrap();
     assert_eq!(report.engine, "app-web");
     match report.app.unwrap() {
         AppDetail::Web {
@@ -291,6 +295,69 @@ fn replay_window_selects_intervals() {
         .unwrap_err()
         .to_string();
     assert!(err.contains("empty"), "{err}");
+}
+
+/// Scripted events and per-flow programs only exist in the simulator:
+/// every other engine rejects them as `Unsupported`, with one wording.
+#[test]
+fn non_simnet_engines_reject_events_and_per_flow_programs() {
+    let packet = fig3_base("packet-misuse")
+        .engine(EngineSpec::Packet(PacketSpec::default()))
+        .build();
+    for (engine, base) in [
+        ("replay", small_replay(None)),
+        ("packet", packet),
+        ("app", web_star()),
+    ] {
+        let mut with_events = base.clone();
+        with_events.events.push(EventSpec::SetWakeTime {
+            at: 1.0,
+            wake_time_s: 1.0,
+        });
+        let mut per_flow = base;
+        per_flow.traffic.per_flow.push(FlowProgram {
+            flow: 0,
+            program: Program::from_shape(1.0, 1.0, Shape::Constant { level: 1.0 }),
+        });
+        for (scenario, feature) in [
+            (with_events, "scripted events (use the Simnet engine)"),
+            (per_flow, "per-flow programs (use the Simnet engine)"),
+        ] {
+            let err = run_scenario(&scenario).unwrap_err();
+            assert_eq!(
+                err,
+                ScenarioError::unsupported(engine, feature),
+                "{engine}: {err}"
+            );
+        }
+    }
+}
+
+/// A replay trace peak that is not finite (an overflowing multiple, or
+/// an infinite rate) is rejected naming the peak instead of replaying
+/// an infinite trace.
+#[test]
+fn overflowing_trace_peak_is_invalid() {
+    for peak in [
+        PeakSpec::OverAlwaysOn {
+            factor: 1e308,
+            cap_over_full: None,
+            use_sim_te: false,
+        },
+        PeakSpec::MaxFeasibleFraction { fraction: 1e308 },
+        PeakSpec::TotalBps { bps: f64::INFINITY },
+    ] {
+        let mut s = small_replay(None);
+        if let EngineSpec::Replay(spec) = &mut s.engine {
+            spec.trace = TraceSpec::GeantLike { peak };
+        }
+        let err = run_scenario(&s).unwrap_err();
+        assert!(
+            matches!(err, ScenarioError::Invalid(_)),
+            "{peak:?}: {err:?}"
+        );
+        assert!(err.to_string().contains("peak"), "{peak:?}: {err}");
+    }
 }
 
 #[test]

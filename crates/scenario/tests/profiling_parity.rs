@@ -6,8 +6,7 @@
 use ecp_scenario::{
     resolve, resolve_with_sink, run_resolved_traced, run_resolved_with_sink, run_scenario, Clock,
     ControlSpec, EventSpec, FakeClock, MatrixSpec, MonoClock, NodeRef, PairsSpec, ResolveCache,
-    ScaleSpec, Scenario, ScenarioBuilder, ScenarioReport, SpanSink, SweepRunner, TimingSnapshot,
-    TraceOutput,
+    ScaleSpec, Scenario, ScenarioBuilder, ScenarioReport, SpanSink, TimingSnapshot, TraceOutput,
 };
 use ecp_topo::gen::TopoSpec;
 use ecp_traffic::{Program, Shape};
@@ -223,14 +222,13 @@ fn cache_does_not_keep_failed_resolutions() {
 /// profiled grid points match their unprofiled twins.
 #[test]
 fn profiled_sweep_points_match_unprofiled() {
-    use ecp_scenario::{Axis, Param};
+    use ecp_scenario::{grid, Axis, Param};
     let scenario = ScenarioBuilder::new("profile-sweep")
         .topology(TopoSpec::small_waxman(9, 3))
         .pairs(PairsSpec::Random { count: 4 })
         .duration_s(2.0)
         .build();
-    let runner = SweepRunner::new(scenario, vec![Axis::new(Param::Threshold, [0.7, 0.9])]);
-    for (_, instance) in runner.instances() {
+    for (_, instance) in grid(&scenario, &[Axis::new(Param::Threshold, [0.7, 0.9])]) {
         let plain = run_scenario(&instance).unwrap();
         let (profiled, _, _) = profile(&instance, MonoClock::default());
         assert_eq!(

@@ -1,10 +1,11 @@
 //! Scenario determinism properties: the same `Scenario` + seed must
-//! yield byte-identical recorder output across runs and across
-//! `SweepRunner` thread counts.
+//! yield byte-identical recorder output across runs, grid instances
+//! resolved through one shared `ResolveCache` must run exactly like
+//! fresh ones, and `grid` expansion is ordered and named as documented.
 
 use ecp_scenario::{
-    run_scenario, Axis, EventSpec, MatrixSpec, MetricsSpec, PairsSpec, Param, ScaleSpec,
-    ScenarioBuilder, SweepRunner,
+    grid, run_resolved, run_scenario, Axis, EventSpec, MatrixSpec, MetricsSpec, PairsSpec, Param,
+    ResolveCache, ScaleSpec, ScenarioBuilder,
 };
 use ecp_topo::gen::TopoSpec;
 use ecp_traffic::{Program, Shape};
@@ -82,46 +83,34 @@ proptest! {
         prop_assume!(ja.len() != jb.len() || ja != jb);
         prop_assert!(true);
     }
-
-    /// SweepRunner results are byte-identical regardless of the number
-    /// of worker threads.
-    #[test]
-    fn sweep_results_independent_of_thread_count(scenario in arb_scenario(), threads in 1usize..5) {
-        let axes = vec![Axis::new(Param::Threshold, [0.7, 0.9])];
-        let base = SweepRunner::new(scenario, axes);
-
-        let serial = base.clone().threads(1).run().unwrap();
-        let parallel = base.clone().threads(threads).run().unwrap();
-        let js = serde_json::to_string(&serial).unwrap();
-        let jp = serde_json::to_string(&parallel).unwrap();
-        prop_assert_eq!(js, jp);
-    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Sweeps memoize planner/routing artifacts across grid points
-    /// (`ResolveCache`): a Threshold × LoadScale grid plans once per
-    /// distinct resolution key. Memoized runs must be byte-identical
-    /// to resolving every instance from scratch.
+    /// Grid instances resolved through one shared `ResolveCache` (a
+    /// Threshold × LoadScale grid plans once per distinct resolution
+    /// key) must run byte-identically to resolving every instance from
+    /// scratch.
     #[test]
     fn memoized_sweep_matches_unmemoized(scenario in arb_scenario()) {
-        let axes = vec![
+        let axes = [
             Axis::new(Param::Threshold, [0.7, 0.9]),
             Axis::new(Param::LoadScale, [0.8, 1.0]),
         ];
-        let runner = SweepRunner::new(scenario, axes).threads(2);
-        let memoized = runner.run().unwrap();
-        prop_assert_eq!(memoized.rows.len(), runner.len());
-        for ((params, instance), row) in runner.instances().into_iter().zip(&memoized.rows) {
-            let fresh = run_scenario(&instance).unwrap();
-            prop_assert_eq!(&params, &row.params);
+        let instances = grid(&scenario, &axes);
+        prop_assert_eq!(instances.len(), 4);
+        let cache = ResolveCache::new();
+        for (_, instance) in &instances {
+            let resolved = cache.resolve(instance).unwrap();
+            let memoized = run_resolved(instance, &resolved).unwrap();
+            let fresh = run_scenario(instance).unwrap();
             prop_assert_eq!(
                 serde_json::to_string(&fresh).unwrap(),
-                serde_json::to_string(&row.report).unwrap()
+                serde_json::to_string(&memoized).unwrap()
             );
         }
+        prop_assert!(cache.len() < instances.len(), "threshold cells share a resolution");
     }
 }
 
@@ -216,15 +205,11 @@ fn sweep_grid_expansion_is_cartesian_and_ordered() {
         .pairs(PairsSpec::Random { count: 4 })
         .duration_s(1.0)
         .build();
-    let runner = SweepRunner::new(
-        scenario,
-        vec![
-            Axis::new(Param::NumPaths, [2.0, 3.0]),
-            Axis::new(Param::Margin, [0.8, 0.9, 1.0]),
-        ],
-    );
-    assert_eq!(runner.len(), 6);
-    let instances = runner.instances();
+    let axes = [
+        Axis::new(Param::NumPaths, [2.0, 3.0]),
+        Axis::new(Param::Margin, [0.8, 0.9, 1.0]),
+    ];
+    let instances = grid(&scenario, &axes);
     assert_eq!(instances.len(), 6);
     // Row-major: margin varies fastest.
     assert_eq!(
@@ -239,10 +224,17 @@ fn sweep_grid_expansion_is_cartesian_and_ordered() {
         instances[3].0,
         vec![("num_paths".to_string(), 3.0), ("margin".to_string(), 0.8)]
     );
-    // Names are unique.
-    let mut names: Vec<&str> = instances.iter().map(|(_, s)| s.name.as_str()).collect();
-    names.dedup();
-    assert_eq!(names.len(), 6);
+    assert_eq!(instances[3].1.planner.num_paths, 3);
+    assert_eq!(instances[3].1.planner.margin, 0.8);
+    // Names carry the cell index and the assignment, byte for byte.
+    assert_eq!(instances[0].1.name, "grid#0[num_paths=2,margin=0.8]");
+    assert_eq!(instances[5].1.name, "grid#5[num_paths=3,margin=1]");
+
+    // No axes: the base itself, unnamed and unparameterized.
+    let bare = grid(&scenario, &[]);
+    assert_eq!(bare.len(), 1);
+    assert!(bare[0].0.is_empty());
+    assert_eq!(bare[0].1, scenario);
 }
 
 #[test]
@@ -252,12 +244,12 @@ fn empty_axis_yields_empty_sweep() {
         .pairs(PairsSpec::Random { count: 4 })
         .duration_s(1.0)
         .build();
-    let runner = SweepRunner::new(scenario, vec![Axis::new(Param::Threshold, [])]);
-    assert_eq!(runner.len(), 0);
-    assert!(runner.is_empty());
-    assert!(runner.instances().is_empty());
-    let report = runner.run().unwrap();
-    assert!(report.rows.is_empty());
+    assert!(grid(&scenario, &[Axis::new(Param::Threshold, [])]).is_empty());
+    let axes = [
+        Axis::new(Param::Threshold, [0.7, 0.9]),
+        Axis::replicates(scenario.seed, 0),
+    ];
+    assert!(grid(&scenario, &axes).is_empty());
 }
 
 #[test]
@@ -317,12 +309,19 @@ fn replicates_have_distinct_deterministic_seeds() {
         .pairs(PairsSpec::Random { count: 4 })
         .duration_s(1.0)
         .build();
-    let r1 = SweepRunner::new(scenario.clone(), vec![]).replicates(4);
-    let r2 = SweepRunner::new(scenario, vec![]).replicates(4);
-    let s1: Vec<u64> = r1.instances().iter().map(|(_, s)| s.seed).collect();
-    let s2: Vec<u64> = r2.instances().iter().map(|(_, s)| s.seed).collect();
-    assert_eq!(s1, s2, "replicate seeds are deterministic");
-    let mut uniq = s1.clone();
+    let reps = [Axis::replicates(scenario.seed, 4)];
+    let instances = grid(&scenario, &reps);
+    assert_eq!(
+        instances,
+        grid(&scenario, &reps),
+        "replicate seeds are deterministic"
+    );
+    // The axis value is the seed the run uses (53-bit exact).
+    for (params, instance) in &instances {
+        assert_eq!(params[0], ("seed".to_string(), instance.seed as f64));
+        assert!(instance.seed < 1 << 53);
+    }
+    let mut uniq: Vec<u64> = instances.iter().map(|(_, s)| s.seed).collect();
     uniq.sort_unstable();
     uniq.dedup();
     assert_eq!(uniq.len(), 4, "replicate seeds are distinct");

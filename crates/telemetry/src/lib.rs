@@ -30,7 +30,7 @@ pub mod alloc_count;
 pub mod profile;
 
 pub use profile::{
-    Clock, FakeClock, MonoClock, SpanSink, SpanTiming, TimingSnapshot, SPAN_DUR_BOUNDS,
+    Clock, FakeClock, MonoClock, SpanSink, SpanStat, SpanTiming, TimingSnapshot, SPAN_DUR_BOUNDS,
 };
 
 /// Which way a link power transition went.
@@ -275,7 +275,7 @@ impl SpanName {
     /// The per-agent spans (`round_observe`, `round_decide`) close once
     /// per agent decision, millions of times in a simulated day, so
     /// they only feed the [`TimingSnapshot`] aggregates.
-    pub(crate) fn writes_line(self) -> bool {
+    pub fn writes_line(self) -> bool {
         !matches!(self, SpanName::RoundObserve | SpanName::RoundDecide)
     }
 }

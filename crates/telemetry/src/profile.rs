@@ -84,8 +84,7 @@ impl Clock for FakeClock {
 }
 
 /// Bucket bounds for span durations (seconds), log-spaced from 100 ns
-/// to 10 s. Shared by [`SpanSink`] and the `trace summarize` CLI so
-/// percentiles agree.
+/// to 10 s: the histogram every [`SpanStat`] keeps.
 pub const SPAN_DUR_BOUNDS: &[f64] = &[1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0];
 
 /// Aggregated timing for one span name.
@@ -140,12 +139,53 @@ impl TimingSnapshot {
     }
 }
 
+/// One span name's running aggregate: count, total and self time, and
+/// the [`SPAN_DUR_BOUNDS`] duration histogram. [`SpanSink`] keeps one
+/// per span name; `ecp trace summarize` folds a trace's `Span` lines
+/// through the same type, so both report the same percentiles.
 #[derive(Debug, Clone)]
-struct SpanStat {
+pub struct SpanStat {
     count: u64,
     total_s: f64,
     self_s: f64,
     durations: HistState,
+}
+
+impl Default for SpanStat {
+    fn default() -> Self {
+        SpanStat {
+            count: 0,
+            total_s: 0.0,
+            self_s: 0.0,
+            durations: HistState::with_bounds(SPAN_DUR_BOUNDS),
+        }
+    }
+}
+
+impl SpanStat {
+    /// Record one closed span of `dur_s` seconds, `self_s` of them not
+    /// spent in child spans.
+    pub fn observe(&mut self, dur_s: f64, self_s: f64) {
+        self.count += 1;
+        self.total_s += dur_s;
+        self.self_s += self_s;
+        self.durations.observe(SPAN_DUR_BOUNDS, dur_s);
+    }
+
+    /// The aggregate so far, as the timing of the span `name`.
+    pub fn timing(&self, name: &str) -> SpanTiming {
+        let durations = self.durations.snapshot_named(name, SPAN_DUR_BOUNDS);
+        SpanTiming {
+            name: name.to_string(),
+            count: self.count,
+            total_s: self.total_s,
+            self_s: self.self_s,
+            p50_s: durations.p50(),
+            p95_s: durations.p95(),
+            p99_s: durations.p99(),
+            durations,
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -193,15 +233,7 @@ impl<C: Clock> SpanSink<C> {
             origin_s,
             last_t: 0.0,
             stack: Vec::new(),
-            stats: SpanName::ALL
-                .iter()
-                .map(|_| SpanStat {
-                    count: 0,
-                    total_s: 0.0,
-                    self_s: 0.0,
-                    durations: HistState::with_bounds(SPAN_DUR_BOUNDS),
-                })
-                .collect(),
+            stats: vec![SpanStat::default(); SpanName::ALL.len()],
         }
     }
 
@@ -219,20 +251,7 @@ impl<C: Clock> SpanSink<C> {
             spans: SpanName::ALL
                 .iter()
                 .filter(|s| self.stats[s.index()].count > 0)
-                .map(|&s| {
-                    let st = &self.stats[s.index()];
-                    let durations = st.durations.snapshot_named(s.name(), SPAN_DUR_BOUNDS);
-                    SpanTiming {
-                        name: s.name().to_string(),
-                        count: st.count,
-                        total_s: st.total_s,
-                        self_s: st.self_s,
-                        p50_s: durations.p50(),
-                        p95_s: durations.p95(),
-                        p99_s: durations.p99(),
-                        durations,
-                    }
-                })
+                .map(|&s| self.stats[s.index()].timing(s.name()))
                 .collect(),
         }
     }
@@ -279,11 +298,7 @@ impl<C: Clock> TelemetrySink for SpanSink<C> {
         if let Some(parent) = self.stack.last_mut() {
             parent.child_s += dur_s;
         }
-        let st = &mut self.stats[frame.name.index()];
-        st.count += 1;
-        st.total_s += dur_s;
-        st.self_s += self_s;
-        st.durations.observe(SPAN_DUR_BOUNDS, dur_s);
+        self.stats[frame.name.index()].observe(dur_s, self_s);
         if !frame.name.writes_line() {
             return;
         }

@@ -1,12 +1,14 @@
 //! Declarative experiments: load scenarios from TOML (inline and from
-//! the shipped `examples/*.toml` documents), run them, and sweep one of
-//! their parameters — no experiment wiring code at all.
+//! the shipped `examples/*.toml` documents), run them, and expand one
+//! of their parameters into a grid — no experiment wiring code at all.
+//! (A campaign entry runs the same grid with caching and a report; see
+//! `examples/campaign_planner_grid.toml`.)
 //!
 //! ```text
 //! cargo run --release --example scenario_from_toml
 //! ```
 
-use response::scenario::{run_scenario, Axis, Param, Scenario, SweepRunner};
+use response::scenario::{grid, run_scenario, Axis, Param, Scenario};
 
 /// A complete experiment as data: the Fig.-3 Click network under an
 /// overload step with a mid-run failure of the always-on (middle) link.
@@ -85,16 +87,16 @@ fn main() {
         );
     }
 
-    // 2. Sweep the TE threshold over the same scenario, in parallel.
-    let sweep = SweepRunner::new(scenario, vec![Axis::new(Param::Threshold, [0.5, 0.7, 0.9])]);
-    let result = sweep.run().expect("sweep runs");
-    println!("\nthreshold sweep ({} instances):", result.rows.len());
-    for row in &result.rows {
+    // 2. Expand the TE threshold into a grid over the same scenario.
+    let instances = grid(&scenario, &[Axis::new(Param::Threshold, [0.5, 0.7, 0.9])]);
+    println!("\nthreshold grid ({} instances):", instances.len());
+    for (_, instance) in &instances {
+        let report = run_scenario(instance).expect("grid instance runs");
         println!(
-            "  threshold {:.1}: mean power {:.1}%, delivered fraction {:.3}",
-            row.params[0].1,
-            100.0 * row.report.mean_power_frac,
-            row.report.mean_delivered_fraction
+            "  {}: mean power {:.1}%, delivered fraction {:.3}",
+            instance.name,
+            100.0 * report.mean_power_frac,
+            report.mean_delivered_fraction
         );
     }
 

@@ -22,12 +22,13 @@
 //!   stepping API, and policy-driven TE agents.
 //! * [`scenario`] — declarative experiments: serializable `Scenario`
 //!   values (topology spec + traffic program + event script + metrics
-//!   selection, from TOML or a builder) and a rayon-parallel
-//!   `SweepRunner` for parameter grids.
-//! * [`campaign`] — whole-evaluation orchestration: multi-scenario
-//!   campaign specs, deterministic sharded execution (in-process or
-//!   across worker subprocesses), a content-addressed cached result
-//!   store, and Markdown/CSV/JSON comparison reports.
+//!   selection, from TOML or a builder) and `grid`, which expands one
+//!   over parameter axes.
+//! * [`campaign`] — whole-evaluation orchestration, the one way to run a
+//!   set of scenarios: multi-scenario campaign specs, deterministic
+//!   execution (one in-process pass, or sharded across worker
+//!   subprocesses), a content-addressed cached result store, and
+//!   Markdown/CSV/JSON comparison reports.
 //! * [`apps`] — application-level workloads (streaming, web) running on
 //!   the simulator.
 //!
