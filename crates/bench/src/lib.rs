@@ -11,6 +11,8 @@
 //! ecp trace summarize <trace.jsonl>                              # inspect a run's telemetry
 //! ```
 //!
-//! The Criterion micro-benchmarks live under `benches/`.
+//! Timings come from the repository benchmark (`benchmark/`);
+//! `tests/decision_allocs.rs` pins the simulator's decision path at
+//! zero allocations (release builds).
 
 pub mod scenarios;

@@ -164,9 +164,10 @@ fn trace_summarize_spans_match_the_profiling_sink() {
 }
 
 /// Values the scenario boundary rejects make `ecp run` exit 1 naming
-/// the field: path counts outside the planner's range, and load scales
-/// whose offered volume overflows (on a simnet and on a replay
-/// scenario).
+/// the field: path counts outside the planner's range, load scales
+/// whose offered volume or its gravity split overflows (on a simnet
+/// and on a replay scenario), and load scales that put the base outside
+/// the capacity probe's bracket.
 #[test]
 fn rejected_inputs_exit_1_naming_the_field() {
     let cases = [
@@ -178,6 +179,13 @@ fn rejected_inputs_exit_1_naming_the_field() {
         ),
         ("te-stability-undamped", "LoadScale=1e308", "traffic.scale"),
         ("fig6-genuity-stress", "LoadScale=1e308", "traffic.scale"),
+        // a finite volume whose gravity split overflows
+        ("te-stability-undamped", "LoadScale=1e278", "traffic.scale"),
+        // bases more than six decades from capacity: the probe's bracket
+        ("text-alwayson-response", "LoadScale=1e10", "traffic.scale"),
+        ("text-alwayson-response", "LoadScale=1e-7", "traffic.scale"),
+        ("fig5-geant-replay", "LoadScale=1e10", "traffic.scale"),
+        ("fig5-geant-replay", "LoadScale=1e-7", "traffic.scale"),
     ];
     for (id, set, field) in cases {
         let result = ecp(&["run", id, "--set", set]);

@@ -101,8 +101,10 @@ fn fig5_scenario_matches_seed_pipeline() {
     let pairs = random_od_pairs_subset(&topo, nodes_n, pairs_n, seed);
     let tables = Planner::new(&topo, &pm).plan_pairs(&PlannerConfig::default(), &pairs);
     let base = ecp_traffic::gravity_matrix(&topo, &pairs, 1e9);
-    let aon = respons_core::replay::max_supported_scale(&topo, &tables, &base, &te, 1);
-    let all = respons_core::replay::max_supported_scale(&topo, &tables, &base, &te, 3);
+    let aon = respons_core::replay::max_supported_scale(&topo, &tables, &base, &te, 1)
+        .expect("the 1 Gbps base is inside the probe bracket");
+    let all = respons_core::replay::max_supported_scale(&topo, &tables, &base, &te, 3)
+        .expect("the 1 Gbps base is inside the probe bracket");
     let peak = (1e9 * aon * 1.15).min(1e9 * all * 0.95);
     let trace = geant_like_trace(&topo, &pairs, days, peak, seed);
     let rep = steady_state_replay(&topo, &pm, &tables, &trace, &te);

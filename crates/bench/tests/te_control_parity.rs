@@ -1,8 +1,9 @@
 //! Golden parity for the TE control-loop refactor (PR 4).
 //!
 //! The `Undamped` control policy must be **bit-identical** to the
-//! pre-refactor TE path (`respons_core::te::decide_shares` hard-wired
-//! into the simulator's control round). The golden file
+//! pre-refactor TE path (the share decision of `respons_core::te`,
+//! now `decide_shares_into`, hard-wired into the simulator's control
+//! round). The golden file
 //! `tests/golden/te_undamped.json` was generated against the
 //! pre-refactor engine; every Simnet-engine scenario of the campaign
 //! registry is replayed and its report projection hashed against it.

@@ -12,12 +12,13 @@
 //! component:
 //!
 //! * [`ControlPolicy`] — the agent decision interface: observe per-path
-//!   headroom, emit a new share vector (and, optionally, a per-agent
-//!   observation phase). `ecp-simnet` actuates whichever policy a
-//!   simulation is built with.
+//!   headroom and write a new share vector into the caller's buffer
+//!   ([`ControlPolicy::decide`]), optionally at a per-agent observation
+//!   phase. `ecp-simnet` actuates whichever policy a simulation is
+//!   built with.
 //! * [`Undamped`] — bit-identical to the original hard-wired TE path
-//!   ([`respons_core::te::decide_shares`]); the baseline every damping
-//!   variant is measured against.
+//!   ([`respons_core::te::decide_shares_into`]); the baseline every
+//!   damping variant is measured against.
 //! * [`Ewma`] — smoothed headroom estimation (gain `alpha`); agents
 //!   react to the trend, not to one round's transient.
 //! * [`AdaptiveEwma`] — load-dependent smoothing: the gain
@@ -34,16 +35,16 @@
 //!   oscillation metrics: cycle detection, delivery-shortfall fraction,
 //!   settling time, and reconfiguration churn.
 //!
-//! The scenario layer (`ecp-scenario`) exposes these as a serializable
-//! `ControlSpec` with sweepable parameter axes, so damping A/B
-//! campaigns (`examples/campaign_te_damping.toml`) can quantify the
-//! shortfall recovery against the undamped baseline.
+//! The scenario layer (`ecp-scenario`) describes these as a
+//! serializable `ControlSpec` — the one description of each policy's
+//! parameters, with their validation, label and sweepable parameter
+//! axes — so damping A/B campaigns (`examples/campaign_te_damping.toml`)
+//! can quantify the shortfall recovery against the undamped baseline.
 
 pub mod policy;
 pub mod stability;
 
 pub use policy::{
-    AdaptiveEwma, AdaptiveEwmaCfg, ControlPolicy, DampedStep, DampedStepCfg, Desync, Ewma, EwmaCfg,
-    Hysteresis, HysteresisCfg, Observation, Undamped,
+    AdaptiveEwma, ControlPolicy, DampedStep, Desync, Ewma, Hysteresis, Observation, Undamped,
 };
 pub use stability::{analyze, PathRates, Sample, StabilityConfig, StabilityReport};

@@ -10,9 +10,13 @@
 //! keeps the invariants the simulator relies on (shares in `[0, 1]`,
 //! summing to 1 when a path is available, failed paths vacated in one
 //! round).
+//!
+//! A policy's parameters are described once, by `ControlSpec` in
+//! `ecp-scenario`, which validates them; the constructors here take the
+//! values directly.
 
 use respons_core::te::{
-    apply_step_into, decide_shares, decide_shares_into, waterfill_target_into, PathView, TeConfig,
+    apply_step_into, decide_shares_into, waterfill_target_into, PathView, TeConfig,
 };
 
 /// Everything one agent knows at decision time.
@@ -36,9 +40,6 @@ pub struct Observation<'a> {
 /// An online TE control policy: per-agent share decisions, optionally
 /// at per-agent staggered instants.
 pub trait ControlPolicy: Send {
-    /// Stable policy name (reports, labels).
-    fn name(&self) -> &'static str;
-
     /// The agent's observation phase offset within one control
     /// interval, in `[0, interval)`. `0` means the agent decides at the
     /// round boundary, batched with every other phase-0 agent on one
@@ -51,24 +52,13 @@ pub trait ControlPolicy: Send {
         0.0
     }
 
-    /// Compute the agent's new share vector.
-    fn decide(&mut self, obs: &Observation<'_>) -> Vec<f64>;
-
-    /// In-place form of [`ControlPolicy::decide`]: write the new share
-    /// vector into `out` (cleared first; previous contents — a reused,
-    /// possibly dirty scratch buffer — are irrelevant). The default
-    /// implementation delegates to `decide`, so existing policies stay
-    /// correct unchanged; the built-in policies override it to reuse
-    /// per-agent scratch and allocate nothing, which is what makes the
-    /// simulator's decision path allocation-free. Implementations MUST
-    /// produce bit-identical shares to `decide` for the same
-    /// observation sequence (pinned by the `decide_into_parity`
-    /// proptest).
-    fn decide_into(&mut self, obs: &Observation<'_>, out: &mut Vec<f64>) {
-        let shares = self.decide(obs);
-        out.clear();
-        out.extend_from_slice(&shares);
-    }
+    /// Write the agent's new share vector into `out`. `out` is cleared
+    /// first: its previous contents and capacity never change the
+    /// result (the `decide_into_parity` proptest pins a dirty reused
+    /// buffer against a fresh one). The built-in policies keep their
+    /// scratch per policy, so once the buffers are warm a decision
+    /// allocates nothing.
+    fn decide(&mut self, obs: &Observation<'_>, out: &mut Vec<f64>);
 
     /// Whether [`ControlPolicy::decide`] is a **pure function of the
     /// observation's** `(offered, paths, current, te)` — independent of
@@ -93,15 +83,7 @@ pub trait ControlPolicy: Send {
 pub struct Undamped;
 
 impl ControlPolicy for Undamped {
-    fn name(&self) -> &'static str {
-        "undamped"
-    }
-
-    fn decide(&mut self, obs: &Observation<'_>) -> Vec<f64> {
-        decide_shares(obs.offered, obs.paths, obs.current, obs.te)
-    }
-
-    fn decide_into(&mut self, obs: &Observation<'_>, out: &mut Vec<f64>) {
+    fn decide(&mut self, obs: &Observation<'_>, out: &mut Vec<f64>) {
         decide_shares_into(obs.offered, obs.paths, obs.current, obs.te, out);
     }
 
@@ -111,21 +93,6 @@ impl ControlPolicy for Undamped {
 }
 
 // ---- EWMA-smoothed headroom -----------------------------------------------
-
-/// [`Ewma`] parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EwmaCfg {
-    /// Smoothing gain in `(0, 1]`: the smoothed headroom moves
-    /// `alpha` of the way to each new observation. `1.0` disables
-    /// smoothing (identical to [`Undamped`]).
-    pub alpha: f64,
-}
-
-impl Default for EwmaCfg {
-    fn default() -> Self {
-        EwmaCfg { alpha: 0.5 }
-    }
-}
 
 /// Per-agent smoothed-headroom memory in one flat buffer: all agents'
 /// per-path `(smoothed headroom, availability-it-was-built-under)`
@@ -166,23 +133,24 @@ impl FlatViewState {
 
 /// The shared EWMA core of [`Ewma`] and [`AdaptiveEwma`]: fold one
 /// observation into the per-agent smoothed-headroom memory at gain
-/// `alpha` and write the smoothed views into `out` (cleared first; no
-/// allocation once the buffers are warm).
+/// `alpha`, then decide on the smoothed views. The views live in
+/// `views`, a scratch buffer reused across decisions.
 ///
 /// Availability is never smoothed — failure reaction stays immediate —
 /// and a path's estimate resets to the raw observation whenever its
 /// availability flips (stale pre-failure values must not linger). The
 /// multiplicative update form gives exact pass-through at `alpha = 1`
 /// (bit-parity with [`Undamped`]).
-fn ewma_views_into(
+fn ewma_decide(
     state: &mut FlatViewState,
+    views: &mut Vec<PathView>,
     obs: &Observation<'_>,
     alpha: f64,
-    out: &mut Vec<PathView>,
+    out: &mut Vec<f64>,
 ) {
     let mem = state.region(obs.agent, obs.paths);
-    out.clear();
-    out.extend(obs.paths.iter().zip(mem.iter_mut()).map(|(p, m)| {
+    views.clear();
+    views.extend(obs.paths.iter().zip(mem.iter_mut()).map(|(p, m)| {
         if p.available != m.1 {
             *m = (p.headroom, p.available);
         } else {
@@ -193,16 +161,17 @@ fn ewma_views_into(
             available: p.available,
         }
     }));
+    decide_shares_into(obs.offered, views, obs.current, obs.te, out);
 }
 
 /// Exponentially-smoothed headroom estimation: the agent decides
 /// against the trend of each path's headroom instead of one round's
 /// transient, so a single round of collectively-freed headroom no
 /// longer triggers a collective re-aggregation. (Smoothing semantics:
-/// see [`ewma_views_into`].)
-#[derive(Debug, Clone, Default)]
+/// see [`ewma_decide`].)
+#[derive(Debug, Clone)]
 pub struct Ewma {
-    cfg: EwmaCfg,
+    alpha: f64,
     /// All agents' smoothed-headroom memory, flat.
     state: FlatViewState,
     /// Smoothed-view scratch, reused across decisions.
@@ -210,56 +179,25 @@ pub struct Ewma {
 }
 
 impl Ewma {
-    /// A policy with the given parameters.
-    pub fn new(cfg: EwmaCfg) -> Self {
+    /// A policy with smoothing gain `alpha` in `(0, 1]`: the smoothed
+    /// headroom moves `alpha` of the way to each new observation.
+    /// `1.0` disables smoothing (identical to [`Undamped`]).
+    pub fn new(alpha: f64) -> Self {
         Ewma {
-            cfg,
-            ..Default::default()
+            alpha,
+            state: FlatViewState::default(),
+            views: Vec::new(),
         }
     }
 }
 
 impl ControlPolicy for Ewma {
-    fn name(&self) -> &'static str {
-        "ewma"
-    }
-
-    fn decide(&mut self, obs: &Observation<'_>) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.decide_into(obs, &mut out);
-        out
-    }
-
-    fn decide_into(&mut self, obs: &Observation<'_>, out: &mut Vec<f64>) {
-        ewma_views_into(&mut self.state, obs, self.cfg.alpha, &mut self.views);
-        decide_shares_into(obs.offered, &self.views, obs.current, obs.te, out);
+    fn decide(&mut self, obs: &Observation<'_>, out: &mut Vec<f64>) {
+        ewma_decide(&mut self.state, &mut self.views, obs, self.alpha, out);
     }
 }
 
 // ---- Adaptive-alpha EWMA ----------------------------------------------------
-
-/// [`AdaptiveEwma`] parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveEwmaCfg {
-    /// Heaviest smoothing gain in `(0, 1]`, used at full overload
-    /// pressure (the oscillation-prone regime). Must not exceed
-    /// `alpha_max`.
-    pub alpha_min: f64,
-    /// Lightest smoothing gain in `(0, 1]`, used when the agent's
-    /// demand fits its first available path comfortably. `1.0` makes
-    /// the light-load behavior exactly [`Undamped`], preserving the
-    /// Fig.-7 adaptation latency.
-    pub alpha_max: f64,
-}
-
-impl Default for AdaptiveEwmaCfg {
-    fn default() -> Self {
-        AdaptiveEwmaCfg {
-            alpha_min: 0.2,
-            alpha_max: 1.0,
-        }
-    }
-}
 
 /// Load-dependent smoothing (the ROADMAP's adaptive-alpha follow-up to
 /// [`Ewma`]): the effective gain interpolates between `alpha_max` and
@@ -272,11 +210,11 @@ impl Default for AdaptiveEwmaCfg {
 ///
 /// Like [`Ewma`], availability is never smoothed and a path's estimate
 /// resets to the raw observation when its availability flips, so
-/// failure reaction stays immediate (the shared [`ewma_views_into`]
-/// core).
-#[derive(Debug, Clone, Default)]
+/// failure reaction stays immediate (the shared [`ewma_decide`] core).
+#[derive(Debug, Clone)]
 pub struct AdaptiveEwma {
-    cfg: AdaptiveEwmaCfg,
+    alpha_min: f64,
+    alpha_max: f64,
     /// All agents' smoothed-headroom memory, flat.
     state: FlatViewState,
     /// Smoothed-view scratch, reused across decisions.
@@ -284,68 +222,42 @@ pub struct AdaptiveEwma {
 }
 
 impl AdaptiveEwma {
-    /// A policy with the given parameters.
-    pub fn new(cfg: AdaptiveEwmaCfg) -> Self {
+    /// A policy whose gain runs from `alpha_max` in `(0, 1]`, used when
+    /// the agent's demand fits its first available path (`1.0` makes
+    /// light load exactly [`Undamped`], keeping the Fig.-7 adaptation
+    /// latency), down to `alpha_min` in `(0, alpha_max]`, used at full
+    /// overload pressure (the oscillation-prone regime).
+    pub fn new(alpha_min: f64, alpha_max: f64) -> Self {
         AdaptiveEwma {
-            cfg,
-            ..Default::default()
-        }
-    }
-
-    /// The agent's overload pressure in `[0, 1]` from the raw
-    /// observation: 0 when the offered rate fits the first available
-    /// path's headroom, 1 when none of it does.
-    fn pressure(obs: &Observation<'_>) -> f64 {
-        match obs.paths.iter().position(|p| p.available) {
-            Some(first) if obs.offered > 0.0 => {
-                ((obs.offered - obs.paths[first].headroom.max(0.0)) / obs.offered).clamp(0.0, 1.0)
-            }
-            _ => 0.0,
+            alpha_min,
+            alpha_max,
+            state: FlatViewState::default(),
+            views: Vec::new(),
         }
     }
 }
 
 impl ControlPolicy for AdaptiveEwma {
-    fn name(&self) -> &'static str {
-        "adaptive-ewma"
+    fn decide(&mut self, obs: &Observation<'_>, out: &mut Vec<f64>) {
+        let pressure = spill_fraction(obs);
+        let alpha = self.alpha_max - (self.alpha_max - self.alpha_min) * pressure;
+        ewma_decide(&mut self.state, &mut self.views, obs, alpha, out);
     }
+}
 
-    fn decide(&mut self, obs: &Observation<'_>) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.decide_into(obs, &mut out);
-        out
-    }
-
-    fn decide_into(&mut self, obs: &Observation<'_>, out: &mut Vec<f64>) {
-        let pressure = Self::pressure(obs);
-        let alpha = self.cfg.alpha_max - (self.cfg.alpha_max - self.cfg.alpha_min) * pressure;
-        ewma_views_into(&mut self.state, obs, alpha, &mut self.views);
-        decide_shares_into(obs.offered, &self.views, obs.current, obs.te, out);
+/// The agent's overload pressure in `[0, 1]` from the raw observation:
+/// the fraction of its offered rate that does not fit the first
+/// available path's headroom (0 when it fits or nothing is offered).
+fn spill_fraction(obs: &Observation<'_>) -> f64 {
+    match obs.paths.iter().position(|p| p.available) {
+        Some(first) if obs.offered > 0.0 => {
+            ((obs.offered - obs.paths[first].headroom.max(0.0)) / obs.offered).clamp(0.0, 1.0)
+        }
+        _ => 0.0,
     }
 }
 
 // ---- Hysteresis -------------------------------------------------------------
-
-/// [`Hysteresis`] parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HysteresisCfg {
-    /// Re-aggregation margin in `[0, 1)`: traffic only moves *back*
-    /// toward higher-priority paths if it still fits with every
-    /// headroom shrunk by this fraction. Spilling uses full headroom.
-    pub gap: f64,
-    /// Dead-band: target moves with an L1 distance below this are
-    /// ignored (the agent holds), suppressing dribble reconfigurations.
-    pub dead_band: f64,
-}
-
-impl Default for HysteresisCfg {
-    fn default() -> Self {
-        HysteresisCfg {
-            gap: 0.15,
-            dead_band: 0.02,
-        }
-    }
-}
 
 /// Asymmetric spill / re-aggregate thresholds. Spilling to on-demand
 /// paths stays eager (SLO protection, full headroom); re-aggregating
@@ -353,9 +265,10 @@ impl Default for HysteresisCfg {
 /// headroom, so the collective "everyone saw the freed headroom"
 /// pull-back only happens when there is genuine margin. A dead-band
 /// suppresses moves too small to matter.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Hysteresis {
-    cfg: HysteresisCfg,
+    gap: f64,
+    dead_band: f64,
     /// Scratch: eager (full-headroom) water-fill target.
     t_spill: Vec<f64>,
     /// Scratch: conservative (shrunk-headroom) water-fill target.
@@ -365,11 +278,19 @@ pub struct Hysteresis {
 }
 
 impl Hysteresis {
-    /// A policy with the given parameters.
-    pub fn new(cfg: HysteresisCfg) -> Self {
+    /// A policy with re-aggregation margin `gap` in `[0, 1)` — traffic
+    /// only moves *back* toward higher-priority paths if it still fits
+    /// with every headroom shrunk by this fraction; spilling uses full
+    /// headroom — and `dead_band` ≥ 0: target moves with an L1 distance
+    /// below it are ignored (the agent holds), suppressing dribble
+    /// reconfigurations.
+    pub fn new(gap: f64, dead_band: f64) -> Self {
         Hysteresis {
-            cfg,
-            ..Default::default()
+            gap,
+            dead_band,
+            t_spill: Vec::new(),
+            t_reagg: Vec::new(),
+            shrunk: Vec::new(),
         }
     }
 
@@ -389,22 +310,12 @@ impl Hysteresis {
 }
 
 impl ControlPolicy for Hysteresis {
-    fn name(&self) -> &'static str {
-        "hysteresis"
-    }
-
-    fn decide(&mut self, obs: &Observation<'_>) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.decide_into(obs, &mut out);
-        out
-    }
-
-    fn decide_into(&mut self, obs: &Observation<'_>, out: &mut Vec<f64>) {
+    fn decide(&mut self, obs: &Observation<'_>, out: &mut Vec<f64>) {
         const EPS: f64 = 1e-9;
         waterfill_target_into(obs.offered, obs.paths, &mut self.t_spill);
         self.shrunk.clear();
         self.shrunk.extend(obs.paths.iter().map(|p| PathView {
-            headroom: p.headroom * (1.0 - self.cfg.gap),
+            headroom: p.headroom * (1.0 - self.gap),
             available: p.available,
         }));
         waterfill_target_into(obs.offered, &self.shrunk, &mut self.t_reagg);
@@ -426,7 +337,7 @@ impl ControlPolicy for Hysteresis {
             .zip(obs.current)
             .map(|(&t, &c)| (t - c).abs())
             .sum();
-        let target = if moved < self.cfg.dead_band {
+        let target = if moved < self.dead_band {
             obs.current
         } else {
             target
@@ -448,37 +359,15 @@ impl ControlPolicy for Hysteresis {
 
 // ---- Damped step ------------------------------------------------------------
 
-/// [`DampedStep`] parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DampedStepCfg {
-    /// Gain damping in `[0, 1)`: the effective step shrinks by up to
-    /// this fraction as the agent's spill fraction (share of offered
-    /// rate that does not fit the first available path) approaches 1.
-    /// `0.0` leaves the gain untouched.
-    pub damp: f64,
-    /// After any actual share move, the agent holds for this many
-    /// control rounds. `0` disables the cooldown (identical to
-    /// [`Undamped`] when `damp` is also 0).
-    pub cooldown_rounds: u32,
-}
-
-impl Default for DampedStepCfg {
-    fn default() -> Self {
-        DampedStepCfg {
-            damp: 0.5,
-            cooldown_rounds: 2,
-        }
-    }
-}
-
 /// Load-proportional gain scaling with a per-flow cooldown: the closer
 /// an agent is to overload, the smaller its tracking step — heavily
 /// loaded agents stop slamming their full gain into the same freed
 /// headroom at once — and each reconfiguration is followed by a few
 /// quiet rounds in which the network's reaction can be observed.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct DampedStep {
-    cfg: DampedStepCfg,
+    damp: f64,
+    cooldown_rounds: u32,
     /// Remaining cooldown rounds per agent.
     cool: Vec<u32>,
     /// Scratch: the water-fill target.
@@ -486,27 +375,25 @@ pub struct DampedStep {
 }
 
 impl DampedStep {
-    /// A policy with the given parameters.
-    pub fn new(cfg: DampedStepCfg) -> Self {
+    /// A policy with gain damping `damp` in `[0, 1)` — the effective
+    /// step shrinks by up to this fraction as the agent's spill
+    /// fraction (share of offered rate that does not fit the first
+    /// available path) approaches 1; `0.0` leaves the gain untouched —
+    /// and a hold of `cooldown_rounds` control rounds after any actual
+    /// share move (`0` disables it; with `damp = 0` too the policy is
+    /// [`Undamped`]).
+    pub fn new(damp: f64, cooldown_rounds: u32) -> Self {
         DampedStep {
-            cfg,
-            ..Default::default()
+            damp,
+            cooldown_rounds,
+            cool: Vec::new(),
+            target: Vec::new(),
         }
     }
 }
 
 impl ControlPolicy for DampedStep {
-    fn name(&self) -> &'static str {
-        "damped-step"
-    }
-
-    fn decide(&mut self, obs: &Observation<'_>) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.decide_into(obs, &mut out);
-        out
-    }
-
-    fn decide_into(&mut self, obs: &Observation<'_>, out: &mut Vec<f64>) {
+    fn decide(&mut self, obs: &Observation<'_>, out: &mut Vec<f64>) {
         if self.cool.len() <= obs.agent {
             self.cool.resize(obs.agent + 1, 0);
         }
@@ -524,13 +411,7 @@ impl ControlPolicy for DampedStep {
             );
             return;
         }
-        let spill_frac = match obs.paths.iter().position(|p| p.available) {
-            Some(first) if obs.offered > 0.0 => {
-                ((obs.offered - obs.paths[first].headroom.max(0.0)) / obs.offered).clamp(0.0, 1.0)
-            }
-            _ => 0.0,
-        };
-        let step = obs.te.step * (1.0 - self.cfg.damp * spill_frac);
+        let step = obs.te.step * (1.0 - self.damp * spill_fraction(obs));
         waterfill_target_into(obs.offered, obs.paths, &mut self.target);
         apply_step_into(
             obs.paths,
@@ -546,7 +427,7 @@ impl ControlPolicy for DampedStep {
             .map(|(&a, &b)| (a - b).abs())
             .sum();
         if moved > 1e-6 {
-            self.cool[obs.agent] = self.cfg.cooldown_rounds;
+            self.cool[obs.agent] = self.cooldown_rounds;
         }
     }
 }
@@ -575,12 +456,6 @@ impl Desync {
     }
 }
 
-impl Default for Desync {
-    fn default() -> Self {
-        Desync { salt: 1 }
-    }
-}
-
 fn splitmix64(seed: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -589,19 +464,11 @@ fn splitmix64(seed: u64) -> u64 {
 }
 
 impl ControlPolicy for Desync {
-    fn name(&self) -> &'static str {
-        "desync"
-    }
-
     fn phase(&self, agent: usize, interval: f64) -> f64 {
         self.phase_fraction(agent) * interval
     }
 
-    fn decide(&mut self, obs: &Observation<'_>) -> Vec<f64> {
-        decide_shares(obs.offered, obs.paths, obs.current, obs.te)
-    }
-
-    fn decide_into(&mut self, obs: &Observation<'_>, out: &mut Vec<f64>) {
+    fn decide(&mut self, obs: &Observation<'_>, out: &mut Vec<f64>) {
         decide_shares_into(obs.offered, obs.paths, obs.current, obs.te, out);
     }
 
@@ -628,6 +495,13 @@ mod tests {
         }
     }
 
+    /// One decision into a fresh buffer.
+    fn decide<P: ControlPolicy + ?Sized>(p: &mut P, o: &Observation<'_>) -> Vec<f64> {
+        let mut out = Vec::new();
+        p.decide(o, &mut out);
+        out
+    }
+
     fn obs<'a>(
         offered: f64,
         paths: &'a [PathView],
@@ -649,25 +523,23 @@ mod tests {
         let te = TeConfig::default();
         let paths = [up(4e6), up(20e6)];
         let cur = [1.0, 0.0];
-        let mut p = Undamped;
-        assert_eq!(
-            p.decide(&obs(10e6, &paths, &cur, &te)),
-            decide_shares(10e6, &paths, &cur, &te)
-        );
+        let mut want = Vec::new();
+        decide_shares_into(10e6, &paths, &cur, &te, &mut want);
+        assert_eq!(decide(&mut Undamped, &obs(10e6, &paths, &cur, &te)), want);
     }
 
     #[test]
     fn ewma_alpha_one_equals_undamped() {
         let te = TeConfig::default();
-        let mut e = Ewma::new(EwmaCfg { alpha: 1.0 });
+        let mut e = Ewma::new(1.0);
         let mut u = Undamped;
         let mut cur = vec![0.5, 0.5];
         // Several rounds with varying headroom: alpha = 1 keeps no
         // memory, so the trajectory matches the baseline exactly.
         for (h0, rate) in [(4e6, 10e6), (8e6, 6e6), (1e6, 9e6), (6e6, 2e6)] {
             let paths = [up(h0), up(20e6)];
-            let a = e.decide(&obs(rate, &paths, &cur, &te));
-            let b = u.decide(&obs(rate, &paths, &cur, &te));
+            let a = decide(&mut e, &obs(rate, &paths, &cur, &te));
+            let b = decide(&mut u, &obs(rate, &paths, &cur, &te));
             assert_eq!(a, b);
             cur = a;
         }
@@ -676,18 +548,18 @@ mod tests {
     #[test]
     fn ewma_smooths_transient_headroom_collapse() {
         let te = TeConfig::default();
-        let mut e = Ewma::new(EwmaCfg { alpha: 0.2 });
+        let mut e = Ewma::new(0.2);
         let paths_ok = [up(10e6), up(20e6)];
         let cur = vec![1.0, 0.0];
         // Warm the estimate up on comfortable headroom.
         for _ in 0..10 {
-            e.decide(&obs(5e6, &paths_ok, &cur, &te));
+            decide(&mut e, &obs(5e6, &paths_ok, &cur, &te));
         }
         // One transiently terrible observation must not evacuate the
         // always-on path the way the raw decision would.
         let paths_bad = [up(-5e6), up(20e6)];
-        let smoothed = e.decide(&obs(5e6, &paths_bad, &cur, &te));
-        let raw = Undamped.decide(&obs(5e6, &paths_bad, &cur, &te));
+        let smoothed = decide(&mut e, &obs(5e6, &paths_bad, &cur, &te));
+        let raw = decide(&mut Undamped, &obs(5e6, &paths_bad, &cur, &te));
         assert!(
             smoothed[0] > raw[0] + 0.3,
             "smoothed keeps traffic aggregated: {smoothed:?} vs raw {raw:?}"
@@ -697,12 +569,12 @@ mod tests {
     #[test]
     fn ewma_failure_reaction_is_immediate() {
         let te = TeConfig::default();
-        let mut e = Ewma::new(EwmaCfg { alpha: 0.1 });
+        let mut e = Ewma::new(0.1);
         let cur = vec![1.0, 0.0];
         for _ in 0..5 {
-            e.decide(&obs(5e6, &[up(10e6), up(20e6)], &cur, &te));
+            decide(&mut e, &obs(5e6, &[up(10e6), up(20e6)], &cur, &te));
         }
-        let shares = e.decide(&obs(5e6, &[down(), up(20e6)], &cur, &te));
+        let shares = decide(&mut e, &obs(5e6, &[down(), up(20e6)], &cur, &te));
         assert_eq!(shares[0], 0.0, "failed path vacated in one round");
         assert!((shares[1] - 1.0).abs() < 1e-9);
     }
@@ -710,16 +582,13 @@ mod tests {
     #[test]
     fn adaptive_ewma_degenerate_config_equals_undamped() {
         let te = TeConfig::default();
-        let mut a = AdaptiveEwma::new(AdaptiveEwmaCfg {
-            alpha_min: 1.0,
-            alpha_max: 1.0,
-        });
+        let mut a = AdaptiveEwma::new(1.0, 1.0);
         let mut u = Undamped;
         let mut cur = vec![0.5, 0.5];
         for (h0, rate) in [(4e6, 10e6), (8e6, 6e6), (1e6, 9e6), (6e6, 2e6)] {
             let paths = [up(h0), up(20e6)];
-            let got = a.decide(&obs(rate, &paths, &cur, &te));
-            let want = u.decide(&obs(rate, &paths, &cur, &te));
+            let got = decide(&mut a, &obs(rate, &paths, &cur, &te));
+            let want = decide(&mut u, &obs(rate, &paths, &cur, &te));
             assert_eq!(got, want);
             cur = got;
         }
@@ -728,36 +597,32 @@ mod tests {
     #[test]
     fn adaptive_ewma_is_raw_at_light_load_and_smooth_under_pressure() {
         let te = TeConfig::default();
-        let cfg = AdaptiveEwmaCfg {
-            alpha_min: 0.1,
-            alpha_max: 1.0,
-        };
 
         // Light load (offered well within the first path's headroom):
         // pressure is 0, alpha is alpha_max = 1, so the decision equals
         // the raw undamped one even after a history of different
         // observations.
-        let mut a = AdaptiveEwma::new(cfg);
+        let mut a = AdaptiveEwma::new(0.1, 1.0);
         let cur = vec![0.6, 0.4];
         for _ in 0..5 {
-            a.decide(&obs(2e6, &[up(3e6), up(20e6)], &cur, &te));
+            decide(&mut a, &obs(2e6, &[up(3e6), up(20e6)], &cur, &te));
         }
         let paths = [up(9e6), up(20e6)];
-        let light = a.decide(&obs(2e6, &paths, &cur, &te));
-        let raw = Undamped.decide(&obs(2e6, &paths, &cur, &te));
+        let light = decide(&mut a, &obs(2e6, &paths, &cur, &te));
+        let raw = decide(&mut Undamped, &obs(2e6, &paths, &cur, &te));
         assert_eq!(light, raw, "no smoothing without overload pressure");
 
         // Overload pressure: after warming the estimate on comfortable
         // headroom, one transiently terrible overloaded observation is
         // heavily smoothed (like the fixed-alpha EWMA would).
-        let mut a = AdaptiveEwma::new(cfg);
+        let mut a = AdaptiveEwma::new(0.1, 1.0);
         let cur = vec![1.0, 0.0];
         for _ in 0..10 {
-            a.decide(&obs(5e6, &[up(10e6), up(20e6)], &cur, &te));
+            decide(&mut a, &obs(5e6, &[up(10e6), up(20e6)], &cur, &te));
         }
         let paths_bad = [up(-5e6), up(20e6)];
-        let smoothed = a.decide(&obs(5e6, &paths_bad, &cur, &te));
-        let raw = Undamped.decide(&obs(5e6, &paths_bad, &cur, &te));
+        let smoothed = decide(&mut a, &obs(5e6, &paths_bad, &cur, &te));
+        let raw = decide(&mut Undamped, &obs(5e6, &paths_bad, &cur, &te));
         assert!(
             smoothed[0] > raw[0] + 0.3,
             "pressure engages the smoothing: {smoothed:?} vs raw {raw:?}"
@@ -767,15 +632,12 @@ mod tests {
     #[test]
     fn adaptive_ewma_failure_reaction_is_immediate() {
         let te = TeConfig::default();
-        let mut a = AdaptiveEwma::new(AdaptiveEwmaCfg {
-            alpha_min: 0.05,
-            alpha_max: 0.5,
-        });
+        let mut a = AdaptiveEwma::new(0.05, 0.5);
         let cur = vec![1.0, 0.0];
         for _ in 0..5 {
-            a.decide(&obs(5e6, &[up(10e6), up(20e6)], &cur, &te));
+            decide(&mut a, &obs(5e6, &[up(10e6), up(20e6)], &cur, &te));
         }
-        let shares = a.decide(&obs(5e6, &[down(), up(20e6)], &cur, &te));
+        let shares = decide(&mut a, &obs(5e6, &[down(), up(20e6)], &cur, &te));
         assert_eq!(shares[0], 0.0, "failed path vacated in one round");
         assert!((shares[1] - 1.0).abs() < 1e-9);
     }
@@ -783,15 +645,12 @@ mod tests {
     #[test]
     fn hysteresis_spills_eagerly_but_reaggregates_with_margin() {
         let te = TeConfig::default();
-        let mut h = Hysteresis::new(HysteresisCfg {
-            gap: 0.2,
-            dead_band: 0.0,
-        });
+        let mut h = Hysteresis::new(0.2, 0.0);
         // Overload: spill must act like the baseline.
         let paths = [up(4e6), up(20e6)];
         let cur = vec![1.0, 0.0];
-        let spill = h.decide(&obs(10e6, &paths, &cur, &te));
-        let base = Undamped.decide(&obs(10e6, &paths, &cur, &te));
+        let spill = decide(&mut h, &obs(10e6, &paths, &cur, &te));
+        let base = decide(&mut Undamped, &obs(10e6, &paths, &cur, &te));
         assert_eq!(spill, base, "spilling is not delayed");
 
         // Borderline: 5 Mbps offered, 2.2 Mbps headroom. The raw target
@@ -800,14 +659,14 @@ mod tests {
         // agent is inside the hysteresis band and holds.
         let paths = [up(2.2e6), up(20e6)];
         let cur = vec![0.4, 0.6];
-        let held = h.decide(&obs(5e6, &paths, &cur, &te));
+        let held = decide(&mut h, &obs(5e6, &paths, &cur, &te));
         assert_eq!(held, cur, "inside the hysteresis band: hold");
 
         // Partial margin: re-aggregation proceeds, but only toward the
         // conservative (shrunk-headroom) target, not the raw one.
         let paths = [up(5.5e6), up(20e6)];
-        let back = h.decide(&obs(5e6, &paths, &cur, &te));
-        let raw = Undamped.decide(&obs(5e6, &paths, &cur, &te));
+        let back = decide(&mut h, &obs(5e6, &paths, &cur, &te));
+        let raw = decide(&mut Undamped, &obs(5e6, &paths, &cur, &te));
         assert!(back[0] > cur[0] + 0.2, "re-aggregates: {back:?}");
         assert!(
             back[0] < raw[0] - 0.05,
@@ -816,7 +675,7 @@ mod tests {
 
         // Ample margin: pulls everything back like the baseline.
         let paths = [up(9e6), up(20e6)];
-        let back = h.decide(&obs(5e6, &paths, &cur, &te));
+        let back = decide(&mut h, &obs(5e6, &paths, &cur, &te));
         assert!(
             back[0] > cur[0] + 0.3,
             "re-aggregates with margin: {back:?}"
@@ -826,29 +685,23 @@ mod tests {
     #[test]
     fn hysteresis_dead_band_suppresses_dribbles() {
         let te = TeConfig::default();
-        let mut h = Hysteresis::new(HysteresisCfg {
-            gap: 0.0,
-            dead_band: 0.05,
-        });
+        let mut h = Hysteresis::new(0.0, 0.05);
         let paths = [up(10e6), up(10e6)];
         // Target is [1, 0]; current is within the dead band of it.
         let cur = vec![0.98, 0.02];
-        assert_eq!(h.decide(&obs(5e6, &paths, &cur, &te)), cur);
+        assert_eq!(decide(&mut h, &obs(5e6, &paths, &cur, &te)), cur);
         // Far from target: moves normally.
         let cur = vec![0.5, 0.5];
-        let moved = h.decide(&obs(5e6, &paths, &cur, &te));
+        let moved = decide(&mut h, &obs(5e6, &paths, &cur, &te));
         assert!(moved[0] > 0.8, "{moved:?}");
     }
 
     #[test]
     fn hysteresis_vacates_failed_paths_even_when_holding() {
         let te = TeConfig::default();
-        let mut h = Hysteresis::new(HysteresisCfg {
-            gap: 0.9,
-            dead_band: 0.5,
-        });
+        let mut h = Hysteresis::new(0.9, 0.5);
         let paths = [down(), up(20e6)];
-        let shares = h.decide(&obs(5e6, &paths, &[1.0, 0.0], &te));
+        let shares = decide(&mut h, &obs(5e6, &paths, &[1.0, 0.0], &te));
         assert_eq!(shares[0], 0.0);
         assert!((shares[1] - 1.0).abs() < 1e-9);
     }
@@ -856,16 +709,13 @@ mod tests {
     #[test]
     fn damped_step_zero_config_equals_undamped() {
         let te = TeConfig::default();
-        let mut d = DampedStep::new(DampedStepCfg {
-            damp: 0.0,
-            cooldown_rounds: 0,
-        });
+        let mut d = DampedStep::new(0.0, 0);
         let mut u = Undamped;
         let mut cur = vec![0.0, 1.0];
         for _ in 0..6 {
             let paths = [up(10e6), up(10e6)];
-            let a = d.decide(&obs(5e6, &paths, &cur, &te));
-            let b = u.decide(&obs(5e6, &paths, &cur, &te));
+            let a = decide(&mut d, &obs(5e6, &paths, &cur, &te));
+            let b = decide(&mut u, &obs(5e6, &paths, &cur, &te));
             assert_eq!(a, b);
             cur = a;
         }
@@ -876,14 +726,11 @@ mod tests {
         let te = TeConfig::default();
         // Fully damped at full spill: offered 10 M, headroom 0 on the
         // priority path -> spill_frac 1 -> step scaled by (1 - damp).
-        let mut d = DampedStep::new(DampedStepCfg {
-            damp: 0.5,
-            cooldown_rounds: 0,
-        });
+        let mut d = DampedStep::new(0.5, 0);
         let paths = [up(0.0), up(20e6)];
         let cur = vec![1.0, 0.0];
-        let damped = d.decide(&obs(10e6, &paths, &cur, &te));
-        let raw = Undamped.decide(&obs(10e6, &paths, &cur, &te));
+        let damped = decide(&mut d, &obs(10e6, &paths, &cur, &te));
+        let raw = decide(&mut Undamped, &obs(10e6, &paths, &cur, &te));
         assert!(
             damped[1] < raw[1] - 0.1,
             "half the gain moves less: {damped:?} vs {raw:?}"
@@ -893,18 +740,15 @@ mod tests {
     #[test]
     fn damped_step_cooldown_holds_after_a_move() {
         let te = TeConfig::default();
-        let mut d = DampedStep::new(DampedStepCfg {
-            damp: 0.0,
-            cooldown_rounds: 2,
-        });
+        let mut d = DampedStep::new(0.0, 2);
         let paths = [up(10e6), up(10e6)];
-        let s1 = d.decide(&obs(5e6, &paths, &[0.0, 1.0], &te));
+        let s1 = decide(&mut d, &obs(5e6, &paths, &[0.0, 1.0], &te));
         assert!(s1[0] > 0.5, "first round moves");
-        let s2 = d.decide(&obs(5e6, &paths, &s1, &te));
+        let s2 = decide(&mut d, &obs(5e6, &paths, &s1, &te));
         assert_eq!(s2, s1, "cooldown round 1 holds");
-        let s3 = d.decide(&obs(5e6, &paths, &s2, &te));
+        let s3 = decide(&mut d, &obs(5e6, &paths, &s2, &te));
         assert_eq!(s3, s2, "cooldown round 2 holds");
-        let s4 = d.decide(&obs(5e6, &paths, &s3, &te));
+        let s4 = decide(&mut d, &obs(5e6, &paths, &s3, &te));
         assert!(s4[0] > s3[0], "moves again after the cooldown");
     }
 
@@ -941,13 +785,13 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let te = TeConfig::default();
         let mut rng = StdRng::seed_from_u64(17);
-        let mut policies: Vec<Box<dyn ControlPolicy>> = vec![
-            Box::new(Undamped),
-            Box::new(Ewma::new(EwmaCfg { alpha: 0.3 })),
-            Box::new(AdaptiveEwma::new(AdaptiveEwmaCfg::default())),
-            Box::new(Hysteresis::new(HysteresisCfg::default())),
-            Box::new(DampedStep::new(DampedStepCfg::default())),
-            Box::new(Desync::new(3)),
+        let mut policies: Vec<(&str, Box<dyn ControlPolicy>)> = vec![
+            ("undamped", Box::new(Undamped)),
+            ("ewma", Box::new(Ewma::new(0.3))),
+            ("adaptive-ewma", Box::new(AdaptiveEwma::new(0.2, 1.0))),
+            ("hysteresis", Box::new(Hysteresis::new(0.15, 0.02))),
+            ("damped-step", Box::new(DampedStep::new(0.5, 2))),
+            ("desync", Box::new(Desync::new(3))),
         ];
         for _ in 0..300 {
             let n = rng.gen_range(1..5);
@@ -964,7 +808,7 @@ mod tests {
             }
             let rate = rng.gen_range(0.0..20e6);
             let agent = rng.gen_range(0..4);
-            for p in policies.iter_mut() {
+            for (name, p) in policies.iter_mut() {
                 let o = Observation {
                     agent,
                     t: 0.0,
@@ -973,21 +817,19 @@ mod tests {
                     current: &cur,
                     te: &te,
                 };
-                let new = p.decide(&o);
+                let new = decide(p.as_mut(), &o);
                 let sum: f64 = new.iter().sum();
                 assert!(
                     new.iter().all(|&v| (0.0..=1.0 + 1e-9).contains(&v)),
-                    "{}: {new:?}",
-                    p.name()
+                    "{name}: {new:?}"
                 );
                 assert!(
                     (sum - 1.0).abs() < 1e-6 || sum == 0.0,
-                    "{}: sum {sum} {new:?}",
-                    p.name()
+                    "{name}: sum {sum} {new:?}"
                 );
                 for (i, pv) in paths.iter().enumerate() {
                     if !pv.available {
-                        assert_eq!(new[i], 0.0, "{}: failed path vacated", p.name());
+                        assert_eq!(new[i], 0.0, "{name}: failed path vacated");
                     }
                 }
             }

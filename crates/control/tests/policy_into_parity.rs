@@ -1,19 +1,17 @@
-//! `decide_into` / `decide` parity for every policy.
+//! Buffer independence of [`ControlPolicy::decide`] for every policy.
 //!
-//! The zero-alloc decision path (ISSUE 7) rides on a contract: for the
-//! same observation sequence, a policy's `decide_into` must produce
-//! bit-identical shares to `decide`, regardless of what garbage the
-//! reused output buffer holds on entry. This drives two fresh
-//! instances of each policy through the same random trajectory — one
-//! via the allocating form, one via the in-place form with a dirty
-//! buffer carried across rounds — and compares `f64::to_bits` on every
-//! round's output. Internal state (EWMA memories, hysteresis timers,
-//! cooldown counters) must therefore evolve identically too, or the
-//! trajectories diverge on a later round.
+//! The zero-alloc decision path rides on a contract: `decide` clears
+//! the caller's buffer first, so what the buffer held on entry — a
+//! reused, dirty, wrong-length scratch vector — never changes the
+//! result. This drives two fresh instances of each policy through the
+//! same random trajectory — one deciding into a fresh buffer every
+//! round, one into a dirty buffer carried across rounds — and compares
+//! `f64::to_bits` on every round's output. Internal state (EWMA
+//! memories, cooldown counters) must therefore evolve identically too,
+//! or the trajectories diverge on a later round.
 
 use ecp_control::{
-    AdaptiveEwma, AdaptiveEwmaCfg, ControlPolicy, DampedStep, DampedStepCfg, Desync, Ewma, EwmaCfg,
-    Hysteresis, HysteresisCfg, Observation, Undamped,
+    AdaptiveEwma, ControlPolicy, DampedStep, Desync, Ewma, Hysteresis, Observation, Undamped,
 };
 use proptest::prelude::*;
 use respons_core::te::{PathView, TeConfig};
@@ -35,8 +33,8 @@ fn arb_trajectory() -> impl Strategy<Value = (usize, Vec<Round>)> {
     (1usize..5, proptest::collection::vec(round, 1..16))
 }
 
-/// Drives `a` via `decide` and `b` via `decide_into` (dirty reused
-/// buffer) through the same trajectory and asserts bit-identical
+/// Drives `a` with a fresh buffer per round and `b` with one dirty
+/// reused buffer through the same trajectory and asserts bit-identical
 /// shares on every round.
 fn check_parity<P: ControlPolicy>(
     mut a: P,
@@ -65,8 +63,9 @@ fn check_parity<P: ControlPolicy>(
             current: &current[*agent],
             te: &te,
         };
-        let want = a.decide(&obs);
-        b.decide_into(&obs, &mut out);
+        let mut want = Vec::new();
+        a.decide(&obs, &mut want);
+        b.decide(&obs, &mut out);
         let got_bits: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
         let want_bits: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(got_bits, want_bits, "round {} diverged", i);
@@ -81,14 +80,10 @@ proptest! {
     #[test]
     fn decide_into_parity((n, rounds) in arb_trajectory()) {
         check_parity(Undamped, Undamped, n, &rounds)?;
-        let ewma = EwmaCfg { alpha: 0.3 };
-        check_parity(Ewma::new(ewma), Ewma::new(ewma), n, &rounds)?;
-        let adaptive = AdaptiveEwmaCfg { alpha_min: 0.2, alpha_max: 1.0 };
-        check_parity(AdaptiveEwma::new(adaptive), AdaptiveEwma::new(adaptive), n, &rounds)?;
-        let hyst = HysteresisCfg::default();
-        check_parity(Hysteresis::new(hyst), Hysteresis::new(hyst), n, &rounds)?;
-        let damped = DampedStepCfg::default();
-        check_parity(DampedStep::new(damped), DampedStep::new(damped), n, &rounds)?;
+        check_parity(Ewma::new(0.3), Ewma::new(0.3), n, &rounds)?;
+        check_parity(AdaptiveEwma::new(0.2, 1.0), AdaptiveEwma::new(0.2, 1.0), n, &rounds)?;
+        check_parity(Hysteresis::new(0.15, 0.02), Hysteresis::new(0.15, 0.02), n, &rounds)?;
+        check_parity(DampedStep::new(0.5, 2), DampedStep::new(0.5, 2), n, &rounds)?;
         check_parity(Desync::new(1), Desync::new(1), n, &rounds)?;
     }
 }

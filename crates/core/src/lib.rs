@@ -40,6 +40,6 @@ pub use replay::{steady_state_replay, ReplayPoint, ReplayReport};
 pub use resilience::{single_link_failure_coverage, ResilienceReport};
 pub use tables::{OdPaths, PathTables};
 pub use te::{
-    apply_step, apply_step_into, decide_shares, decide_shares_into, waterfill_iterations,
-    waterfill_target, waterfill_target_into, PathView, TeConfig,
+    apply_step_into, decide_shares_into, waterfill_iterations, waterfill_target_into, PathView,
+    TeConfig,
 };

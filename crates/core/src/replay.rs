@@ -186,13 +186,17 @@ pub fn steady_state_replay(
 /// for the "always-on paths alone accommodate ~50% of the OSPF-carriable
 /// volume" claim (§4.1). `use_tables_prefix` limits how many tables are
 /// usable (1 = always-on only).
+///
+/// The answer is a scale of `base`, bisected inside `[1e-6, 2^20]`.
+/// `None` when it lies outside: nothing fits at `1e-6` (the base is far
+/// above capacity) or the base still fits at `2^20` (far below it).
 pub fn max_supported_scale(
     topo: &Topology,
     tables: &PathTables,
     base: &TrafficMatrix,
     te: &TeConfig,
     use_tables_prefix: usize,
-) -> f64 {
+) -> Option<f64> {
     // Restrict tables to the prefix.
     let mut restricted = PathTables::new();
     for (&(o, d), p) in tables.iter() {
@@ -215,10 +219,13 @@ pub fn max_supported_scale(
         placed >= 1.0 - 1e-6
     };
     if !fits(1e-6) {
-        return 0.0;
+        return None;
     }
     let (mut lo, mut hi) = (1e-6, 1.0);
-    while fits(hi) && hi < 1e6 {
+    while fits(hi) {
+        if hi >= 1e6 {
+            return None;
+        }
         lo = hi;
         hi *= 2.0;
     }
@@ -230,7 +237,7 @@ pub fn max_supported_scale(
             hi = mid;
         }
     }
-    lo
+    Some(lo)
 }
 
 #[cfg(test)]
@@ -335,8 +342,8 @@ mod tests {
             ..Default::default()
         };
         let base = tmix(&n, 1e6, 1e6);
-        let only_aon = max_supported_scale(&t, &tables, &base, &te, 1);
-        let all = max_supported_scale(&t, &tables, &base, &te, 3);
+        let only_aon = max_supported_scale(&t, &tables, &base, &te, 1).unwrap();
+        let all = max_supported_scale(&t, &tables, &base, &te, 3).unwrap();
         assert!(all > only_aon, "extra tables add capacity");
         // Fig-3 shape: always-on shares one middle link (10 M for 2 Mbps
         // base -> scale 5 if shared, capped by the shared E-H link);
@@ -346,6 +353,28 @@ mod tests {
             (0.3..=0.7).contains(&ratio),
             "always-on carries ~half: {ratio}"
         );
+    }
+
+    /// A base so far above capacity that nothing fits at the bottom of
+    /// the bracket has no answer.
+    #[test]
+    fn base_above_the_bracket_has_no_capacity_answer() {
+        let (t, tables, n, _) = setup();
+        let te = TeConfig::default();
+        let scale = |rate| max_supported_scale(&t, &tables, &tmix(&n, rate, rate), &te, 1);
+        assert!(scale(1e6).is_some_and(|s| s > 1.0 && s < 10.0));
+        assert_eq!(scale(1e14), None, "nothing fits at 1e-6");
+    }
+
+    /// A base so far below capacity that it still fits at the top of the
+    /// bracket has no answer.
+    #[test]
+    fn base_below_the_bracket_has_no_capacity_answer() {
+        let (t, tables, n, _) = setup();
+        let te = TeConfig::default();
+        let scale = |rate| max_supported_scale(&t, &tables, &tmix(&n, rate, rate), &te, 1);
+        assert!(scale(1e1).is_some_and(|s| s > 1e5 && s < 1e6));
+        assert_eq!(scale(1e-2), None, "still fits at 2^20");
     }
 
     #[test]

@@ -10,9 +10,19 @@
 //! (priority order: always-on, on-demand…, failover). Each control round
 //! it computes a *target* allocation by water-filling its offered rate
 //! into the paths' headroom in priority order, then moves the live
-//! shares a bounded step toward the target (the stability mechanism:
-//! bounded-gain first-order tracking, which cannot oscillate for step
-//! ≤ 1 against a fixed target).
+//! shares a bounded step toward the target (bounded-gain first-order
+//! tracking).
+//!
+//! What that mechanism guarantees, and what it does not:
+//!
+//! * One agent against a fixed target converges: with step ≤ 1 the
+//!   shares close a fixed fraction of the gap each round and reach a
+//!   fixed point (the `controller_converges` proptest pins this).
+//! * Agents that water-fill into shared headroom in the same round do
+//!   not face a fixed target: each claims the headroom the others
+//!   observe too. Such coupled agents can lag or cycle —
+//!   `fig8a-pop-access` shows a 59.5 s tracking lag, and the rolling
+//!   maintenance day sits in exact limit cycles (see ROADMAP).
 
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
@@ -67,7 +77,7 @@ impl Default for TeConfig {
     }
 }
 
-/// Compute the new share vector for one OD agent.
+/// Compute the new share vector for one OD agent into `out`.
 ///
 /// * `offered_rate` — the agent's current demand (bits/s).
 /// * `paths` — per-installed-path view, in priority order (always-on
@@ -75,27 +85,12 @@ impl Default for TeConfig {
 /// * `current` — current shares (fractions of `offered_rate`, summing to
 ///   ≈ 1 when the agent is sending).
 ///
-/// Returns the updated shares (same length, non-negative, summing to 1
-/// when any path is available).
-pub fn decide_shares(
-    offered_rate: f64,
-    paths: &[PathView],
-    current: &[f64],
-    cfg: &TeConfig,
-) -> Vec<f64> {
-    let mut out = Vec::with_capacity(paths.len());
-    decide_shares_into(offered_rate, paths, current, cfg, &mut out);
-    out
-}
-
-/// In-place form of [`decide_shares`]: writes the new share vector into
-/// `out` (cleared first; any previous contents are irrelevant) without
-/// allocating — the single buffer holds the water-filled target and is
-/// then stepped/hygiened in place. `out` only ever grows to
-/// `paths.len()`, so a reused buffer reaches a fixed capacity and the
-/// decision path becomes allocation-free. Bit-identical to
-/// [`decide_shares`] by construction (the allocating form is a thin
-/// wrapper over this one).
+/// Writes the updated shares (same length, non-negative, summing to 1
+/// when any path is available). `out` is cleared first, so its previous
+/// contents are irrelevant; the one buffer holds the water-filled
+/// target and is then stepped and hygiened in place. `out` only ever
+/// grows to `paths.len()`, so a reused buffer reaches a fixed capacity
+/// and the decision allocates nothing.
 pub fn decide_shares_into(
     offered_rate: f64,
     paths: &[PathView],
@@ -111,17 +106,10 @@ pub fn decide_shares_into(
 
 /// The target allocation of one control round: the offered rate
 /// water-filled into the paths' headroom in priority order (the first
-/// half of [`decide_shares`], exposed so alternative control policies —
-/// `ecp-control` — can reuse it against modified path views).
-pub fn waterfill_target(offered_rate: f64, paths: &[PathView]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(paths.len());
-    waterfill_target_into(offered_rate, paths, &mut out);
-    out
-}
-
-/// In-place form of [`waterfill_target`]: clears `out` and fills it
-/// with the target allocation, allocating nothing once the buffer's
-/// capacity has reached `paths.len()`.
+/// half of [`decide_shares_into`], exposed so alternative control
+/// policies — `ecp-control` — can reuse it against modified path
+/// views). Clears `out` and fills it, allocating nothing once the
+/// buffer's capacity has reached `paths.len()`.
 pub fn waterfill_target_into(offered_rate: f64, paths: &[PathView], out: &mut Vec<f64>) {
     let n = paths.len();
     out.clear();
@@ -164,26 +152,12 @@ pub fn waterfill_target_into(offered_rate: f64, paths: &[PathView], out: &mut Ve
 }
 
 /// Bounded-step tracking toward a target plus share hygiene (the second
-/// half of [`decide_shares`]): move `step` of the gap, vacate
+/// half of [`decide_shares_into`]): move `step` of the gap, vacate
 /// unavailable paths immediately, drop dust below `min_share`, clamp,
 /// and renormalize. Exposed for `ecp-control` policies that modulate
-/// the target or the gain but keep the stability mechanism.
-pub fn apply_step(
-    paths: &[PathView],
-    current: &[f64],
-    target: &[f64],
-    step: f64,
-    min_share: f64,
-) -> Vec<f64> {
-    let mut out = Vec::with_capacity(target.len());
-    apply_step_into(paths, current, target, step, min_share, &mut out);
-    out
-}
-
-/// In-place form of [`apply_step`]: clears `out`, copies `target` in,
-/// and steps/hygienes it in place — no allocation once the buffer's
-/// capacity has reached `target.len()`. Bit-identical to [`apply_step`]
-/// by construction.
+/// the target or the gain but keep the stability mechanism. Clears
+/// `out`, copies `target` in and steps it in place — no allocation
+/// once the buffer's capacity has reached `target.len()`.
 pub fn apply_step_into(
     paths: &[PathView],
     current: &[f64],
@@ -241,9 +215,9 @@ fn step_hygiene_in_place(
     }
 }
 
-/// Convergence helper: apply [`decide_shares`] against a *fixed*
-/// environment until shares stop moving (used in tests and by the
-/// steady-state replay).
+/// Convergence helper: apply [`decide_shares_into`] against a *fixed*
+/// environment until shares stop moving — the fixed-target convergence
+/// check of the tests.
 pub fn converge_shares(
     offered_rate: f64,
     paths: &[PathView],
@@ -252,10 +226,11 @@ pub fn converge_shares(
     max_rounds: usize,
 ) -> (Vec<f64>, usize) {
     let mut cur = start.to_vec();
+    let mut next = Vec::with_capacity(paths.len());
     for round in 0..max_rounds {
-        let next = decide_shares(offered_rate, paths, &cur, cfg);
+        decide_shares_into(offered_rate, paths, &cur, cfg, &mut next);
         let delta: f64 = next.iter().zip(&cur).map(|(a, b)| (a - b).abs()).sum();
-        cur = next;
+        std::mem::swap(&mut cur, &mut next);
         if delta < 1e-6 {
             return (cur, round + 1);
         }
@@ -280,6 +255,13 @@ mod tests {
             headroom: 0.0,
             available: false,
         }
+    }
+
+    /// One decision into a fresh buffer.
+    fn decide(rate: f64, paths: &[PathView], current: &[f64], cfg: &TeConfig) -> Vec<f64> {
+        let mut out = Vec::new();
+        decide_shares_into(rate, paths, current, cfg, &mut out);
+        out
     }
 
     #[test]
@@ -313,7 +295,7 @@ mod tests {
     fn failure_vacates_immediately() {
         let cfg = TeConfig::default();
         let paths = [down(), up(20e6)];
-        let shares = decide_shares(5e6, &paths, &[1.0, 0.0], &cfg);
+        let shares = decide(5e6, &paths, &[1.0, 0.0], &cfg);
         assert_eq!(shares[0], 0.0, "failed path vacated in one round");
         assert!((shares[1] - 1.0).abs() < 1e-9);
     }
@@ -335,7 +317,7 @@ mod tests {
     #[test]
     fn zero_demand_parks_on_always_on() {
         let cfg = TeConfig::default();
-        let shares = decide_shares(0.0, &[up(1e6), up(1e6)], &[0.3, 0.7], &cfg);
+        let shares = decide(0.0, &[up(1e6), up(1e6)], &[0.3, 0.7], &cfg);
         let (conv, _) = converge_shares(0.0, &[up(1e6), up(1e6)], &shares, &cfg, 50);
         assert!((conv[0] - 1.0).abs() < 1e-3);
     }
@@ -343,7 +325,7 @@ mod tests {
     #[test]
     fn no_path_available_keeps_sane_output() {
         let cfg = TeConfig::default();
-        let shares = decide_shares(5e6, &[down(), down()], &[0.5, 0.5], &cfg);
+        let shares = decide(5e6, &[down(), down()], &[0.5, 0.5], &cfg);
         assert_eq!(shares, vec![0.0, 0.0]);
     }
 
@@ -365,7 +347,7 @@ mod tests {
             ..Default::default()
         };
         let paths = [up(10e6), up(10e6)];
-        let s1 = decide_shares(5e6, &paths, &[0.0, 1.0], &cfg);
+        let s1 = decide(5e6, &paths, &[0.0, 1.0], &cfg);
         // Target is [1, 0]; one round with step .5 moves halfway.
         assert!((s1[0] - 0.5).abs() < 1e-9, "{s1:?}");
     }
@@ -376,8 +358,8 @@ mod tests {
         // rounds cover 91% of the gap.
         let cfg = TeConfig::default();
         let paths = [up(10e6), up(10e6)];
-        let s1 = decide_shares(5e6, &paths, &[0.0, 1.0], &cfg);
-        let s2 = decide_shares(5e6, &paths, &s1, &cfg);
+        let s1 = decide(5e6, &paths, &[0.0, 1.0], &cfg);
+        let s2 = decide(5e6, &paths, &s1, &cfg);
         assert!(s2[0] > 0.9, "two rounds shift >90% of traffic: {s2:?}");
     }
 
@@ -401,7 +383,7 @@ mod tests {
                 cur.iter_mut().for_each(|v| *v /= s);
             }
             let rate = rng.gen_range(0.0..20e6);
-            let new = decide_shares(rate, &paths, &cur, &cfg);
+            let new = decide(rate, &paths, &cur, &cfg);
             let sum: f64 = new.iter().sum();
             assert!(new.iter().all(|&v| (0.0..=1.0 + 1e-9).contains(&v)));
             assert!(

@@ -5,10 +5,16 @@ use ecp_topo::gen::random_waxman;
 use ecp_topo::{NodeId, MBPS};
 use proptest::prelude::*;
 use respons_core::te::{
-    apply_step, apply_step_into, converge_shares, decide_shares, decide_shares_into,
-    waterfill_target, waterfill_target_into, PathView, TeConfig,
+    apply_step_into, converge_shares, decide_shares_into, waterfill_target_into, PathView, TeConfig,
 };
 use respons_core::{Planner, PlannerConfig};
+
+/// One decision into a fresh buffer.
+fn decide(rate: f64, views: &[PathView], current: &[f64], cfg: &TeConfig) -> Vec<f64> {
+    let mut out = Vec::new();
+    decide_shares_into(rate, views, current, cfg, &mut out);
+    out
+}
 
 fn arb_views() -> impl Strategy<Value = Vec<PathView>> {
     proptest::collection::vec(
@@ -41,7 +47,7 @@ proptest! {
             cur.iter_mut().for_each(|v| *v /= s);
         }
         let cfg = TeConfig { step, ..Default::default() };
-        let new = decide_shares(rate, &views, &cur, &cfg);
+        let new = decide(rate, &views, &cur, &cfg);
         prop_assert_eq!(new.len(), views.len());
         let sum: f64 = new.iter().sum();
         let any_up = views.iter().any(|p| p.available);
@@ -68,7 +74,7 @@ proptest! {
         let (fixed, rounds) = converge_shares(rate, &views, &start, &cfg, 200);
         prop_assert!(rounds < 200, "no fixpoint in 200 rounds");
         // A fixpoint: one more application changes nothing.
-        let again = decide_shares(rate, &views, &fixed, &cfg);
+        let again = decide(rate, &views, &fixed, &cfg);
         let delta: f64 = again.iter().zip(&fixed).map(|(a, b)| (a - b).abs()).sum();
         prop_assert!(delta < 1e-4, "not a fixpoint: {fixed:?} -> {again:?}");
     }
@@ -86,10 +92,9 @@ proptest! {
         prop_assert!(fixed[0] > 0.99, "not aggregated: {fixed:?}");
     }
 
-    /// The in-place kernels are bit-identical to the allocating forms —
-    /// including when the output buffer arrives dirty (non-empty, wrong
-    /// length, arbitrary garbage), the reuse pattern of the zero-alloc
-    /// decision path.
+    /// The in-place kernels give the same bits into a dirty buffer
+    /// (non-empty, wrong length, arbitrary garbage) — the reuse pattern
+    /// of the zero-alloc decision path — as into a fresh one.
     #[test]
     fn into_kernels_bit_identical_even_with_dirty_buffers(
         views in arb_views(),
@@ -107,20 +112,23 @@ proptest! {
         let cfg = TeConfig { step, ..Default::default() };
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
 
-        let want_target = waterfill_target(rate, &views);
+        let mut want_target = Vec::new();
+        waterfill_target_into(rate, &views, &mut want_target);
         let mut out = dirty.clone();
         waterfill_target_into(rate, &views, &mut out);
         prop_assert_eq!(bits(&out), bits(&want_target));
 
-        let want_step = apply_step(&views, &cur, &want_target, cfg.step, cfg.min_share);
+        let mut want_step = Vec::new();
+        apply_step_into(&views, &cur, &want_target, cfg.step, cfg.min_share, &mut want_step);
         let mut out = dirty.clone();
         apply_step_into(&views, &cur, &want_target, cfg.step, cfg.min_share, &mut out);
         prop_assert_eq!(bits(&out), bits(&want_step));
 
-        let want = decide_shares(rate, &views, &cur, &cfg);
+        // The decision is its two halves, whatever the buffer held.
         let mut out = dirty;
         decide_shares_into(rate, &views, &cur, &cfg, &mut out);
-        prop_assert_eq!(bits(&out), bits(&want));
+        prop_assert_eq!(bits(&out), bits(&want_step));
+        prop_assert_eq!(bits(&out), bits(&decide(rate, &views, &cur, &cfg)));
     }
 }
 

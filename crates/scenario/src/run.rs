@@ -866,21 +866,30 @@ impl OfferedMatrix<'_> {
         Ok(v)
     }
 
-    /// The offered matrix at a program level.
+    /// The offered matrix at a program level. A finite volume can still
+    /// split into infinite demands: the gravity split multiplies it by
+    /// products of node weights (about 1e20 on a PoP-access network)
+    /// before dividing. Such a matrix is rejected, not offered.
     fn at(&self, level: f64) -> Result<TrafficMatrix, ScenarioError> {
         let v = self.volume(level)?;
         let pairs = &self.resolved.pairs[..];
         let per_flow = matches!(self.scenario.traffic.scale, ScaleSpec::PerFlowBps { .. });
-        match (self.scenario.traffic.matrix, per_flow) {
-            (MatrixSpec::Uniform, true) => Ok(uniform_matrix(pairs, v)),
-            (MatrixSpec::Uniform, false) => {
-                Ok(uniform_matrix(pairs, v / pairs.len().max(1) as f64))
-            }
-            (MatrixSpec::Gravity, false) => Ok(gravity_matrix(&self.resolved.built.topo, pairs, v)),
+        let tm = match (self.scenario.traffic.matrix, per_flow) {
+            (MatrixSpec::Uniform, true) => uniform_matrix(pairs, v),
+            (MatrixSpec::Uniform, false) => uniform_matrix(pairs, v / pairs.len().max(1) as f64),
+            (MatrixSpec::Gravity, false) => gravity_matrix(&self.resolved.built.topo, pairs, v),
             (MatrixSpec::Gravity, true) => {
-                Err("PerFlowBps scale requires the Uniform matrix".into())
+                return Err("PerFlowBps scale requires the Uniform matrix".into())
             }
+        };
+        if tm.demands().iter().any(|d| !d.rate.is_finite()) {
+            return Err(format!(
+                "traffic.scale: the offered volume {v:e} bps at program level {level} splits \
+                 into demands that are not finite"
+            )
+            .into());
         }
+        Ok(tm)
     }
 }
 
@@ -1053,6 +1062,27 @@ fn scenario_te(scenario: &Scenario) -> TeConfig {
     }
 }
 
+/// [`max_supported_scale`] of the traffic base, or `Invalid` naming
+/// `traffic.scale` when the base lies too far from the network's
+/// capacity for the probe to answer.
+fn capacity_scale(
+    topo: &Topology,
+    tables: &PathTables,
+    base: &TrafficMatrix,
+    te: &TeConfig,
+    use_tables_prefix: usize,
+) -> Result<f64, ScenarioError> {
+    max_supported_scale(topo, tables, base, te, use_tables_prefix).ok_or_else(|| {
+        format!(
+            "traffic.scale: a base of {:e} bps is more than six decades from the \
+             capacity of the first {use_tables_prefix} table(s); the capacity probe \
+             answers for scales in [1e-6, 2^20] of the base",
+            base.total()
+        )
+        .into()
+    })
+}
+
 /// Require that the pairs share one origin (star workloads); returns it.
 fn common_origin(pairs: &[(NodeId, NodeId)]) -> Result<NodeId, ScenarioError> {
     let &(server, _) = pairs.first().ok_or("the scenario has no OD pairs")?;
@@ -1109,8 +1139,8 @@ fn attach_table_metrics(
     if scenario.metrics.table_capacity {
         let base = offered_matrix(scenario, resolved)?.at(1.0)?;
         let te = scenario_te(scenario);
-        let aon = max_supported_scale(topo, tables, &base, &te, 1);
-        let all = max_supported_scale(topo, tables, &base, &te, 3);
+        let aon = capacity_scale(topo, tables, &base, &te, 1)?;
+        let all = capacity_scale(topo, tables, &base, &te, 3)?;
         report.capacity = Some(CapacityStats {
             always_on_bps: aon * base.total(),
             full_tables_bps: all * base.total(),
@@ -1350,10 +1380,10 @@ fn build_trace(
                             ..Default::default()
                         }
                     };
-                    let aon = max_supported_scale(topo, &resolved.tables, &base, &te, 1);
+                    let aon = capacity_scale(topo, &resolved.tables, &base, &te, 1)?;
                     let mut peak = base_volume * aon * factor;
                     if let Some(cap) = cap_over_full {
-                        let all = max_supported_scale(topo, &resolved.tables, &base, &te, 3);
+                        let all = capacity_scale(topo, &resolved.tables, &base, &te, 3)?;
                         peak = peak.min(base_volume * all * cap);
                     }
                     peak
@@ -1363,9 +1393,9 @@ fn build_trace(
                 }
                 PeakSpec::TotalBps { bps } => bps,
             };
-            if !peak_bps.is_finite() {
+            if !(peak_bps.is_finite() && peak_bps > 0.0) {
                 return Err(format!(
-                    "trace peak: the GeantLike peak is {peak_bps} bps, not finite"
+                    "trace peak: the GeantLike peak is {peak_bps} bps, not a finite rate > 0"
                 )
                 .into());
             }

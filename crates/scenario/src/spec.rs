@@ -720,7 +720,7 @@ impl SimSpec {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub enum ControlSpec {
     /// The original hard-wired decision
-    /// ([`respons_core::te::decide_shares`]), bit-identical.
+    /// ([`respons_core::te::decide_shares_into`]), bit-identical.
     #[default]
     Undamped,
     /// EWMA-smoothed headroom estimation.
@@ -835,34 +835,20 @@ impl ControlSpec {
 
     /// Instantiate the policy (validated parameters assumed).
     pub fn build(&self) -> Box<dyn ecp_control::ControlPolicy> {
+        use ecp_control::{AdaptiveEwma, DampedStep, Desync, Ewma, Hysteresis, Undamped};
         match *self {
-            ControlSpec::Undamped => Box::new(ecp_control::Undamped),
-            ControlSpec::Ewma { alpha } => {
-                Box::new(ecp_control::Ewma::new(ecp_control::EwmaCfg { alpha }))
-            }
+            ControlSpec::Undamped => Box::new(Undamped),
+            ControlSpec::Ewma { alpha } => Box::new(Ewma::new(alpha)),
             ControlSpec::AdaptiveEwma {
                 alpha_min,
                 alpha_max,
-            } => Box::new(ecp_control::AdaptiveEwma::new(
-                ecp_control::AdaptiveEwmaCfg {
-                    alpha_min,
-                    alpha_max,
-                },
-            )),
-            ControlSpec::Hysteresis { gap, dead_band } => {
-                Box::new(ecp_control::Hysteresis::new(ecp_control::HysteresisCfg {
-                    gap,
-                    dead_band,
-                }))
-            }
+            } => Box::new(AdaptiveEwma::new(alpha_min, alpha_max)),
+            ControlSpec::Hysteresis { gap, dead_band } => Box::new(Hysteresis::new(gap, dead_band)),
             ControlSpec::DampedStep {
                 damp,
                 cooldown_rounds,
-            } => Box::new(ecp_control::DampedStep::new(ecp_control::DampedStepCfg {
-                damp,
-                cooldown_rounds,
-            })),
-            ControlSpec::Desync { salt } => Box::new(ecp_control::Desync::new(salt)),
+            } => Box::new(DampedStep::new(damp, cooldown_rounds)),
+            ControlSpec::Desync { salt } => Box::new(Desync::new(salt)),
         }
     }
 }

@@ -294,11 +294,14 @@ fn num_paths_out_of_range_is_invalid() {
 
 /// A finite load scale whose offered volume overflows is rejected
 /// naming the scale on both engines (it used to run to a NaN or zero
-/// delivered fraction).
+/// delivered fraction), and so is one whose volume is finite but whose
+/// gravity split overflows: on both bases a scale of 1e280 offers about
+/// 1.6e290 bps, and the split's weight products push demands past
+/// `f64::MAX`.
 #[test]
 fn overflowing_offered_volume_is_invalid() {
     let bases = [base(ControlSpec::Undamped), replay_base()];
-    assert_rejected_on(&bases, "traffic.scale", &[1e308], |s, v| {
+    assert_rejected_on(&bases, "traffic.scale", &[1e280, 1e308], |s, v| {
         Param::LoadScale.apply(s, v)
     });
 }

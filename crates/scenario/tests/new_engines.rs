@@ -333,19 +333,29 @@ fn non_simnet_engines_reject_events_and_per_flow_programs() {
     }
 }
 
-/// A replay trace peak that is not finite (an overflowing multiple, or
-/// an infinite rate) is rejected naming the peak instead of replaying
-/// an infinite trace.
+/// A replay trace peak that is not a finite rate > 0 (an overflowing
+/// multiple, an infinite rate, or a negative or zero factor, fraction,
+/// cap or rate) is rejected naming the peak instead of replaying an
+/// infinite, negative or empty trace.
 #[test]
 fn overflowing_trace_peak_is_invalid() {
+    let over = |factor, cap_over_full| PeakSpec::OverAlwaysOn {
+        factor,
+        cap_over_full,
+        use_sim_te: false,
+    };
     for peak in [
-        PeakSpec::OverAlwaysOn {
-            factor: 1e308,
-            cap_over_full: None,
-            use_sim_te: false,
-        },
+        over(1e308, None),
         PeakSpec::MaxFeasibleFraction { fraction: 1e308 },
         PeakSpec::TotalBps { bps: f64::INFINITY },
+        over(-1.15, None),
+        over(0.0, None),
+        over(1.15, Some(-0.5)),
+        over(1.15, Some(0.0)),
+        PeakSpec::MaxFeasibleFraction { fraction: -0.5 },
+        PeakSpec::MaxFeasibleFraction { fraction: 0.0 },
+        PeakSpec::TotalBps { bps: -1e10 },
+        PeakSpec::TotalBps { bps: 0.0 },
     ] {
         let mut s = small_replay(None);
         if let EngineSpec::Replay(spec) = &mut s.engine {

@@ -18,7 +18,8 @@
 //!   agent of each flow observes link loads along its own paths
 //!   (scalable: no global state), computes headroom per path, and moves
 //!   its shares one bounded step toward the water-filled target
-//!   (`respons_core::te::decide_shares`).
+//!   (`respons_core::te::decide_shares_into`, through the simulation's
+//!   `ecp_control::ControlPolicy`).
 //! * **Sleep / wake**: links with no assigned traffic drain for
 //!   [`SimConfig::sleep_after`] seconds and then sleep (negligible
 //!   power). Assigning share to a sleeping path triggers wake-up; the

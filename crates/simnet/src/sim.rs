@@ -234,8 +234,9 @@ fn contribution(rate: f64, blocked: u32) -> f64 {
 /// hot path. Every buffer is cleared before use and retains its
 /// capacity across events, so once warm the entire decision path —
 /// views, decisions, batched share application, power transitions,
-/// readiness bookkeeping — allocates nothing (pinned at 0.0
-/// allocs/round by the count-allocs `load_accounting` bench and CI).
+/// readiness bookkeeping — allocates nothing (pinned at 0 allocations
+/// over live demand cycles for every policy arm by
+/// `crates/bench/tests/decision_allocs.rs`).
 ///
 /// Buffers are `mem::take`n out for the duration of a use (leaving an
 /// empty `Vec` behind, which costs nothing) and restored afterwards,
@@ -305,7 +306,7 @@ pub struct Simulation<'a, S: TelemetrySink = NoopSink> {
     always_on_links: Vec<bool>,
     /// The online TE control policy driving every agent's share
     /// decisions (default: [`ecp_control::Undamped`], the original
-    /// hard-wired `decide_shares` behavior).
+    /// hard-wired `decide_shares_into` behavior).
     policy: Box<dyn ControlPolicy>,
     /// Cached [`ControlPolicy::memoryless`] of `policy`: decision
     /// skipping for observation-clean agents is only sound for pure
@@ -1418,7 +1419,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         if S::SPANS {
             sink.span_enter(SpanName::RoundDecide);
         }
-        policy.decide_into(&obs, out);
+        policy.decide(&obs, out);
         if S::SPANS {
             sink.span_exit(SpanName::RoundDecide);
         }
@@ -2171,18 +2172,19 @@ mod tests {
 
     #[test]
     fn damped_policies_still_fail_over_promptly() {
-        let policies: Vec<Box<dyn ecp_control::ControlPolicy>> = vec![
-            Box::new(ecp_control::Ewma::new(ecp_control::EwmaCfg { alpha: 0.3 })),
-            Box::new(ecp_control::Hysteresis::new(
-                ecp_control::HysteresisCfg::default(),
-            )),
-            Box::new(ecp_control::DampedStep::new(
-                ecp_control::DampedStepCfg::default(),
-            )),
-            Box::new(ecp_control::Desync::new(5)),
+        let policies: Vec<(&str, Box<dyn ecp_control::ControlPolicy>)> = vec![
+            ("ewma", Box::new(ecp_control::Ewma::new(0.3))),
+            (
+                "hysteresis",
+                Box::new(ecp_control::Hysteresis::new(0.15, 0.02)),
+            ),
+            (
+                "damped-step",
+                Box::new(ecp_control::DampedStep::new(0.5, 2)),
+            ),
+            ("desync", Box::new(ecp_control::Desync::new(5))),
         ];
-        for policy in policies {
-            let name = policy.name();
+        for (name, policy) in policies {
             let (t, n, pt) = click_setup();
             let pm = ecp_power::PowerModel::cisco12000();
             let mut sim = Simulation::with_policy(&t, &pm, &pt, click_cfg(), policy);

@@ -80,17 +80,11 @@ fn decode_event(topo: &ecp_topo::Topology, (t, kind, target, value): RawEvent) -
 fn policy(which: usize) -> Box<dyn ControlPolicy> {
     match which % 6 {
         0 => Box::new(ecp_control::Undamped),
-        1 => Box::new(ecp_control::Ewma::new(ecp_control::EwmaCfg { alpha: 0.3 })),
+        1 => Box::new(ecp_control::Ewma::new(0.3)),
         2 => Box::new(ecp_control::Desync::new(7)),
-        3 => Box::new(ecp_control::AdaptiveEwma::new(
-            ecp_control::AdaptiveEwmaCfg::default(),
-        )),
-        4 => Box::new(ecp_control::Hysteresis::new(
-            ecp_control::HysteresisCfg::default(),
-        )),
-        _ => Box::new(ecp_control::DampedStep::new(
-            ecp_control::DampedStepCfg::default(),
-        )),
+        3 => Box::new(ecp_control::AdaptiveEwma::new(0.2, 1.0)),
+        4 => Box::new(ecp_control::Hysteresis::new(0.15, 0.02)),
+        _ => Box::new(ecp_control::DampedStep::new(0.5, 2)),
     }
 }
 
@@ -99,20 +93,12 @@ fn policy(which: usize) -> Box<dyn ControlPolicy> {
 struct NeverSkip(Box<dyn ControlPolicy>);
 
 impl ControlPolicy for NeverSkip {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
     fn phase(&self, agent: usize, interval: f64) -> f64 {
         self.0.phase(agent, interval)
     }
 
-    fn decide(&mut self, obs: &Observation<'_>) -> Vec<f64> {
-        self.0.decide(obs)
-    }
-
-    fn decide_into(&mut self, obs: &Observation<'_>, out: &mut Vec<f64>) {
-        self.0.decide_into(obs, out)
+    fn decide(&mut self, obs: &Observation<'_>, out: &mut Vec<f64>) {
+        self.0.decide(obs, out)
     }
 
     fn memoryless(&self) -> bool {

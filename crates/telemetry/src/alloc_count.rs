@@ -1,14 +1,15 @@
-//! Counting global allocator (feature `count-allocs`).
+//! Counting global allocator.
 //!
-//! Benches install [`CountingAllocator`] as `#[global_allocator]` and
-//! read [`allocations`] / [`bytes_allocated`] deltas around the region
-//! of interest. This is the measurement baseline for the ROADMAP
-//! "zero-alloc decision path" item: the `load_accounting` criterion
-//! bench reports allocations per control round with it.
+//! A test or binary installs [`CountingAllocator`] as
+//! `#[global_allocator]` and reads [`allocations`] / [`bytes_allocated`]
+//! deltas around the region of interest; without that installation the
+//! counters stay at zero and cost nothing. The one user is
+//! `crates/bench/tests/decision_allocs.rs`, which pins the simulator's
+//! decision path at zero allocations over live demand cycles for every
+//! policy arm.
 //!
-//! Counts are process-global atomics; in multi-threaded benches the
-//! deltas include every thread's allocations, so take them around
-//! single-threaded regions.
+//! Counts are process-global atomics; the deltas include every
+//! thread's allocations, so take them around single-threaded regions.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,6 +20,9 @@ static BYTES: AtomicU64 = AtomicU64::new(0);
 /// A [`System`]-backed allocator that counts allocations and bytes.
 pub struct CountingAllocator;
 
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; counting touches only
+// atomics and never allocates.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);

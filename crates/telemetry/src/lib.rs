@@ -18,13 +18,12 @@
 //!   simulation is single-threaded per run and events are emitted in
 //!   event order) and aggregates [`Counter`]s / [`Hist`]ograms into a
 //!   [`TelemetrySnapshot`] for embedding in reports.
-//! * An optional counting global allocator (feature `count-allocs`)
-//!   used by benches to measure allocations per control round — the
-//!   baseline for the ROADMAP "zero-alloc decision path" item.
+//! * [`alloc_count`] — a counting global allocator. It counts nothing
+//!   unless a binary installs it; the `decision_allocs` test of
+//!   `ecp-bench` does, to pin the decision path at zero allocations.
 
 use serde::{Deserialize, JsonWriter, Serialize};
 
-#[cfg(feature = "count-allocs")]
 pub mod alloc_count;
 
 pub mod profile;

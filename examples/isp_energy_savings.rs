@@ -29,7 +29,8 @@ fn main() {
     // the on-demand paths.
     let base = response::traffic::gravity_matrix(&topo, &pairs, 1e9);
     let te = TeConfig::default();
-    let aon = response::core::replay::max_supported_scale(&topo, &tables, &base, &te, 1);
+    let aon = response::core::replay::max_supported_scale(&topo, &tables, &base, &te, 1)
+        .expect("the 1 Gbps base is inside the probe bracket");
     let trace = geant_like_trace(&topo, &pairs, 14, 1e9 * aon * 1.15, 42);
 
     let report = steady_state_replay(&topo, &power, &tables, &trace, &te);

@@ -27,7 +27,8 @@ fn plan_replay_simulate_geant() {
     // Replay a short trace scaled to the installed capacity.
     let te = TeConfig::default();
     let base = gravity_matrix(&topo, &pairs, 1e9);
-    let aon = max_supported_scale(&topo, &tables, &base, &te, 1);
+    let aon = max_supported_scale(&topo, &tables, &base, &te, 1)
+        .expect("the 1 Gbps base is inside the probe bracket");
     assert!(aon > 0.0);
     let trace = geant_like_trace(&topo, &pairs, 1, 1e9 * aon, 7);
     let rep = steady_state_replay(&topo, &power, &tables, &trace, &te);
