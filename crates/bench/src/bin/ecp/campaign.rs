@@ -36,12 +36,17 @@
 //! expected run has finished, the stream ends, or `--timeout-s`
 //! elapses.
 //!
-//! `--profile` runs every freshly-executed simnet scenario through the
-//! span-profiled entry point: per-run wall time and the top phases land
-//! in `timings/<hash>.json` sidecars, surface in the report's `wall (s)`
-//! / `slowest phase` columns, and ride `RunFinished` progress events.
-//! Stored runs, traces, and summaries stay byte-identical to an
-//! unprofiled campaign (Span lines are stripped before trace storage).
+//! Every run records into a counting sink: its telemetry snapshot rides
+//! in `runs/<hash>.json` and no event trace is stored (`ecp run <id>
+//! --trace FILE` traces one run).
+//!
+//! `--profile` runs every freshly-executed scenario through a counting
+//! span-profiled sink: per-run wall time and the top phases land in
+//! `timings/<hash>.json` sidecars, outside the deterministic `runs/` +
+//! `timeseries/` contract, surface in the report's `wall (s)` /
+//! `slowest phase` columns, and ride `RunFinished` progress events.
+//! Stored runs and summaries stay byte-identical to an unprofiled
+//! campaign.
 
 use crate::args::{Args, Failure, Flags};
 use ecp_campaign::{exec, report, CampaignError, CampaignSpec, ResultStore, Workers};

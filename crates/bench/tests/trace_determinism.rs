@@ -1,11 +1,12 @@
 //! Telemetry-trace determinism.
 //!
-//! A trace is a pure function of the scenario: re-running, changing the
-//! rayon thread count, or re-sharding a campaign must all produce
-//! byte-identical JSONL, and a traced run must leave the report
-//! byte-identical to an untraced one (the no-op sink is the default;
-//! golden hashes are pinned on it). One small registry scenario is
-//! additionally pinned against a full golden trace file.
+//! A trace is a pure function of the scenario: re-running it or tracing
+//! it from another rayon pool must produce byte-identical JSONL, a
+//! campaign's stored runs (which carry each simnet run's telemetry
+//! snapshot) must not depend on the thread count, and a traced run must
+//! leave the report byte-identical to an untraced one (the no-op sink is
+//! the default; golden hashes are pinned on it). One small registry
+//! scenario is additionally pinned against a full golden trace file.
 //!
 //! Regenerate the golden (only when the event schema deliberately
 //! changes):
@@ -17,6 +18,7 @@
 use ecp_campaign::{exec, CampaignSpec, EntrySpec, ResultStore, Workers};
 use ecp_scenario::{resolve, run_resolved_traced, Param, Scenario, ScenarioReport, TraceOutput};
 use proptest::prelude::*;
+use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,6 +71,21 @@ fn fresh_dir(tag: &str) -> PathBuf {
     d
 }
 
+/// The trace lines of each of `scenarios`, traced in a rayon pool of
+/// `threads` workers.
+fn traces_in_pool(scenarios: &[Scenario], threads: usize) -> Vec<Vec<String>> {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .unwrap()
+        .install(|| {
+            scenarios
+                .par_iter()
+                .map(|s| traced_run(s).1.lines)
+                .collect()
+        })
+}
+
 /// Every file in a store subdirectory, name → bytes.
 fn dir_files(dir: &Path, sub: &str) -> BTreeMap<String, Vec<u8>> {
     let mut out = BTreeMap::new();
@@ -116,8 +133,11 @@ proptest! {
         prop_assert_eq!(serde_json::to_string(&report_a).unwrap(), serde_json::to_string(&report_b).unwrap());
     }
 
-    /// The in-process campaign executor's stored runs, trace artifacts
-    /// and stats are invariant under the rayon worker-thread count.
+    /// The in-process campaign executor's stored runs (with their
+    /// telemetry snapshots), timeseries sidecars and stats are invariant
+    /// under the rayon worker-thread count, and the store holds no event
+    /// traces. The event streams of the same runs, traced from pools of
+    /// 1 and N threads, are byte-identical.
     #[test]
     fn campaign_traces_are_thread_count_invariant(
         seed in 1u64..200,
@@ -143,13 +163,30 @@ proptest! {
         let stats_n = exec::execute(&spec, &resolver, &store_n, 1, &opts_n, &Workers::InProcess).unwrap();
         prop_assert_eq!(stats_n, stats_1);
 
+        let runs = dir_files(&dir_1, "runs");
+        prop_assert_eq!(&runs, &dir_files(&dir_n, "runs"));
+        prop_assert_eq!(dir_files(&dir_1, "timeseries"), dir_files(&dir_n, "timeseries"));
+        let snapshots = runs
+            .values()
+            .filter(|b| String::from_utf8_lossy(b).contains("\"events_processed\""))
+            .count();
+        prop_assert_eq!(snapshots, runs.len(), "every simnet run stores its snapshot");
+        for d in [&dir_1, &dir_n] {
+            prop_assert!(!d.join("traces").exists(), "a campaign stores no traces");
+        }
+
+        let scenarios: Vec<Scenario> = exec::expand(&spec, &resolver)
+            .unwrap()
+            .into_iter()
+            .map(|u| u.scenario)
+            .collect();
+        let traces_1 = traces_in_pool(&scenarios, 1);
+        prop_assert!(traces_1.iter().all(|t| !t.is_empty()), "simnet runs trace events");
         prop_assert_eq!(
-            dir_files(&dir_1, "traces"),
-            dir_files(&dir_n, "traces"),
-            "trace artifacts depend on the thread count"
+            &traces_1,
+            &traces_in_pool(&scenarios, threads),
+            "event streams depend on the thread count"
         );
-        prop_assert_eq!(dir_files(&dir_1, "runs"), dir_files(&dir_n, "runs"));
-        prop_assert!(!dir_files(&dir_1, "traces").is_empty(), "simnet runs must leave traces");
 
         for d in [dir_1, dir_n] {
             let _ = std::fs::remove_dir_all(d);

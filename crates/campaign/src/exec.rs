@@ -6,8 +6,8 @@ use crate::spec::CampaignSpec;
 use crate::store::{run_hash, ResultStore, RunFailure, RunTiming, StoredRun};
 use crate::{CampaignError, Resolver};
 use ecp_scenario::{
-    grid, run_resolved_traced, run_resolved_with_sink, Axis, Param, ResolveCache, Scenario,
-    ScenarioReport, SpanSink,
+    grid, run_resolved_with_sink, Axis, JsonlSink, Param, ResolveCache, Scenario, ScenarioReport,
+    SpanSink,
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -101,12 +101,12 @@ pub struct ExecOptions {
     /// parent). Event *order* follows completion and is not
     /// deterministic; the stored artifacts are.
     pub progress: bool,
-    /// Execute runs through the span-profiled entry point and write a
+    /// Execute runs through a span-profiled counting sink and write a
     /// wall-time sidecar per run (`timings/<hash>.json`). Off by
     /// default: profiling reads the wall clock, so its outputs live
-    /// outside the deterministic `runs/` + `traces/` contract (span
-    /// lines are stripped from stored traces; reports are unaffected —
-    /// pinned by the scenario profiling-parity proptest).
+    /// outside the deterministic `runs/` + `timeseries/` contract; the
+    /// stored runs are unaffected (the snapshot is the unprofiled one,
+    /// and reports are pinned by the scenario profiling-parity proptest).
     pub profile: bool,
 }
 
@@ -230,6 +230,9 @@ impl std::fmt::Display for ExecStats {
 /// deduplicated by hash, cached results (those [`ResultStore::load`]
 /// reads) are skipped unless `force`, and each fresh result — report or
 /// typed scenario failure — is streamed to the store as it completes.
+/// Every run records into a counting [`JsonlSink`]: the stored run
+/// carries its [`TelemetrySnapshot`](ecp_scenario::TelemetrySnapshot),
+/// and no event line is formatted (`ecp run --trace` traces one run).
 /// The stats count what the runs returned. `(0, 1)` is the whole
 /// campaign; a subprocess worker runs its own `k` of `n`.
 pub fn run_shard(
@@ -288,28 +291,21 @@ pub fn run_shard(
                 }
                 let t_run = Instant::now();
                 let outcome = if opts.profile {
-                    let mut sink = SpanSink::new();
+                    let mut sink = SpanSink::counting();
                     resolve_cache
                         .resolve_with_sink(&u.scenario, &mut sink)
                         .and_then(|resolved| run_resolved_with_sink(&u.scenario, &resolved, sink))
-                        .map(|(r, mut trace, mut sink)| {
-                            // Span lines carry wall-clock durations;
-                            // strip them so the stored trace artifact
-                            // stays the deterministic event stream.
-                            trace.lines.retain(|l| !l.starts_with("{\"Span\""));
-                            (r, trace, sink.timing().top_phases(3))
-                        })
+                        .map(|(r, trace, mut sink)| (r, trace, sink.timing().top_phases(3)))
                 } else {
                     resolve_cache
                         .resolve(&u.scenario)
-                        .and_then(|resolved| run_resolved_traced(&u.scenario, &resolved))
-                        .map(|(r, trace)| (r, trace, Vec::new()))
+                        .and_then(|resolved| {
+                            run_resolved_with_sink(&u.scenario, &resolved, JsonlSink::counting())
+                        })
+                        .map(|(r, trace, _)| (r, trace, Vec::new()))
                 };
                 let (report, telemetry, failure, phases) = match outcome {
                     Ok((r, trace, phases)) => {
-                        if !trace.lines.is_empty() {
-                            store.save_trace(hash, &trace.lines)?;
-                        }
                         if let Some(ts) = &trace.timeseries {
                             store.save_timeseries(hash, ts)?;
                         }

@@ -16,6 +16,12 @@
 //!   change; stale files (salt mismatch) are treated as misses and
 //!   overwritten in place.
 //!
+//! Beside `runs/`, the store keeps `timeseries/<hash>.jsonl` for runs
+//! that ask for an observatory timeline and, for profiled campaigns,
+//! `timings/<hash>.json` wall-time sidecars. A run's telemetry is the
+//! counter snapshot inside its run file; the store holds no event
+//! trace (`ecp run <id> --trace FILE` traces a single run).
+//!
 //! Writes go through a unique temp file renamed into place, so
 //! concurrent writers of the same hash (two entries sharing a scenario,
 //! or a re-run racing a stale shard) are safe: both write identical
@@ -99,9 +105,10 @@ pub struct StoredRun {
     /// The failure, if it did not.
     #[serde(default)]
     pub failure: Option<RunFailure>,
-    /// Telemetry sidecar captured by the executor's traced run (simnet
-    /// engine only; `None` for other engines and failed runs). The full
-    /// event trace lives next door in `traces/<hash>.jsonl`.
+    /// Telemetry snapshot the executor's counting sink aggregated
+    /// (simnet engine only; `None` for other engines and failed runs):
+    /// the same snapshot a traced run of the scenario returns. The store
+    /// keeps no event trace.
     #[serde(default)]
     pub telemetry: Option<ecp_scenario::TelemetrySnapshot>,
 }
@@ -131,15 +138,12 @@ impl RunTiming {
 #[derive(Debug, Clone)]
 pub struct ResultStore {
     runs: PathBuf,
-    /// Sibling directory for per-run JSONL trace artifacts. Kept out of
-    /// `runs/` so report tooling can glob `runs/*.json` unambiguously.
-    traces: PathBuf,
     /// Sibling directory for [`RunTiming`] sidecars (profiled runs
     /// only). Not content-addressed-deterministic — see [`RunTiming`].
     timings: PathBuf,
     /// Sibling directory for campaign-observatory timeseries sidecars
-    /// (`metrics.timeseries` runs only). Byte-deterministic like
-    /// traces, but outside the run-hash contract.
+    /// (`metrics.timeseries` runs only). Byte-deterministic like run
+    /// files, but outside the run-hash contract.
     timeseries: PathBuf,
 }
 
@@ -174,9 +178,6 @@ impl ResultStore {
         let runs = output_dir.join("runs");
         std::fs::create_dir_all(&runs)
             .map_err(|e| CampaignError::Io(format!("create {}: {e}", runs.display())))?;
-        let traces = output_dir.join("traces");
-        std::fs::create_dir_all(&traces)
-            .map_err(|e| CampaignError::Io(format!("create {}: {e}", traces.display())))?;
         let timings = output_dir.join("timings");
         std::fs::create_dir_all(&timings)
             .map_err(|e| CampaignError::Io(format!("create {}: {e}", timings.display())))?;
@@ -185,7 +186,6 @@ impl ResultStore {
             .map_err(|e| CampaignError::Io(format!("create {}: {e}", timeseries.display())))?;
         Ok(ResultStore {
             runs,
-            traces,
             timings,
             timeseries,
         })
@@ -215,35 +215,6 @@ impl ResultStore {
         publish(&self.path(&run.hash), "run", |w| {
             w.write_all(body.as_bytes())
         })
-    }
-
-    /// The directory trace artifacts live in.
-    pub fn traces_dir(&self) -> &Path {
-        &self.traces
-    }
-
-    /// The file a run's trace artifact is stored at.
-    pub fn trace_path(&self, hash: &str) -> PathBuf {
-        self.traces.join(format!("{hash}.jsonl"))
-    }
-
-    /// Persist a run's JSONL trace (unique temp file + atomic rename —
-    /// same race discipline as [`ResultStore::save`]: traces are a pure
-    /// function of the run content, so concurrent writers publish
-    /// identical bytes).
-    pub fn save_trace(&self, hash: &str, lines: &[String]) -> Result<(), CampaignError> {
-        publish(&self.trace_path(hash), "trace", |w| {
-            lines.iter().try_for_each(|line| {
-                w.write_all(line.as_bytes())?;
-                w.write_all(b"\n")
-            })
-        })
-    }
-
-    /// Load a run's trace lines, if present.
-    pub fn load_trace(&self, hash: &str) -> Option<Vec<String>> {
-        let doc = std::fs::read_to_string(self.trace_path(hash)).ok()?;
-        Some(doc.lines().map(str::to_string).collect())
     }
 
     /// The file a run's timing sidecar is stored at.
@@ -278,8 +249,9 @@ impl ResultStore {
     }
 
     /// Persist a run's observatory timeseries (same temp-rename
-    /// discipline as traces: the sidecar is a pure function of the run
-    /// content, so concurrent writers publish identical bytes).
+    /// discipline as [`ResultStore::save`]: the sidecar is a pure
+    /// function of the run content, so concurrent writers publish
+    /// identical bytes).
     pub fn save_timeseries(
         &self,
         hash: &str,

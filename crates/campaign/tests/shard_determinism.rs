@@ -1,18 +1,20 @@
 //! Shard-layout invariance: executing a campaign in-process (one pass),
 //! as N in-process shards, or across N subprocess workers must leave
-//! byte-identical run files AND byte-identical trace/timeseries
-//! artifacts in the store, and produce byte-identical comparison
-//! summaries (including `report.html`). Plus cache/resume, torn-file
-//! and failure-recording behavior.
+//! byte-identical run files (each carrying its run's telemetry
+//! snapshot) AND byte-identical timeseries sidecars in the store, no
+//! event traces, and byte-identical comparison summaries (including
+//! `report.html`). Plus cache/resume, torn-file and failure-recording
+//! behavior.
 
 use ecp_campaign::{exec, report, CampaignSpec, EntrySpec, ResultStore, Workers, CODE_SALT};
 use ecp_scenario::{
-    EngineSpec, EventSpec, MatrixSpec, MetricsSpec, PairsSpec, Param, ScaleSpec, Scenario,
-    ScenarioBuilder,
+    resolve, run_resolved_traced, EngineSpec, EventSpec, MatrixSpec, MetricsSpec, PairsSpec, Param,
+    ScaleSpec, Scenario, ScenarioBuilder,
 };
 use ecp_topo::gen::TopoSpec;
 use ecp_traffic::{Program, Shape};
 use proptest::prelude::*;
+use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -98,19 +100,29 @@ fn store_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     out
 }
 
-/// Every trace artifact in a store, name → bytes.
-fn trace_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
-    let mut out = BTreeMap::new();
-    for entry in std::fs::read_dir(dir.join("traces")).expect("traces dir exists") {
-        let entry = entry.unwrap();
-        let name = entry.file_name().to_string_lossy().into_owned();
-        assert!(
-            name.ends_with(".jsonl"),
-            "no temp or stray files among traces, found {name}"
-        );
-        out.insert(name, std::fs::read(entry.path()).unwrap());
-    }
-    out
+/// Whether the store at `dir` holds an event-trace directory (campaigns
+/// store counter snapshots, never traces).
+fn has_traces(dir: &Path) -> bool {
+    dir.join("traces").exists()
+}
+
+/// The event trace of every run of `spec`, in expansion order, traced
+/// in a rayon pool of `threads` workers.
+fn traces_in_pool(spec: &CampaignSpec, threads: usize) -> Vec<Vec<String>> {
+    let units = exec::expand(spec, &no_registry).unwrap();
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .unwrap()
+        .install(|| {
+            units
+                .par_iter()
+                .map(|u| {
+                    let resolved = resolve(&u.scenario).unwrap();
+                    run_resolved_traced(&u.scenario, &resolved).unwrap().1.lines
+                })
+                .collect()
+        })
 }
 
 /// Every timeseries sidecar in a store, name → bytes.
@@ -203,12 +215,22 @@ proptest! {
         prop_assert_eq!(&files_a, &files_b, "in-process shard layouts diverged");
         prop_assert_eq!(&files_a, &files_c, "subprocess shards diverged");
 
-        // Trace artifacts are part of the layout-invariance contract
-        // too: one JSONL per simnet run, byte-identical everywhere.
-        let traces_a = trace_files(&dir_a);
-        prop_assert!(!traces_a.is_empty(), "simnet runs must leave traces");
-        prop_assert_eq!(&traces_a, &trace_files(&dir_b), "in-process trace artifacts diverged");
-        prop_assert_eq!(&traces_a, &trace_files(&dir_c), "subprocess trace artifacts diverged");
+        // The run files carry every run's telemetry snapshot, and no
+        // layout stores an event trace. The runs' event streams, traced
+        // from a pool of one thread and of `shards` threads, are
+        // byte-identical.
+        for (name, bytes) in &files_a {
+            prop_assert!(
+                String::from_utf8_lossy(bytes).contains("\"events_processed\""),
+                "run {} stores its telemetry snapshot", name
+            );
+        }
+        for d in [&dir_a, &dir_b, &dir_c] {
+            prop_assert!(!has_traces(d), "a campaign stores no traces");
+        }
+        let traces = traces_in_pool(&spec, 1);
+        prop_assert!(traces.iter().all(|t| !t.is_empty()), "simnet runs trace events");
+        prop_assert_eq!(&traces, &traces_in_pool(&spec, shards), "event streams diverged");
 
         // So are the observatory timeseries sidecars: one JSONL per
         // timeseries-enabled run, sampling t ∈ [0, 2] s at 0.5 s (5
@@ -253,9 +275,10 @@ fn rerun_serves_everything_from_cache() {
     assert_eq!(second.executed, 0, "second run must be a full cache hit");
     assert_eq!(second.cached, second.unique);
 
-    // --force recomputes but leaves identical bytes behind.
+    // --force recomputes but leaves identical bytes behind, and no
+    // event traces.
     let before = store_files(&dir);
-    let traces_before = trace_files(&dir);
+    assert!(!has_traces(&dir), "a campaign stores no traces");
     let ts_before = timeseries_files(&dir);
     assert!(
         !ts_before.is_empty(),
@@ -275,11 +298,7 @@ fn rerun_serves_everything_from_cache() {
         store_files(&dir),
         "forced rerun changed stored bytes"
     );
-    assert_eq!(
-        traces_before,
-        trace_files(&dir),
-        "forced rerun changed trace bytes"
-    );
+    assert!(!has_traces(&dir), "a forced rerun stores no traces");
     assert_eq!(
         ts_before,
         timeseries_files(&dir),

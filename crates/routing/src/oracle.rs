@@ -22,7 +22,9 @@
 //! inverse-capacity shortest path, so a [`FeasibilityOracle`] grows one
 //! shortest-path tree per origin, resolves each OD pair's route on it
 //! once, and every placement attempt and matrix it is asked about reads
-//! the route from there.
+//! the route from there. The deterministic placement order
+//! ([`placement_order`]) depends only on the matrix, so a caller that
+//! asks several oracles about one matrix computes it once.
 
 use crate::ospf::invcap_weight;
 use crate::routeset::RouteSet;
@@ -74,6 +76,22 @@ pub fn place_flows(
     FeasibilityOracle::new(topo, active, cfg).place(tm)
 }
 
+/// The oracle's deterministic placement order of `tm`'s demands, as
+/// indices into [`TrafficMatrix::demands`]: descending rate, then OD
+/// for ties. It depends only on the matrix.
+pub(crate) fn placement_order(tm: &TrafficMatrix) -> Vec<usize> {
+    let demands = tm.demands();
+    let mut order: Vec<usize> = (0..demands.len()).collect();
+    order.sort_by(|&a, &b| {
+        let (a, b) = (&demands[a], &demands[b]);
+        b.rate
+            .partial_cmp(&a.rate)
+            .unwrap()
+            .then_with(|| (a.origin, a.dst).cmp(&(b.origin, b.dst)))
+    });
+    order
+}
+
 /// Whether the whole of `tm`, twice over, fits into the usable capacity
 /// of every arc — true of the planner's ε-demand matrices.
 ///
@@ -119,10 +137,13 @@ type FirstRoutes = Box<[Option<Option<Span>>]>;
 /// It keeps what does not depend on the traffic: the margin-scaled
 /// capacities, the active-arc mask, one inverse-capacity shortest-path
 /// tree per origin and, per OD pair, the arcs of its first-choice route
-/// on that tree, each grown or resolved on first use. Its answers depend
-/// only on the subset and the matrix asked about: [`place`] answers
-/// exactly as [`place_flows`] would for the same inputs, and [`fits`]
-/// answers whether it would succeed.
+/// on that tree, each grown or resolved on first use. Per OD list it
+/// keeps each demand's first-choice route for the list it last resolved,
+/// and reuses them while the matrices asked about keep that list, as
+/// the intervals of a trace do. Its answers depend only on the subset
+/// and the matrix asked about: [`place`] answers exactly as
+/// [`place_flows`] would for the same inputs, and [`fits`] answers
+/// whether it would succeed.
 ///
 /// Both run one placement engine that holds routes as per-demand arc
 /// spans in reusable buffers; it allocates nothing once the buffers have
@@ -151,7 +172,9 @@ pub struct FeasibilityOracle<'t> {
     load: Vec<f64>,
     /// Arcs above 70 % of their usable capacity, for rip-up.
     hot: Vec<bool>,
-    /// Per demand of the current matrix: its first-choice route.
+    /// The OD list `demand_first` was resolved for, and per demand of
+    /// that list its first-choice route.
+    demand_od: Vec<(NodeId, NodeId)>,
     demand_first: Vec<Option<Span>>,
     /// Per demand: its route in the current attempt, if placed.
     routes: Vec<Option<Span>>,
@@ -182,6 +205,7 @@ impl<'t> FeasibilityOracle<'t> {
             scratch: Dijkstra::default(),
             load: Vec::new(),
             hot: Vec::new(),
+            demand_od: Vec::new(),
             demand_first: Vec::new(),
             routes: Vec::new(),
             order: Vec::new(),
@@ -193,7 +217,19 @@ impl<'t> FeasibilityOracle<'t> {
     /// Attempt to route all demands of `tm` within the margin. Returns
     /// the routing on success.
     pub fn place(&mut self, tm: &TrafficMatrix) -> Option<RouteSet> {
-        if !self.run(tm) {
+        self.place_in(tm, &placement_order(tm))
+    }
+
+    /// Whether [`FeasibilityOracle::place`] would route `tm`, without
+    /// building the routing.
+    pub fn fits(&mut self, tm: &TrafficMatrix) -> bool {
+        self.fits_in(tm, &placement_order(tm))
+    }
+
+    /// [`FeasibilityOracle::place`] with `tm`'s [`placement_order`]
+    /// computed by the caller.
+    pub(crate) fn place_in(&mut self, tm: &TrafficMatrix, order: &[usize]) -> Option<RouteSet> {
+        if !self.fits_in(tm, order) {
             return None;
         }
         let topo = self.topo;
@@ -205,39 +241,36 @@ impl<'t> FeasibilityOracle<'t> {
         Some(paths.collect())
     }
 
-    /// Whether [`FeasibilityOracle::place`] would route `tm`, without
-    /// building the routing.
-    pub fn fits(&mut self, tm: &TrafficMatrix) -> bool {
-        self.run(tm)
-    }
-
-    /// The placement engine: greedy placement in the deterministic
-    /// order, then in `restarts` shuffled ones. On success the winning
-    /// attempt's routes are left in `routes`.
-    fn run(&mut self, tm: &TrafficMatrix) -> bool {
+    /// [`FeasibilityOracle::fits`] with `tm`'s [`placement_order`]
+    /// computed by the caller: the placement engine. Greedy placement in
+    /// the deterministic `order`, then in `restarts` shuffled ones. On
+    /// success the winning attempt's routes are left in `routes`.
+    pub(crate) fn fits_in(&mut self, tm: &TrafficMatrix, order: &[usize]) -> bool {
         let demands = tm.demands();
         // Rip-up visits placed demands in index order, which must be the
         // OD-key order a `RouteSet` iterates in.
         debug_assert!(demands
             .windows(2)
             .all(|w| (w[0].origin, w[0].dst) < (w[1].origin, w[1].dst)));
+        debug_assert_eq!(order, placement_order(tm));
         self.arcs.truncate(self.resolved);
-        self.demand_first.clear();
-        for d in demands {
-            let first = self.first_choice(d.origin, d.dst);
-            self.demand_first.push(first);
+        let same_od = self.demand_od.len() == demands.len()
+            && demands
+                .iter()
+                .zip(&self.demand_od)
+                .all(|(d, &od)| (d.origin, d.dst) == od);
+        if !same_od {
+            self.demand_od.clear();
+            self.demand_first.clear();
+            for d in demands {
+                let first = self.first_choice(d.origin, d.dst);
+                self.demand_od.push((d.origin, d.dst));
+                self.demand_first.push(first);
+            }
+            self.resolved = self.arcs.len();
         }
-        self.resolved = self.arcs.len();
-        // Deterministic primary order: descending rate, then OD for ties.
         self.order.clear();
-        self.order.extend(0..demands.len());
-        self.order.sort_by(|&a, &b| {
-            let (a, b) = (&demands[a], &demands[b]);
-            b.rate
-                .partial_cmp(&a.rate)
-                .unwrap()
-                .then_with(|| (a.origin, a.dst).cmp(&(b.origin, b.dst)))
-        });
+        self.order.extend_from_slice(order);
         if self.attempt(demands) {
             return true;
         }
@@ -350,8 +383,8 @@ impl<'t> FeasibilityOracle<'t> {
                 1.0 + load[i] / cap[i].max(1e-9)
             }
         };
-        // A dark origin's arcs are all off, so its tree stays empty.
-        self.scratch.grow(topo, d.origin, true, w);
+        // A dark origin's arcs are all off, so `d.dst` stays unreached.
+        self.scratch.grow_to(topo, d.origin, d.dst, w);
         let start = self.arcs.len();
         self.scratch
             .path_arcs(topo, d.origin, d.dst, &mut self.arcs)

@@ -20,12 +20,15 @@
 //!   ensemble over several orderings. DESIGN.md documents this
 //!   substitution.
 //!
-//! [`greedy_prune`] and [`optimal_subset`] bind a fresh feasibility
-//! oracle for each subset they probe. A [`SubsetSolver`] runs the same
-//! two solvers but keeps one oracle per probed subset for as long as it
-//! lives, for callers that solve a whole trace on one network.
+//! [`greedy_prune`] and [`optimal_subset`] check each subset they probe
+//! afresh: a connectivity search and a fresh feasibility oracle. A
+//! [`SubsetSolver`] runs the same two solvers but keeps, per probed
+//! subset, its connectivity and its oracle for as long as it lives, for
+//! callers that solve a whole trace on one network.
 
-use crate::oracle::{fits_every_arc, place_flows, FeasibilityOracle, OracleConfig};
+use crate::oracle::{
+    fits_every_arc, place_flows, placement_order, FeasibilityOracle, OracleConfig,
+};
 use crate::routeset::RouteSet;
 use ecp_power::PowerModel;
 use ecp_topo::algo::is_connected;
@@ -71,12 +74,51 @@ fn required_nodes(tm: &TrafficMatrix) -> Vec<NodeId> {
     v
 }
 
+/// What a greedy pass needs of its matrix whatever the subset, computed
+/// once per pass instead of once per candidate.
+struct Prepared<'m> {
+    tm: &'m TrafficMatrix,
+    /// The oracle's placement order of the demands.
+    order: Vec<usize>,
+    /// The endpoints every kept subset must connect.
+    required: Vec<NodeId>,
+    /// Whether the matrix cannot congest any arc, so that connectivity
+    /// alone decides its candidates.
+    light: bool,
+}
+
+impl<'m> Prepared<'m> {
+    fn new(topo: &Topology, tm: &'m TrafficMatrix, cfg: &OracleConfig) -> Self {
+        Prepared {
+            tm,
+            order: placement_order(tm),
+            required: required_nodes(tm),
+            light: fits_every_arc(topo, tm, cfg),
+        }
+    }
+}
+
+/// What is known of one subset: whether it connects the required
+/// nodes, and its bound oracle, each found on first use.
+#[derive(Default)]
+struct Probe<'t> {
+    connected: Option<bool>,
+    oracle: Option<FeasibilityOracle<'t>>,
+}
+
+/// A held solver's probes, one per subset asked about.
+struct Kept<'t> {
+    /// The required nodes the probes' connectivity holds for.
+    required: Vec<NodeId>,
+    probes: HashMap<ActiveSet, Probe<'t>>,
+}
+
 /// Greedy power-down: start from the full network and switch off
 /// routers, then links, most-power-hungry first, keeping every tentative
 /// configuration multi-commodity feasible.
 ///
-/// Binds a fresh oracle for every subset it asks about; to prune many
-/// matrices on one network, hold a [`SubsetSolver`].
+/// Checks every subset it asks about afresh; to prune many matrices on
+/// one network, hold a [`SubsetSolver`].
 pub fn greedy_prune(
     topo: &Topology,
     power: &PowerModel,
@@ -90,28 +132,44 @@ pub fn greedy_prune(
 /// The minimal-subset solvers bound to one topology, power model and
 /// oracle configuration.
 ///
-/// A solver made with [`SubsetSolver::new`] keeps the bound
-/// [`FeasibilityOracle`] of every active subset it has asked about, keyed
-/// by exact [`ActiveSet`] equality, for as long as it lives. A trace
-/// replay asks about the same few subsets interval after interval, so
-/// holding one solver for the whole trace grows each subset's trees and
-/// resolves its routes once. An oracle's answer depends only on the
-/// subset and the matrix, so a held solver returns exactly what the
-/// one-shot [`optimal_subset`] and [`greedy_prune`] return; those bind a
-/// fresh oracle per subset and drop it.
+/// Work is done once at the level it depends on:
+///
+/// * **Per greedy pass** — the oracle's placement order, the endpoints
+///   that must stay connected, and whether the matrix is too light to
+///   congest an arc, shared by every candidate of the pass.
+/// * **Per subset** — a solver made with [`SubsetSolver::new`] keeps, for
+///   every active subset it has asked about (keyed by exact [`ActiveSet`]
+///   equality), whether the subset connects the matrix's endpoints and
+///   the subset's bound [`FeasibilityOracle`], for as long as it lives.
+///   The connectivity holds for one endpoint set and is forgotten when a
+///   matrix with other endpoints arrives; the oracles stay. Each oracle
+///   in turn keeps its first-choice routes per OD list.
+///
+/// A trace replay asks about the same few subsets interval after
+/// interval with the same OD pairs, so holding one solver for the whole
+/// trace searches each subset's connectivity once, grows its trees and
+/// resolves its routes once. The answers depend only on the subset and
+/// the matrix, so a held solver returns exactly what the one-shot
+/// [`optimal_subset`] and [`greedy_prune`] return; those keep nothing
+/// per subset.
 pub struct SubsetSolver<'t> {
     topo: &'t Topology,
     power: &'t PowerModel,
     cfg: OracleConfig,
-    /// The oracle of every subset asked about; `None` for one-shot use.
-    oracles: Option<HashMap<ActiveSet, FeasibilityOracle<'t>>>,
+    /// What is known of every subset asked about; `None` for one-shot
+    /// use.
+    kept: Option<Kept<'t>>,
 }
 
 impl<'t> SubsetSolver<'t> {
-    /// A solver that keeps one oracle per subset it asks about.
+    /// A solver that keeps what it learns about each subset it asks
+    /// about.
     pub fn new(topo: &'t Topology, power: &'t PowerModel, oracle: &OracleConfig) -> Self {
         SubsetSolver {
-            oracles: Some(HashMap::new()),
+            kept: Some(Kept {
+                required: Vec::new(),
+                probes: HashMap::new(),
+            }),
             ..Self::one_shot(topo, power, oracle)
         }
     }
@@ -121,26 +179,64 @@ impl<'t> SubsetSolver<'t> {
             topo,
             power,
             cfg: *oracle,
-            oracles: None,
+            kept: None,
         }
     }
 
-    /// Number of subsets whose oracle the solver holds.
+    /// Number of subsets the solver keeps state for.
     pub fn subsets(&self) -> usize {
-        self.oracles.as_ref().map_or(0, HashMap::len)
+        self.kept.as_ref().map_or(0, |k| k.probes.len())
     }
 
-    /// Ask the oracle bound to `active`.
-    fn ask<R>(&mut self, active: &ActiveSet, f: impl FnOnce(&mut FeasibilityOracle<'t>) -> R) -> R {
-        let (topo, cfg) = (self.topo, &self.cfg);
-        let bind = || FeasibilityOracle::new(topo, Some(active), cfg);
-        match &mut self.oracles {
-            None => f(&mut bind()),
-            Some(kept) => match kept.get_mut(active) {
-                Some(oracle) => f(oracle),
-                None => f(kept.entry(active.clone()).or_insert_with(bind)),
+    /// Run `f` on the probe of `active`: the kept one for a held solver,
+    /// a fresh one otherwise.
+    fn probe<R>(&mut self, active: &ActiveSet, f: impl FnOnce(&mut Probe<'t>) -> R) -> R {
+        match &mut self.kept {
+            None => f(&mut Probe::default()),
+            Some(kept) => match kept.probes.get_mut(active) {
+                Some(probe) => f(probe),
+                None => f(kept.probes.entry(active.clone()).or_default()),
             },
         }
+    }
+
+    /// Place `m` on `active`.
+    fn place(&mut self, m: &Prepared, active: &ActiveSet) -> Option<RouteSet> {
+        let (topo, cfg) = (self.topo, self.cfg);
+        self.probe(active, |p| {
+            p.oracle
+                .get_or_insert_with(|| FeasibilityOracle::new(topo, Some(active), &cfg))
+                .place_in(m.tm, &m.order)
+        })
+    }
+
+    /// Whether a greedy pass keeps `tentative`: it connects `m`'s
+    /// endpoints and `m` fits on it.
+    fn keeps(&mut self, m: &Prepared, tentative: &ActiveSet) -> bool {
+        let (topo, cfg) = (self.topo, self.cfg);
+        self.probe(tentative, |p| {
+            *p.connected
+                .get_or_insert_with(|| is_connected(topo, &m.required, Some(tentative)))
+                && (m.light
+                    || p.oracle
+                        .get_or_insert_with(|| FeasibilityOracle::new(topo, Some(tentative), &cfg))
+                        .fits_in(m.tm, &m.order))
+        })
+    }
+
+    /// Prepare `tm` for pruning; a held solver forgets the connectivity
+    /// it knows when `tm`'s endpoints differ from the last matrix's.
+    fn prepare<'m>(&mut self, tm: &'m TrafficMatrix) -> Prepared<'m> {
+        let m = Prepared::new(self.topo, tm, &self.cfg);
+        if let Some(kept) = &mut self.kept {
+            if kept.required != m.required {
+                kept.required.clone_from(&m.required);
+                for probe in kept.probes.values_mut() {
+                    probe.connected = None;
+                }
+            }
+        }
+        m
     }
 
     /// The reproduction's "optimal" subset for `tm`, as
@@ -185,18 +281,15 @@ impl<'t> SubsetSolver<'t> {
     /// on the subset it keeps.
     pub fn greedy_prune(&mut self, tm: &TrafficMatrix, order: PruneOrder) -> Option<SubsetResult> {
         let (topo, power) = (self.topo, self.power);
+        let m = &self.prepare(tm);
         let mut active = ActiveSet::all_on(topo);
-        let mut routes = self.ask(&active, |o| o.place(tm))?;
-        let required = required_nodes(tm);
-        let light = fits_every_arc(topo, tm, &self.cfg);
-        let keeps = |solver: &mut Self, tentative: &ActiveSet| {
-            is_connected(topo, &required, Some(tentative))
-                && (light || solver.ask(tentative, |o| o.fits(tm)))
-        };
+        let mut routes = self.place(m, &active)?;
 
         // ---- Router pass -------------------------------------------------
-        let mut node_candidates: Vec<NodeId> =
-            topo.node_ids().filter(|n| !required.contains(n)).collect();
+        let mut node_candidates: Vec<NodeId> = topo
+            .node_ids()
+            .filter(|n| !m.required.contains(n))
+            .collect();
         let node_power = |n: NodeId| -> f64 {
             power.chassis(topo, n)
                 + topo
@@ -226,11 +319,11 @@ impl<'t> SubsetSolver<'t> {
         for n in node_candidates {
             let mut tentative = active.clone();
             tentative.set_node(n, false);
-            if keeps(self, &tentative) {
+            if self.keeps(m, &tentative) {
                 active = tentative;
             }
         }
-        routes = self.ask(&active, |o| o.place(tm))?;
+        routes = self.place(m, &active)?;
 
         // ---- Link pass ----------------------------------------------------
         let mut link_candidates: Vec<ArcId> = topo
@@ -261,11 +354,11 @@ impl<'t> SubsetSolver<'t> {
         for l in link_candidates {
             let mut tentative = active.clone();
             tentative.set_link(topo, l, false);
-            if keeps(self, &tentative) {
+            if self.keeps(m, &tentative) {
                 active = tentative;
             }
         }
-        routes = self.ask(&active, |o| o.place(tm))?;
+        routes = self.place(m, &active)?;
 
         active.prune_isolated_nodes(topo);
         let power_w = power.network_power(topo, &active);
@@ -421,8 +514,8 @@ pub fn exact_small_subset(
 /// otherwise best-of-ensemble greedy pruning (power-descending,
 /// load-ascending, and two seeded random orders).
 ///
-/// Binds a fresh oracle for every subset it asks about; to solve many
-/// matrices on one network, hold a [`SubsetSolver`].
+/// Checks every subset it asks about afresh; to solve many matrices on
+/// one network, hold a [`SubsetSolver`].
 pub fn optimal_subset(
     topo: &Topology,
     power: &PowerModel,
@@ -435,7 +528,7 @@ pub fn optimal_subset(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecp_topo::gen::{fig3, geant, ring};
+    use ecp_topo::gen::{fig3, geant, line, ring};
     use ecp_topo::{NodeId, MBPS, MS};
     use ecp_traffic::{gravity_matrix, random_od_pairs, Demand};
 
@@ -620,6 +713,24 @@ mod tests {
             assert_eq!(r.active, fresh.active);
             assert_eq!(r.routes, fresh.routes);
             assert_eq!(r.power_w.to_bits(), fresh.power_w.to_bits());
+        }
+    }
+
+    #[test]
+    fn held_solver_forgets_connectivity_for_new_endpoints() {
+        // On the line 0-1-2-3-4, switching off router 2 cuts 0 from 4 but
+        // not from 1: the same subset must be asked about afresh once the
+        // endpoints change.
+        let t = line(5, 10.0 * MBPS, MS);
+        let pm = PowerModel::cisco12000();
+        let oc = OracleConfig::default();
+        let mut solver = SubsetSolver::new(&t, &pm, &oc);
+        for (m, nodes) in [(tm(&[(0, 4, 1e6)]), 5), (tm(&[(0, 1, 1e6)]), 2)] {
+            let held = solver.greedy_prune(&m, PruneOrder::PowerDesc).unwrap();
+            let fresh = greedy_prune(&t, &pm, &m, &oc, PruneOrder::PowerDesc).unwrap();
+            assert_eq!(held.active, fresh.active);
+            assert_eq!(held.routes, fresh.routes);
+            assert_eq!(held.active.nodes_on_count(), nodes);
         }
     }
 

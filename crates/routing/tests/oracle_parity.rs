@@ -367,18 +367,27 @@ proptest! {
     }
 
     /// One bound oracle asked about a sequence of matrices answers each
-    /// as a fresh reference would: trees kept between calls never leak
-    /// one matrix's state into the next.
+    /// as a fresh reference would: trees and first-choice routes kept
+    /// between calls never leak one matrix's state into the next, also
+    /// when the next matrix has as many demands on other OD pairs (the
+    /// reversed matrix).
     #[test]
     fn bound_oracle_matches_reference_across_calls(n in 3usize..14, seed in 0u64..100_000) {
         let Instance { topo, active, tm } = instance(n, seed, 10.0);
+        let reversed = TrafficMatrix::new(
+            tm.demands()
+                .iter()
+                .map(|d| Demand { origin: d.dst, dst: d.origin, rate: d.rate })
+                .collect(),
+        );
+        prop_assert_eq!(reversed.len(), tm.len());
         let cfg = OracleConfig::default();
         let mut oracle = FeasibilityOracle::new(&topo, active.as_ref(), &cfg);
-        for factor in [4.0, 0.25, 1.0, 8.0, 0.5] {
-            let m = tm.scaled(factor);
-            let placed = oracle.place(&m);
-            prop_assert_eq!(oracle.fits(&m), placed.is_some());
-            prop_assert_eq!(placed, reference_place(&topo, active.as_ref(), &m, &cfg));
+        let scaled = [4.0, 0.25, 1.0, 8.0, 0.5].map(|f| tm.scaled(f));
+        for m in scaled.iter().chain([&reversed, &tm, &reversed.scaled(2.0)]) {
+            let placed = oracle.place(m);
+            prop_assert_eq!(oracle.fits(m), placed.is_some());
+            prop_assert_eq!(placed, reference_place(&topo, active.as_ref(), m, &cfg));
         }
     }
 
@@ -463,4 +472,53 @@ proptest! {
             }
         }
     }
+}
+
+/// One solver held over twelve peak-hour intervals of the Fig. 1b GÉANT
+/// trace (80 gravity pairs, seed 1, peaking at half the maximum feasible
+/// volume) answers every interval exactly as the one-shot solvers do,
+/// through `optimal` and through a PowerDesc `greedy_prune`. The cut
+/// holds intervals where the oracle refuses a connected candidate, so
+/// kept oracles and kept connectivity are both exercised on refusals.
+#[test]
+fn held_solver_matches_one_shot_over_a_geant_trace() {
+    let topo = ecp_topo::gen::geant();
+    let pairs = ecp_traffic::random_od_pairs(&topo, 80, 1);
+    let cfg = OracleConfig::default();
+    let peak = max_feasible_volume(&topo, &pairs, &cfg) * 0.5;
+    let trace = ecp_traffic::geant_like_trace(&topo, &pairs, 2, peak, 1);
+    let busiest = (0..trace.matrices.len())
+        .max_by(|&a, &b| {
+            let total = |i: usize| trace.matrices[i].total();
+            total(a).total_cmp(&total(b))
+        })
+        .unwrap();
+    let start = busiest.saturating_sub(6).min(trace.matrices.len() - 12);
+    let cut = &trace.matrices[start..start + 12];
+
+    let pm = PowerModel::cisco12000();
+    let mut solver = SubsetSolver::new(&topo, &pm, &cfg);
+    let mut refusals = 0;
+    for m in cut {
+        let fresh = optimal_subset(&topo, &pm, m, &cfg);
+        same_subset(solver.optimal(m), fresh).unwrap();
+        let fresh = greedy_prune(&topo, &pm, m, &cfg, PruneOrder::PowerDesc);
+        let held = solver.greedy_prune(m, PruneOrder::PowerDesc);
+        // A link the pass kept although dropping it leaves the endpoints
+        // connected was refused by the oracle (connectivity only shrinks
+        // as the pass goes on).
+        let kept = held.as_ref().expect("every interval of the cut prunes");
+        let required: Vec<NodeId> = m.od_pairs().into_iter().flat_map(|(o, d)| [o, d]).collect();
+        refusals += topo
+            .link_ids()
+            .filter(|&l| kept.active.arc_on(&topo, l))
+            .filter(|&l| {
+                let mut without = kept.active.clone();
+                without.set_link(&topo, l, false);
+                ecp_topo::algo::is_connected(&topo, &required, Some(&without))
+            })
+            .count();
+        same_subset(held, fresh).unwrap();
+    }
+    assert!(refusals > 0, "the cut must include refused candidates");
 }

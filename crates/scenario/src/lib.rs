@@ -98,7 +98,9 @@ pub mod sweep;
 
 pub use ecp_simnet::TelemetrySnapshot;
 pub use ecp_simnet::TimeseriesPoint;
-pub use ecp_simnet::{Clock, FakeClock, MonoClock, SpanSink, SpanTiming, TimingSnapshot};
+pub use ecp_simnet::{
+    Clock, FakeClock, JsonlSink, MonoClock, SpanSink, SpanTiming, TimingSnapshot,
+};
 pub use error::ScenarioError;
 pub use run::{
     resolution_key, resolve, resolve_with_sink, run_resolved, run_resolved_profiled,

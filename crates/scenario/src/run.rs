@@ -509,7 +509,8 @@ impl ResolveCache {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceOutput {
     /// JSONL trace lines in emission order. Engines other than simnet
-    /// record profiling `Span` lines at most.
+    /// record profiling `Span` lines at most, and a counting sink
+    /// (`JsonlSink::counting`) records none.
     pub lines: Vec<String>,
     /// Aggregated snapshot; `None` for engines without tracing.
     pub snapshot: Option<TelemetrySnapshot>,
@@ -633,8 +634,9 @@ pub fn run_resolved_profiled(
 /// Run a scenario against an already-resolved context, recording into
 /// `sink` — the one run path behind every other entry point. The sink
 /// type selects what is observed: [`NoopSink`] compiles every
-/// instrumentation site out, a [`JsonlSink`] captures the event trace,
-/// and a [`SpanSink`] adds profiling spans: the oracle probe (when the
+/// instrumentation site out, a [`JsonlSink`] captures the event trace
+/// (a counting one, [`JsonlSink::counting`], only the snapshot), and a
+/// [`SpanSink`] adds profiling spans: the oracle probe (when the
 /// traffic scale needs it) under `resolve_oracle` and the run under
 /// `scenario_run`. Only the simnet engine is instrumented inside, so
 /// the other engines' traces hold span lines at most and no snapshot.

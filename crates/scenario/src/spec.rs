@@ -1143,7 +1143,11 @@ impl Scenario {
     /// every level a shape carries must be finite and ≥ 0, in the
     /// global program and in each per-flow program: a negative or NaN
     /// volume panics in the gravity split, and an infinite one yields
-    /// NaN delivered fractions.
+    /// NaN delivered fractions. The shape's timings must be finite and
+    /// positive: `Steps.step_s`, `Sine.period_s`, and the `interval_s`
+    /// of every segment sampled at it (`Sine`, `Diurnal`, `Ramp`,
+    /// `FlashCrowd`). A zero step or interval samples the segment
+    /// without end, and a negative or NaN one silently changes the load.
     pub fn validate_traffic(&self) -> Result<(), String> {
         let (field, v) = match self.traffic.scale {
             ScaleSpec::MaxFeasibleFraction { fraction } => ("fraction", fraction),
@@ -1175,6 +1179,19 @@ impl Scenario {
                 };
                 for (field, v) in levels {
                     non_negative(&at(&field), v)?;
+                }
+                let timings = match seg.shape {
+                    Shape::Constant { .. } => vec![],
+                    Shape::Steps { step_s, .. } => vec![("step_s", step_s)],
+                    Shape::Sine { period_s, .. } => {
+                        vec![("period_s", period_s), ("interval_s", seg.interval_s)]
+                    }
+                    Shape::Diurnal { .. } | Shape::Ramp { .. } | Shape::FlashCrowd { .. } => {
+                        vec![("interval_s", seg.interval_s)]
+                    }
+                };
+                for (field, v) in timings {
+                    finite_in(&at(field), v, "> 0", |v| v > 0.0)?;
                 }
             }
         }

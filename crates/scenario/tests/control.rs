@@ -414,6 +414,92 @@ fn degenerate_ramp_to_is_invalid() {
     });
 }
 
+/// Shape timings the sampler cannot use: zero (it would sample the
+/// segment without end), negative, NaN or infinite.
+const BAD_TIMINGS: [f64; 5] = [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+/// Every bad timing of one shape field is rejected on both bases.
+fn assert_timing_rejected(field: &str, set: impl Fn(&mut Scenario, f64)) {
+    let bases = [base(ControlSpec::Undamped), replay_base()];
+    assert_rejected_on(&bases, field, &BAD_TIMINGS, set);
+}
+
+#[test]
+fn degenerate_step_length_is_invalid() {
+    assert_timing_rejected("traffic.program.segments[0].step_s", |s, v| {
+        s.traffic.program.segments[0].shape = Shape::Steps {
+            levels: vec![0.5, 1.2],
+            step_s: v,
+        }
+    });
+}
+
+#[test]
+fn degenerate_sine_period_is_invalid() {
+    assert_timing_rejected("traffic.program.segments[0].period_s", |s, v| {
+        let (lo, hi) = (0.1, 1.0);
+        one_segment(
+            s,
+            Shape::Sine {
+                period_s: v,
+                lo,
+                hi,
+            },
+        )
+    });
+}
+
+/// Every shape sampled at its segment's `interval_s` rejects a bad one;
+/// the step-wise shapes ignore it, so any value runs.
+#[test]
+fn degenerate_sampling_interval_is_invalid() {
+    let sampled = [
+        Shape::Sine {
+            period_s: 3.0,
+            lo: 0.1,
+            hi: 1.0,
+        },
+        Shape::Diurnal {
+            peak: 1.0,
+            night: 0.3,
+        },
+        Shape::Ramp { from: 0.2, to: 1.0 },
+        flash_crowd(0.3, 1.0),
+    ];
+    for shape in sampled {
+        assert_timing_rejected("traffic.program.segments[0].interval_s", |s, v| {
+            one_segment(s, shape.clone());
+            s.traffic.program.segments[0].interval_s = v;
+        });
+    }
+    for shape in [
+        Shape::Constant { level: 1.0 },
+        Shape::Steps {
+            levels: vec![0.5, 1.2],
+            step_s: 1.5,
+        },
+    ] {
+        let mut s = base(ControlSpec::Undamped);
+        one_segment(&mut s, shape);
+        s.traffic.program.segments[0].interval_s = 0.0;
+        assert!(run_scenario(&s).is_ok());
+    }
+}
+
+#[test]
+fn degenerate_per_flow_shape_timing_is_invalid() {
+    assert_timing_rejected("traffic.per_flow[0].program.segments[0].step_s", |s, v| {
+        let steps = Shape::Steps {
+            levels: vec![1.0, 0.5],
+            step_s: v,
+        };
+        s.traffic.per_flow = vec![FlowProgram {
+            flow: 0,
+            program: Program::from_shape(6.0, 1.0, steps),
+        }]
+    });
+}
+
 /// A flash crowd from `base` to `peak` inside the 6 s program.
 fn flash_crowd(base: f64, peak: f64) -> Shape {
     Shape::FlashCrowd {

@@ -18,6 +18,8 @@
 //!   simulation is single-threaded per run and events are emitted in
 //!   event order) and aggregates [`Counter`]s / [`Hist`]ograms into a
 //!   [`TelemetrySnapshot`] for embedding in reports.
+//!   [`JsonlSink::counting`] aggregates the same snapshot and formats no
+//!   line (what campaigns record).
 //! * [`alloc_count`] — a counting global allocator. It counts nothing
 //!   unless a binary installs it; the `decision_allocs` test of
 //!   `ecp-bench` does, to pin the decision path at zero allocations.
@@ -659,9 +661,12 @@ impl HistState {
 
 /// A recording sink: serializes every event to one deterministic JSON
 /// line and aggregates counters, histograms, and settling statistics.
+/// A counting sink ([`JsonlSink::counting`]) aggregates exactly the same
+/// and formats no line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JsonlSink {
-    lines: Vec<String>,
+    /// The recorded lines; `None` for a counting sink.
+    lines: Option<Vec<String>>,
     /// Formatting buffer reused by every line; empty between lines.
     buf: String,
     events: u64,
@@ -676,7 +681,7 @@ impl JsonlSink {
     /// Empty sink.
     pub fn new() -> Self {
         JsonlSink {
-            lines: Vec::new(),
+            lines: Some(Vec::new()),
             buf: String::new(),
             events: 0,
             counters: [0; Counter::ALL.len()],
@@ -687,9 +692,24 @@ impl JsonlSink {
         }
     }
 
-    /// Recorded JSON lines, in emission order.
+    /// Empty sink that keeps the aggregates of [`JsonlSink::new`] and
+    /// formats no line: its [`TelemetrySink::snapshot`] equals a line
+    /// sink's over the same events, and it records no lines.
+    pub fn counting() -> Self {
+        JsonlSink {
+            lines: None,
+            ..JsonlSink::new()
+        }
+    }
+
+    /// Recorded JSON lines, in emission order (none for a counting sink).
     pub fn lines(&self) -> &[String] {
-        &self.lines
+        self.lines.as_deref().unwrap_or_default()
+    }
+
+    /// Whether the sink formats lines: false for a counting sink.
+    pub(crate) fn records_lines(&self) -> bool {
+        self.lines.is_some()
     }
 
     /// Current value of one counter.
@@ -698,11 +718,13 @@ impl JsonlSink {
     }
 
     /// Append `ev` as one JSON line, formatted in the reused buffer and
-    /// stored at its exact size.
+    /// stored at its exact size. A counting sink formats nothing.
     pub(crate) fn push_line(&mut self, ev: &TelemetryEvent) {
-        ev.write_json(&mut JsonWriter::compact(&mut self.buf));
-        self.lines.push(self.buf.as_str().into());
-        self.buf.clear();
+        if let Some(lines) = &mut self.lines {
+            ev.write_json(&mut JsonWriter::compact(&mut self.buf));
+            lines.push(self.buf.as_str().into());
+            self.buf.clear();
+        }
     }
 }
 
@@ -767,7 +789,7 @@ impl TelemetrySink for JsonlSink {
     }
 
     fn take_lines(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.lines)
+        self.lines.as_mut().map(std::mem::take).unwrap_or_default()
     }
 }
 
@@ -838,6 +860,29 @@ mod tests {
         let snap = s.snapshot().unwrap();
         assert_eq!(snap.peak_overloaded_arcs, 5);
         assert!((snap.peak_max_util - 0.8).abs() < 1e-12);
+    }
+
+    #[test]
+    fn counting_sink_aggregates_like_a_line_sink_and_formats_nothing() {
+        let mut lines = JsonlSink::new();
+        let mut counting = JsonlSink::counting();
+        for s in [&mut lines, &mut counting] {
+            s.emit(&round(1.0, 2));
+            s.emit(&TelemetryEvent::ArcLoads {
+                t: 1.0,
+                max_util: 0.9,
+                mean_util: 0.4,
+                overloaded: 3,
+            });
+            s.emit(&round(2.0, 0));
+            s.add(Counter::AgentDecisions, 8);
+            s.observe(Hist::IdleDrainS, 0.7);
+        }
+        assert_eq!(counting.snapshot(), lines.snapshot());
+        assert_eq!(lines.lines().len(), 3);
+        assert!(counting.lines().is_empty());
+        assert!(counting.take_lines().is_empty());
+        assert!(counting.buf.is_empty() && counting.buf.capacity() == 0);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   aggregation, so the embedded [`TelemetrySnapshot`] is identical
 //!   to an unprofiled traced run. The per-agent spans
 //!   ([`SpanName::writes_line`] is false) write no line; like every
-//!   span they are counted and timed in the [`TimingSnapshot`].
+//!   span they are counted and timed in the [`TimingSnapshot`]. Over a
+//!   counting sink ([`SpanSink::counting`]) no span writes a line.
 //! * [`TimingSnapshot`] — per-span count / total / self time plus
 //!   p50/p95/p99 interpolated from fixed log-spaced duration buckets.
 //!
@@ -215,6 +216,13 @@ impl SpanSink<MonoClock> {
     pub fn new() -> Self {
         SpanSink::with_clock(MonoClock::default())
     }
+
+    /// Profiling sink on the monotonic wall clock over a counting
+    /// [`JsonlSink`]: the same snapshot and timing as [`SpanSink::new`],
+    /// and no event or `Span` line is formatted.
+    pub fn counting() -> Self {
+        SpanSink::wrapping(MonoClock::default(), JsonlSink::counting())
+    }
 }
 
 impl Default for SpanSink<MonoClock> {
@@ -225,10 +233,14 @@ impl Default for SpanSink<MonoClock> {
 
 impl<C: Clock> SpanSink<C> {
     /// Profiling sink on an explicit clock (e.g. [`FakeClock`]).
-    pub fn with_clock(mut clock: C) -> Self {
+    pub fn with_clock(clock: C) -> Self {
+        SpanSink::wrapping(clock, JsonlSink::new())
+    }
+
+    fn wrapping(mut clock: C, inner: JsonlSink) -> Self {
         let origin_s = clock.now_s();
         SpanSink {
-            inner: JsonlSink::new(),
+            inner,
             clock,
             origin_s,
             last_t: 0.0,
@@ -299,7 +311,7 @@ impl<C: Clock> TelemetrySink for SpanSink<C> {
             parent.child_s += dur_s;
         }
         self.stats[frame.name.index()].observe(dur_s, self_s);
-        if !frame.name.writes_line() {
+        if !frame.name.writes_line() || !self.inner.records_lines() {
             return;
         }
         let ev = TelemetryEvent::Span {
@@ -417,6 +429,29 @@ mod tests {
             let span = timing.span(name).unwrap();
             assert_eq!((span.count, span.total_s), (1, 1.0));
         }
+    }
+
+    #[test]
+    fn counting_span_sink_times_spans_without_lines() {
+        let run = |mut s: SpanSink<FakeClock>| {
+            s.span_enter(SpanName::EventDrain);
+            s.emit(&TelemetryEvent::ArcLoads {
+                t: 2.0,
+                max_util: 0.5,
+                mean_util: 0.2,
+                overloaded: 1,
+            });
+            s.span_exit(SpanName::EventDrain);
+            let lines = s.take_lines();
+            (s.snapshot(), s.timing(), lines)
+        };
+        let (snap, timing, lines) = run(SpanSink::with_clock(FakeClock::new(1.0)));
+        let counting = SpanSink::wrapping(FakeClock::new(1.0), JsonlSink::counting());
+        let (snap_c, timing_c, lines_c) = run(counting);
+        assert_eq!(lines.len(), 2);
+        assert!(lines_c.is_empty());
+        assert_eq!(snap_c, snap);
+        assert_eq!(timing_c, timing);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 use crate::graph::{ArcId, NodeId, Topology};
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 
 /// The power state of every router and link in a topology.
 ///
@@ -19,12 +20,30 @@ use serde::{Deserialize, Serialize};
 /// exactly, so a set can key a cache of per-subset state; routing
 /// *configurations* are counted by the canonical signature
 /// ([`ActiveSet::signature`]) in the Fig. 2a analysis.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ActiveSet {
     nodes_on: Vec<bool>,
     /// Indexed by canonical link id (arc id of the canonical direction);
     /// non-canonical slots are unused but kept for O(1) indexing.
     links_on: Vec<bool>,
+}
+
+/// Feeds each bit-vector's length and its bits packed 64 to a word:
+/// equal sets (the derived `Eq`) write equal words, with one hasher call
+/// per word instead of one per bit.
+impl Hash for ActiveSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for bits in [&self.nodes_on, &self.links_on] {
+            state.write_usize(bits.len());
+            for word in bits.chunks(64) {
+                let packed = word
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |w, (i, &b)| w | (b as u64) << i);
+                state.write_u64(packed);
+            }
+        }
+    }
 }
 
 impl ActiveSet {

@@ -90,6 +90,31 @@ impl Dijkstra {
         src_on: bool,
         weight: impl Fn(ArcId) -> f64,
     ) {
+        self.grow_until(topo, src, src_on, None, weight);
+    }
+
+    /// [`Dijkstra::grow`], stopped once `dst` is settled. No later pop
+    /// can relax a settled node, so `dst` and every node settled before
+    /// it have their full-tree parents: [`Dijkstra::path_arcs`] to `dst`
+    /// is the full tree's. Paths to other nodes are not.
+    pub fn grow_to(
+        &mut self,
+        topo: &Topology,
+        src: NodeId,
+        dst: NodeId,
+        weight: impl Fn(ArcId) -> f64,
+    ) {
+        self.grow_until(topo, src, true, Some(dst), weight);
+    }
+
+    fn grow_until(
+        &mut self,
+        topo: &Topology,
+        src: NodeId,
+        src_on: bool,
+        stop: Option<NodeId>,
+        weight: impl Fn(ArcId) -> f64,
+    ) {
         let n = topo.node_count();
         self.dist.clear();
         self.dist.resize(n, f64::INFINITY);
@@ -107,6 +132,9 @@ impl Dijkstra {
         while let Some(HeapItem { dist: d, node: u }) = heap.pop() {
             if d > dist[u.idx()] {
                 continue; // stale entry
+            }
+            if stop == Some(u) {
+                break;
             }
             for &a in topo.out_arcs(u) {
                 let w = weight(a);

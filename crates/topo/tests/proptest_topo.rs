@@ -185,6 +185,61 @@ proptest! {
         }
     }
 
+    /// A search grown only until `dst` is settled yields, for every
+    /// destination, the same path arcs (or the same refusal) as the full
+    /// grow, ties and forbidden arcs included.
+    #[test]
+    fn growing_to_dst_matches_the_full_tree(n in 2usize..16, seed in 0u64..100_000) {
+        let TieInstance { topo, weights, active } = tie_instance(n, seed);
+        let w = |a: ArcId| match &active {
+            Some(s) if !s.arc_on(&topo, a) => f64::INFINITY,
+            _ => weights[a.idx()],
+        };
+        let (mut full, mut early) = (Dijkstra::default(), Dijkstra::default());
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        for src in topo.node_ids() {
+            full.grow(&topo, src, true, w);
+            for dst in topo.node_ids() {
+                early.grow_to(&topo, src, dst, w);
+                want.clear();
+                got.clear();
+                let reached = full.path_arcs(&topo, src, dst, &mut want);
+                prop_assert_eq!(early.path_arcs(&topo, src, dst, &mut got), reached);
+                prop_assert_eq!(&got, &want, "{} -> {}", src, dst);
+            }
+        }
+    }
+
+    /// `ActiveSet`'s hash is consistent with its equality: equal sets
+    /// hash equal, however they were built.
+    #[test]
+    fn active_set_hash_agrees_with_eq(n in 2usize..16, seed in 0u64..100_000) {
+        use std::hash::{BuildHasher, RandomState};
+        let TieInstance { topo, active, .. } = tie_instance(n, seed);
+        let hasher = RandomState::new();
+        let a = active.unwrap_or_else(|| ActiveSet::all_on(&topo));
+        // The same set built in another order, every link switched off
+        // and back on first.
+        let mut b = ActiveSet::all_on(&topo);
+        let links: Vec<ArcId> = topo.link_ids().collect();
+        for &l in links.iter().rev() {
+            b.set_link(&topo, l, false);
+        }
+        for &l in &links {
+            b.set_link(&topo, l, a.link_bit(&topo, l));
+        }
+        for v in topo.node_ids().filter(|&v| !a.node_on(v)) {
+            b.set_node(v, false);
+        }
+        prop_assert_eq!(&a, &b);
+        prop_assert_eq!(hasher.hash_one(&a), hasher.hash_one(&b));
+        let first_link = topo.link_ids().next();
+        if let Some(l) = first_link {
+            b.set_link(&topo, l, !a.link_bit(&topo, l));
+            prop_assert_ne!(&a, &b);
+        }
+    }
+
     /// The two-search connectivity check agrees with a search from every
     /// required node, one-way arcs and dark elements included.
     #[test]
