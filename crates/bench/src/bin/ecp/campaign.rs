@@ -49,6 +49,7 @@
 //! campaign.
 
 use crate::args::{Args, Failure, Flags};
+use crate::out::{self, outln};
 use ecp_campaign::{exec, report, CampaignError, CampaignSpec, ResultStore, Workers};
 use std::path::Path;
 
@@ -148,14 +149,14 @@ pub fn main(argv: &[String]) -> Result<(), Failure> {
         let write_report = || -> Result<(), CampaignError> {
             let (_, paths) = report::generate(&spec, &resolver, &store, &out_dir)?;
             for p in paths {
-                println!("[campaign] wrote {}", p.display());
+                outln!("[campaign] wrote {}", p.display());
             }
             Ok(())
         };
         match (cmd.as_str(), shard) {
             (_, Some(shard)) => {
                 let stats = exec::run_shard(&spec, &resolver, &store, shard, &opts)?;
-                println!("shard {}/{}: {stats}", shard.0, shard.1);
+                outln!("shard {}/{}: {stats}", shard.0, shard.1);
                 Ok(())
             }
             ("run", _) => {
@@ -165,7 +166,7 @@ pub fn main(argv: &[String]) -> Result<(), Failure> {
                 };
                 let shards = shards.unwrap_or_else(|| spec.shard_count());
                 let stats = exec::execute(&spec, &resolver, &store, shards, &opts, &workers)?;
-                println!("stats: {stats}");
+                outln!("stats: {stats}");
                 write_report()
             }
             ("report", _) => write_report(),
@@ -179,7 +180,7 @@ pub fn main(argv: &[String]) -> Result<(), Failure> {
                     } else {
                         "pending"
                     };
-                    println!(
+                    outln!(
                         "{:>4}  shard {}  {:7}  {}  {} [{}]",
                         u.global,
                         u.shard(shards),
@@ -241,7 +242,7 @@ fn watch(
     interval: std::time::Duration,
     timeout_s: Option<f64>,
 ) -> Result<(), CampaignError> {
-    use std::io::{BufRead, IsTerminal, Write};
+    use std::io::{BufRead, IsTerminal};
 
     let resolver = |id: &str| ecp_bench::scenarios::campaign_scenario(id);
     // Expected per-entry run counts, in spec order.
@@ -269,10 +270,9 @@ fn watch(
         *last = Some(std::time::Instant::now());
         let table = state.render(start.elapsed().as_secs_f64());
         if tty {
-            print!("\x1b[H\x1b[2J{table}");
-            std::io::stdout().flush().ok();
+            out::print(format_args!("\x1b[H\x1b[2J{table}"));
         } else {
-            println!("{table}");
+            outln!("{table}");
         }
         if html {
             let summary = report::summarize(spec, &resolver, store)?;
@@ -325,7 +325,7 @@ fn watch(
         }
     }
     refresh(&state, &mut last_render, true)?;
-    println!(
+    outln!(
         "watch: done finished={} expected={} cached={} failed={}",
         state.finished(),
         state.expected(),

@@ -16,6 +16,7 @@
 
 mod args;
 mod campaign;
+mod out;
 mod render;
 mod run;
 mod trace;

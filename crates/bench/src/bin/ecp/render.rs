@@ -3,6 +3,7 @@
 //! and serves every scenario whose report has that block, then the
 //! paper's claim for the scenario, if it has one.
 
+use crate::out::outln;
 use ecp_power::ThermalModel;
 use ecp_scenario::{
     AppDetail, PacketDetail, RecomputeStats, ReplayDetail, ScenarioReport, TimingSnapshot,
@@ -109,7 +110,7 @@ pub fn report(r: &ScenarioReport, key: &str) {
         );
     }
     if let Some(claim) = claim(key) {
-        println!("\npaper: {claim}");
+        outln!("\npaper: {claim}");
     }
 }
 
@@ -190,7 +191,7 @@ fn series(r: &ScenarioReport) {
         let (lo, hi) = f.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &x| {
             (lo.min(x), hi.max(x))
         });
-        println!(
+        outln!(
             "power: mean {}, min {}, max {}, stddev {:.2}pp",
             pct(mean),
             pct(lo),
@@ -237,10 +238,10 @@ fn path_classes(s: &Series) {
         total > 0.0 && c[0] >= 0.9 * total
     });
     let Some(i) = consolidated else {
-        println!("no row carries >= 90% of the delivered traffic on always-on paths");
+        outln!("no row carries >= 90% of the delivered traffic on always-on paths");
         return;
     };
-    println!(
+    outln!(
         "consolidated at t={:.2}s: the first row with >= 90% of the delivered traffic on \
          always-on paths",
         rows[i].0
@@ -249,7 +250,7 @@ fn path_classes(s: &Series) {
         .iter()
         .find(|(_, offered, c)| *offered > 0.0 && c[1] + c[2] >= 0.9 * offered);
     if let Some((t, ..)) = moved {
-        println!(
+        outln!(
             "moved off at t={t:.2}s: the first later row whose on-demand and failover paths \
              deliver >= 90% of the offered traffic"
         );
@@ -261,8 +262,8 @@ fn path_classes(s: &Series) {
 /// present.
 fn replay(d: &ReplayDetail) {
     match d.trace_peak_bps {
-        Some(p) => println!("\nreplay: {} s intervals, trace peak {p} bps", d.interval_s),
-        None => println!("\nreplay: {} s intervals", d.interval_s),
+        Some(p) => outln!("\nreplay: {} s intervals, trace peak {p} bps", d.interval_s),
+        None => outln!("\nreplay: {} s intervals", d.interval_s),
     }
     if let Some(ccdf) = &d.deviation_ccdf {
         let rows: Vec<Vec<String>> = [0, 5, 10, 20, 30, 40, 50, 60, 80, 100]
@@ -336,14 +337,14 @@ fn replay(d: &ReplayDetail) {
             &rows,
         );
         match trigger {
-            Some(day) => println!(
+            Some(day) => outln!(
                 "replan advised on day {} ({:?}); replanning cuts tail congestion {} -> {}",
                 day + 1,
                 drift.reasons,
                 pct(drift.congested_before),
                 pct(drift.congested_after)
             ),
-            None => println!("no replan advised"),
+            None => outln!("no replan advised"),
         }
     }
     if let (Some(volume), Some(watts)) = (&d.volume_series, &d.power_w_series) {
@@ -374,9 +375,11 @@ fn recompute(rec: &RecomputeStats) {
         &rows,
     );
     let max = rec.hourly_rate.iter().cloned().fold(0.0, f64::max);
-    println!(
+    outln!(
         "recomputations: {} total, mean {:.2}/hour, max {max:.0}/hour, {} optimizer failures",
-        rec.total_changes, rec.mean_rate_per_hour, rec.failures
+        rec.total_changes,
+        rec.mean_rate_per_hour,
+        rec.failures
     );
     let rows: Vec<Vec<String>> = rec
         .slices
@@ -390,7 +393,7 @@ fn recompute(rec: &RecomputeStats) {
         &["configuration", "time share"],
         &rows,
     );
-    println!(
+    outln!(
         "configurations: {} distinct, dominant {}",
         rec.distinct_configurations,
         pct(rec.dominant_fraction)
@@ -406,7 +409,7 @@ fn recompute(rec: &RecomputeStats) {
         &rows,
     );
     let x98 = rec.coverage.iter().find(|c| c.1 >= 0.98).map(|c| c.0);
-    println!(
+    outln!(
         "paths for 98% of the traffic: {}",
         x98.map_or("more than listed".into(), |x| x.to_string())
     );
@@ -538,7 +541,7 @@ fn fields(title: &str, rows: &[(&str, String)]) {
 
 /// Print an ASCII table.
 fn table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
+    outln!("\n== {title} ==");
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for r in rows {
         for (w, c) in widths.iter_mut().zip(r) {
@@ -550,7 +553,7 @@ fn table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
         for (c, &w) in cells.zip(&widths) {
             s.push_str(&format!("{c:<w$}  "));
         }
-        println!("{}", s.trim_end());
+        outln!("{}", s.trim_end());
     };
     line(&mut headers.iter().copied());
     let rules: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();

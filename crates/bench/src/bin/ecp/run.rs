@@ -8,14 +8,15 @@
 //! and writes the JSONL event trace; traces are a pure function of the
 //! scenario, so two runs `ecp trace diff` clean. `--snapshot FILE`
 //! writes the trace's counter/histogram snapshot. `--profile` resolves
-//! and runs into one [`SpanSink`] instead: wall-clock `Span` lines ride
-//! the trace (event lines stay byte-identical), the per-span profile is
-//! printed, and `--timing FILE` writes it as pretty JSON. The per-agent
-//! spans (`round_observe`, `round_decide`) write no `Span` line, so
-//! their rows are only in the profile. The report is the same whichever
-//! way the scenario runs.
+//! and runs into one [`SpanSink`] instead (a counting one without
+//! `--trace`): the per-span wall-clock profile is printed, and
+//! `--timing FILE` writes it as pretty JSON. Spans never enter the
+//! trace, so `--profile --trace FILE` writes the same bytes as
+//! `--trace FILE`. The report is the same whichever way the scenario
+//! runs.
 
 use crate::args::{Args, Failure, Flags};
+use crate::out::outln;
 use crate::render;
 use ecp_scenario::{
     Param, Scenario, ScenarioError, ScenarioReport, SpanSink, TimingSnapshot, TraceOutput,
@@ -52,7 +53,7 @@ pub fn main(argv: &[String]) -> Result<(), Failure> {
 
     if !sets.is_empty() {
         let set: Vec<String> = sets.iter().map(|(p, v)| format!("{p:?}={v}")).collect();
-        println!("set: {}", set.join(" "));
+        outln!("set: {}", set.join(" "));
     }
     render::report(&report, &key);
     if let Some(t) = &timing {
@@ -61,11 +62,11 @@ pub fn main(argv: &[String]) -> Result<(), Failure> {
 
     if let Some(path) = args.value("--out") {
         write(path, &pretty(&report))?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     if let (Some(path), Some(trace)) = (trace_out, &trace) {
         write(path, &trace.to_jsonl())?;
-        println!("wrote {path} ({} events)", trace.lines.len());
+        outln!("wrote {path} ({} events)", trace.lines.len());
         if let Some(path) = snapshot_out {
             let snap = trace.snapshot.as_ref().ok_or_else(|| {
                 Failure::Failed(
@@ -73,12 +74,12 @@ pub fn main(argv: &[String]) -> Result<(), Failure> {
                 )
             })?;
             write(path, &pretty(snap))?;
-            println!("wrote {path}");
+            outln!("wrote {path}");
         }
     }
     if let (Some(path), Some(t)) = (timing_out, &timing) {
         write(path, &pretty(t))?;
-        println!("wrote {path} ({} spans)", t.spans.len());
+        outln!("wrote {path} ({} spans)", t.spans.len());
     }
     Ok(())
 }
@@ -122,15 +123,19 @@ fn load(input: &str) -> Result<(String, Scenario), Failure> {
     Ok((scenario.name.clone(), scenario))
 }
 
-/// Run once: plain, traced (`trace`) or span-profiled (`profile`,
-/// which also traces).
+/// Run once: plain, traced (`trace`), span-profiled (`profile`), or
+/// both.
 fn execute(
     scenario: &Scenario,
     trace: bool,
     profile: bool,
 ) -> Result<(ScenarioReport, Option<TraceOutput>, Option<TimingSnapshot>), ScenarioError> {
     if profile {
-        let mut sink = SpanSink::new();
+        let mut sink = if trace {
+            SpanSink::new()
+        } else {
+            SpanSink::counting()
+        };
         let resolved = ecp_scenario::resolve_with_sink(scenario, &mut sink)?;
         let (report, trace, mut sink) =
             ecp_scenario::run_resolved_with_sink(scenario, &resolved, sink)?;

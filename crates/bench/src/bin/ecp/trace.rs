@@ -1,25 +1,23 @@
 //! `ecp trace`: inspect, validate, and convert the telemetry traces
-//! (`ecp-telemetry` JSONL) that `ecp run --trace` and the campaign
-//! executor write.
+//! (`ecp-telemetry` JSONL) that `ecp run --trace` writes. A trace holds
+//! simulation events only; a `--profile` run's wall-clock span profile
+//! is printed by `ecp run` and written by its `--timing FILE`, never
+//! into the trace.
 //!
-//! `summarize` prints per-kind event counts, the control/power headline
-//! numbers, and — when the trace carries `Span` lines — a per-span
-//! profile table with percentiles; `--json` emits the same summary as
-//! one machine-readable JSON object (text stays the default, so
-//! existing greps keep working); `validate` checks every line parses
-//! as a [`TelemetryEvent`] and that event times never go backwards;
-//! `diff` compares two traces line by line (exit 1 on divergence);
-//! `chrome` converts a trace to the chrome://tracing JSON format
-//! (load it at `chrome://tracing` or in Perfetto). Instants and
-//! counters render in simulation-time microseconds under pid 1;
-//! profiling spans render as duration (`ph: "X"`) events in wall-clock
-//! microseconds under pid 2, so the two timebases never share a track.
+//! `summarize` prints per-kind event counts and the control/power
+//! headline numbers; `--json` emits the same summary as one
+//! machine-readable JSON object (text stays the default, so existing
+//! greps keep working); `validate` checks every line parses as a
+//! [`TelemetryEvent`] and that event times never go backwards; `diff`
+//! compares two traces line by line (exit 1 on divergence); `chrome`
+//! converts a trace to the chrome://tracing JSON format (load it at
+//! `chrome://tracing` or in Perfetto): instants and counters in
+//! simulation-time microseconds.
 
 use crate::args::{Args, Failure, Flags};
-use ecp_simnet::{PowerKind, TelemetryEvent};
-use ecp_telemetry::{SpanStat, SpanTiming};
+use crate::out::outln;
+use ecp_simnet::{JsonlSink, PowerKind, TelemetryEvent, TelemetrySink};
 use serde_json::{Map, Value};
-use std::collections::BTreeMap;
 
 pub fn main(argv: &[String]) -> Result<(), Failure> {
     let Some((cmd, rest)) = argv.split_first() else {
@@ -62,13 +60,13 @@ fn cmd_summarize(path: &str, json: bool) -> Result<(), Failure> {
     let events = read_events(path)?;
     if events.is_empty() {
         if json {
-            println!(
+            outln!(
                 "{}",
                 serde_json::to_string(&obj(vec![("events", Value::U64(0))]))
                     .expect("summary serializes")
             );
         } else {
-            println!("events: 0");
+            outln!("events: 0");
         }
         return Ok(());
     }
@@ -80,7 +78,6 @@ fn cmd_summarize(path: &str, json: bool) -> Result<(), Failure> {
         "TeReconfig",
         "Failure",
         "Repair",
-        "Span",
     ]
     .iter()
     .map(|&kind| {
@@ -91,22 +88,21 @@ fn cmd_summarize(path: &str, json: bool) -> Result<(), Failure> {
     })
     .filter(|&(_, n)| n > 0)
     .collect();
+    // Settle time and peaks are the recording sink's own aggregates.
+    let mut sink = JsonlSink::counting();
     let mut rounds = 0u64;
     let mut immediate_n = 0u64;
     let mut decided_n = 0u64;
     let mut skipped = 0u64;
     let mut changes = 0u64;
     let mut wf = 0u64;
-    let mut settle: Option<f64> = None;
-    let mut peak_util = 0.0f64;
-    let mut peak_ol = 0u32;
     let mut sleeps = 0u64;
     let mut wakes = 0u64;
     let mut idle_sum = 0.0f64;
     for ev in &events {
+        sink.emit(ev);
         match *ev {
             TelemetryEvent::ControlRound {
-                t,
                 immediate,
                 decided,
                 skipped_clean,
@@ -120,17 +116,6 @@ fn cmd_summarize(path: &str, json: bool) -> Result<(), Failure> {
                 skipped += skipped_clean as u64;
                 changes += share_changes as u64;
                 wf += waterfill_iters;
-                if share_changes > 0 {
-                    settle = Some(t);
-                }
-            }
-            TelemetryEvent::ArcLoads {
-                max_util,
-                overloaded,
-                ..
-            } => {
-                peak_util = peak_util.max(max_util);
-                peak_ol = peak_ol.max(overloaded);
             }
             TelemetryEvent::PowerTransition { kind, idle_s, .. } => match kind {
                 PowerKind::Sleep => {
@@ -148,7 +133,12 @@ fn cmd_summarize(path: &str, json: bool) -> Result<(), Failure> {
     } else {
         0.0
     };
-    let spans = span_profile(&events);
+    let snapshot = sink.snapshot().expect("a recording sink keeps a snapshot");
+    let (settle, peak_util, peak_ol) = (
+        snapshot.settle_time_s,
+        snapshot.peak_max_util,
+        snapshot.peak_overloaded_arcs,
+    );
 
     if json {
         let mut doc = vec![
@@ -193,86 +183,32 @@ fn cmd_summarize(path: &str, json: bool) -> Result<(), Failure> {
                 ]),
             ));
         }
-        if !spans.is_empty() {
-            doc.push((
-                "spans",
-                Value::Array(
-                    spans
-                        .iter()
-                        .map(|s| {
-                            obj(vec![
-                                ("name", Value::Str(s.name.clone())),
-                                ("count", Value::U64(s.count)),
-                                ("total_s", Value::F64(s.total_s)),
-                                ("self_s", Value::F64(s.self_s)),
-                                ("p50_s", Value::F64(s.p50_s)),
-                                ("p95_s", Value::F64(s.p95_s)),
-                                ("p99_s", Value::F64(s.p99_s)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-        }
-        println!(
+        outln!(
             "{}",
             serde_json::to_string(&obj(doc)).expect("summary serializes")
         );
         return Ok(());
     }
 
-    println!("events: {}   span: {t0:.3}s .. {t1:.3}s", events.len());
+    outln!("events: {}   span: {t0:.3}s .. {t1:.3}s", events.len());
     for (kind, n) in &kinds {
-        println!("  {kind:<16} {n}");
+        outln!("  {kind:<16} {n}");
     }
     if rounds > 0 {
-        println!(
+        outln!(
             "control: rounds={rounds} immediate={immediate_n} decided={decided_n} \
              skipped_clean={skipped} share_changes={changes} waterfill_iters={wf}"
         );
         match settle {
-            Some(t) => println!("settle: last share change at {t:.3}s"),
-            None => println!("settle: no share changes"),
+            Some(t) => outln!("settle: last share change at {t:.3}s"),
+            None => outln!("settle: no share changes"),
         }
-        println!("peaks: max_util={peak_util:.4} overloaded_arcs={peak_ol}");
+        outln!("peaks: max_util={peak_util:.4} overloaded_arcs={peak_ol}");
     }
     if sleeps + wakes > 0 {
-        println!("power: sleeps={sleeps} wakes={wakes} mean_idle_drain={mean_idle:.3}s");
-    }
-    if !spans.is_empty() {
-        println!("spans:");
-        println!(
-            "  {:<18} {:>7} {:>11} {:>11} {:>10} {:>10} {:>10}",
-            "name", "count", "total (s)", "self (s)", "p50 (s)", "p95 (s)", "p99 (s)"
-        );
-        for s in &spans {
-            println!(
-                "  {:<18} {:>7} {:>11.6} {:>11.6} {:>10.6} {:>10.6} {:>10.6}",
-                s.name, s.count, s.total_s, s.self_s, s.p50_s, s.p95_s, s.p99_s,
-            );
-        }
+        outln!("power: sleeps={sleeps} wakes={wakes} mean_idle_drain={mean_idle:.3}s");
     }
     Ok(())
-}
-
-/// Fold the trace's `Span` lines, per span name (rows in name order),
-/// through the aggregate the profiling sink keeps
-/// ([`ecp_telemetry::SpanStat`]), so the percentiles match its
-/// `TimingSnapshot`. Empty when the trace was not profiled.
-fn span_profile(events: &[TelemetryEvent]) -> Vec<SpanTiming> {
-    let mut by_name: BTreeMap<&str, SpanStat> = BTreeMap::new();
-    for ev in events {
-        if let TelemetryEvent::Span {
-            name,
-            dur_s,
-            self_s,
-            ..
-        } = ev
-        {
-            by_name.entry(name).or_default().observe(*dur_s, *self_s);
-        }
-    }
-    by_name.iter().map(|(name, st)| st.timing(name)).collect()
 }
 
 fn cmd_validate(path: &str) -> Result<(), Failure> {
@@ -288,7 +224,7 @@ fn cmd_validate(path: &str) -> Result<(), Failure> {
         }
         last = t;
     }
-    println!("ok: {} events, times monotone", events.len());
+    outln!("ok: {} events, times monotone", events.len());
     Ok(())
 }
 
@@ -296,7 +232,7 @@ fn cmd_diff(a_path: &str, b_path: &str) -> Result<(), Failure> {
     let a = read_lines(a_path)?;
     let b = read_lines(b_path)?;
     if a == b {
-        println!("identical: {} events", a.len());
+        outln!("identical: {} events", a.len());
         return Ok(());
     }
     if a.len() != b.len() {
@@ -323,9 +259,7 @@ fn obj(entries: Vec<(&str, Value)>) -> Value {
 
 /// One chrome://tracing event: instants (`ph: "i"`) for discrete
 /// happenings, counter tracks (`ph: "C"`) for the per-round load and
-/// waterfill series — microseconds of simulation time, pid 1. Profiling
-/// spans become duration events (`ph: "X"`) in wall-clock microseconds
-/// under pid 2, so sim-time and wall-time never share a timeline.
+/// waterfill series — microseconds of simulation time, pid 1.
 fn chrome_event(ev: &TelemetryEvent) -> Value {
     let ts = Value::F64(ev.time() * 1e6);
     let base = |name: &str, ph: &str, args: Value| {
@@ -421,28 +355,6 @@ fn chrome_event(ev: &TelemetryEvent) -> Value {
                 ("id", Value::U64(id as u64)),
             ]),
         ),
-        TelemetryEvent::Span {
-            ref name,
-            start_s,
-            dur_s,
-            self_s,
-            depth,
-            ..
-        } => obj(vec![
-            ("name", Value::Str(name.clone())),
-            ("ph", Value::Str("X".into())),
-            ("ts", Value::F64(start_s * 1e6)),
-            ("dur", Value::F64(dur_s * 1e6)),
-            ("pid", Value::U64(2)),
-            ("tid", Value::U64(1)),
-            (
-                "args",
-                obj(vec![
-                    ("self_s", Value::F64(self_s)),
-                    ("depth", Value::U64(depth as u64)),
-                ]),
-            ),
-        ]),
         TelemetryEvent::Repair {
             element,
             id,
@@ -476,9 +388,9 @@ fn cmd_chrome(path: &str, out: Option<&str>) -> Result<(), Failure> {
     match out {
         Some(p) => {
             std::fs::write(p, body).map_err(|e| Failure::Failed(format!("write {p}: {e}")))?;
-            println!("wrote {p} ({} events)", events.len());
+            outln!("wrote {p} ({} events)", events.len());
         }
-        None => println!("{body}"),
+        None => outln!("{body}"),
     }
     Ok(())
 }

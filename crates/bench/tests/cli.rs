@@ -1,14 +1,15 @@
 //! The `ecp` binary end to end: `ecp run` writes the same report, trace
-//! and overrides as the library calls it wraps, `ecp trace summarize`
-//! reports the profiling sink's span timings, inputs the scenario
-//! boundary rejects exit 1 naming the field, and malformed command
-//! lines exit 2 without a panic.
+//! and overrides as the library calls it wraps, a profiled trace is the
+//! traced run's byte for byte, `ecp trace summarize` prints the pinned
+//! summary, a closed stdout is not a crash, inputs the scenario boundary
+//! rejects exit 1 naming the field, and malformed command lines exit 2
+//! without a panic.
 
 use ecp_bench::scenarios::{campaign_registry, campaign_scenario};
 use ecp_scenario::{run_scenario, Param, Scenario};
-use serde::Deserialize;
-use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output, Stdio};
 
 fn ecp(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ecp"))
@@ -97,70 +98,146 @@ fn trace_writes_the_traced_run_lines() {
     assert_eq!(written.lines().collect::<Vec<_>>(), trace.lines);
 }
 
-/// One `spans` row of `ecp trace summarize --json`.
-#[derive(Debug, Deserialize)]
-struct SpanRow {
-    name: String,
-    count: u64,
-    total_s: f64,
-    self_s: f64,
-    p50_s: f64,
-    p95_s: f64,
-    p99_s: f64,
-}
+/// `ecp trace summarize` of te-stability-undamped's trace, as text and
+/// as `--json`.
+const UNDAMPED_SUMMARY: &str = "\
+events: 672   span: 0.500s .. 150.000s
+  ControlRound     300
+  ArcLoads         300
+  PowerTransition  72
+control: rounds=300 immediate=0 decided=13200 skipped_clean=0 share_changes=13200 waterfill_iters=25725
+settle: last share change at 150.000s
+peaks: max_util=3.7331 overloaded_arcs=30
+power: sleeps=4 wakes=34 mean_idle_drain=2.000s
+";
+const UNDAMPED_SUMMARY_JSON: &str = "\
+{\"control\":{\"decided\":13200,\"immediate\":0,\"rounds\":300,\"settle_s\":150.0,\
+\"share_changes\":13200,\"skipped_clean\":0,\"waterfill_iters\":25725},\"events\":672,\
+\"kinds\":{\"ArcLoads\":300,\"ControlRound\":300,\"PowerTransition\":72},\
+\"peaks\":{\"max_util\":3.7330820934002182,\"overloaded_arcs\":30},\
+\"power\":{\"mean_idle_drain_s\":2.0,\"sleeps\":4,\"wakes\":34},\
+\"span_s\":{\"end\":150.0,\"start\":0.5}}
+";
 
-#[derive(Debug, Deserialize)]
-struct Summary {
-    spans: Vec<SpanRow>,
-}
-
-/// `trace summarize` folds the `Span` lines through the profiling
-/// sink's own aggregate: for every span that writes lines, its row
-/// equals the sink's `TimingSnapshot` entry exactly.
+/// Spans never enter the trace: `--profile --trace P` writes the bytes
+/// `--trace T` writes, and `trace summarize` prints the pinned summary.
 #[test]
-fn trace_summarize_spans_match_the_profiling_sink() {
-    use ecp_scenario::{resolve_with_sink, run_resolved_with_sink, FakeClock, SpanSink};
-    use ecp_telemetry::SpanName;
+fn profiled_trace_is_the_traced_run_and_summarizes_as_pinned() {
+    let (p, t, timing) = (
+        scratch("undamped.profiled.jsonl"),
+        scratch("undamped.trace.jsonl"),
+        scratch("undamped.timing.json"),
+    );
+    let id = "te-stability-undamped";
+    let profiled = ecp(&[
+        "run",
+        id,
+        "--profile",
+        "--trace",
+        p.to_str().unwrap(),
+        "--timing",
+        timing.to_str().unwrap(),
+    ]);
+    assert!(profiled.status.success());
+    assert!(ecp(&["run", id, "--trace", t.to_str().unwrap()])
+        .status
+        .success());
+    let traced = std::fs::read(&t).unwrap();
+    assert!(!traced.is_empty());
+    assert_eq!(std::fs::read(&p).unwrap(), traced);
+    // The profile is printed and written, per-agent spans included.
+    assert!(String::from_utf8_lossy(&profiled.stdout).contains("round_decide"));
+    assert!(std::fs::read_to_string(&timing)
+        .unwrap()
+        .contains("\"round_decide\""));
 
-    let scenario = campaign_scenario("te-stability-undamped").unwrap();
-    let mut sink = SpanSink::with_clock(FakeClock::new(1e-4));
-    let resolved = resolve_with_sink(&scenario, &mut sink).unwrap();
-    let (_, trace, mut sink) = run_resolved_with_sink(&scenario, &resolved, sink).unwrap();
-    let timing = sink.timing();
-    let path = scratch("profiled.jsonl");
-    std::fs::write(&path, trace.to_jsonl()).unwrap();
-
-    let result = ecp(&["trace", "summarize", path.to_str().unwrap(), "--json"]);
-    assert!(result.status.success());
-    let summary: Summary = serde_json::from_str(&String::from_utf8_lossy(&result.stdout)).unwrap();
-    let writes_line = |name: &str| {
-        SpanName::ALL
-            .iter()
-            .any(|s| s.name() == name && s.writes_line())
+    let summarize = |extra: &[&str]| {
+        let mut args = vec!["trace", "summarize", t.to_str().unwrap()];
+        args.extend(extra);
+        let result = ecp(&args);
+        assert!(result.status.success());
+        String::from_utf8(result.stdout).unwrap()
     };
-    let expected: Vec<_> = timing
-        .spans
-        .iter()
-        .filter(|t| writes_line(&t.name))
-        .collect();
-    assert!(expected.len() >= 3, "{expected:?}");
-    assert_eq!(summary.spans.len(), expected.len(), "{:?}", summary.spans);
-    for t in expected {
-        let row = summary.spans.iter().find(|r| r.name == t.name);
-        let row = row.unwrap_or_else(|| panic!("no row for {}", t.name));
-        assert_eq!(
-            (row.count, row.total_s, row.self_s),
-            (t.count, t.total_s, t.self_s),
-            "{}",
-            t.name
-        );
-        assert_eq!(
-            (row.p50_s, row.p95_s, row.p99_s),
-            (t.p50_s, t.p95_s, t.p99_s),
-            "{}",
-            t.name
-        );
+    assert_eq!(summarize(&[]), UNDAMPED_SUMMARY);
+    assert_eq!(summarize(&["--json"]), UNDAMPED_SUMMARY_JSON);
+}
+
+/// `ecp` with its stdout already closed, as under `| head -1`.
+fn ecp_closed_stdout(args: &[&str]) -> Output {
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    Command::new(env!("CARGO_BIN_EXE_ecp"))
+        .args(args)
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("ecp starts")
+}
+
+/// Every file under `dir`, by path relative to it.
+fn files(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut out = BTreeMap::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for entry in std::fs::read_dir(&d).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                stack.push(path);
+            } else {
+                let rel = path.strip_prefix(dir).unwrap().to_path_buf();
+                out.insert(rel, std::fs::read(&path).unwrap());
+            }
+        }
     }
+    out
+}
+
+/// A reader that stops early is not a crash: `ecp run` and `ecp
+/// campaign run` (progress events included) exit 0 with their stdout
+/// closed, without a panic, and write every file an open-stdout run
+/// writes, byte for byte.
+#[test]
+fn a_closed_stdout_is_not_a_crash() {
+    let (open, closed) = (scratch("open.fig7.jsonl"), scratch("closed.fig7.jsonl"));
+    let run = |path: &Path, invoke: fn(&[&str]) -> Output| {
+        invoke(&[
+            "run",
+            "fig7-click-adaptation",
+            "--trace",
+            path.to_str().unwrap(),
+        ])
+    };
+    assert!(run(&open, ecp).status.success());
+    let result = run(&closed, ecp_closed_stdout);
+    let stderr = String::from_utf8_lossy(&result.stderr);
+    assert_eq!(result.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(
+        std::fs::read(&closed).unwrap(),
+        std::fs::read(&open).unwrap()
+    );
+
+    let smoke = example("campaign_smoke.toml");
+    let (open, closed) = (scratch("open-smoke"), scratch("closed-smoke"));
+    for dir in [&open, &closed] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    let campaign = |dir: &Path, invoke: fn(&[&str]) -> Output| {
+        let args = ["campaign", "run", &smoke, "--progress", "jsonl", "--out"];
+        invoke(&[&args[..], &[dir.to_str().unwrap()]].concat())
+    };
+    assert!(campaign(&open, ecp).status.success());
+    let result = campaign(&closed, ecp_closed_stdout);
+    let stderr = String::from_utf8_lossy(&result.stderr);
+    assert_eq!(result.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let written = files(&closed);
+    assert!(
+        written.contains_key(Path::new("report.md")),
+        "{:?}",
+        written.keys()
+    );
+    assert_eq!(written, files(&open));
 }
 
 /// Values the scenario boundary rejects make `ecp run` exit 1 naming

@@ -292,7 +292,7 @@ impl Strategy for Events {
         let t = arb_f64(rng);
         let n = |rng: &mut TestRng| arb_i64(rng) as u32;
         let element = pick(rng, &[Element::Link, Element::Node]);
-        match rng.usize_in(0, 7) {
+        match rng.usize_in(0, 6) {
             0 => TelemetryEvent::ControlRound {
                 t,
                 immediate: rng.unit() < 0.5,
@@ -330,19 +330,11 @@ impl Strategy for Events {
                 id: n(rng),
                 detected: rng.unit() < 0.5,
             },
-            5 => TelemetryEvent::Repair {
+            _ => TelemetryEvent::Repair {
                 t,
                 element,
                 id: n(rng),
                 detected: rng.unit() < 0.5,
-            },
-            _ => TelemetryEvent::Span {
-                t,
-                name: arb_string(rng),
-                start_s: arb_f64(rng),
-                dur_s: arb_f64(rng),
-                self_s: arb_f64(rng),
-                depth: n(rng),
             },
         }
     }

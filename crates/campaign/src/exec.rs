@@ -160,13 +160,14 @@ pub enum ProgressEvent {
     },
 }
 
-/// Emit one progress event as a JSON line on stdout. `println!` locks
-/// stdout per call, so concurrent rayon workers emit whole lines.
+/// Emit one progress event as a JSON line on stdout. The line is
+/// written under the stdout lock, so concurrent rayon workers emit
+/// whole lines. Progress is advisory: once stdout is closed (its reader
+/// stopped early) the event is dropped and the run goes on.
 fn emit_progress(ev: &ProgressEvent) {
-    println!(
-        "{}",
-        serde_json::to_string(ev).expect("progress event serializes")
-    );
+    use std::io::Write;
+    let line = serde_json::to_string(ev).expect("progress event serializes");
+    let _ = writeln!(std::io::stdout().lock(), "{line}");
 }
 
 /// The `RunFinished` event for a stored outcome.

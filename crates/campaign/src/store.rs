@@ -173,8 +173,14 @@ fn publish(
 
 impl ResultStore {
     /// Open (creating if needed) the store under a campaign output
-    /// directory.
+    /// directory. A `traces/` directory, which stores kept before
+    /// campaigns stopped tracing and nothing reads, is removed.
     pub fn open(output_dir: &Path) -> Result<Self, CampaignError> {
+        let traces = output_dir.join("traces");
+        if traces.is_dir() {
+            std::fs::remove_dir_all(&traces)
+                .map_err(|e| CampaignError::Io(format!("remove {}: {e}", traces.display())))?;
+        }
         let runs = output_dir.join("runs");
         std::fs::create_dir_all(&runs)
             .map_err(|e| CampaignError::Io(format!("create {}: {e}", runs.display())))?;
@@ -280,5 +286,37 @@ impl ResultStore {
                 .filter_map(|l| serde_json::from_str(l).ok())
                 .collect(),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn open_removes_the_traces_of_an_old_store() {
+        let dir = std::env::temp_dir().join(format!("ecp-store-traces-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let run = StoredRun {
+            code_salt: CODE_SALT.to_string(),
+            hash: "0123456789abcdef".into(),
+            name: "old".into(),
+            seed: 1,
+            params: vec![("seed".into(), 1.0)],
+            report: None,
+            failure: Some(RunFailure {
+                kind: "invalid".into(),
+                message: "kept".into(),
+            }),
+            telemetry: None,
+        };
+        ResultStore::open(&dir).unwrap().save(&run).unwrap();
+        std::fs::create_dir_all(dir.join("traces")).unwrap();
+        std::fs::write(dir.join("traces/x.jsonl"), "{}\n").unwrap();
+
+        let store = ResultStore::open(&dir).unwrap();
+        assert!(!dir.join("traces").exists());
+        assert_eq!(store.load(&run.hash), Some(run));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

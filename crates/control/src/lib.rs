@@ -47,4 +47,4 @@ pub mod stability;
 pub use policy::{
     AdaptiveEwma, ControlPolicy, DampedStep, Desync, Ewma, Hysteresis, Observation, Undamped,
 };
-pub use stability::{analyze, PathRates, Sample, StabilityConfig, StabilityReport};
+pub use stability::{analyze, PathRates, Sample, StabilityReport, SHORTFALL_THRESHOLD};

@@ -52,60 +52,49 @@ impl<'a> PathRates<'a> {
     }
 }
 
-/// Analyzer thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct StabilityConfig {
-    /// Delivery below this fraction of the offered rate counts as
-    /// shortfall (matches the simnet tracking-lag criterion).
-    pub shortfall_threshold: f64,
-    /// Minimum swing amplitude, as a fraction of the mean offered rate,
-    /// for a delivery-direction reversal to count as an oscillation.
-    pub min_cycle_amplitude: f64,
-    /// Settling band around the final delivered value, as a fraction of
-    /// the final offered rate (of the final delivered value when
-    /// nothing is offered at the end).
-    pub settle_band: f64,
-    /// Minimum per-flow share-distribution L1 change between
-    /// consecutive samples to count as a reconfiguration.
-    pub churn_epsilon: f64,
-}
+/// Delivery below this fraction of the offered rate counts as
+/// shortfall. The simnet tracking lag uses the same criterion.
+pub const SHORTFALL_THRESHOLD: f64 = 0.95;
 
-impl Default for StabilityConfig {
-    fn default() -> Self {
-        StabilityConfig {
-            shortfall_threshold: 0.95,
-            min_cycle_amplitude: 0.01,
-            settle_band: 0.02,
-            churn_epsilon: 1e-3,
-        }
-    }
-}
+/// Minimum swing amplitude, as a fraction of the mean offered rate, for
+/// a delivery-direction reversal to count as an oscillation.
+const MIN_CYCLE_AMPLITUDE: f64 = 0.01;
+
+/// Settling band around the final delivered value, as a fraction of the
+/// final offered rate (of the final delivered value when nothing is
+/// offered at the end).
+const SETTLE_BAND: f64 = 0.02;
+
+/// Minimum per-flow share-distribution L1 change between consecutive
+/// samples to count as a reconfiguration.
+const CHURN_EPSILON: f64 = 1e-3;
 
 /// The oscillation metrics of one run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StabilityReport {
     /// Time spanned by the samples (seconds).
     pub duration_s: f64,
-    /// Fraction of samples (with offered > 0) delivering below the
-    /// shortfall threshold — the "constant-fraction delivery shortfall"
-    /// headline number.
+    /// Fraction of samples (with offered > 0) delivering below
+    /// [`SHORTFALL_THRESHOLD`] — the "constant-fraction delivery
+    /// shortfall" headline number.
     pub shortfall_fraction: f64,
     /// Mean of `max(0, 1 − delivered/offered)` over samples with
     /// offered > 0.
     pub mean_shortfall: f64,
-    /// Delivery-direction reversals with swing amplitude above the
-    /// configured threshold (2 per full spill/re-aggregate cycle).
+    /// Delivery-direction reversals swinging more than 1 % of the mean
+    /// offered rate (2 per full spill/re-aggregate cycle).
     pub oscillation_count: usize,
     /// `oscillation_count` per second of series time.
     pub oscillations_per_s: f64,
     /// Mean peak-to-peak distance of the detected swings (seconds);
     /// `None` with fewer than two full cycles.
     pub dominant_period_s: Option<f64>,
-    /// Time after which the delivered series stays within the settling
-    /// band of its final value; `None` for an empty series.
+    /// Time after which the delivered series stays within a band of
+    /// 2 % of the final offered rate around its final value; `None` for
+    /// an empty series.
     pub settling_time_s: Option<f64>,
-    /// Samples whose per-flow share distribution moved by more than the
-    /// churn epsilon — reconfiguration events.
+    /// Samples whose per-flow share distribution moved by more than
+    /// 1e-3 (L1) — reconfiguration events.
     pub churn_moves: usize,
     /// Total L1 share-distribution movement accumulated over the run
     /// (2.0 = one full flow moved all of its traffic twice).
@@ -114,10 +103,7 @@ pub struct StabilityReport {
 
 /// Analyze a sampled series: each row's scalar readings and per-path
 /// rates, in time order.
-pub fn analyze<'a>(
-    rows: impl IntoIterator<Item = (&'a Sample, PathRates<'a>)>,
-    cfg: &StabilityConfig,
-) -> StabilityReport {
+pub fn analyze<'a>(rows: impl IntoIterator<Item = (&'a Sample, PathRates<'a>)>) -> StabilityReport {
     let (samples, path_rates): (Vec<&Sample>, Vec<PathRates>) = rows.into_iter().unzip();
     let duration_s = match (samples.first(), samples.last()) {
         (Some(a), Some(b)) => b.t - a.t,
@@ -132,7 +118,7 @@ pub fn analyze<'a>(
         if s.offered_total > 0.0 {
             offered_samples += 1;
             let frac = s.delivered_total / s.offered_total;
-            if frac < cfg.shortfall_threshold {
+            if frac < SHORTFALL_THRESHOLD {
                 short += 1;
             }
             short_sum += (1.0 - frac).max(0.0);
@@ -144,7 +130,7 @@ pub fn analyze<'a>(
     // ---- oscillation (direction reversals with hysteresis) ------------
     let mean_offered =
         samples.iter().map(|s| s.offered_total).sum::<f64>() / samples.len().max(1) as f64;
-    let amp = cfg.min_cycle_amplitude * mean_offered;
+    let amp = MIN_CYCLE_AMPLITUDE * mean_offered;
     let mut reversal_times: Vec<f64> = Vec::new();
     if samples.len() >= 2 && amp > 0.0 {
         // Pivot-walk: follow the series; each time it retraces more than
@@ -208,7 +194,7 @@ pub fn analyze<'a>(
         } else {
             last.delivered_total.abs().max(1.0)
         };
-        let band = cfg.settle_band * base;
+        let band = SETTLE_BAND * base;
         let t0 = samples[0].t;
         let mut settle = t0;
         for s in &samples {
@@ -248,7 +234,7 @@ pub fn analyze<'a>(
                 .map(|(&x, &y)| (x / sa - y / sb).abs())
                 .sum::<f64>();
         }
-        if l1 > cfg.churn_epsilon {
+        if l1 > CHURN_EPSILON {
             churn_moves += 1;
             churn_total += l1;
         }
@@ -306,8 +292,8 @@ mod tests {
     }
 
     /// [`super::analyze`] over owned rows.
-    fn analyze(rows: &[(Sample, PathRates)], cfg: &StabilityConfig) -> StabilityReport {
-        super::analyze(rows.iter().map(|(s, rates)| (s, *rates)), cfg)
+    fn analyze(rows: &[(Sample, PathRates)]) -> StabilityReport {
+        super::analyze(rows.iter().map(|(s, rates)| (s, *rates)))
     }
 
     #[test]
@@ -317,7 +303,7 @@ mod tests {
             &[(0.0, 10.0, 10.0), (1.0, 10.0, 10.0), (2.0, 10.0, 10.0)],
             flat,
         );
-        let r = analyze(&s, &StabilityConfig::default());
+        let r = analyze(&s);
         assert_eq!(r.shortfall_fraction, 0.0);
         assert_eq!(r.mean_shortfall, 0.0);
         assert_eq!(r.oscillation_count, 0);
@@ -341,7 +327,7 @@ mod tests {
                 )
             })
             .collect();
-        let r = analyze(&series(&pts, flat_rates()), &StabilityConfig::default());
+        let r = analyze(&series(&pts, flat_rates()));
         // 2 reversals per cycle, minus edge effects.
         assert!(
             (14..=16).contains(&r.oscillation_count),
@@ -366,7 +352,7 @@ mod tests {
             ],
             flat,
         );
-        let r = analyze(&s, &StabilityConfig::default());
+        let r = analyze(&s);
         assert!((r.shortfall_fraction - 0.5).abs() < 1e-12);
         assert!((r.mean_shortfall - 0.3 / 4.0).abs() < 1e-12);
     }
@@ -375,7 +361,7 @@ mod tests {
     fn step_series_settles_at_the_step() {
         let mut pts = vec![(0.0, 10.0, 5.0), (1.0, 10.0, 5.0), (2.0, 10.0, 5.0)];
         pts.extend((3..10).map(|i| (i as f64, 10.0, 10.0)));
-        let r = analyze(&series(&pts, flat_rates()), &StabilityConfig::default());
+        let r = analyze(&series(&pts, flat_rates()));
         assert_eq!(r.settling_time_s, Some(2.0), "last out-of-band instant");
     }
 
@@ -394,7 +380,7 @@ mod tests {
         );
         // Flow flips from path 0 to path 1 between samples 1 and 2.
         s[2].1 = flipped;
-        let r = analyze(&s, &StabilityConfig::default());
+        let r = analyze(&s);
         assert_eq!(r.churn_moves, 1);
         assert!((r.churn_total - 2.0).abs() < 1e-12, "full flip = L1 of 2");
     }
@@ -413,7 +399,7 @@ mod tests {
             flat_rates(),
         );
         s[2].1 = joined;
-        let r = analyze(&s, &StabilityConfig::default());
+        let r = analyze(&s);
         assert_eq!(r.churn_moves, 0);
         let later = Sample { t: 3.0, ..s[2].0 };
         let flipped = PathRates {
@@ -421,21 +407,18 @@ mod tests {
             ..joined
         };
         s.push((later, flipped));
-        let r = analyze(&s, &StabilityConfig::default());
+        let r = analyze(&s);
         assert_eq!(r.churn_moves, 1);
         assert!((r.churn_total - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_and_single_sample_series() {
-        let r = analyze(&[], &StabilityConfig::default());
+        let r = analyze(&[]);
         assert_eq!(r.duration_s, 0.0);
         assert_eq!(r.settling_time_s, None);
         let flat = flat_rates();
-        let r = analyze(
-            &series(&[(0.0, 10.0, 10.0)], flat),
-            &StabilityConfig::default(),
-        );
+        let r = analyze(&series(&[(0.0, 10.0, 10.0)], flat));
         assert_eq!(r.oscillation_count, 0);
         assert_eq!(r.settling_time_s, Some(0.0));
     }

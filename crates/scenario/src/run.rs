@@ -6,7 +6,7 @@ use crate::spec::{
     PacketPlacement, PacketRateSpec, PacketSpec, PairsSpec, PeakSpec, ReplayMode, ReplaySpec,
     ScaleSpec, Scenario, SubsetScheme, TablesSpec, TraceSpec,
 };
-use ecp_control::{StabilityConfig, StabilityReport};
+use ecp_control::{StabilityReport, SHORTFALL_THRESHOLD};
 use ecp_routing::subset::PruneOrder;
 use ecp_routing::{
     elastictree_subset, max_feasible_volume, ospf_invcap, recomputation_rate, ConfigDominance,
@@ -508,9 +508,9 @@ impl ResolveCache {
 /// The telemetry by-products of a traced run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceOutput {
-    /// JSONL trace lines in emission order. Engines other than simnet
-    /// record profiling `Span` lines at most, and a counting sink
-    /// (`JsonlSink::counting`) records none.
+    /// JSONL event lines in emission order, the same whether or not
+    /// the run was profiled. Engines other than simnet and a counting
+    /// sink (`JsonlSink::counting`) record none.
     pub lines: Vec<String>,
     /// Aggregated snapshot; `None` for engines without tracing.
     pub snapshot: Option<TelemetrySnapshot>,
@@ -620,9 +620,10 @@ pub fn run_resolved_traced(
         .map(|(report, trace, _)| (report, trace))
 }
 
-/// [`run_resolved`] with profiling spans on the wall clock; the
-/// resolve phases are missing from the profile (see
-/// [`run_resolved_with_sink`] for whole-scenario profiling).
+/// [`run_resolved_traced`] with profiling spans on the wall clock: the
+/// same report and trace, plus the timing profile. The resolve phases
+/// are missing from the profile (see [`run_resolved_with_sink`] for
+/// whole-scenario profiling).
 pub fn run_resolved_profiled(
     scenario: &Scenario,
     resolved: &ResolvedScenario,
@@ -638,8 +639,10 @@ pub fn run_resolved_profiled(
 /// (a counting one, [`JsonlSink::counting`], only the snapshot), and a
 /// [`SpanSink`] adds profiling spans: the oracle probe (when the
 /// traffic scale needs it) under `resolve_oracle` and the run under
-/// `scenario_run`. Only the simnet engine is instrumented inside, so
-/// the other engines' traces hold span lines at most and no snapshot.
+/// `scenario_run`. Spans land in the sink's timing profile only, never
+/// in the trace, so a profiled run's lines equal a traced run's. Only
+/// the simnet engine is instrumented inside, so the other engines'
+/// traces hold no line and no snapshot.
 ///
 /// Observing never changes behaviour: the report is byte-identical
 /// whatever the sink (pinned by the `profiling_parity` proptest), and
@@ -1271,7 +1274,7 @@ fn run_simnet_with_sink<S: TelemetrySink>(
     for s in series.samples() {
         offered_sum += s.offered_total;
         delivered_sum += s.delivered_total;
-        if s.offered_total > 0.0 && s.delivered_total < 0.95 * s.offered_total {
+        if s.offered_total > 0.0 && s.delivered_total < SHORTFALL_THRESHOLD * s.offered_total {
             lag_start.get_or_insert(s.t);
         } else if let Some(start) = lag_start.take() {
             lag = lag.max(s.t - start);
@@ -1283,7 +1286,7 @@ fn run_simnet_with_sink<S: TelemetrySink>(
     let stability = scenario
         .metrics
         .stability
-        .then(|| ecp_control::analyze(series.rows(), &StabilityConfig::default()));
+        .then(|| ecp_control::analyze(series.rows()));
     let samples = series.samples();
     let power_series = scenario
         .metrics

@@ -2,7 +2,7 @@
 //! parameters and simulator timing), engine gating, sweep axes, and the
 //! stability analyzer attachment.
 
-use ecp_control::{PathRates, Sample, StabilityConfig};
+use ecp_control::{PathRates, Sample};
 use ecp_scenario::{
     grid, run_scenario, Axis, ControlSpec, EngineSpec, EventSpec, FlowProgram, LinkRef, MatrixSpec,
     MetricsSpec, NodeRef, PairsSpec, Param, ReplayMode, ReplaySpec, ScaleSpec, Scenario,
@@ -111,7 +111,7 @@ fn stability_over_borrowed_rows_matches_nested_oracle() {
         let rows = flat
             .iter()
             .map(|(s, rates, ends)| (s, PathRates { rates, ends }));
-        let oracle = ecp_control::analyze(rows, &StabilityConfig::default());
+        let oracle = ecp_control::analyze(rows);
         assert!(
             oracle.churn_moves > 0,
             "{}: the run reconfigures",

@@ -96,7 +96,7 @@ proptest! {
 
     /// Profiling observes wall time but never simulation behavior:
     /// the report is byte-identical to an unprofiled run, and the
-    /// trace is the unprofiled trace with Span lines interleaved.
+    /// trace is the traced run's trace, line for line.
     #[test]
     fn profiled_reports_are_byte_identical(scenario in arb_scenario()) {
         let plain = run_scenario(&scenario).unwrap();
@@ -106,21 +106,16 @@ proptest! {
             serde_json::to_string(&profiled).unwrap()
         );
 
-        // The event lines under the Span lines are exactly the traced
-        // run's lines, and the aggregated snapshot matches too.
+        // Spans never enter the trace: its lines are exactly the
+        // traced run's, and the aggregated snapshot matches too.
         let (traced_report, traced) =
             run_resolved_traced(&scenario, &resolve(&scenario).unwrap()).unwrap();
         prop_assert_eq!(
             serde_json::to_string(&plain).unwrap(),
             serde_json::to_string(&traced_report).unwrap()
         );
-        let events_only: Vec<&String> = trace
-            .lines
-            .iter()
-            .filter(|l| !l.starts_with("{\"Span\""))
-            .collect();
-        let traced_lines: Vec<&String> = traced.lines.iter().collect();
-        prop_assert_eq!(events_only, traced_lines);
+        prop_assert!(!traced.lines.is_empty());
+        prop_assert_eq!(&trace.lines, &traced.lines);
         prop_assert_eq!(&trace.snapshot, &traced.snapshot);
 
         // The profile actually covers the hot phases.

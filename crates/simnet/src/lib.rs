@@ -51,7 +51,6 @@ pub use ecp_control::{PathRates, Sample};
 pub use ecp_telemetry::{
     Clock, Counter, Element, FakeClock, Hist, JsonlSink, MonoClock, NoopSink, PowerKind, SpanName,
     SpanSink, SpanTiming, TelemetryEvent, TelemetrySink, TelemetrySnapshot, TimingSnapshot,
-    SPAN_DUR_BOUNDS,
 };
 pub use packet::{
     run_packet_sim, run_packet_sim_full, ArcActivity, CbrFlow, PacketSimConfig, PacketStats,

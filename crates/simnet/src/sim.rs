@@ -2012,7 +2012,7 @@ mod tests {
         // The stability analysis skips the one pair of rows that
         // straddles the join, so the join is no reconfiguration.
         let churn = |rows: &[(&Sample, ecp_control::PathRates)]| {
-            ecp_control::analyze(rows.iter().copied(), &Default::default()).churn_moves
+            ecp_control::analyze(rows.iter().copied()).churn_moves
         };
         assert_eq!(
             churn(&rows),

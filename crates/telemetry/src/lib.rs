@@ -5,9 +5,9 @@
 //! absorbing failures. This crate gives the simulator a first-class
 //! window into those dynamics without perturbing them:
 //!
-//! * [`TelemetryEvent`] — structured events (control-round spans, power
-//!   transitions with idle-drain timing, TE reconfigs, failures and
-//!   repairs, per-round arc-load summaries).
+//! * [`TelemetryEvent`] — structured events in simulation time (control
+//!   rounds, power transitions with idle-drain timing, TE reconfigs,
+//!   failures and repairs, per-round arc-load summaries).
 //! * [`TelemetrySink`] — a statically-dispatched facade. The simulator
 //!   is generic over the sink; with the default [`NoopSink`]
 //!   (`ENABLED = false`) every instrumentation site folds away at
@@ -20,6 +20,10 @@
 //!   [`TelemetrySnapshot`] for embedding in reports.
 //!   [`JsonlSink::counting`] aggregates the same snapshot and formats no
 //!   line (what campaigns record).
+//! * [`SpanSink`] — a [`JsonlSink`] that also times profiling spans in
+//!   wall-clock time. Spans are aggregates only: they feed a
+//!   [`TimingSnapshot`] and never enter the event lines, so a profiled
+//!   trace is its traced run's trace byte for byte.
 //! * [`alloc_count`] — a counting global allocator. It counts nothing
 //!   unless a binary installs it; the `decision_allocs` test of
 //!   `ecp-bench` does, to pin the decision path at zero allocations.
@@ -30,9 +34,7 @@ pub mod alloc_count;
 
 pub mod profile;
 
-pub use profile::{
-    Clock, FakeClock, MonoClock, SpanSink, SpanStat, SpanTiming, TimingSnapshot, SPAN_DUR_BOUNDS,
-};
+pub use profile::{Clock, FakeClock, MonoClock, SpanSink, SpanTiming, TimingSnapshot};
 
 /// Which way a link power transition went.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -59,7 +61,7 @@ pub enum Element {
 /// simulation order, so a trace is totally ordered by emission index.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TelemetryEvent {
-    /// A TE control round completed (one span per round).
+    /// A TE control round completed (one event per round).
     ControlRound {
         /// Simulation time of the round.
         t: f64,
@@ -137,25 +139,6 @@ pub enum TelemetryEvent {
         /// Whether this is the detection event.
         detected: bool,
     },
-    /// A profiling span closed ([`SpanSink`] only). Unlike the other
-    /// variants this carries *wall-clock* durations from a [`Clock`];
-    /// `t` is still simulation time (the time of the last simulation
-    /// event seen before the span closed) so traces with spans stay
-    /// totally ordered for `trace validate`.
-    Span {
-        /// Simulation time the span closed at.
-        t: f64,
-        /// Span name ([`profile::SpanName::name`]).
-        name: String,
-        /// Wall seconds from profiling start to span entry.
-        start_s: f64,
-        /// Wall seconds the span was open.
-        dur_s: f64,
-        /// Wall seconds not attributed to child spans.
-        self_s: f64,
-        /// Nesting depth at entry (0 = root span).
-        depth: u32,
-    },
 }
 
 impl TelemetryEvent {
@@ -167,8 +150,7 @@ impl TelemetryEvent {
             | TelemetryEvent::PowerTransition { t, .. }
             | TelemetryEvent::TeReconfig { t, .. }
             | TelemetryEvent::Failure { t, .. }
-            | TelemetryEvent::Repair { t, .. }
-            | TelemetryEvent::Span { t, .. } => t,
+            | TelemetryEvent::Repair { t, .. } => t,
         }
     }
 
@@ -181,7 +163,6 @@ impl TelemetryEvent {
             TelemetryEvent::TeReconfig { .. } => "TeReconfig",
             TelemetryEvent::Failure { .. } => "Failure",
             TelemetryEvent::Repair { .. } => "Repair",
-            TelemetryEvent::Span { .. } => "Span",
         }
     }
 }
@@ -245,7 +226,7 @@ impl SpanName {
         SpanName::CampaignRun,
     ];
 
-    /// Stable snake_case name used in traces and timing snapshots.
+    /// Stable snake_case name used in timing snapshots.
     pub fn name(self) -> &'static str {
         match self {
             SpanName::EventDrain => "event_drain",
@@ -270,14 +251,6 @@ impl SpanName {
     /// Position in [`SpanName::ALL`].
     pub fn index(self) -> usize {
         self as usize
-    }
-
-    /// Whether [`SpanSink`] writes a `Span` line when this span closes.
-    /// The per-agent spans (`round_observe`, `round_decide`) close once
-    /// per agent decision, millions of times in a simulated day, so
-    /// they only feed the [`TimingSnapshot`] aggregates.
-    pub fn writes_line(self) -> bool {
-        !matches!(self, SpanName::RoundObserve | SpanName::RoundDecide)
     }
 }
 
@@ -707,24 +680,9 @@ impl JsonlSink {
         self.lines.as_deref().unwrap_or_default()
     }
 
-    /// Whether the sink formats lines: false for a counting sink.
-    pub(crate) fn records_lines(&self) -> bool {
-        self.lines.is_some()
-    }
-
     /// Current value of one counter.
     pub fn counter(&self, c: Counter) -> u64 {
         self.counters[c.index()]
-    }
-
-    /// Append `ev` as one JSON line, formatted in the reused buffer and
-    /// stored at its exact size. A counting sink formats nothing.
-    pub(crate) fn push_line(&mut self, ev: &TelemetryEvent) {
-        if let Some(lines) = &mut self.lines {
-            ev.write_json(&mut JsonWriter::compact(&mut self.buf));
-            lines.push(self.buf.as_str().into());
-            self.buf.clear();
-        }
     }
 }
 
@@ -757,7 +715,13 @@ impl TelemetrySink for JsonlSink {
             }
             _ => {}
         }
-        self.push_line(ev);
+        // One JSON line, formatted in the reused buffer and stored at
+        // its exact size. A counting sink formats nothing.
+        if let Some(lines) = &mut self.lines {
+            ev.write_json(&mut JsonWriter::compact(&mut self.buf));
+            lines.push(self.buf.as_str().into());
+            self.buf.clear();
+        }
     }
 
     fn add(&mut self, c: Counter, n: u64) {
@@ -971,23 +935,6 @@ mod tests {
         let h1 = snap1.histogram("idle_drain_s").unwrap();
         assert!((h1.p50() - 0.7).abs() < 1e-12);
         assert!((h1.p99() - 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn span_event_round_trips_and_orders() {
-        let ev = TelemetryEvent::Span {
-            t: 12.5,
-            name: "round_decide".to_string(),
-            start_s: 0.25,
-            dur_s: 0.125,
-            self_s: 0.1,
-            depth: 2,
-        };
-        let line = serde_json::to_string(&ev).unwrap();
-        let back: TelemetryEvent = serde_json::from_str(&line).unwrap();
-        assert_eq!(back, ev);
-        assert_eq!(ev.kind(), "Span");
-        assert_eq!(ev.time(), 12.5);
     }
 
     #[test]

@@ -7,14 +7,12 @@
 //!   clock; [`FakeClock`] advances a fixed tick per read so span trees
 //!   are deterministic under test.
 //! * [`SpanSink`] — a [`TelemetrySink`] that wraps a [`JsonlSink`] and
-//!   additionally times `span_enter`/`span_exit` pairs. Span close
-//!   events ride in the same ordered line stream as the inner sink's
-//!   events (as [`TelemetryEvent::Span`] lines) but bypass its
-//!   aggregation, so the embedded [`TelemetrySnapshot`] is identical
-//!   to an unprofiled traced run. The per-agent spans
-//!   ([`SpanName::writes_line`] is false) write no line; like every
-//!   span they are counted and timed in the [`TimingSnapshot`]. Over a
-//!   counting sink ([`SpanSink::counting`]) no span writes a line.
+//!   additionally times `span_enter`/`span_exit` pairs. Spans are
+//!   aggregates only: every event, counter and line goes to the inner
+//!   sink untouched, so the lines and the [`TelemetrySnapshot`] equal an
+//!   unprofiled traced run's, and a closed span only updates its
+//!   per-name aggregate. Over a counting sink ([`SpanSink::counting`])
+//!   nothing is formatted at all.
 //! * [`TimingSnapshot`] — per-span count / total / self time plus
 //!   p50/p95/p99 interpolated from fixed log-spaced duration buckets.
 //!
@@ -86,7 +84,7 @@ impl Clock for FakeClock {
 
 /// Bucket bounds for span durations (seconds), log-spaced from 100 ns
 /// to 10 s: the histogram every [`SpanStat`] keeps.
-pub const SPAN_DUR_BOUNDS: &[f64] = &[1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0];
+const SPAN_DUR_BOUNDS: &[f64] = &[1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0];
 
 /// Aggregated timing for one span name.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -106,7 +104,7 @@ pub struct SpanTiming {
     pub p95_s: f64,
     /// 99th-percentile span duration.
     pub p99_s: f64,
-    /// Full duration histogram ([`SPAN_DUR_BOUNDS`] buckets).
+    /// Full duration histogram (log-spaced buckets from 100 ns to 10 s).
     pub durations: crate::HistogramSnapshot,
 }
 
@@ -142,10 +140,9 @@ impl TimingSnapshot {
 
 /// One span name's running aggregate: count, total and self time, and
 /// the [`SPAN_DUR_BOUNDS`] duration histogram. [`SpanSink`] keeps one
-/// per span name; `ecp trace summarize` folds a trace's `Span` lines
-/// through the same type, so both report the same percentiles.
+/// per span name.
 #[derive(Debug, Clone)]
-pub struct SpanStat {
+struct SpanStat {
     count: u64,
     total_s: f64,
     self_s: f64,
@@ -166,7 +163,7 @@ impl Default for SpanStat {
 impl SpanStat {
     /// Record one closed span of `dur_s` seconds, `self_s` of them not
     /// spent in child spans.
-    pub fn observe(&mut self, dur_s: f64, self_s: f64) {
+    fn observe(&mut self, dur_s: f64, self_s: f64) {
         self.count += 1;
         self.total_s += dur_s;
         self.self_s += self_s;
@@ -174,7 +171,7 @@ impl SpanStat {
     }
 
     /// The aggregate so far, as the timing of the span `name`.
-    pub fn timing(&self, name: &str) -> SpanTiming {
+    fn timing(&self, name: &str) -> SpanTiming {
         let durations = self.durations.snapshot_named(name, SPAN_DUR_BOUNDS);
         SpanTiming {
             name: name.to_string(),
@@ -197,16 +194,14 @@ struct Frame {
 }
 
 /// A recording sink with profiling spans: wraps a [`JsonlSink`] (all
-/// events/counters/histograms behave identically) and times
-/// `span_enter`/`span_exit` pairs against a [`Clock`].
+/// events/counters/histograms/lines behave identically) and times
+/// `span_enter`/`span_exit` pairs against a [`Clock`] into per-span
+/// aggregates.
 #[derive(Debug, Clone)]
 pub struct SpanSink<C: Clock = MonoClock> {
     inner: JsonlSink,
     clock: C,
     origin_s: f64,
-    /// Simulation time of the last emitted event — stamped onto Span
-    /// lines so the combined trace stays monotone in `t`.
-    last_t: f64,
     stack: Vec<Frame>,
     stats: Vec<SpanStat>,
 }
@@ -219,7 +214,7 @@ impl SpanSink<MonoClock> {
 
     /// Profiling sink on the monotonic wall clock over a counting
     /// [`JsonlSink`]: the same snapshot and timing as [`SpanSink::new`],
-    /// and no event or `Span` line is formatted.
+    /// and no line is formatted.
     pub fn counting() -> Self {
         SpanSink::wrapping(MonoClock::default(), JsonlSink::counting())
     }
@@ -243,15 +238,9 @@ impl<C: Clock> SpanSink<C> {
             inner,
             clock,
             origin_s,
-            last_t: 0.0,
             stack: Vec::new(),
             stats: vec![SpanStat::default(); SpanName::ALL.len()],
         }
-    }
-
-    /// The wrapped recording sink.
-    pub fn inner(&self) -> &JsonlSink {
-        &self.inner
     }
 
     /// Per-span timing profile so far. Reads the clock once for
@@ -274,7 +263,6 @@ impl<C: Clock> TelemetrySink for SpanSink<C> {
     const SPANS: bool = true;
 
     fn emit(&mut self, ev: &TelemetryEvent) {
-        self.last_t = ev.time();
         self.inner.emit(ev);
     }
 
@@ -311,28 +299,13 @@ impl<C: Clock> TelemetrySink for SpanSink<C> {
             parent.child_s += dur_s;
         }
         self.stats[frame.name.index()].observe(dur_s, self_s);
-        if !frame.name.writes_line() || !self.inner.records_lines() {
-            return;
-        }
-        let ev = TelemetryEvent::Span {
-            t: self.last_t,
-            name: frame.name.name().to_string(),
-            start_s: frame.start_s - self.origin_s,
-            dur_s,
-            self_s,
-            depth: self.stack.len() as u32,
-        };
-        // Pushed directly (not through `inner.emit`) so the inner
-        // event count / settle / peak aggregation — and therefore the
-        // embedded TelemetrySnapshot — match an unprofiled traced run.
-        self.inner.push_line(&ev);
     }
 
     fn snapshot(&self) -> Option<TelemetrySnapshot> {
         self.inner.snapshot()
     }
 
-    /// The combined trace: inner events interleaved with Span lines.
+    /// The inner sink's event lines (none over a counting sink).
     fn take_lines(&mut self) -> Vec<String> {
         self.inner.take_lines()
     }
@@ -368,39 +341,50 @@ mod tests {
         assert!((timing.wall_s - 5e-3).abs() < 1e-12);
     }
 
-    #[test]
-    fn span_lines_ride_the_stream_without_touching_the_snapshot() {
-        let mut s = SpanSink::with_clock(FakeClock::new(1.0));
-        let ev = TelemetryEvent::ArcLoads {
-            t: 2.0,
+    fn arc_loads(t: f64) -> TelemetryEvent {
+        TelemetryEvent::ArcLoads {
+            t,
             max_util: 0.5,
             mean_util: 0.2,
             overloaded: 1,
-        };
-        s.span_enter(SpanName::EventDrain);
-        s.emit(&ev);
-        s.span_exit(SpanName::EventDrain);
-
-        // A plain JsonlSink seeing the same events must produce the
-        // identical snapshot (span lines bypass aggregation).
-        let mut plain = JsonlSink::new();
-        plain.emit(&ev);
-        assert_eq!(s.snapshot(), plain.snapshot());
-
-        let lines = s.take_lines();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("{\"ArcLoads\":"));
-        assert!(lines[1].starts_with("{\"Span\":"));
-        // Span line parses back and carries the last sim time.
-        let back: TelemetryEvent = serde_json::from_str(&lines[1]).unwrap();
-        match back {
-            TelemetryEvent::Span { t, name, depth, .. } => {
-                assert_eq!(t, 2.0);
-                assert_eq!(name, "event_drain");
-                assert_eq!(depth, 0);
-            }
-            other => panic!("expected Span, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn span_sink_writes_a_plain_sinks_lines_and_snapshot() {
+        let events = [
+            arc_loads(2.0),
+            TelemetryEvent::ControlRound {
+                t: 2.0,
+                immediate: false,
+                agents: 3,
+                decided: 2,
+                skipped_clean: 1,
+                deferred_phased: 0,
+                share_changes: 1,
+                waterfill_iters: 5,
+            },
+            arc_loads(3.0),
+        ];
+        let mut s = SpanSink::with_clock(FakeClock::new(1.0));
+        let mut plain = JsonlSink::new();
+        for ev in &events {
+            s.span_enter(SpanName::EventDrain);
+            s.span_enter(SpanName::RoundSnapshot);
+            s.emit(ev);
+            s.span_exit(SpanName::RoundSnapshot);
+            s.add(Counter::ControlRounds, 1);
+            s.span_exit(SpanName::EventDrain);
+            plain.emit(ev);
+            plain.add(Counter::ControlRounds, 1);
+        }
+        // Spans write nothing into the stream: the lines and the
+        // snapshot are exactly a plain sink's over the same events.
+        assert_eq!(s.snapshot(), plain.snapshot());
+        assert_eq!(s.take_lines(), plain.take_lines());
+        let timing = s.timing();
+        assert_eq!(timing.span("event_drain").map(|t| t.count), Some(3));
+        assert_eq!(timing.span("round_snapshot").map(|t| t.count), Some(3));
     }
 
     #[test]
@@ -408,23 +392,17 @@ mod tests {
         let mut s = SpanSink::with_clock(FakeClock::new(1.0));
         s.span_enter(SpanName::RoundApply);
         for name in [SpanName::RoundObserve, SpanName::RoundDecide] {
-            assert!(!name.writes_line());
             s.span_enter(name);
             s.span_exit(name);
         }
         s.span_exit(SpanName::RoundApply);
 
-        // Only the enclosing span writes a line, and its self time
+        // No span writes a line, and the enclosing span's self time
         // still excludes the two per-agent children.
-        let lines = s.take_lines();
-        assert_eq!(lines.len(), 1);
-        let back: TelemetryEvent = serde_json::from_str(&lines[0]).unwrap();
-        let TelemetryEvent::Span { name, self_s, .. } = back else {
-            panic!("expected Span, got {back:?}");
-        };
-        assert_eq!(name, "round_apply");
-        assert_eq!(self_s, 3.0);
+        assert!(s.take_lines().is_empty());
         let timing = s.timing();
+        let apply = timing.span("round_apply").unwrap();
+        assert_eq!((apply.count, apply.total_s, apply.self_s), (1, 5.0, 3.0));
         for name in ["round_observe", "round_decide"] {
             let span = timing.span(name).unwrap();
             assert_eq!((span.count, span.total_s), (1, 1.0));
@@ -435,12 +413,7 @@ mod tests {
     fn counting_span_sink_times_spans_without_lines() {
         let run = |mut s: SpanSink<FakeClock>| {
             s.span_enter(SpanName::EventDrain);
-            s.emit(&TelemetryEvent::ArcLoads {
-                t: 2.0,
-                max_util: 0.5,
-                mean_util: 0.2,
-                overloaded: 1,
-            });
+            s.emit(&arc_loads(2.0));
             s.span_exit(SpanName::EventDrain);
             let lines = s.take_lines();
             (s.snapshot(), s.timing(), lines)
@@ -448,7 +421,9 @@ mod tests {
         let (snap, timing, lines) = run(SpanSink::with_clock(FakeClock::new(1.0)));
         let counting = SpanSink::wrapping(FakeClock::new(1.0), JsonlSink::counting());
         let (snap_c, timing_c, lines_c) = run(counting);
-        assert_eq!(lines.len(), 2);
+        let mut plain = JsonlSink::new();
+        plain.emit(&arc_loads(2.0));
+        assert_eq!(lines, plain.take_lines());
         assert!(lines_c.is_empty());
         assert_eq!(snap_c, snap);
         assert_eq!(timing_c, timing);
