@@ -13,10 +13,38 @@
 //!    placed flows crossing the saturated cut are removed and re-placed
 //!    after it.
 //! 3. **Randomized restarts** — a few placement orders are tried
-//!    (deterministically seeded).
+//!    (deterministically seeded), unless a cut has proven that none can
+//!    succeed (below).
 //!
 //! A `margin` (the paper's safety margin `sm`, §4.5) scales usable
 //! capacity: `C ← sm · C`.
+//!
+//! **Cut certificates.** When a congestion-aware detour finds no path,
+//! the nodes it reached form a set R holding the origin and not the
+//! destination. The oracle then sums D, the matrix's demand from inside
+//! R to outside it, and C, the usable capacity plus `1e-6` of every
+//! active arc leaving R. If D > C · (1 + 1e-9), no attempt can place the
+//! matrix: every crossing demand leaves R over at least one active arc,
+//! and the room check keeps each arc's load within its usable capacity
+//! plus `1e-6` at every insertion, so a successful placement would load
+//! the arcs leaving R with at least D and at most C. The float drift of
+//! rip-up subtractions and of the sum D is far below the `1e-9` relative
+//! guard. So the attempt stops at that cut, the call answers "no"
+//! without its remaining passes and restarts, and the oracle keeps
+//! (R, C). C depends only on the subset, so every later call tests the
+//! kept cut first, in O(demands), and refuses a matrix that
+//! over-subscribes it before any attempt. Answers never change; only
+//! work whose outcome is already known is skipped.
+//!
+//! **Parallel arcs.** A route's arcs are resolved hop by hop as
+//! [`Path::arcs`] does: each hop takes the *first* arc between its two
+//! nodes. On a multigraph that need not be the arc the search checked,
+//! so a route can load an arc whose room was never tested, and a
+//! placement the oracle accepts can overload it
+//! (`RouteSet::is_feasible` rejects it). The certificate's bound rests
+//! on every loaded arc having been checked, so it is used only on
+//! simple topologies, where no two arcs share ordered endpoints; on a
+//! multigraph the oracle runs every attempt as before.
 //!
 //! The first choice of every demand is its load-independent
 //! inverse-capacity shortest path, so a [`FeasibilityOracle`] grows one
@@ -131,6 +159,46 @@ impl Span {
 /// resolved, then the route's arcs or `None` when unreachable.
 type FirstRoutes = Box<[Option<Option<Span>>]>;
 
+/// A cut a failed detour proved over-subscribed: the nodes on its
+/// origin side, and the usable capacity (plus the room check's `1e-6`
+/// each) of the active arcs leaving them.
+struct Cut {
+    inside: Vec<bool>,
+    capacity: f64,
+}
+
+/// Whether `demands` must send more out of the nodes `inside` holds
+/// than `capacity`.
+fn over_subscribed(demands: &[Demand], inside: impl Fn(NodeId) -> bool, capacity: f64) -> bool {
+    let crossing: f64 = demands
+        .iter()
+        .filter(|d| inside(d.origin) && !inside(d.dst))
+        .map(|d| d.rate)
+        .sum();
+    crossing > capacity * (1.0 + 1e-9)
+}
+
+/// How a placement attempt ended.
+enum Attempt {
+    Placed,
+    Failed,
+    /// A failed detour's cut proved that no attempt can succeed.
+    Refuted,
+}
+
+/// How the oracle's calls ended, for tests that must see each path.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct Tally {
+    /// Placement attempts run.
+    attempts: usize,
+    /// Calls refused by the kept cut, before any attempt.
+    by_kept_cut: usize,
+    /// Calls refused by a cut proven in their first attempt, before
+    /// any restart.
+    in_first: usize,
+}
+
 /// The feasibility oracle bound to one topology, active subset and
 /// configuration.
 ///
@@ -147,7 +215,11 @@ type FirstRoutes = Box<[Option<Option<Span>>]>;
 ///
 /// Both run one placement engine that holds routes as per-demand arc
 /// spans in reusable buffers; it allocates nothing once the buffers have
-/// grown, and [`place`] builds [`Path`]s only for the routing it returns.
+/// grown, except to keep a proven cut, and [`place`] builds [`Path`]s
+/// only for the routing it returns. On a simple topology a detour that
+/// finds no path can prove that no attempt will succeed; the engine
+/// then stops, keeps that cut, and refuses any later matrix that
+/// over-subscribes it before trying (see the module doc).
 ///
 /// [`place`]: FeasibilityOracle::place
 /// [`fits`]: FeasibilityOracle::fits
@@ -182,6 +254,13 @@ pub struct FeasibilityOracle<'t> {
     order: Vec<usize>,
     pending: Vec<usize>,
     failed: Vec<usize>,
+    /// Whether every arc is the first between its ends, so that a
+    /// route's arcs are the arcs its search checked.
+    simple: bool,
+    /// The last cut proven over-subscribed.
+    cut: Option<Cut>,
+    #[cfg(test)]
+    tally: Tally,
 }
 
 impl<'t> FeasibilityOracle<'t> {
@@ -211,6 +290,13 @@ impl<'t> FeasibilityOracle<'t> {
             order: Vec::new(),
             pending: Vec::new(),
             failed: Vec::new(),
+            simple: topo.arc_ids().all(|a| {
+                let arc = topo.arc(a);
+                topo.find_arc(arc.src, arc.dst) == Some(a)
+            }),
+            cut: None,
+            #[cfg(test)]
+            tally: Tally::default(),
         }
     }
 
@@ -243,8 +329,9 @@ impl<'t> FeasibilityOracle<'t> {
 
     /// [`FeasibilityOracle::fits`] with `tm`'s [`placement_order`]
     /// computed by the caller: the placement engine. Greedy placement in
-    /// the deterministic `order`, then in `restarts` shuffled ones. On
-    /// success the winning attempt's routes are left in `routes`.
+    /// the deterministic `order`, then in `restarts` shuffled ones, until
+    /// one succeeds or a cut proves that none can. On success the winning
+    /// attempt's routes are left in `routes`.
     pub(crate) fn fits_in(&mut self, tm: &TrafficMatrix, order: &[usize]) -> bool {
         let demands = tm.demands();
         // Rip-up visits placed demands in index order, which must be the
@@ -253,6 +340,15 @@ impl<'t> FeasibilityOracle<'t> {
             .windows(2)
             .all(|w| (w[0].origin, w[0].dst) < (w[1].origin, w[1].dst)));
         debug_assert_eq!(order, placement_order(tm));
+        if let Some(cut) = &self.cut {
+            if over_subscribed(demands, |v| cut.inside[v.idx()], cut.capacity) {
+                #[cfg(test)]
+                {
+                    self.tally.by_kept_cut += 1;
+                }
+                return false;
+            }
+        }
         self.arcs.truncate(self.resolved);
         let same_od = self.demand_od.len() == demands.len()
             && demands
@@ -271,16 +367,26 @@ impl<'t> FeasibilityOracle<'t> {
         }
         self.order.clear();
         self.order.extend_from_slice(order);
-        if self.attempt(demands) {
-            return true;
+        match self.attempt(demands) {
+            Attempt::Placed => return true,
+            Attempt::Refuted => {
+                #[cfg(test)]
+                {
+                    self.tally.in_first += 1;
+                }
+                return false;
+            }
+            Attempt::Failed => {}
         }
         // Shuffling indices permutes them exactly as shuffling the
         // demands would: the shuffle depends only on the length.
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         for _ in 0..self.cfg.restarts {
             self.order.shuffle(&mut rng);
-            if self.attempt(demands) {
-                return true;
+            match self.attempt(demands) {
+                Attempt::Placed => return true,
+                Attempt::Refuted => return false,
+                Attempt::Failed => {}
             }
         }
         false
@@ -299,7 +405,11 @@ impl<'t> FeasibilityOracle<'t> {
     }
 
     /// One placement attempt in `order`, with rip-up-and-reroute passes.
-    fn attempt(&mut self, demands: &[Demand]) -> bool {
+    fn attempt(&mut self, demands: &[Demand]) -> Attempt {
+        #[cfg(test)]
+        {
+            self.tally.attempts += 1;
+        }
         self.arcs.truncate(self.resolved);
         self.load.clear();
         self.load.resize(self.topo.arc_count(), 0.0);
@@ -318,15 +428,16 @@ impl<'t> FeasibilityOracle<'t> {
                         }
                         self.routes[i] = Some(r);
                     }
+                    None if self.refutes(demands) => return Attempt::Refuted,
                     None => self.failed.push(i),
                 }
             }
             if self.failed.is_empty() {
-                return true;
+                return Attempt::Placed;
             }
             passes += 1;
             if passes > self.cfg.reroute_passes {
-                return false;
+                return Attempt::Failed;
             }
             // Rip-up: remove up to eight placed flows crossing arcs near
             // saturation, in OD order, and requeue them after the failed
@@ -351,7 +462,7 @@ impl<'t> FeasibilityOracle<'t> {
                 }
             }
             if self.failed.len() == stuck {
-                return false; // nothing to rip: truly stuck
+                return Attempt::Failed; // nothing to rip: truly stuck
             }
             std::mem::swap(&mut self.pending, &mut self.failed);
         }
@@ -389,6 +500,34 @@ impl<'t> FeasibilityOracle<'t> {
         self.scratch
             .path_arcs(topo, d.origin, d.dst, &mut self.arcs)
             .then(|| Span::new(start, self.arcs.len()))
+    }
+
+    /// Whether the nodes the last failed detour reached form a cut that
+    /// `demands` over-subscribe, so that no attempt can place them; a
+    /// proven cut is kept. Only on simple topologies (see the module
+    /// doc).
+    fn refutes(&mut self, demands: &[Demand]) -> bool {
+        if !self.simple {
+            return false;
+        }
+        let (topo, search) = (self.topo, &self.scratch);
+        let inside = |v: NodeId| search.reached(v);
+        let capacity: f64 = topo
+            .arc_ids()
+            .filter(|&a| {
+                let arc = topo.arc(a);
+                self.arc_on[a.idx()] && inside(arc.src) && !inside(arc.dst)
+            })
+            .map(|a| self.cap[a.idx()] + 1e-6)
+            .sum();
+        if !over_subscribed(demands, inside, capacity) {
+            return false;
+        }
+        self.cut = Some(Cut {
+            inside: topo.node_ids().map(inside).collect(),
+            capacity,
+        });
+        true
     }
 }
 
@@ -561,6 +700,95 @@ mod tests {
             assert_eq!(oracle.place(&m).unwrap(), rs);
         }
         assert_eq!(oracle.arcs.len(), arena, "detours do not pile up");
+    }
+
+    #[test]
+    fn kept_cut_refuses_a_heavier_matrix_without_an_attempt() {
+        // 25 Mbps cannot leave node 0 over its two 10 Mbps arcs: the cut
+        // {0} is proven in the first attempt, and no restart runs.
+        let t = theta();
+        let cfg = OracleConfig::default();
+        let mut oracle = FeasibilityOracle::new(&t, None, &cfg);
+        assert!(!oracle.fits(&tm(&[(0, 3, 25e6)])));
+        assert_eq!(oracle.tally.attempts, 1);
+        assert_eq!(oracle.tally.in_first, 1);
+        let cut = oracle.cut.as_ref().expect("the cut is kept");
+        assert_eq!(cut.inside, [true, false, false, false]);
+        // Heavier across the cut: refused before any attempt.
+        let heavier = tm(&[(0, 1, 9e6), (0, 3, 12e6)]);
+        assert!(!oracle.fits(&heavier));
+        assert!(oracle.place(&heavier).is_none());
+        assert_eq!(oracle.tally.attempts, 1);
+        assert_eq!(oracle.tally.by_kept_cut, 2);
+        // Lighter: placed exactly as a fresh oracle places it.
+        let lighter = tm(&[(0, 3, 8e6), (1, 3, 9e6)]);
+        let placed = oracle
+            .place(&lighter)
+            .expect("17 Mbps fits through the cut");
+        assert_eq!(Some(placed), place_flows(&t, None, &lighter, &cfg));
+        assert_eq!(oracle.tally.by_kept_cut, 2);
+    }
+
+    #[test]
+    fn multigraph_keeps_no_cut() {
+        // Two parallel u-v links, 1 Mbps first and 10 Mbps second. A hop
+        // u -> v resolves to the first arc whatever the search checked,
+        // so x -> v and y -> v at 6 Mbps each are both placed on the
+        // 1 Mbps arc, while the cut {u, x, y} carries only 11 Mbps. A
+        // kept cut would refuse what a fresh oracle accepts.
+        let mut b = TopologyBuilder::new("parallel");
+        let [u, v, x, y] = ["u", "v", "x", "y"].map(|n| b.add_node(n));
+        b.add_link(u, v, MBPS, MS);
+        b.add_link(u, v, 10.0 * MBPS, MS);
+        b.add_link(x, u, 100.0 * MBPS, MS);
+        b.add_link(y, u, 100.0 * MBPS, MS);
+        let t = b.build();
+        let rate = |o: NodeId, d: NodeId, r: f64| Demand {
+            origin: o,
+            dst: d,
+            rate: r,
+        };
+        let cfg = OracleConfig::default();
+        let mut held = FeasibilityOracle::new(&t, None, &cfg);
+        assert!(!held.simple);
+        assert!(!held.fits(&TrafficMatrix::new(vec![rate(u, v, 12e6)])));
+        assert!(held.cut.is_none(), "no certificate on a multigraph");
+        let crowd = TrafficMatrix::new(vec![rate(x, v, 6e6), rate(y, v, 6e6)]);
+        let fresh = place_flows(&t, None, &crowd, &cfg);
+        assert!(fresh.is_some());
+        assert_eq!(held.place(&crowd), fresh);
+    }
+
+    /// Held oracles over rising gravity matrices on GÉANT, on the full
+    /// network and on subsets without one backbone link, answer every
+    /// matrix as fresh oracles do; the sweep holds refusals by a kept
+    /// cut and refusals proven in a call's first attempt.
+    #[test]
+    fn held_oracles_refuse_by_cut_exactly_as_fresh_ones_do() {
+        let t = ecp_topo::gen::geant();
+        let cfg = OracleConfig::default();
+        let pairs = ecp_traffic::random_od_pairs(&t, 40, 7);
+        let base = ecp_traffic::gravity_matrix(&t, &pairs, 1e9);
+        let mut subsets = vec![ActiveSet::all_on(&t)];
+        for l in t.link_ids().step_by(7) {
+            let mut s = ActiveSet::all_on(&t);
+            s.set_link(&t, l, false);
+            subsets.push(s);
+        }
+        let mut total = Tally::default();
+        for s in &subsets {
+            let mut held = FeasibilityOracle::new(&t, Some(s), &cfg);
+            assert!(held.simple);
+            for f in [1.0, 8.0, 2.0, 30.0, 12.0, 4.0, 60.0, 16.0] {
+                let m = base.scaled(f);
+                let fresh = FeasibilityOracle::new(&t, Some(s), &cfg).place(&m);
+                assert_eq!(held.place(&m), fresh, "scale {f}");
+            }
+            total.by_kept_cut += held.tally.by_kept_cut;
+            total.in_first += held.tally.in_first;
+        }
+        assert!(total.by_kept_cut > 0, "{total:?}");
+        assert!(total.in_first > 0, "{total:?}");
     }
 
     #[test]

@@ -145,13 +145,19 @@ pub fn greedy_prune(
 ///   matrix with other endpoints arrives; the oracles stay. Each oracle
 ///   in turn keeps its first-choice routes per OD list.
 ///
+/// * **Per call** — [`SubsetSolver::optimal`] routes the full network
+///   once for its four passes and routes only the winning subset; each
+///   pass returns the subset it keeps without routing it.
+///
 /// A trace replay asks about the same few subsets interval after
 /// interval with the same OD pairs, so holding one solver for the whole
 /// trace searches each subset's connectivity once, grows its trees and
-/// resolves its routes once. The answers depend only on the subset and
-/// the matrix, so a held solver returns exactly what the one-shot
-/// [`optimal_subset`] and [`greedy_prune`] return; those keep nothing
-/// per subset.
+/// resolves its routes once, and each subset's oracle keeps the last
+/// cut it proved over-subscribed, refusing later matrices that
+/// over-subscribe it without trying them. The answers depend only on
+/// the subset and the matrix, so a held solver returns exactly what the
+/// one-shot [`optimal_subset`] and [`greedy_prune`] return; those keep
+/// nothing per subset.
 pub struct SubsetSolver<'t> {
     topo: &'t Topology,
     power: &'t PowerModel,
@@ -240,50 +246,88 @@ impl<'t> SubsetSolver<'t> {
     }
 
     /// The reproduction's "optimal" subset for `tm`, as
-    /// [`optimal_subset`] computes it. The exact search on tiny nets
-    /// binds its own oracles and keeps none.
+    /// [`optimal_subset`] computes it: the best of four greedy passes
+    /// (PowerDesc, LoadAsc and two seeded random orders). The exact
+    /// search on tiny nets binds its own oracles and keeps none.
+    ///
+    /// It routes the full network once, which gates the call and gives
+    /// LoadAsc its router order. Each pass returns the subset it keeps
+    /// without routing it, and only the winner is routed. That routing
+    /// is the winning pass's own: every subset a pass keeps was accepted
+    /// by its `fits` check, or connects the endpoints of a matrix too
+    /// light to congest any arc, so routing it cannot fail, and a
+    /// placement depends only on the subset and the matrix.
     pub fn optimal(&mut self, tm: &TrafficMatrix) -> Option<SubsetResult> {
         if self.topo.link_count() <= 12 {
             return exact_small_subset(self.topo, self.power, tm, &self.cfg, 12);
         }
-        let mut best: Option<SubsetResult> = None;
+        let (topo, power) = (self.topo, self.power);
+        let m = &self.prepare(tm);
+        let full = self.place(m, &ActiveSet::all_on(topo))?;
         let orders = [
             PruneOrder::PowerDesc,
             PruneOrder::LoadAsc,
             PruneOrder::Random(1),
             PruneOrder::Random(2),
         ];
-        for ord in orders {
-            if let Some(r) = self.greedy_prune(tm, ord) {
-                // 0.5% improvement margin: without it, near-equal optima from
-                // different orders alternate across trace intervals, creating
-                // artificial configuration churn (the canonical PowerDesc
-                // result is kept on ties).
-                if best
-                    .as_ref()
-                    .map(|b| r.power_w < 0.995 * b.power_w)
-                    .unwrap_or(true)
-                {
-                    best = Some(r);
-                }
+        // The winner: the subset its pass kept, that subset with its
+        // isolated nodes pruned, and its power.
+        let mut best: Option<(ActiveSet, ActiveSet, f64)> = None;
+        for order in orders {
+            let Some(kept) = self.pass(m, order, &full) else {
+                continue;
+            };
+            let mut active = kept.clone();
+            active.prune_isolated_nodes(topo);
+            let power_w = power.network_power(topo, &active);
+            // 0.5% improvement margin: without it, near-equal optima from
+            // different orders alternate across trace intervals, creating
+            // artificial configuration churn (the canonical PowerDesc
+            // result is kept on ties).
+            if best.as_ref().is_none_or(|b| power_w < 0.995 * b.2) {
+                best = Some((kept, active, power_w));
             }
         }
-        best
+        let (kept, active, power_w) = best?;
+        let routes = self.place(m, &kept)?;
+        Some(SubsetResult {
+            active,
+            routes,
+            power_w,
+        })
     }
 
     /// Greedy power-down of `tm` in `order`, as [`greedy_prune`]
-    /// computes it.
-    ///
-    /// A candidate is kept when the endpoints stay connected and the
-    /// matrix fits on what is left. A matrix that cannot congest any arc
-    /// fits on every subset that keeps its endpoints connected, so
-    /// connectivity alone decides its candidates. Each pass routes once,
-    /// on the subset it keeps.
+    /// computes it: the full network's routing gates it, and the subset
+    /// its pass keeps is routed once.
     pub fn greedy_prune(&mut self, tm: &TrafficMatrix, order: PruneOrder) -> Option<SubsetResult> {
         let (topo, power) = (self.topo, self.power);
         let m = &self.prepare(tm);
+        let full = self.place(m, &ActiveSet::all_on(topo))?;
+        let mut active = self.pass(m, order, &full)?;
+        let routes = self.place(m, &active)?;
+        active.prune_isolated_nodes(topo);
+        let power_w = power.network_power(topo, &active);
+        Some(SubsetResult {
+            active,
+            routes,
+            power_w,
+        })
+    }
+
+    /// One greedy pass of `m` in `order` from the full network, whose
+    /// routing is `full`: switch off routers, then links, keeping each
+    /// candidate whose endpoints stay connected and on which the matrix
+    /// fits. A matrix that cannot congest any arc fits on every subset
+    /// that keeps its endpoints connected, so connectivity alone decides
+    /// its candidates.
+    ///
+    /// Returns the subset kept, isolated nodes not yet pruned, without
+    /// routing it. Only LoadAsc routes, on the subset its router pass
+    /// keeps, whose link loads order its link pass.
+    fn pass(&mut self, m: &Prepared, order: PruneOrder, full: &RouteSet) -> Option<ActiveSet> {
+        let (topo, power) = (self.topo, self.power);
         let mut active = ActiveSet::all_on(topo);
-        let mut routes = self.place(m, &active)?;
 
         // ---- Router pass -------------------------------------------------
         let mut node_candidates: Vec<NodeId> = topo
@@ -306,7 +350,7 @@ impl<'t> SubsetSolver<'t> {
                     .then(a.cmp(&b))
             }),
             PruneOrder::LoadAsc => {
-                let loads = routes.link_loads(topo, tm);
+                let loads = full.link_loads(topo, m.tm);
                 let thru =
                     |n: NodeId| -> f64 { topo.out_arcs(n).iter().map(|&a| loads[a.idx()]).sum() };
                 node_candidates
@@ -323,7 +367,6 @@ impl<'t> SubsetSolver<'t> {
                 active = tentative;
             }
         }
-        routes = self.place(m, &active)?;
 
         // ---- Link pass ----------------------------------------------------
         let mut link_candidates: Vec<ArcId> = topo
@@ -339,7 +382,7 @@ impl<'t> SubsetSolver<'t> {
                     .then(a.cmp(&b))
             }),
             PruneOrder::LoadAsc => {
-                let loads = routes.link_loads(topo, tm);
+                let loads = self.place(m, &active)?.link_loads(topo, m.tm);
                 let l2 = |l: ArcId| -> f64 {
                     let r = topo.reverse(l);
                     loads[l.idx()] + r.map(|r| loads[r.idx()]).unwrap_or(0.0)
@@ -358,15 +401,7 @@ impl<'t> SubsetSolver<'t> {
                 active = tentative;
             }
         }
-        routes = self.place(m, &active)?;
-
-        active.prune_isolated_nodes(topo);
-        let power_w = power.network_power(topo, &active);
-        Some(SubsetResult {
-            active,
-            routes,
-            power_w,
-        })
+        Some(active)
     }
 }
 

@@ -1,18 +1,20 @@
 //! The feasibility oracle shares one inverse-capacity shortest-path tree
-//! per origin across demands, placement attempts and calls, greedy
-//! pruning lets connectivity decide matrices too light to congest an
-//! arc, and a held `SubsetSolver` keeps one oracle per probed subset
-//! across matrices. These properties pin all three to references that
-//! run a fresh per-demand search every time a path is needed and ask the
-//! oracle about every candidate: same routing or same refusal, on random
-//! networks with mixed capacities, dark elements and shared origins.
+//! per origin across demands, placement attempts and calls, and refuses
+//! a matrix that over-subscribes a cut it proved; greedy pruning lets
+//! connectivity decide matrices too light to congest an arc; `optimal`
+//! routes only the winning pass's subset; and a held `SubsetSolver`
+//! keeps one oracle per probed subset across matrices. These properties
+//! pin all of them to references that run a fresh per-demand search
+//! every time a path is needed, ask the oracle about every candidate and
+//! route every pass: same routing or same refusal, on random networks
+//! with mixed capacities, dark elements and shared origins.
 
 use ecp_power::PowerModel;
 use ecp_routing::ospf::invcap_weight;
 use ecp_routing::subset::PruneOrder;
 use ecp_routing::{
-    greedy_prune, max_feasible_volume, optimal_subset, ospf_invcap, place_flows, FeasibilityOracle,
-    OracleConfig, RouteSet, SubsetResult, SubsetSolver,
+    exact_small_subset, greedy_prune, max_feasible_volume, optimal_subset, ospf_invcap,
+    place_flows, FeasibilityOracle, OracleConfig, RouteSet, SubsetResult, SubsetSolver,
 };
 use ecp_topo::algo::{reachable_from, shortest_path};
 use ecp_topo::{ActiveSet, ArcId, NodeId, Topology, TopologyBuilder, MBPS, MS};
@@ -32,12 +34,21 @@ struct Instance {
 }
 
 fn instance(n: usize, seed: u64, load: f64) -> Instance {
+    instance_on(n, seed, load, false)
+}
+
+/// [`instance`], with `simple` keeping the network free of parallel
+/// links, so that the oracle's cut certificate is in use.
+fn instance_on(n: usize, seed: u64, load: f64, simple: bool) -> Instance {
     let mut rng = StdRng::seed_from_u64(seed);
     let caps = [10.0 * MBPS, 25.0 * MBPS, 40.0 * MBPS, 100.0 * MBPS];
     let mut b = TopologyBuilder::new("parity");
     let ids: Vec<NodeId> = (0..n).map(|i| b.add_node(format!("p{i}"))).collect();
-    let link = |b: &mut TopologyBuilder, i: usize, j: usize, rng: &mut StdRng| {
-        b.add_link(ids[i], ids[j], caps[rng.gen_range(0..caps.len())], MS);
+    let mut linked = std::collections::HashSet::new();
+    let mut link = |b: &mut TopologyBuilder, i: usize, j: usize, rng: &mut StdRng| {
+        if linked.insert((i.min(j), i.max(j))) || !simple {
+            b.add_link(ids[i], ids[j], caps[rng.gen_range(0..caps.len())], MS);
+        }
     };
     for i in 1..n {
         let j = rng.gen_range(0..i);
@@ -298,6 +309,38 @@ fn reference_greedy_prune(
     })
 }
 
+/// `optimal` as it was before it routed only the winner: exact on tiny
+/// nets, otherwise the best of four greedy passes, each `prune`d and
+/// routed on its own, a later order winning only by more than 0.5 %.
+fn reference_optimal(
+    topo: &Topology,
+    power: &PowerModel,
+    tm: &TrafficMatrix,
+    cfg: &OracleConfig,
+    prune: impl Fn(PruneOrder) -> Option<SubsetResult>,
+) -> Option<SubsetResult> {
+    if topo.link_count() <= 12 {
+        return exact_small_subset(topo, power, tm, cfg, 12);
+    }
+    let orders = [
+        PruneOrder::PowerDesc,
+        PruneOrder::LoadAsc,
+        PruneOrder::Random(1),
+        PruneOrder::Random(2),
+    ];
+    let mut best: Option<SubsetResult> = None;
+    for r in orders.into_iter().filter_map(prune) {
+        if best
+            .as_ref()
+            .map(|b| r.power_w < 0.995 * b.power_w)
+            .unwrap_or(true)
+        {
+            best = Some(r);
+        }
+    }
+    best
+}
+
 /// Greedy-prune orders: both fixed orders and two seeded random ones.
 const ORDERS: [PruneOrder; 4] = [
     PruneOrder::PowerDesc,
@@ -391,6 +434,36 @@ proptest! {
         }
     }
 
+    /// On a simple network, where a failed detour can prove a cut
+    /// over-subscribed and the oracle keeps it, one oracle held on one
+    /// subset across heavy and light matrices answers each exactly as a
+    /// fresh oracle and the per-demand reference do: a kept cut refuses
+    /// only what the reference refuses, and a lighter matrix after a
+    /// refusal is placed as before.
+    #[test]
+    fn held_oracle_with_kept_cuts_matches_reference(n in 3usize..12, seed in 0u64..100_000) {
+        let Instance { topo, active, tm } = instance_on(n, seed, 40.0, true);
+        let other = matrix(&topo, &mut StdRng::seed_from_u64(!seed), 40.0);
+        let cfg = OracleConfig::default();
+        let mut held = FeasibilityOracle::new(&topo, active.as_ref(), &cfg);
+        let sequence = [
+            tm.scaled(2.0),
+            tm.scaled(0.25),
+            other.scaled(3.0),
+            tm.clone(),
+            other.scaled(0.1),
+            tm.scaled(6.0),
+            other.clone(),
+            tm.scaled(0.05),
+        ];
+        for m in &sequence {
+            let want = reference_place(&topo, active.as_ref(), m, &cfg);
+            prop_assert_eq!(held.fits(m), want.is_some());
+            prop_assert_eq!(held.place(m), want.clone());
+            prop_assert_eq!(FeasibilityOracle::new(&topo, active.as_ref(), &cfg).place(m), want);
+        }
+    }
+
     /// Greedy pruning keeps and routes exactly what the per-candidate
     /// reference does, for ε-demand matrices (decided by connectivity
     /// alone) and for loads where capacity binds, under every order.
@@ -440,16 +513,18 @@ proptest! {
 
     /// One solver held across a sequence of matrices (heavy, ε-light and
     /// scaled, their OD pairs and endpoints changing from call to call)
-    /// answers each exactly as a fresh `optimal_subset` does, and prunes
-    /// exactly as the per-candidate reference does under every order:
-    /// oracles kept between matrices never leak one matrix's state into
-    /// the next.
+    /// answers each exactly as a fresh `optimal_subset` and the
+    /// reference `optimal` over per-candidate reference passes do, and
+    /// prunes exactly as the per-candidate reference does under every
+    /// order: oracles and cuts kept between matrices never leak one
+    /// matrix's state into the next.
     #[test]
     fn held_solver_matches_fresh_solvers_across_matrices(
         n in 8usize..13,
         seed in 0u64..100_000,
+        simple in proptest::bool::ANY,
     ) {
-        let Instance { topo, tm, .. } = instance(n, seed, 10.0);
+        let Instance { topo, tm, .. } = instance_on(n, seed, 10.0, simple);
         let other = matrix(&topo, &mut StdRng::seed_from_u64(!seed), 10.0);
         let eps = |m: &TrafficMatrix| m.scaled(1.0 / (10.0 * MBPS));
         let sequence = [
@@ -465,7 +540,11 @@ proptest! {
         let cfg = OracleConfig::default();
         let mut solver = SubsetSolver::new(&topo, &pm, &cfg);
         for m in &sequence {
-            same_subset(solver.optimal(m), optimal_subset(&topo, &pm, m, &cfg))?;
+            let want = reference_optimal(&topo, &pm, m, &cfg, |order| {
+                reference_greedy_prune(&topo, &pm, m, &cfg, order)
+            });
+            same_subset(solver.optimal(m), want.clone())?;
+            same_subset(optimal_subset(&topo, &pm, m, &cfg), want)?;
             for order in ORDERS {
                 let want = reference_greedy_prune(&topo, &pm, m, &cfg, order);
                 same_subset(solver.greedy_prune(m, order), want)?;
@@ -476,10 +555,11 @@ proptest! {
 
 /// One solver held over twelve peak-hour intervals of the Fig. 1b GÉANT
 /// trace (80 gravity pairs, seed 1, peaking at half the maximum feasible
-/// volume) answers every interval exactly as the one-shot solvers do,
-/// through `optimal` and through a PowerDesc `greedy_prune`. The cut
-/// holds intervals where the oracle refuses a connected candidate, so
-/// kept oracles and kept connectivity are both exercised on refusals.
+/// volume) answers every interval exactly as the one-shot solvers and
+/// the reference `optimal` over one-shot passes do, through `optimal`
+/// and through a PowerDesc `greedy_prune`. The cut holds intervals
+/// where the oracle refuses a connected candidate, so kept oracles and
+/// kept connectivity are both exercised on refusals.
 #[test]
 fn held_solver_matches_one_shot_over_a_geant_trace() {
     let topo = ecp_topo::gen::geant();
@@ -500,8 +580,11 @@ fn held_solver_matches_one_shot_over_a_geant_trace() {
     let mut solver = SubsetSolver::new(&topo, &pm, &cfg);
     let mut refusals = 0;
     for m in cut {
-        let fresh = optimal_subset(&topo, &pm, m, &cfg);
-        same_subset(solver.optimal(m), fresh).unwrap();
+        let want = reference_optimal(&topo, &pm, m, &cfg, |order| {
+            greedy_prune(&topo, &pm, m, &cfg, order)
+        });
+        same_subset(solver.optimal(m), want.clone()).unwrap();
+        same_subset(optimal_subset(&topo, &pm, m, &cfg), want).unwrap();
         let fresh = greedy_prune(&topo, &pm, m, &cfg, PruneOrder::PowerDesc);
         let held = solver.greedy_prune(m, PruneOrder::PowerDesc);
         // A link the pass kept although dropping it leaves the endpoints
@@ -521,4 +604,38 @@ fn held_solver_matches_one_shot_over_a_geant_trace() {
         same_subset(held, fresh).unwrap();
     }
     assert!(refusals > 0, "the cut must include refused candidates");
+}
+
+/// The planner's always-on tree asks `optimal_subset` about an ε matrix
+/// (1 bit/s per requested pair) on the whole network. On three
+/// registry networks the one-shot and held solvers return what the
+/// reference `optimal` over one-shot passes returns.
+#[test]
+fn optimal_matches_reference_on_planner_epsilon_matrices() {
+    let pm = PowerModel::cisco12000();
+    let cfg = OracleConfig::default();
+    for (topo, count) in [
+        (ecp_topo::gen::geant(), 60),
+        (ecp_topo::gen::abovenet(), 40),
+        (ecp_topo::gen::genuity(), 40),
+    ] {
+        let pairs = ecp_traffic::random_od_pairs(&topo, count, 3);
+        let eps = TrafficMatrix::new(
+            pairs
+                .iter()
+                .map(|&(origin, dst)| Demand {
+                    origin,
+                    dst,
+                    rate: 1.0,
+                })
+                .collect(),
+        );
+        let want = reference_optimal(&topo, &pm, &eps, &cfg, |order| {
+            greedy_prune(&topo, &pm, &eps, &cfg, order)
+        });
+        assert!(want.is_some(), "{}", topo.name());
+        same_subset(optimal_subset(&topo, &pm, &eps, &cfg), want.clone()).unwrap();
+        let mut solver = SubsetSolver::new(&topo, &pm, &cfg);
+        same_subset(solver.optimal(&eps), want).unwrap();
+    }
 }

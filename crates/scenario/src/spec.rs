@@ -1148,6 +1148,9 @@ impl Scenario {
     /// of every segment sampled at it (`Sine`, `Diurnal`, `Ramp`,
     /// `FlashCrowd`). A zero step or interval samples the segment
     /// without end, and a negative or NaN one silently changes the load.
+    /// A `FlashCrowd`'s `start_s`, `ramp_s`, `hold_s` and `decay_s` must
+    /// be finite and ≥ 0: a NaN onset means the crowd never comes, and a
+    /// negative one shifts or shortens it. A zero ramp or decay is a step.
     pub fn validate_traffic(&self) -> Result<(), String> {
         let (field, v) = match self.traffic.scale {
             ScaleSpec::MaxFeasibleFraction { fraction } => ("fraction", fraction),
@@ -1192,6 +1195,24 @@ impl Scenario {
                 };
                 for (field, v) in timings {
                     finite_in(&at(field), v, "> 0", |v| v > 0.0)?;
+                }
+                if let Shape::FlashCrowd {
+                    start_s,
+                    ramp_s,
+                    hold_s,
+                    decay_s,
+                    ..
+                } = seg.shape
+                {
+                    let times = [
+                        ("start_s", start_s),
+                        ("ramp_s", ramp_s),
+                        ("hold_s", hold_s),
+                        ("decay_s", decay_s),
+                    ];
+                    for (field, v) in times {
+                        non_negative(&at(field), v)?;
+                    }
                 }
             }
         }

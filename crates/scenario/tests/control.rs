@@ -526,6 +526,72 @@ fn degenerate_flash_crowd_peak_is_invalid() {
     });
 }
 
+/// [`flash_crowd`] from 0.3 to 1.0 with each timing set by `times`.
+fn flash_crowd_timed(times: impl Fn(&mut [f64; 4])) -> Shape {
+    let mut t = [1.0; 4];
+    times(&mut t);
+    let [start_s, ramp_s, hold_s, decay_s] = t;
+    Shape::FlashCrowd {
+        base: 0.3,
+        peak: 1.0,
+        start_s,
+        ramp_s,
+        hold_s,
+        decay_s,
+    }
+}
+
+#[test]
+fn degenerate_flash_crowd_start_is_invalid() {
+    assert_traffic_rejected("traffic.program.segments[0].start_s", |s, v| {
+        one_segment(s, flash_crowd_timed(|t| t[0] = v))
+    });
+}
+
+#[test]
+fn degenerate_flash_crowd_ramp_is_invalid() {
+    assert_traffic_rejected("traffic.program.segments[0].ramp_s", |s, v| {
+        one_segment(s, flash_crowd_timed(|t| t[1] = v))
+    });
+}
+
+#[test]
+fn degenerate_flash_crowd_hold_is_invalid() {
+    assert_traffic_rejected("traffic.program.segments[0].hold_s", |s, v| {
+        one_segment(s, flash_crowd_timed(|t| t[2] = v))
+    });
+}
+
+#[test]
+fn degenerate_flash_crowd_decay_is_invalid() {
+    assert_traffic_rejected("traffic.program.segments[0].decay_s", |s, v| {
+        one_segment(s, flash_crowd_timed(|t| t[3] = v))
+    });
+}
+
+/// Zero flash-crowd timings run: a zero ramp or decay is a step, a
+/// zero onset starts the crowd with the segment, a zero hold has no
+/// plateau.
+#[test]
+fn zero_flash_crowd_timings_run() {
+    for field in 0..4 {
+        let mut s = base(ControlSpec::Undamped);
+        one_segment(&mut s, flash_crowd_timed(|t| t[field] = 0.0));
+        assert!(run_scenario(&s).is_ok(), "timing {field} = 0");
+    }
+}
+
+#[test]
+fn degenerate_per_flow_flash_crowd_timing_is_invalid() {
+    assert_traffic_rejected("traffic.per_flow[0].program.segments[0].decay_s", |s, v| {
+        let crowd = flash_crowd_timed(|t| t[3] = v);
+        s.traffic.per_flow = vec![FlowProgram {
+            flow: 0,
+            program: Program::from_shape(6.0, 1.0, crowd),
+        }]
+    });
+}
+
 #[test]
 fn degenerate_per_flow_program_is_invalid() {
     assert_traffic_rejected("traffic.per_flow[0].program.segments[0].level", |s, v| {

@@ -53,16 +53,18 @@ fn active_weight(topo: &Topology, weight: &ArcWeight, active: Option<&ActiveSet>
     }
 }
 
-/// `src`'s shortest-path tree under `weight` on the active subset.
+/// `src`'s shortest-path tree under `weight` on the active subset,
+/// grown until `stop` is settled if given.
 fn grow_active(
     topo: &Topology,
     src: NodeId,
     weight: &ArcWeight,
     active: Option<&ActiveSet>,
+    stop: Option<NodeId>,
 ) -> Dijkstra {
     let mut sp = Dijkstra::default();
     let src_on = active.map(|s| s.node_on(src)).unwrap_or(true);
-    sp.grow(topo, src, src_on, |a| {
+    sp.grow_until(topo, src, src_on, stop, |a| {
         active_weight(topo, weight, active, a)
     });
     sp
@@ -153,6 +155,13 @@ impl Dijkstra {
         }
     }
 
+    /// Whether the last search reached `v`. After a search that ran to
+    /// its end (or stopped short of a destination it never reached) these
+    /// are exactly the nodes reachable from the root under its weight.
+    pub fn reached(&self, v: NodeId) -> bool {
+        self.dist[v.idx()].is_finite()
+    }
+
     /// The last grown tree's path from its root `src` to `dst`: the
     /// trivial path when `dst == src`, `None` when `dst` is unreachable.
     pub fn path_to(&self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<Path> {
@@ -184,7 +193,7 @@ pub fn shortest_path_tree(
     weight: &ArcWeight,
     active: Option<&ActiveSet>,
 ) -> (Vec<f64>, Vec<Option<ArcId>>) {
-    let sp = grow_active(topo, src, weight, active);
+    let sp = grow_active(topo, src, weight, active, None);
     (sp.dist, sp.parent)
 }
 
@@ -295,6 +304,9 @@ fn extract_arcs(
 
 /// Shortest path from `src` to `dst` under the given weight, restricted
 /// to the active subset if provided. Returns `None` when unreachable.
+///
+/// The search stops once `dst` is settled, so the path is the full
+/// tree's (see [`Dijkstra::grow_to`]); a dark `src` reaches nothing.
 pub fn shortest_path(
     topo: &Topology,
     src: NodeId,
@@ -305,7 +317,7 @@ pub fn shortest_path(
     if src == dst {
         return Some(Path::trivial(src));
     }
-    grow_active(topo, src, weight, active).path_to(topo, src, dst)
+    grow_active(topo, src, weight, active, Some(dst)).path_to(topo, src, dst)
 }
 
 /// Delay-bounded cheapest path: minimize `weight` subject to total

@@ -30,18 +30,14 @@ pub fn link_disjoint_path(
     base_weight: &dyn Fn(ArcId) -> f64,
     active: Option<&ActiveSet>,
 ) -> Option<(Path, usize)> {
-    // Canonical link ids to avoid.
-    let mut avoid_links: Vec<ArcId> = Vec::new();
+    // Whether each physical link (by canonical arc id) is to be avoided.
+    let mut avoid = vec![false; topo.arc_count()];
     for p in avoid_paths {
-        if let Some(arcs) = p.arcs(topo) {
-            for a in arcs {
-                let l = topo.link_of(a);
-                if !avoid_links.contains(&l) {
-                    avoid_links.push(l);
-                }
-            }
+        for a in p.arcs(topo).into_iter().flatten() {
+            avoid[topo.link_of(a).idx()] = true;
         }
     }
+    let shared = |a: ArcId| avoid[topo.link_of(a).idx()];
     // Penalty larger than the max possible simple-path base cost.
     let max_w: f64 = topo
         .arc_ids()
@@ -55,7 +51,7 @@ pub fn link_disjoint_path(
         if !base.is_finite() {
             return f64::INFINITY;
         }
-        if avoid_links.contains(&topo.link_of(a)) {
+        if shared(a) {
             base + penalty
         } else {
             base
@@ -64,11 +60,7 @@ pub fn link_disjoint_path(
     let path = shortest_path(topo, src, dst, &w, active)?;
     let overlap = path
         .arcs(topo)
-        .map(|arcs| {
-            arcs.iter()
-                .filter(|&&a| avoid_links.contains(&topo.link_of(a)))
-                .count()
-        })
+        .map(|arcs| arcs.into_iter().filter(|&a| shared(a)).count())
         .unwrap_or(0);
     Some((path, overlap))
 }

@@ -187,7 +187,9 @@ proptest! {
 
     /// A search grown only until `dst` is settled yields, for every
     /// destination, the same path arcs (or the same refusal) as the full
-    /// grow, ties and forbidden arcs included.
+    /// grow, ties and forbidden arcs included. `shortest_path`, which
+    /// stops there too, returns the full tree's path on the active
+    /// subset, and nothing from a dark source.
     #[test]
     fn growing_to_dst_matches_the_full_tree(n in 2usize..16, seed in 0u64..100_000) {
         let TieInstance { topo, weights, active } = tie_instance(n, seed);
@@ -195,11 +197,17 @@ proptest! {
             Some(s) if !s.arc_on(&topo, a) => f64::INFINITY,
             _ => weights[a.idx()],
         };
+        let base = |a: ArcId| weights[a.idx()];
         let (mut full, mut early) = (Dijkstra::default(), Dijkstra::default());
         let (mut want, mut got) = (Vec::new(), Vec::new());
         for src in topo.node_ids() {
+            // A dark source's arcs are all off: the full tree holds only it.
             full.grow(&topo, src, true, w);
             for dst in topo.node_ids() {
+                prop_assert_eq!(
+                    shortest_path(&topo, src, dst, &base, active.as_ref()),
+                    full.path_to(&topo, src, dst)
+                );
                 early.grow_to(&topo, src, dst, w);
                 want.clear();
                 got.clear();
