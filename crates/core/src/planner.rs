@@ -24,7 +24,7 @@ use ecp_power::PowerModel;
 use ecp_routing::oracle::OracleConfig;
 use ecp_routing::ospf::invcap_weight;
 use ecp_routing::subset::{greente_like, optimal_subset};
-use ecp_topo::algo::{link_disjoint_path, shortest_path, shortest_path_bounded, ShortestPathTrees};
+use ecp_topo::algo::{shortest_path, shortest_path_bounded, DisjointSearch, ShortestPathTrees};
 use ecp_topo::{ActiveSet, ArcId, NodeId, Path, Topology};
 use ecp_traffic::TrafficMatrix;
 
@@ -281,6 +281,7 @@ impl<'a> Planner<'a> {
 
         // ---- 3. failover ----------------------------------------------
         let mut tables = PathTables::new();
+        let mut disjoint = DisjointSearch::new(topo, |_| 1.0, None);
         for (o, d, aon) in &always_on {
             let mut avoid: Vec<&Path> = vec![aon];
             for t in &on_demand {
@@ -293,14 +294,12 @@ impl<'a> Planner<'a> {
             // the always-on path alone — the paper's Fig. 3 case, where
             // "the failover paths are coinciding with the on-demand
             // paths".
-            let failover = match link_disjoint_path(topo, *o, *d, &avoid, &|_| 1.0, None) {
+            let failover = match disjoint.path(*o, *d, &avoid) {
                 Some((p, 0)) => p,
-                Some((p_all, _)) => {
-                    match link_disjoint_path(topo, *o, *d, &[aon], &|_| 1.0, None) {
-                        Some((p_aon, 0)) => p_aon,
-                        _ => p_all,
-                    }
-                }
+                Some((p_all, _)) => match disjoint.path(*o, *d, &[aon]) {
+                    Some((p_aon, 0)) => p_aon,
+                    _ => p_all,
+                },
                 None => aon.clone(),
             };
             let od: Vec<Path> = on_demand

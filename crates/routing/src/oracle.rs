@@ -21,18 +21,34 @@
 //!
 //! **Cut certificates.** When a congestion-aware detour finds no path,
 //! the nodes it reached form a set R holding the origin and not the
-//! destination. The oracle then sums D, the matrix's demand from inside
-//! R to outside it, and C, the usable capacity plus `1e-6` of every
-//! active arc leaving R. If D > C · (1 + 1e-9), no attempt can place the
-//! matrix: every crossing demand leaves R over at least one active arc,
-//! and the room check keeps each arc's load within its usable capacity
-//! plus `1e-6` at every insertion, so a successful placement would load
-//! the arcs leaving R with at least D and at most C. The float drift of
-//! rip-up subtractions and of the sum D is far below the `1e-9` relative
-//! guard. So the attempt stops at that cut, the call answers "no"
-//! without its remaining passes and restarts, and the oracle keeps
-//! (R, C). C depends only on the subset, so every later call tests the
-//! kept cut first, in O(demands), and refuses a matrix that
+//! destination. Every demand from inside R to outside it must leave R
+//! over at least one active arc, and the room check keeps each arc's
+//! load within its usable capacity plus `1e-6`, its *room* b, at every
+//! insertion. The oracle tests two consequences:
+//!
+//! * **Sum.** The crossing demands total D, the rooms total C. If
+//!   D > C · (1 + 1e-9), no attempt can place the matrix: a successful
+//!   placement would load the arcs leaving R with at least D and at most
+//!   C.
+//! * **Count.** Otherwise, with n crossing demands of which the smallest
+//!   is s: if n > Σ_b ⌊b · (1 + 1e-9) / s⌋, no attempt can place the
+//!   matrix either. Assign each crossing demand to the first arc on
+//!   which its route leaves R. An arc's load covers the demands assigned
+//!   to it, each at least s, and stays within b, so it holds at most
+//!   ⌊b / s⌋ of them. The count binds only when D > C − bins · s (each
+//!   floor loses less than one), which is tested first, so it adds O(1)
+//!   to a test that does not bind. It proves what the sum cannot when
+//!   the demands are unsplittable and alike: two 2.5 Gbit/s uplinks take
+//!   at most three 0.66 Gbit/s flows each, so seven are refused although
+//!   they total only 4.62 Gbit/s.
+//!
+//! The float drift of rip-up subtractions and of the sum D is far below
+//! the `1e-9` relative guard, and a correctly rounded quotient under the
+//! guard cannot undercount an arc's share. So the attempt stops at that
+//! cut, the call answers "no" without its remaining passes and restarts,
+//! and the oracle keeps R and the rooms of the arcs leaving it. They
+//! depend only on the subset, so every later call tests the kept cut
+//! first, in one pass over the demands, and refuses a matrix that
 //! over-subscribes it before any attempt. Answers never change; only
 //! work whose outcome is already known is skipped.
 //!
@@ -160,22 +176,45 @@ impl Span {
 type FirstRoutes = Box<[Option<Option<Span>>]>;
 
 /// A cut a failed detour proved over-subscribed: the nodes on its
-/// origin side, and the usable capacity (plus the room check's `1e-6`
-/// each) of the active arcs leaving them.
+/// origin side, the room (usable capacity plus the room check's `1e-6`)
+/// of each active arc leaving them, and the rooms' sum.
 struct Cut {
     inside: Vec<bool>,
+    rooms: Vec<f64>,
     capacity: f64,
 }
 
-/// Whether `demands` must send more out of the nodes `inside` holds
-/// than `capacity`.
-fn over_subscribed(demands: &[Demand], inside: impl Fn(NodeId) -> bool, capacity: f64) -> bool {
-    let crossing: f64 = demands
+/// Whether no placement of `demands` can leave the nodes `inside` holds
+/// over arcs whose rooms are `rooms`, summing to `capacity`: the
+/// crossing demands total more than `capacity`, or more of them cross
+/// than the arcs hold at the smallest crossing rate (the module doc has
+/// the argument).
+fn over_subscribed(
+    demands: &[Demand],
+    inside: impl Fn(NodeId) -> bool,
+    rooms: &[f64],
+    capacity: f64,
+) -> bool {
+    let (mut total, mut count, mut smallest) = (0.0, 0usize, f64::INFINITY);
+    for d in demands
         .iter()
         .filter(|d| inside(d.origin) && !inside(d.dst))
-        .map(|d| d.rate)
+    {
+        total += d.rate;
+        count += 1;
+        smallest = smallest.min(d.rate);
+    }
+    if total > capacity * (1.0 + 1e-9) {
+        return true;
+    }
+    if count == 0 || total <= capacity - rooms.len() as f64 * smallest {
+        return false;
+    }
+    let held: f64 = rooms
+        .iter()
+        .map(|b| (b * (1.0 + 1e-9) / smallest).floor())
         .sum();
-    crossing > capacity * (1.0 + 1e-9)
+    count as f64 > held
 }
 
 /// How a placement attempt ended.
@@ -257,6 +296,8 @@ pub struct FeasibilityOracle<'t> {
     /// Whether every arc is the first between its ends, so that a
     /// route's arcs are the arcs its search checked.
     simple: bool,
+    /// The rooms of the arcs leaving the last failed detour's cut.
+    rooms: Vec<f64>,
     /// The last cut proven over-subscribed.
     cut: Option<Cut>,
     #[cfg(test)]
@@ -294,6 +335,7 @@ impl<'t> FeasibilityOracle<'t> {
                 let arc = topo.arc(a);
                 topo.find_arc(arc.src, arc.dst) == Some(a)
             }),
+            rooms: Vec::new(),
             cut: None,
             #[cfg(test)]
             tally: Tally::default(),
@@ -341,7 +383,7 @@ impl<'t> FeasibilityOracle<'t> {
             .all(|w| (w[0].origin, w[0].dst) < (w[1].origin, w[1].dst)));
         debug_assert_eq!(order, placement_order(tm));
         if let Some(cut) = &self.cut {
-            if over_subscribed(demands, |v| cut.inside[v.idx()], cut.capacity) {
+            if over_subscribed(demands, |v| cut.inside[v.idx()], &cut.rooms, cut.capacity) {
                 #[cfg(test)]
                 {
                     self.tally.by_kept_cut += 1;
@@ -512,19 +554,22 @@ impl<'t> FeasibilityOracle<'t> {
         }
         let (topo, search) = (self.topo, &self.scratch);
         let inside = |v: NodeId| search.reached(v);
-        let capacity: f64 = topo
-            .arc_ids()
-            .filter(|&a| {
-                let arc = topo.arc(a);
-                self.arc_on[a.idx()] && inside(arc.src) && !inside(arc.dst)
-            })
-            .map(|a| self.cap[a.idx()] + 1e-6)
-            .sum();
-        if !over_subscribed(demands, inside, capacity) {
+        self.rooms.clear();
+        self.rooms.extend(
+            topo.arc_ids()
+                .filter(|&a| {
+                    let arc = topo.arc(a);
+                    self.arc_on[a.idx()] && inside(arc.src) && !inside(arc.dst)
+                })
+                .map(|a| self.cap[a.idx()] + 1e-6),
+        );
+        let capacity: f64 = self.rooms.iter().sum();
+        if !over_subscribed(demands, inside, &self.rooms, capacity) {
             return false;
         }
         self.cut = Some(Cut {
             inside: topo.node_ids().map(inside).collect(),
+            rooms: self.rooms.clone(),
             capacity,
         });
         true
@@ -726,6 +771,63 @@ mod tests {
             .place(&lighter)
             .expect("17 Mbps fits through the cut");
         assert_eq!(Some(placed), place_flows(&t, None, &lighter, &cfg));
+        assert_eq!(oracle.tally.by_kept_cut, 2);
+    }
+
+    #[test]
+    fn counting_refuses_equal_flows_the_sum_admits() {
+        // A metro with two 2.5 Gbit/s uplinks sends 0.66 Gbit/s to each
+        // of seven destinations beyond the core: 4.62 Gbit/s of 5.0, but
+        // an uplink holds only three such flows.
+        let mut b = TopologyBuilder::new("dual-homed metro");
+        let [metro, up1, up2, core] = ["metro", "up1", "up2", "core"].map(|n| b.add_node(n));
+        b.add_link(metro, up1, 2.5e9, MS);
+        b.add_link(metro, up2, 2.5e9, MS);
+        b.add_link(up1, core, 100e9, MS);
+        b.add_link(up2, core, 100e9, MS);
+        let far: Vec<NodeId> = (0..7)
+            .map(|i| {
+                let d = b.add_node(format!("d{i}"));
+                b.add_link(core, d, 100e9, MS);
+                d
+            })
+            .collect();
+        let t = b.build();
+        let flows = |k: usize, rate: f64| {
+            let demands = far[..k].iter().map(|&dst| Demand {
+                origin: metro,
+                dst,
+                rate,
+            });
+            TrafficMatrix::new(demands.collect())
+        };
+        let cfg = OracleConfig::default();
+        let mut oracle = FeasibilityOracle::new(&t, None, &cfg);
+        assert!(!oracle.fits(&flows(7, 0.66e9)));
+        assert_eq!(oracle.tally.attempts, 1, "no restart");
+        assert_eq!(oracle.tally.in_first, 1);
+        let cut = oracle.cut.as_ref().expect("the cut is kept");
+        assert!(cut.inside[metro.idx()] && !cut.inside[up1.idx()] && !cut.inside[up2.idx()]);
+        assert_eq!(cut.rooms.len(), 2);
+        // Seven at 0.7 Gbit/s also total less than the uplinks: the kept
+        // cut refuses them by count, before any attempt; a flow that does
+        // not cross the cut changes nothing.
+        let mut crowd = flows(7, 0.7e9).demands().to_vec();
+        crowd.push(Demand {
+            origin: core,
+            dst: far[0],
+            rate: 1e9,
+        });
+        let crowd = TrafficMatrix::new(crowd);
+        assert!(!oracle.fits(&crowd));
+        assert!(oracle.place(&crowd).is_none());
+        assert_eq!(oracle.tally.attempts, 1);
+        assert_eq!(oracle.tally.by_kept_cut, 2);
+        // Six fit, three per uplink: placed exactly as a fresh oracle
+        // places them.
+        let six = flows(6, 0.66e9);
+        let placed = oracle.place(&six).expect("three flows per uplink");
+        assert_eq!(Some(placed), place_flows(&t, None, &six, &cfg));
         assert_eq!(oracle.tally.by_kept_cut, 2);
     }
 

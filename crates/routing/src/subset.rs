@@ -21,17 +21,26 @@
 //!   substitution.
 //!
 //! [`greedy_prune`] and [`optimal_subset`] check each subset they probe
-//! afresh: a connectivity search and a fresh feasibility oracle. A
+//! afresh: a connectivity test and a fresh feasibility oracle. A
 //! [`SubsetSolver`] runs the same two solvers but keeps, per probed
 //! subset, its connectivity and its oracle for as long as it lives, for
 //! callers that solve a whole trace on one network.
+//!
+//! A greedy pass removes one router or link at a time from a subset it
+//! knows to connect the matrix's endpoints. On a network whose every
+//! arc has a reverse, and whose full topology connects the endpoints,
+//! the pass therefore tests connectivity where it cuts: one search
+//! around the removed element, stopped as soon as it finds a way round
+//! it, instead of two searches of the whole subset (the argument is on
+//! `Around`). It decides exactly as [`is_connected`] does, which still
+//! decides every other case.
 
 use crate::oracle::{
     fits_every_arc, place_flows, placement_order, FeasibilityOracle, OracleConfig,
 };
 use crate::routeset::RouteSet;
 use ecp_power::PowerModel;
-use ecp_topo::algo::is_connected;
+use ecp_topo::algo::{is_connected, Reach};
 use ecp_topo::{ActiveSet, ArcId, NodeId, Topology};
 use ecp_traffic::TrafficMatrix;
 use rand::rngs::StdRng;
@@ -85,16 +94,91 @@ struct Prepared<'m> {
     /// Whether the matrix cannot congest any arc, so that connectivity
     /// alone decides its candidates.
     light: bool,
+    /// Whether every arc has a reverse and the full network connects
+    /// `required`, so that a candidate's connectivity is decided around
+    /// the element it removes.
+    local: bool,
 }
 
-impl<'m> Prepared<'m> {
-    fn new(topo: &Topology, tm: &'m TrafficMatrix, cfg: &OracleConfig) -> Self {
-        Prepared {
-            tm,
-            order: placement_order(tm),
-            required: required_nodes(tm),
-            light: fits_every_arc(topo, tm, cfg),
+/// What a greedy pass switches off in one step.
+#[derive(Debug, Clone, Copy)]
+enum Removal {
+    Node(NodeId),
+    Link(ArcId),
+}
+
+/// A pass's connectivity test, decided where the pass cuts.
+///
+/// On a topology where every arc has a reverse, reachability is
+/// symmetric, so a subset connects the required nodes exactly when they
+/// lie in one of its components. If the full network connects them, so
+/// does every subset a pass keeps (it starts from the full network and
+/// keeps only connected candidates), and a candidate, the current
+/// subset with one element removed, can be decided by one search around
+/// that element:
+///
+/// * **Link (u, v).** Search from u, stopping at v. If v is reached, the
+///   components are those of the current subset. If not, the link was a
+///   bridge and u's side is all the search reached: the required nodes,
+///   all in one component of the current subset, stay connected exactly
+///   when none or all of them lie on u's side.
+/// * **Node n** (never a required one). Search from one of its active
+///   neighbours until all of them are reached: then every path through n
+///   has a detour and the components are unchanged. Otherwise, as when
+///   the precondition fails, [`is_connected`] decides.
+///
+/// Every answer is the one [`is_connected`] gives.
+#[derive(Default)]
+struct Around {
+    reach: Reach,
+    neighbours: Vec<NodeId>,
+}
+
+impl Around {
+    /// Whether `tentative`, a greedy pass's current subset with
+    /// `removed` switched off, connects `m`'s endpoints.
+    fn connects(
+        &mut self,
+        topo: &Topology,
+        m: &Prepared,
+        tentative: &ActiveSet,
+        removed: Removal,
+    ) -> bool {
+        if m.local {
+            match removed {
+                Removal::Link(l) => {
+                    let (u, v) = (topo.arc(l).src, topo.arc(l).dst);
+                    if self.reach.search_until(topo, u, tentative, |w| w == v) {
+                        return true;
+                    }
+                    let reach = &self.reach;
+                    let on_u_side = m.required.iter().filter(|&&r| reach.reached(r)).count();
+                    return on_u_side == 0 || on_u_side == m.required.len();
+                }
+                Removal::Node(n) => {
+                    self.neighbours.clear();
+                    self.neighbours
+                        .extend(topo.out_arcs(n).iter().filter_map(|&a| {
+                            let w = topo.arc(a).dst;
+                            (tentative.link_bit(topo, a) && tentative.node_on(w)).then_some(w)
+                        }));
+                    self.neighbours.sort_unstable();
+                    self.neighbours.dedup();
+                    let Some(&first) = self.neighbours.first() else {
+                        return true;
+                    };
+                    let (neighbours, mut left) = (&self.neighbours, self.neighbours.len());
+                    let all = self.reach.search_until(topo, first, tentative, |w| {
+                        left -= usize::from(neighbours.binary_search(&w).is_ok());
+                        left == 0
+                    });
+                    if all {
+                        return true;
+                    }
+                }
+            }
         }
+        is_connected(topo, &m.required, Some(tentative))
     }
 }
 
@@ -108,8 +192,10 @@ struct Probe<'t> {
 
 /// A held solver's probes, one per subset asked about.
 struct Kept<'t> {
-    /// The required nodes the probes' connectivity holds for.
+    /// The required nodes the probes' connectivity holds for, and
+    /// whether the full network connects them.
     required: Vec<NodeId>,
+    spanned: bool,
     probes: HashMap<ActiveSet, Probe<'t>>,
 }
 
@@ -134,6 +220,11 @@ pub fn greedy_prune(
 ///
 /// Work is done once at the level it depends on:
 ///
+/// * **Per topology** — whether every arc has a reverse, so that a
+///   pass can decide connectivity around the element it removes.
+/// * **Per endpoint set** — whether the full network connects the
+///   matrix's endpoints, the other half of that precondition; a held
+///   solver tests it once per endpoint set.
 /// * **Per greedy pass** — the oracle's placement order, the endpoints
 ///   that must stay connected, and whether the matrix is too light to
 ///   congest an arc, shared by every candidate of the pass.
@@ -162,6 +253,9 @@ pub struct SubsetSolver<'t> {
     topo: &'t Topology,
     power: &'t PowerModel,
     cfg: OracleConfig,
+    /// Whether every arc has a reverse.
+    symmetric: bool,
+    around: Around,
     /// What is known of every subset asked about; `None` for one-shot
     /// use.
     kept: Option<Kept<'t>>,
@@ -174,6 +268,7 @@ impl<'t> SubsetSolver<'t> {
         SubsetSolver {
             kept: Some(Kept {
                 required: Vec::new(),
+                spanned: true,
                 probes: HashMap::new(),
             }),
             ..Self::one_shot(topo, power, oracle)
@@ -185,6 +280,8 @@ impl<'t> SubsetSolver<'t> {
             topo,
             power,
             cfg: *oracle,
+            symmetric: topo.arc_ids().all(|a| topo.reverse(a).is_some()),
+            around: Around::default(),
             kept: None,
         }
     }
@@ -194,10 +291,14 @@ impl<'t> SubsetSolver<'t> {
         self.kept.as_ref().map_or(0, |k| k.probes.len())
     }
 
-    /// Run `f` on the probe of `active`: the kept one for a held solver,
-    /// a fresh one otherwise.
-    fn probe<R>(&mut self, active: &ActiveSet, f: impl FnOnce(&mut Probe<'t>) -> R) -> R {
-        match &mut self.kept {
+    /// Run `f` on the probe of `active` in `kept`: the kept one for a
+    /// held solver, a fresh one otherwise.
+    fn probe<R>(
+        kept: &mut Option<Kept<'t>>,
+        active: &ActiveSet,
+        f: impl FnOnce(&mut Probe<'t>) -> R,
+    ) -> R {
+        match kept {
             None => f(&mut Probe::default()),
             Some(kept) => match kept.probes.get_mut(active) {
                 Some(probe) => f(probe),
@@ -209,20 +310,21 @@ impl<'t> SubsetSolver<'t> {
     /// Place `m` on `active`.
     fn place(&mut self, m: &Prepared, active: &ActiveSet) -> Option<RouteSet> {
         let (topo, cfg) = (self.topo, self.cfg);
-        self.probe(active, |p| {
+        Self::probe(&mut self.kept, active, |p| {
             p.oracle
                 .get_or_insert_with(|| FeasibilityOracle::new(topo, Some(active), &cfg))
                 .place_in(m.tm, &m.order)
         })
     }
 
-    /// Whether a greedy pass keeps `tentative`: it connects `m`'s
-    /// endpoints and `m` fits on it.
-    fn keeps(&mut self, m: &Prepared, tentative: &ActiveSet) -> bool {
-        let (topo, cfg) = (self.topo, self.cfg);
-        self.probe(tentative, |p| {
+    /// Whether a greedy pass keeps `tentative`, its current subset with
+    /// `removed` switched off: it connects `m`'s endpoints and `m` fits
+    /// on it.
+    fn keeps(&mut self, m: &Prepared, tentative: &ActiveSet, removed: Removal) -> bool {
+        let (topo, cfg, around) = (self.topo, self.cfg, &mut self.around);
+        Self::probe(&mut self.kept, tentative, |p| {
             *p.connected
-                .get_or_insert_with(|| is_connected(topo, &m.required, Some(tentative)))
+                .get_or_insert_with(|| around.connects(topo, m, tentative, removed))
                 && (m.light
                     || p.oracle
                         .get_or_insert_with(|| FeasibilityOracle::new(topo, Some(tentative), &cfg))
@@ -231,18 +333,32 @@ impl<'t> SubsetSolver<'t> {
     }
 
     /// Prepare `tm` for pruning; a held solver forgets the connectivity
-    /// it knows when `tm`'s endpoints differ from the last matrix's.
+    /// it knows when `tm`'s endpoints differ from the last matrix's, and
+    /// tests whether the full network connects them once per endpoint
+    /// set.
     fn prepare<'m>(&mut self, tm: &'m TrafficMatrix) -> Prepared<'m> {
-        let m = Prepared::new(self.topo, tm, &self.cfg);
-        if let Some(kept) = &mut self.kept {
-            if kept.required != m.required {
-                kept.required.clone_from(&m.required);
-                for probe in kept.probes.values_mut() {
-                    probe.connected = None;
+        let topo = self.topo;
+        let required = required_nodes(tm);
+        let spanned = match &mut self.kept {
+            None => is_connected(topo, &required, None),
+            Some(kept) => {
+                if kept.required != required {
+                    kept.required.clone_from(&required);
+                    kept.spanned = is_connected(topo, &required, None);
+                    for probe in kept.probes.values_mut() {
+                        probe.connected = None;
+                    }
                 }
+                kept.spanned
             }
+        };
+        Prepared {
+            tm,
+            order: placement_order(tm),
+            required,
+            light: fits_every_arc(topo, tm, &self.cfg),
+            local: self.symmetric && spanned,
         }
-        m
     }
 
     /// The reproduction's "optimal" subset for `tm`, as
@@ -363,7 +479,7 @@ impl<'t> SubsetSolver<'t> {
         for n in node_candidates {
             let mut tentative = active.clone();
             tentative.set_node(n, false);
-            if self.keeps(m, &tentative) {
+            if self.keeps(m, &tentative, Removal::Node(n)) {
                 active = tentative;
             }
         }
@@ -397,7 +513,7 @@ impl<'t> SubsetSolver<'t> {
         for l in link_candidates {
             let mut tentative = active.clone();
             tentative.set_link(topo, l, false);
-            if self.keeps(m, &tentative) {
+            if self.keeps(m, &tentative, Removal::Link(l)) {
                 active = tentative;
             }
         }
@@ -566,6 +682,7 @@ mod tests {
     use ecp_topo::gen::{fig3, geant, line, ring};
     use ecp_topo::{NodeId, MBPS, MS};
     use ecp_traffic::{gravity_matrix, random_od_pairs, Demand};
+    use rand::Rng;
 
     fn tm(pairs: &[(u32, u32, f64)]) -> TrafficMatrix {
         TrafficMatrix::new(
@@ -766,6 +883,115 @@ mod tests {
             assert_eq!(held.active, fresh.active);
             assert_eq!(held.routes, fresh.routes);
             assert_eq!(held.active.nodes_on_count(), nodes);
+        }
+    }
+
+    /// A random connected network of two-way links (parallel ones
+    /// included), and a matrix among a few of its nodes.
+    fn symmetric_instance(n: usize, seed: u64) -> (Topology, TrafficMatrix) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = ecp_topo::TopologyBuilder::new("symmetric");
+        let ids: Vec<NodeId> = (0..n).map(|i| b.add_node(format!("s{i}"))).collect();
+        for i in 1..n {
+            let j = rng.gen_range(0..i);
+            b.add_link(ids[i], ids[j], MBPS, MS);
+        }
+        for _ in 0..n {
+            let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if i != j {
+                b.add_link(ids[i], ids[j], MBPS, MS);
+            }
+        }
+        let t = b.build();
+        let demands = (0..rng.gen_range(1..4)).map(|_| Demand {
+            origin: ids[rng.gen_range(0..n)],
+            dst: ids[rng.gen_range(0..n)],
+            rate: 1.0,
+        });
+        let m = TrafficMatrix::new(demands.filter(|d| d.origin != d.dst).collect());
+        (t, m)
+    }
+
+    /// Switch off, in a random order mixing routers and links, every
+    /// element a greedy pass may remove, keeping each candidate that
+    /// stays connected; at every candidate the decision around the
+    /// removed element must be `is_connected`'s. Returns how many
+    /// candidates were decided and how many kept.
+    fn walk_removals(t: &Topology, m: &TrafficMatrix, seed: u64) -> (usize, usize) {
+        let pm = PowerModel::cisco12000();
+        let mut solver = SubsetSolver::new(t, &pm, &OracleConfig::default());
+        let m = solver.prepare(m);
+        let mut steps: Vec<Removal> = t
+            .node_ids()
+            .filter(|n| !m.required.contains(n))
+            .map(Removal::Node)
+            .chain(t.link_ids().map(Removal::Link))
+            .collect();
+        steps.shuffle(&mut StdRng::seed_from_u64(seed));
+        let mut active = ActiveSet::all_on(t);
+        let (mut decided, mut kept) = (0, 0);
+        for removed in steps {
+            let mut tentative = active.clone();
+            match removed {
+                Removal::Node(n) => tentative.set_node(n, false),
+                Removal::Link(l) if active.arc_on(t, l) => tentative.set_link(t, l, false),
+                Removal::Link(_) => continue,
+            }
+            let want = is_connected(t, &m.required, Some(&tentative));
+            let got = solver.around.connects(t, &m, &tentative, removed);
+            assert_eq!(got, want, "{removed:?} on {tentative:?}");
+            decided += 1;
+            if want {
+                active = tentative;
+                kept += 1;
+            }
+        }
+        (decided, kept)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// On random two-way networks the decision around a removed
+        /// router or link is `is_connected`'s at every candidate of a
+        /// random removal sequence.
+        #[test]
+        fn local_connectivity_matches_is_connected(
+            n in 2usize..14,
+            seed in 0u64..100_000,
+        ) {
+            let (t, m) = symmetric_instance(n, seed);
+            let pm = PowerModel::cisco12000();
+            let local = SubsetSolver::new(&t, &pm, &OracleConfig::default()).prepare(&m).local;
+            proptest::prop_assert!(local, "two-way links connecting every node");
+            walk_removals(&t, &m, seed);
+        }
+    }
+
+    #[test]
+    fn a_one_way_arc_takes_the_fallback() {
+        // Two-way links a-b and b-c, and a one-way arc a -> c. A search
+        // around either link finds a way round it through a -> c, yet
+        // without it c reaches nothing that leads back to a.
+        let mut b = ecp_topo::TopologyBuilder::new("one-way");
+        let [a, bb, c] = ["a", "b", "c"].map(|n| b.add_node(n));
+        b.add_link(a, bb, MBPS, MS);
+        b.add_link(bb, c, MBPS, MS);
+        b.add_arc(a, c, MBPS, MS);
+        let t = b.build();
+        let m = tm(&[(a.0, c.0, 1.0), (c.0, a.0, 1.0)]);
+        let pm = PowerModel::cisco12000();
+        let mut solver = SubsetSolver::new(&t, &pm, &OracleConfig::default());
+        let p = solver.prepare(&m);
+        assert!(!p.local);
+        for l in t.link_ids().filter(|&l| t.reverse(l).is_some()) {
+            let mut without = ActiveSet::all_on(&t);
+            without.set_link(&t, l, false);
+            assert!(!is_connected(&t, &p.required, Some(&without)));
+            assert!(!solver.around.connects(&t, &p, &without, Removal::Link(l)));
+        }
+        for seed in 0..8 {
+            walk_removals(&t, &m, seed);
         }
     }
 

@@ -79,6 +79,62 @@ fn instance_on(n: usize, seed: u64, load: f64, simple: bool) -> Instance {
     Instance { topo, active, tm }
 }
 
+/// A simple network of dual-homed metros: a ring of 100 Mbit/s core
+/// routers, perhaps with a chord and perhaps with one ring link dark,
+/// and metros each linked to two core routers by uplinks of one
+/// capacity, so that gravity matrices among metros have equal rates.
+/// Its matrices send from one metro to every other at one rate, chosen
+/// so that the flows total 75–100 % of what the hub's uplinks carry:
+/// the rates at which the count of unsplittable flows, not their sum,
+/// decides. Returns the instance and a second such matrix from another
+/// hub.
+fn dual_homed(seed: u64) -> (Instance, TrafficMatrix) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut b = TopologyBuilder::new("dual-homed");
+    let cores: Vec<NodeId> = (0..rng.gen_range(3..6))
+        .map(|i| b.add_node(format!("core{i}")))
+        .collect();
+    let k = cores.len();
+    for i in 0..k {
+        b.add_link(cores[i], cores[(i + 1) % k], 100.0 * MBPS, MS);
+    }
+    if k >= 4 && rng.gen_bool(0.5) {
+        b.add_link(cores[0], cores[k / 2], 100.0 * MBPS, MS);
+    }
+    let uplink = if rng.gen_bool(0.5) { 10.0 } else { 25.0 } * MBPS;
+    let metros: Vec<NodeId> = (0..rng.gen_range(3..10))
+        .map(|i| {
+            let metro = b.add_node(format!("metro{i}"));
+            let first = rng.gen_range(0..k);
+            let second = (first + rng.gen_range(1..k)) % k;
+            b.add_link(metro, cores[first], uplink, MS);
+            b.add_link(metro, cores[second], uplink, MS);
+            metro
+        })
+        .collect();
+    let topo = b.build();
+    let active = rng.gen_bool(0.5).then(|| {
+        let mut s = ActiveSet::all_on(&topo);
+        s.set_link(&topo, topo.find_arc(cores[0], cores[1]).unwrap(), false);
+        s
+    });
+    let mut fan_out = |hub: usize| {
+        let rate = 2.0 * uplink / (metros.len() - 1) as f64 * rng.gen_range(0.75..1.0);
+        let demands = metros
+            .iter()
+            .filter(|&&m| m != metros[hub])
+            .map(|&dst| Demand {
+                origin: metros[hub],
+                dst,
+                rate,
+            });
+        TrafficMatrix::new(demands.collect())
+    };
+    let tm = fan_out(0);
+    let other = fan_out(1);
+    (Instance { topo, active, tm }, other)
+}
+
 /// Demands from three random origins (so origins are shared) to random
 /// destinations, at rates of 10–100 % of `load` Mbit/s.
 fn matrix(topo: &Topology, rng: &mut StdRng, load: f64) -> TrafficMatrix {
@@ -439,11 +495,21 @@ proptest! {
     /// subset across heavy and light matrices answers each exactly as a
     /// fresh oracle and the per-demand reference do: a kept cut refuses
     /// only what the reference refuses, and a lighter matrix after a
-    /// refusal is placed as before.
+    /// refusal is placed as before. Half the cases are dual-homed metros
+    /// with equal-rate matrices, where cuts are proven by counting.
     #[test]
-    fn held_oracle_with_kept_cuts_matches_reference(n in 3usize..12, seed in 0u64..100_000) {
-        let Instance { topo, active, tm } = instance_on(n, seed, 40.0, true);
-        let other = matrix(&topo, &mut StdRng::seed_from_u64(!seed), 40.0);
+    fn held_oracle_with_kept_cuts_matches_reference(
+        n in 3usize..12,
+        seed in 0u64..100_000,
+        dual in proptest::bool::ANY,
+    ) {
+        let (Instance { topo, active, tm }, other) = if dual {
+            dual_homed(seed)
+        } else {
+            let random = instance_on(n, seed, 40.0, true);
+            let other = matrix(&random.topo, &mut StdRng::seed_from_u64(!seed), 40.0);
+            (random, other)
+        };
         let cfg = OracleConfig::default();
         let mut held = FeasibilityOracle::new(&topo, active.as_ref(), &cfg);
         let sequence = [
@@ -486,10 +552,19 @@ proptest! {
     }
 
     /// The shared-oracle probe returns the reference volume bit for bit,
-    /// and OSPF-InvCap routes every pair as its own search would.
+    /// and OSPF-InvCap routes every pair as its own search would, on
+    /// random networks and on dual-homed metros probed at equal rates.
     #[test]
-    fn probe_and_ospf_match_reference(n in 3usize..10, seed in 0u64..100_000) {
-        let Instance { topo, active, tm } = instance(n, seed, 1.0);
+    fn probe_and_ospf_match_reference(
+        n in 3usize..10,
+        seed in 0u64..100_000,
+        dual in proptest::bool::ANY,
+    ) {
+        let Instance { topo, active, tm } = if dual {
+            dual_homed(seed).0
+        } else {
+            instance(n, seed, 1.0)
+        };
         let pairs = tm.od_pairs();
         // Without demands the reference probe raises the volume forever.
         prop_assume!(!pairs.is_empty());

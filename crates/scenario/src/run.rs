@@ -548,7 +548,8 @@ impl TraceOutput {
 /// (control policies, stability analysis, telemetry capture, scripted
 /// events and per-flow programs only exist in the event-driven
 /// simulator), offered load no engine can run, a path count the planner
-/// cannot build, and simulator timing the event loop cannot run.
+/// cannot build, simulator timing the event loop cannot run, and packet
+/// or application parameters their engines cannot run.
 fn validate_engine_features(scenario: &Scenario) -> Result<(), ScenarioError> {
     scenario
         .control
@@ -556,6 +557,7 @@ fn validate_engine_features(scenario: &Scenario) -> Result<(), ScenarioError> {
         .map_err(ScenarioError::Invalid)?;
     scenario.validate_traffic()?;
     scenario.validate_planner()?;
+    scenario.validate_engine_params()?;
     let engine = match &scenario.engine {
         EngineSpec::Simnet => return Ok(scenario.validate_sim_timing()?),
         EngineSpec::Replay(_) => "replay",
@@ -2036,9 +2038,6 @@ fn run_app(
             waves,
             runs,
         } => {
-            if waves.is_empty() || *runs == 0 {
-                return Err("Streaming needs at least one wave and one run".into());
-            }
             let cfg = ecp_apps::StreamingConfig {
                 bitrate: *bitrate,
                 block_duration: *block_duration_s,

@@ -1066,6 +1066,15 @@ fn non_negative(name: &str, v: f64) -> Result<(), String> {
     finite_in(name, v, ">= 0", |v| v >= 0.0)
 }
 
+/// `Ok` when the count `n` is at least 1, else an error naming `name`.
+fn at_least_one(name: &str, n: usize) -> Result<(), String> {
+    if n >= 1 {
+        Ok(())
+    } else {
+        Err(format!("{name} must be >= 1, got {n}"))
+    }
+}
+
 impl Scenario {
     /// Reject timing and TE parameters the simulator cannot run. The
     /// control and sample periods must be finite and > 0: their events
@@ -1231,6 +1240,83 @@ impl Scenario {
                 "planner.num_paths must be in [2, {MAX_NUM_PATHS}], got {n}"
             ))
         }
+    }
+
+    /// Reject packet and application parameters their engines cannot
+    /// run, naming the field as the scenario TOML does. Packet size,
+    /// per-flow rate, target utilization, bitrate, block length, access
+    /// rate and both integration steps must be finite and > 0: a zero or
+    /// negative packet size, bitrate, block length or step never advances
+    /// its engine's loop, and a NaN or non-positive rate sends nothing
+    /// yet reports everything delivered. The emission stop, phase offset,
+    /// think time, startup delay, wave join times and the sleep
+    /// analysis' gap and wake times must be finite and ≥ 0, and the
+    /// playable threshold in [0, 1]. Streaming needs a wave and a run,
+    /// and every wave a client (an empty wave reports 100 % playable);
+    /// the web workload needs a file (none panics) and a request per
+    /// client (none wraps the unfinished count).
+    pub fn validate_engine_params(&self) -> Result<(), String> {
+        let positive = |v: f64| v > 0.0;
+        match &self.engine {
+            EngineSpec::Simnet | EngineSpec::Replay(_) => {}
+            EngineSpec::Packet(p) => {
+                let at = |field: &str| format!("engine.Packet.{field}");
+                finite_in(&at("packet_bytes"), p.packet_bytes, "> 0", positive)?;
+                let (field, v) = match p.rate {
+                    PacketRateSpec::PerFlowBps { bps } => ("rate.bps", bps),
+                    PacketRateSpec::OriginUtilization { frac } => ("rate.frac", frac),
+                };
+                finite_in(&at(field), v, "> 0", positive)?;
+                non_negative(&at("stop_s"), p.stop_s)?;
+                non_negative(&at("phase_offset_s"), p.phase_offset_s)?;
+                if let Some(sleep) = p.sleep {
+                    non_negative(&at("sleep.min_gap_s"), sleep.min_gap_s)?;
+                    non_negative(&at("sleep.wake_s"), sleep.wake_s)?;
+                }
+            }
+            EngineSpec::App(AppSpec::Streaming {
+                bitrate,
+                block_duration_s,
+                startup_delay_s,
+                dt_s,
+                playable_threshold,
+                waves,
+                runs,
+            }) => {
+                let at = |field: &str| format!("engine.App.Streaming.{field}");
+                finite_in(&at("bitrate"), *bitrate, "> 0", positive)?;
+                finite_in(&at("block_duration_s"), *block_duration_s, "> 0", positive)?;
+                finite_in(&at("dt_s"), *dt_s, "> 0", positive)?;
+                non_negative(&at("startup_delay_s"), *startup_delay_s)?;
+                finite_in(
+                    &at("playable_threshold"),
+                    *playable_threshold,
+                    "in [0, 1]",
+                    |v| (0.0..=1.0).contains(&v),
+                )?;
+                at_least_one(&at("waves"), waves.len())?;
+                at_least_one(&at("runs"), *runs)?;
+                for (i, wave) in waves.iter().enumerate() {
+                    at_least_one(&at(&format!("waves[{i}].clients")), wave.clients)?;
+                    non_negative(&at(&format!("waves[{i}].at_s")), wave.at_s)?;
+                }
+            }
+            EngineSpec::App(AppSpec::Web {
+                num_files,
+                requests_per_client,
+                think_time_s,
+                access_rate_bps,
+                dt_s,
+            }) => {
+                let at = |field: &str| format!("engine.App.Web.{field}");
+                at_least_one(&at("num_files"), *num_files)?;
+                at_least_one(&at("requests_per_client"), *requests_per_client)?;
+                non_negative(&at("think_time_s"), *think_time_s)?;
+                finite_in(&at("access_rate_bps"), *access_rate_bps, "> 0", positive)?;
+                finite_in(&at("dt_s"), *dt_s, "> 0", positive)?;
+            }
+        }
+        Ok(())
     }
 
     /// Parse a scenario from a TOML document.

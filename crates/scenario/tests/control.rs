@@ -4,9 +4,10 @@
 
 use ecp_control::{PathRates, Sample};
 use ecp_scenario::{
-    grid, run_scenario, Axis, ControlSpec, EngineSpec, EventSpec, FlowProgram, LinkRef, MatrixSpec,
-    MetricsSpec, NodeRef, PairsSpec, Param, ReplayMode, ReplaySpec, ScaleSpec, Scenario,
-    ScenarioBuilder, ScenarioError, TraceSpec, MAX_NUM_PATHS,
+    grid, run_scenario, AppSpec, Axis, ControlSpec, EngineSpec, EventSpec, FlowProgram, LinkRef,
+    MatrixSpec, MetricsSpec, NodeRef, PacketRateSpec, PacketSpec, PairsSpec, Param, ReplayMode,
+    ReplaySpec, ScaleSpec, Scenario, ScenarioBuilder, ScenarioError, SleepSpec, TraceSpec,
+    MAX_NUM_PATHS,
 };
 use ecp_topo::gen::TopoSpec;
 use ecp_traffic::{Program, Shape};
@@ -877,4 +878,331 @@ fn degenerate_damping_equals_undamped_bytes() {
             .replace("\"name\":\"control-test\"", "");
         assert_eq!(got, undamped, "{}", control.label());
     }
+}
+
+/// [`base`]'s network with three clients of its best-connected node,
+/// run on the packet engine (or, with `sleep`, with the gap-sleep
+/// analysis) or on an application workload.
+fn engine_base(name: &str, engine: EngineSpec) -> Scenario {
+    let mut s = base(ControlSpec::Undamped);
+    s.name = name.into();
+    s.duration_s = 2.0;
+    s.traffic.program = Program::from_shape(2.0, 1.0, Shape::Constant { level: 1.0 });
+    s.pairs = PairsSpec::StarByDegree { clients: 3 };
+    s.metrics = MetricsSpec::default();
+    s.engine = engine;
+    s
+}
+
+fn packet_bases() -> [Scenario; 2] {
+    let spec = PacketSpec {
+        stop_s: 0.5,
+        ..PacketSpec::default()
+    };
+    let sleep = PacketSpec {
+        sleep: Some(SleepSpec {
+            min_gap_s: 1e-3,
+            wake_s: 1e-4,
+        }),
+        ..spec.clone()
+    };
+    [
+        engine_base("packet-test", EngineSpec::Packet(spec)),
+        engine_base("packet-sleep-test", EngineSpec::Packet(sleep)),
+    ]
+}
+
+fn streaming_base() -> Scenario {
+    engine_base(
+        "streaming-test",
+        EngineSpec::App(AppSpec::streaming_default(3, 1.0, 1)),
+    )
+}
+
+fn web_base() -> Scenario {
+    engine_base("web-test", EngineSpec::App(AppSpec::web_default(2)))
+}
+
+/// Edit the packet engine's spec.
+fn packet(s: &mut Scenario) -> &mut PacketSpec {
+    match &mut s.engine {
+        EngineSpec::Packet(p) => p,
+        other => panic!("not a packet scenario: {other:?}"),
+    }
+}
+
+/// Edit the application workload's spec.
+fn app(s: &mut Scenario) -> &mut AppSpec {
+    match &mut s.engine {
+        EngineSpec::App(a) => a,
+        other => panic!("not an app scenario: {other:?}"),
+    }
+}
+
+/// Counts that leave nothing to run.
+const ZERO_COUNT: [f64; 1] = [0.0];
+/// Thresholds outside [0, 1] or not finite.
+const BAD_FRACTIONS: [f64; 4] = [-0.1, 1.5, f64::NAN, f64::INFINITY];
+
+#[test]
+fn packet_and_app_bases_run() {
+    let [plain, sleep] = packet_bases();
+    for s in [plain, sleep, streaming_base(), web_base()] {
+        let report = run_scenario(&s).unwrap_or_else(|e| panic!("{}: {e}", s.name));
+        assert!(
+            report.packet.is_some() || report.app.is_some(),
+            "{}",
+            s.name
+        );
+    }
+    // A bufferless queue drops what arrives while a link is busy, and
+    // runs.
+    let mut bufferless = packet_bases()[0].clone();
+    packet(&mut bufferless).queue_packets = 0;
+    assert!(run_scenario(&bufferless).is_ok());
+}
+
+/// On the parent of this check, a negative or zero packet size never
+/// finished and a NaN one reported NaN delays.
+#[test]
+fn degenerate_packet_size_is_invalid() {
+    assert_rejected_on(
+        &packet_bases(),
+        "engine.Packet.packet_bytes",
+        &BAD_TIMINGS,
+        |s, v| packet(s).packet_bytes = v,
+    );
+}
+
+/// A NaN, zero or negative rate sent no packet and reported every
+/// packet delivered.
+#[test]
+fn degenerate_packet_rate_is_invalid() {
+    assert_rejected_on(
+        &packet_bases(),
+        "engine.Packet.rate.bps",
+        &BAD_TIMINGS,
+        |s, v| packet(s).rate = PacketRateSpec::PerFlowBps { bps: v },
+    );
+    assert_rejected_on(
+        &packet_bases(),
+        "engine.Packet.rate.frac",
+        &BAD_TIMINGS,
+        |s, v| packet(s).rate = PacketRateSpec::OriginUtilization { frac: v },
+    );
+}
+
+#[test]
+fn degenerate_packet_stop_is_invalid() {
+    assert_rejected_on(
+        &packet_bases(),
+        "engine.Packet.stop_s",
+        &BAD_DELAYS,
+        |s, v| packet(s).stop_s = v,
+    );
+}
+
+#[test]
+fn degenerate_packet_phase_offset_is_invalid() {
+    assert_rejected_on(
+        &packet_bases(),
+        "engine.Packet.phase_offset_s",
+        &BAD_DELAYS,
+        |s, v| packet(s).phase_offset_s = v,
+    );
+}
+
+#[test]
+fn degenerate_sleep_gap_is_invalid() {
+    let sleep = [packet_bases()[1].clone()];
+    assert_rejected_on(
+        &sleep,
+        "engine.Packet.sleep.min_gap_s",
+        &BAD_DELAYS,
+        |s, v| {
+            packet(s).sleep = Some(SleepSpec {
+                min_gap_s: v,
+                wake_s: 1e-4,
+            })
+        },
+    );
+}
+
+#[test]
+fn degenerate_sleep_wake_is_invalid() {
+    let sleep = [packet_bases()[1].clone()];
+    assert_rejected_on(&sleep, "engine.Packet.sleep.wake_s", &BAD_DELAYS, |s, v| {
+        packet(s).sleep = Some(SleepSpec {
+            min_gap_s: 1e-3,
+            wake_s: v,
+        })
+    });
+}
+
+/// A zero or negative bitrate never finished; a NaN one reported no
+/// client playable and an infinite block latency.
+#[test]
+fn degenerate_streaming_bitrate_is_invalid() {
+    let bases = [streaming_base()];
+    assert_rejected_on(
+        &bases,
+        "engine.App.Streaming.bitrate",
+        &BAD_TIMINGS,
+        |s, v| {
+            if let AppSpec::Streaming { bitrate, .. } = app(s) {
+                *bitrate = v;
+            }
+        },
+    );
+}
+
+#[test]
+fn degenerate_streaming_block_duration_is_invalid() {
+    let bases = [streaming_base()];
+    let field = "engine.App.Streaming.block_duration_s";
+    assert_rejected_on(&bases, field, &BAD_TIMINGS, |s, v| {
+        if let AppSpec::Streaming {
+            block_duration_s, ..
+        } = app(s)
+        {
+            *block_duration_s = v;
+        }
+    });
+}
+
+#[test]
+fn degenerate_streaming_step_is_invalid() {
+    let bases = [streaming_base()];
+    assert_rejected_on(&bases, "engine.App.Streaming.dt_s", &BAD_TIMINGS, |s, v| {
+        if let AppSpec::Streaming { dt_s, .. } = app(s) {
+            *dt_s = v;
+        }
+    });
+}
+
+#[test]
+fn degenerate_streaming_startup_delay_is_invalid() {
+    let bases = [streaming_base()];
+    let field = "engine.App.Streaming.startup_delay_s";
+    assert_rejected_on(&bases, field, &BAD_DELAYS, |s, v| {
+        if let AppSpec::Streaming {
+            startup_delay_s, ..
+        } = app(s)
+        {
+            *startup_delay_s = v;
+        }
+    });
+}
+
+#[test]
+fn degenerate_playable_threshold_is_invalid() {
+    let bases = [streaming_base()];
+    let field = "engine.App.Streaming.playable_threshold";
+    assert_rejected_on(&bases, field, &BAD_FRACTIONS, |s, v| {
+        if let AppSpec::Streaming {
+            playable_threshold, ..
+        } = app(s)
+        {
+            *playable_threshold = v;
+        }
+    });
+}
+
+/// A wave of no client reported 100 % playable; no wave and no run
+/// were refused already.
+#[test]
+fn empty_streaming_waves_and_runs_are_invalid() {
+    let bases = [streaming_base()];
+    let field = "engine.App.Streaming.waves[1].clients";
+    assert_rejected_on(&bases, field, &ZERO_COUNT, |s, v| {
+        if let AppSpec::Streaming { waves, .. } = app(s) {
+            waves[1].clients = v as usize;
+        }
+    });
+    assert_rejected_on(&bases, "engine.App.Streaming.waves", &ZERO_COUNT, |s, _| {
+        if let AppSpec::Streaming { waves, .. } = app(s) {
+            waves.clear();
+        }
+    });
+    assert_rejected_on(&bases, "engine.App.Streaming.runs", &ZERO_COUNT, |s, v| {
+        if let AppSpec::Streaming { runs, .. } = app(s) {
+            *runs = v as usize;
+        }
+    });
+}
+
+/// A NaN join time reported no client playable.
+#[test]
+fn degenerate_wave_join_time_is_invalid() {
+    let bases = [streaming_base()];
+    let field = "engine.App.Streaming.waves[0].at_s";
+    assert_rejected_on(&bases, field, &BAD_DELAYS, |s, v| {
+        if let AppSpec::Streaming { waves, .. } = app(s) {
+            waves[0].at_s = v;
+        }
+    });
+}
+
+/// No file panicked; no request per client wrapped the unfinished
+/// count round to 2^64 - 4.
+#[test]
+fn empty_web_workload_is_invalid() {
+    let bases = [web_base()];
+    assert_rejected_on(&bases, "engine.App.Web.num_files", &ZERO_COUNT, |s, v| {
+        if let AppSpec::Web { num_files, .. } = app(s) {
+            *num_files = v as usize;
+        }
+    });
+    let field = "engine.App.Web.requests_per_client";
+    assert_rejected_on(&bases, field, &ZERO_COUNT, |s, v| {
+        if let AppSpec::Web {
+            requests_per_client,
+            ..
+        } = app(s)
+        {
+            *requests_per_client = v as usize;
+        }
+    });
+}
+
+#[test]
+fn degenerate_web_think_time_is_invalid() {
+    let bases = [web_base()];
+    assert_rejected_on(
+        &bases,
+        "engine.App.Web.think_time_s",
+        &BAD_DELAYS,
+        |s, v| {
+            if let AppSpec::Web { think_time_s, .. } = app(s) {
+                *think_time_s = v;
+            }
+        },
+    );
+}
+
+/// A NaN or zero access rate left every request unfinished and reported
+/// everything delivered.
+#[test]
+fn degenerate_web_access_rate_is_invalid() {
+    let bases = [web_base()];
+    let field = "engine.App.Web.access_rate_bps";
+    assert_rejected_on(&bases, field, &BAD_TIMINGS, |s, v| {
+        if let AppSpec::Web {
+            access_rate_bps, ..
+        } = app(s)
+        {
+            *access_rate_bps = v;
+        }
+    });
+}
+
+/// A zero or NaN step never finished.
+#[test]
+fn degenerate_web_step_is_invalid() {
+    let bases = [web_base()];
+    assert_rejected_on(&bases, "engine.App.Web.dt_s", &BAD_TIMINGS, |s, v| {
+        if let AppSpec::Web { dt_s, .. } = app(s) {
+            *dt_s = v;
+        }
+    });
 }

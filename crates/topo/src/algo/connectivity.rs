@@ -15,34 +15,83 @@ pub fn reachable_from(topo: &Topology, src: NodeId, active: Option<&ActiveSet>) 
 /// Depth-first search from `src` over active arcs, along them or, with
 /// `backward`, against them (the nodes that can reach `src`).
 fn search(topo: &Topology, src: NodeId, active: Option<&ActiveSet>, backward: bool) -> Vec<bool> {
-    let mut seen = vec![false; topo.node_count()];
-    if let Some(s) = active {
-        if !s.node_on(src) {
-            return seen;
-        }
+    let mut reach = Reach::default();
+    reach.run(topo, src, active, backward, |_| false);
+    reach.seen
+}
+
+/// Reusable buffers for repeated reachability searches: a search
+/// allocates nothing once they have grown to the topology's size.
+#[derive(Default)]
+pub struct Reach {
+    seen: Vec<bool>,
+    stack: Vec<NodeId>,
+}
+
+impl Reach {
+    /// Search from `src` along active arcs until `stop` holds for a
+    /// reached node, `src` included. Returns whether it stopped; if not,
+    /// the reached nodes are exactly those reachable from `src`. A dark
+    /// `src` reaches nothing.
+    pub fn search_until(
+        &mut self,
+        topo: &Topology,
+        src: NodeId,
+        active: &ActiveSet,
+        stop: impl FnMut(NodeId) -> bool,
+    ) -> bool {
+        self.run(topo, src, Some(active), false, stop)
     }
-    let mut stack = vec![src];
-    seen[src.idx()] = true;
-    while let Some(u) = stack.pop() {
-        let arcs = if backward {
-            topo.in_arcs(u)
-        } else {
-            topo.out_arcs(u)
-        };
-        for &a in arcs {
-            let usable = active.map(|s| s.arc_on(topo, a)).unwrap_or(true);
-            if !usable {
-                continue;
-            }
-            let arc = topo.arc(a);
-            let v = if backward { arc.src } else { arc.dst };
-            if !seen[v.idx()] {
-                seen[v.idx()] = true;
-                stack.push(v);
+
+    /// Whether the last search reached `v`.
+    pub fn reached(&self, v: NodeId) -> bool {
+        self.seen[v.idx()]
+    }
+
+    fn run(
+        &mut self,
+        topo: &Topology,
+        src: NodeId,
+        active: Option<&ActiveSet>,
+        backward: bool,
+        mut stop: impl FnMut(NodeId) -> bool,
+    ) -> bool {
+        let (seen, stack) = (&mut self.seen, &mut self.stack);
+        seen.clear();
+        seen.resize(topo.node_count(), false);
+        stack.clear();
+        if active.is_some_and(|s| !s.node_on(src)) {
+            return false;
+        }
+        seen[src.idx()] = true;
+        if stop(src) {
+            return true;
+        }
+        stack.push(src);
+        while let Some(u) = stack.pop() {
+            let arcs = if backward {
+                topo.in_arcs(u)
+            } else {
+                topo.out_arcs(u)
+            };
+            for &a in arcs {
+                let usable = active.map(|s| s.arc_on(topo, a)).unwrap_or(true);
+                if !usable {
+                    continue;
+                }
+                let arc = topo.arc(a);
+                let v = if backward { arc.src } else { arc.dst };
+                if !seen[v.idx()] {
+                    seen[v.idx()] = true;
+                    if stop(v) {
+                        return true;
+                    }
+                    stack.push(v);
+                }
             }
         }
+        false
     }
-    seen
 }
 
 /// Whether every node in `required` can reach every other node in

@@ -5,9 +5,16 @@
 //! cannot take out all three. When full disjointness is impossible the
 //! planner falls back to the path minimizing shared links
 //! ([`link_disjoint_path`] returns the overlap count alongside the path).
+//!
+//! A planner asks this of every OD pair, some pairs twice, on one
+//! network under one weight. A [`DisjointSearch`] is set up once for
+//! them all: it computes the overlap penalty once, and keeps the avoided
+//! links' mask and the Dijkstra buffers between calls, so a call
+//! allocates only the path it returns. [`link_disjoint_path`] is one
+//! call on a fresh search.
 
 use crate::active::ActiveSet;
-use crate::algo::dijkstra::shortest_path;
+use crate::algo::dijkstra::Dijkstra;
 use crate::graph::{ArcId, NodeId, Topology};
 use crate::path::Path;
 
@@ -16,7 +23,8 @@ use crate::path::Path;
 ///
 /// Returns `(path, overlap)` where `overlap` is the number of physical
 /// links shared with the avoid set (0 = fully link-disjoint), or `None`
-/// when `dst` is unreachable even ignoring the avoid set.
+/// when `dst` is unreachable even ignoring the avoid set. An avoid path
+/// with a hop `topo` has no arc for avoids nothing.
 ///
 /// Implementation: Dijkstra with a two-level cost — each shared link
 /// costs a large penalty `M` plus its base weight, so the search first
@@ -30,39 +38,102 @@ pub fn link_disjoint_path(
     base_weight: &dyn Fn(ArcId) -> f64,
     active: Option<&ActiveSet>,
 ) -> Option<(Path, usize)> {
-    // Whether each physical link (by canonical arc id) is to be avoided.
-    let mut avoid = vec![false; topo.arc_count()];
-    for p in avoid_paths {
-        for a in p.arcs(topo).into_iter().flatten() {
-            avoid[topo.link_of(a).idx()] = true;
+    DisjointSearch::new(topo, base_weight, active).path(src, dst, avoid_paths)
+}
+
+/// [`link_disjoint_path`] set up once for one topology, base weight and
+/// active subset, and asked about many OD pairs: each call returns what
+/// [`link_disjoint_path`] returns for the same inputs.
+pub struct DisjointSearch<'t, W> {
+    topo: &'t Topology,
+    active: Option<&'t ActiveSet>,
+    base_weight: W,
+    /// The overlap penalty `M`: more than any simple path's base weight.
+    penalty: f64,
+    /// Whether each physical link (by canonical arc id) is avoided; set
+    /// for one call and cleared before it returns.
+    avoid: Vec<bool>,
+    search: Dijkstra,
+}
+
+impl<'t, W: Fn(ArcId) -> f64> DisjointSearch<'t, W> {
+    /// A search of `topo` under `base_weight` (a non-finite weight
+    /// forbids the arc), restricted to `active` if given.
+    pub fn new(topo: &'t Topology, base_weight: W, active: Option<&'t ActiveSet>) -> Self {
+        let max_w: f64 = topo
+            .arc_ids()
+            .map(&base_weight)
+            .filter(|w| w.is_finite())
+            .fold(0.0, f64::max);
+        DisjointSearch {
+            topo,
+            active,
+            base_weight,
+            penalty: (max_w + 1.0) * (topo.node_count() as f64 + 1.0),
+            avoid: vec![false; topo.arc_count()],
+            search: Dijkstra::default(),
         }
     }
-    let shared = |a: ArcId| avoid[topo.link_of(a).idx()];
-    // Penalty larger than the max possible simple-path base cost.
-    let max_w: f64 = topo
-        .arc_ids()
-        .map(base_weight)
-        .filter(|w| w.is_finite())
-        .fold(0.0, f64::max);
-    let penalty = (max_w + 1.0) * (topo.node_count() as f64 + 1.0);
 
-    let w = |a: ArcId| {
-        let base = base_weight(a);
-        if !base.is_finite() {
-            return f64::INFINITY;
+    /// The path from `src` to `dst` sharing the fewest physical links
+    /// with `avoid_paths`, and how many it shares (see
+    /// [`link_disjoint_path`]).
+    pub fn path(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        avoid_paths: &[&Path],
+    ) -> Option<(Path, usize)> {
+        let topo = self.topo;
+        for p in avoid_paths {
+            if hops(topo, p).all(|a| a.is_some()) {
+                for a in hops(topo, p).flatten() {
+                    self.avoid[topo.link_of(a).idx()] = true;
+                }
+            }
         }
-        if shared(a) {
-            base + penalty
+        let found = self.search_marked(src, dst);
+        for a in avoid_paths.iter().flat_map(|p| hops(topo, p)).flatten() {
+            self.avoid[topo.link_of(a).idx()] = false;
+        }
+        found
+    }
+
+    /// The search of [`DisjointSearch::path`] once `avoid` is marked.
+    fn search_marked(&mut self, src: NodeId, dst: NodeId) -> Option<(Path, usize)> {
+        let (topo, active, avoid) = (self.topo, self.active, &self.avoid);
+        let shared = |a: ArcId| avoid[topo.link_of(a).idx()];
+        let path = if src == dst {
+            Path::trivial(src)
         } else {
-            base
-        }
-    };
-    let path = shortest_path(topo, src, dst, &w, active)?;
-    let overlap = path
-        .arcs(topo)
-        .map(|arcs| arcs.into_iter().filter(|&a| shared(a)).count())
-        .unwrap_or(0);
-    Some((path, overlap))
+            let (base_weight, penalty) = (&self.base_weight, self.penalty);
+            // Off the active subset an arc is forbidden; a dark `src`'s
+            // arcs are all off, so it reaches nothing.
+            let w = |a: ArcId| {
+                if active.is_some_and(|s| !s.arc_on(topo, a)) {
+                    return f64::INFINITY;
+                }
+                let base = base_weight(a);
+                if !base.is_finite() {
+                    f64::INFINITY
+                } else if shared(a) {
+                    base + penalty
+                } else {
+                    base
+                }
+            };
+            self.search.grow_to(topo, src, dst, w);
+            self.search.path_to(topo, src, dst)?
+        };
+        let overlap = hops(topo, &path).filter(|a| a.is_some_and(shared)).count();
+        Some((path, overlap))
+    }
+}
+
+/// `p`'s hops resolved to arcs as [`Path::arcs`] resolves them: `None`
+/// for a hop `topo` has no arc for.
+fn hops<'a>(topo: &'a Topology, p: &'a Path) -> impl Iterator<Item = Option<ArcId>> + 'a {
+    p.nodes().windows(2).map(|w| topo.find_arc(w[0], w[1]))
 }
 
 #[cfg(test)]

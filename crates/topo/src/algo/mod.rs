@@ -13,11 +13,11 @@ pub mod disjoint;
 pub mod maxflow;
 pub mod yen;
 
-pub use connectivity::{is_connected, reachable_from};
+pub use connectivity::{is_connected, reachable_from, Reach};
 pub use dijkstra::{
     shortest_path, shortest_path_bounded, shortest_path_tree, ArcWeight, Dijkstra,
     ShortestPathTrees,
 };
-pub use disjoint::link_disjoint_path;
+pub use disjoint::{link_disjoint_path, DisjointSearch};
 pub use maxflow::max_flow;
 pub use yen::k_shortest_paths;

@@ -1,13 +1,14 @@
 //! Property-based tests on the topology substrate.
 
 use ecp_topo::algo::{
-    is_connected, k_shortest_paths, max_flow, reachable_from, shortest_path, shortest_path_bounded,
-    Dijkstra, ShortestPathTrees,
+    is_connected, k_shortest_paths, link_disjoint_path, max_flow, reachable_from, shortest_path,
+    shortest_path_bounded, Dijkstra, DisjointSearch, ShortestPathTrees,
 };
 use ecp_topo::gen::random_waxman;
 use ecp_topo::{ActiveSet, ArcId, NodeId, Path, Topology, TopologyBuilder, MBPS, MS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -150,6 +151,48 @@ fn reference_connected(topo: &Topology, required: &[NodeId], active: Option<&Act
     }) || required.len() <= 1
 }
 
+/// `link_disjoint_path` as one self-contained search: the avoid mask
+/// and the overlap penalty built afresh for the call.
+fn reference_disjoint_path(
+    topo: &Topology,
+    src: NodeId,
+    dst: NodeId,
+    avoid_paths: &[&Path],
+    base_weight: &dyn Fn(ArcId) -> f64,
+    active: Option<&ActiveSet>,
+) -> Option<(Path, usize)> {
+    let mut avoid = vec![false; topo.arc_count()];
+    for p in avoid_paths {
+        for a in p.arcs(topo).into_iter().flatten() {
+            avoid[topo.link_of(a).idx()] = true;
+        }
+    }
+    let shared = |a: ArcId| avoid[topo.link_of(a).idx()];
+    let max_w: f64 = topo
+        .arc_ids()
+        .map(base_weight)
+        .filter(|w| w.is_finite())
+        .fold(0.0, f64::max);
+    let penalty = (max_w + 1.0) * (topo.node_count() as f64 + 1.0);
+    let w = |a: ArcId| {
+        let base = base_weight(a);
+        if !base.is_finite() {
+            return f64::INFINITY;
+        }
+        if shared(a) {
+            base + penalty
+        } else {
+            base
+        }
+    };
+    let path = shortest_path(topo, src, dst, &w, active)?;
+    let overlap = path
+        .arcs(topo)
+        .map(|arcs| arcs.into_iter().filter(|&a| shared(a)).count())
+        .unwrap_or(0);
+    Some((path, overlap))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -214,6 +257,41 @@ proptest! {
                 let reached = full.path_arcs(&topo, src, dst, &mut want);
                 prop_assert_eq!(early.path_arcs(&topo, src, dst, &mut got), reached);
                 prop_assert_eq!(&got, &want, "{} -> {}", src, dst);
+            }
+        }
+    }
+
+    /// One failover search, set up once and asked about every ordered
+    /// pair with changing avoid sets, answers each call as a fresh
+    /// self-contained search does: one-way arcs, ties, forbidden arcs,
+    /// dark elements, unreachable pairs, and avoid paths that are
+    /// shortest paths or random node sequences (some with hops the
+    /// network has no arc for) included.
+    #[test]
+    fn reused_failover_search_matches_fresh_search(n in 2usize..14, seed in 0u64..100_000) {
+        let TieInstance { topo, weights, active } = tie_instance(n, seed);
+        let w = |a: ArcId| weights[a.idx()];
+        let mut rng = StdRng::seed_from_u64(!seed);
+        let nodes: Vec<NodeId> = topo.node_ids().collect();
+        let mut pool: Vec<Path> = Vec::new();
+        for _ in 0..4 {
+            let (o, d) = (*nodes.choose(&mut rng).unwrap(), *nodes.choose(&mut rng).unwrap());
+            pool.extend(shortest_path(&topo, o, d, &|_| 1.0, None));
+            let mut hops = nodes.clone();
+            hops.shuffle(&mut rng);
+            hops.truncate(rng.gen_range(1..=n.min(4)));
+            pool.push(Path::new(hops));
+        }
+        let mut search = DisjointSearch::new(&topo, w, active.as_ref());
+        for &src in &nodes {
+            for &dst in &nodes {
+                let avoid: Vec<&Path> = pool.iter().filter(|_| rng.gen_bool(0.4)).collect();
+                let want = reference_disjoint_path(&topo, src, dst, &avoid, &w, active.as_ref());
+                prop_assert_eq!(&search.path(src, dst, &avoid), &want, "{} -> {}", src, dst);
+                prop_assert_eq!(
+                    link_disjoint_path(&topo, src, dst, &avoid, &w, active.as_ref()),
+                    want
+                );
             }
         }
     }
