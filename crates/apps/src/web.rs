@@ -107,7 +107,15 @@ struct WebClient {
 }
 
 /// Run the web workload: each client node issues
-/// `requests_per_client` sequential GETs against `server`.
+/// `requests_per_client` sequential GETs against `server`. With zero
+/// requests per client every client is done at once: nothing is issued
+/// and nothing is unfinished.
+///
+/// # Panics
+///
+/// If `cfg.dt` is not finite and positive (the loop would never
+/// advance), or if `cfg.num_files` is 0 while `cfg.requests_per_client`
+/// is not (a request needs a file to fetch).
 pub fn run_web(
     topo: &Topology,
     power: &PowerModel,
@@ -117,6 +125,15 @@ pub fn run_web(
     cfg: &WebConfig,
     sim_cfg: &SimConfig,
 ) -> WebResult {
+    assert!(
+        cfg.dt.is_finite() && cfg.dt > 0.0,
+        "WebConfig::dt must be finite and > 0, got {}",
+        cfg.dt
+    );
+    assert!(
+        cfg.requests_per_client == 0 || cfg.num_files > 0,
+        "WebConfig::num_files must be > 0 when requests are issued"
+    );
     let sizes = specweb_like_sizes(cfg.num_files, cfg.seed);
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xBEEF);
     let mut sim = Simulation::new(topo, power, tables, *sim_cfg);
@@ -173,6 +190,10 @@ pub fn run_web(
                     }
                 }
                 ClientState::Thinking { until } if until <= t + 1e-12 => {
+                    if c.issued >= cfg.requests_per_client {
+                        c.state = ClientState::Done;
+                        continue;
+                    }
                     let size_bits = 8.0 * sizes[rng.gen_range(0..sizes.len())];
                     c.issued += 1;
                     sim.schedule_demand(t, c.flow, cfg.access_rate);
@@ -272,6 +293,51 @@ mod tests {
         let cfg2 = WebConfig { seed: 9, ..cfg };
         let c = run_web(&t, &pm, &tables, n.k, &[n.a], &cfg2, &SimConfig::default());
         assert_ne!(a.latencies, c.latencies);
+    }
+
+    #[test]
+    fn zero_requests_issue_nothing() {
+        let (t, tables, n) = setup();
+        let pm = PowerModel::cisco12000();
+        let cfg = WebConfig {
+            requests_per_client: 0,
+            ..Default::default()
+        };
+        let res = run_web(
+            &t,
+            &pm,
+            &tables,
+            n.k,
+            &[n.a, n.c],
+            &cfg,
+            &SimConfig::default(),
+        );
+        assert!(res.latencies.is_empty());
+        assert_eq!(res.unfinished, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "WebConfig::dt")]
+    fn zero_step_is_refused() {
+        let (t, tables, n) = setup();
+        let cfg = WebConfig {
+            dt: 0.0,
+            ..Default::default()
+        };
+        let pm = PowerModel::cisco12000();
+        run_web(&t, &pm, &tables, n.k, &[n.a], &cfg, &SimConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "WebConfig::num_files")]
+    fn requests_without_files_are_refused() {
+        let (t, tables, n) = setup();
+        let cfg = WebConfig {
+            num_files: 0,
+            ..Default::default()
+        };
+        let pm = PowerModel::cisco12000();
+        run_web(&t, &pm, &tables, n.k, &[n.a], &cfg, &SimConfig::default());
     }
 
     #[test]

@@ -11,6 +11,14 @@
 //! nothing is decided. The twins also bound the traced path: one
 //! allocation per stored line plus the line vector's growth.
 //!
+//! After the last cycle every flow steps to `STEADY_BPS` and stays
+//! there: a steady window, in which the undamped loop settles into a
+//! limit cycle that `run_until` fast-forwards. The window's first part
+//! warms the cycle ring and the replay; its measured part must
+//! fast-forward again (counted by `Simulation::fast_forwarded_rounds`)
+//! and make zero allocations untraced, and traced, only the replayed
+//! lines allocate.
+//!
 //! The allocation counters are process-global, so this file holds one
 //! test. It runs in release builds only: in debug builds `flush_loads`
 //! checks the incremental loads against the allocating
@@ -38,6 +46,11 @@ const LOW_BPS: f64 = 2e8;
 const HIGH_BPS: f64 = 6e8;
 const WARM_CYCLES: usize = 2;
 const MEASURED_CYCLES: usize = 3;
+/// The steady window after the cycles: the demand every flow offers,
+/// the window's warm-up, then its measured part.
+const STEADY_BPS: f64 = 4e8;
+const STEADY_WARM_S: f64 = 60.0;
+const STEADY_S: f64 = 60.0;
 
 /// The te-stability network under `control`, with every pair's flow
 /// scheduled through all the demand cycles. The sampler is pushed past
@@ -63,11 +76,13 @@ fn cycling_sim<'a, S: TelemetrySink>(
     );
     for &(o, d) in &resolved.pairs {
         let f = sim.add_flow(&resolved.tables, o, d, LOW_BPS);
-        for c in 0..WARM_CYCLES + MEASURED_CYCLES {
+        let cycles = WARM_CYCLES + MEASURED_CYCLES;
+        for c in 0..cycles {
             let t0 = c as f64 * CYCLE_S;
             sim.schedule_demand(t0 + UP_S, f, HIGH_BPS);
             sim.schedule_demand(t0 + DOWN_S, f, LOW_BPS);
         }
+        sim.schedule_demand(cycles as f64 * CYCLE_S, f, STEADY_BPS);
     }
     sim
 }
@@ -97,6 +112,22 @@ struct Arm {
     /// The traced twin's allocations and stored lines over the window.
     traced_allocs: u64,
     lines: u64,
+    /// The measured steady window: untraced allocations and
+    /// fast-forwarded rounds, then the traced twin's allocations, stored
+    /// lines and fast-forwarded rounds.
+    steady_allocs: u64,
+    steady_fast_forwarded: u64,
+    steady_traced_allocs: u64,
+    steady_lines: u64,
+    steady_traced_fast_forwarded: u64,
+}
+
+/// Run `sim` to `t_end` and return the allocations made and the control
+/// rounds fast-forwarded on the way.
+fn measured_run<S: TelemetrySink>(sim: &mut Simulation<'_, S>, t_end: f64) -> (u64, u64) {
+    let (a0, f0) = (allocations(), sim.fast_forwarded_rounds());
+    sim.run_until(t_end);
+    (allocations() - a0, sim.fast_forwarded_rounds() - f0)
 }
 
 #[test]
@@ -107,20 +138,21 @@ struct Arm {
 )]
 fn decision_path_allocates_nothing_over_live_demand_cycles() {
     let warm_end = WARM_CYCLES as f64 * CYCLE_S;
+    let cycles_end = warm_end + MEASURED_CYCLES as f64 * CYCLE_S;
+    let steady_warm_end = cycles_end + STEADY_WARM_S;
+    let steady_end = steady_warm_end + STEADY_S;
     let mut arms = Vec::new();
     for (id, control) in te_stability_policies() {
-        let scenario = te_stability(
-            (WARM_CYCLES + MEASURED_CYCLES) as f64 * CYCLE_S,
-            0.7,
-            control,
-        );
+        let scenario = te_stability(steady_end, 0.7, control);
         let resolved = resolve(&scenario).expect("te-stability resolves");
 
         let mut sim = cycling_sim(&scenario, &resolved, &control, NoopSink);
         sim.run_until(warm_end);
         let a0 = allocations();
-        sim.run_until(warm_end + MEASURED_CYCLES as f64 * CYCLE_S);
+        sim.run_until(cycles_end);
         let allocs = allocations() - a0;
+        sim.run_until(steady_warm_end);
+        let (steady_allocs, steady_fast_forwarded) = measured_run(&mut sim, steady_end);
 
         // Counters are read from the sink directly, which allocates
         // nothing, so the traced window is counted whole.
@@ -140,12 +172,22 @@ fn decision_path_allocates_nothing_over_live_demand_cycles() {
         }
         let traced_allocs = allocations() - a0;
         let lines = (twin.telemetry().lines().len() - l0) as u64;
+        twin.run_until(steady_warm_end);
+        let l0 = twin.telemetry().lines().len();
+        let (steady_traced_allocs, steady_traced_fast_forwarded) =
+            measured_run(&mut twin, steady_end);
+        let steady_lines = (twin.telemetry().lines().len() - l0) as u64;
         arms.push(Arm {
             id,
             allocs,
             cycles,
             traced_allocs,
             lines,
+            steady_allocs,
+            steady_fast_forwarded,
+            steady_traced_allocs,
+            steady_lines,
+            steady_traced_fast_forwarded,
         });
     }
 
@@ -160,9 +202,29 @@ fn decision_path_allocates_nothing_over_live_demand_cycles() {
             arm.traced_allocs,
             arm.lines
         );
+        println!(
+            "{}: steady window: {} allocations, {} rounds fast-forwarded; traced twin {} \
+             allocations for {} lines, {} rounds fast-forwarded",
+            arm.id,
+            arm.steady_allocs,
+            arm.steady_fast_forwarded,
+            arm.steady_traced_allocs,
+            arm.steady_lines,
+            arm.steady_traced_fast_forwarded
+        );
     }
     for arm in &arms {
         assert_eq!(arm.allocs, 0, "{}: the decision path allocated", arm.id);
+        assert_eq!(
+            arm.steady_allocs, 0,
+            "{}: the steady window allocated",
+            arm.id
+        );
+        assert_eq!(
+            arm.steady_fast_forwarded, arm.steady_traced_fast_forwarded,
+            "{}: the sink changed what was fast-forwarded",
+            arm.id
+        );
         for (c, cycle) in arm.cycles.iter().enumerate() {
             assert!(
                 cycle.decisions > 0 && cycle.share_changes > 0,
@@ -171,17 +233,29 @@ fn decision_path_allocates_nothing_over_live_demand_cycles() {
             );
         }
     }
+    // The undamped loop fast-forwards the measured steady window, so
+    // the window pins the fast-forward and its replay.
+    let undamped = &arms[0];
+    assert_eq!(undamped.id, "te-stability-undamped");
+    assert!(
+        undamped.steady_fast_forwarded > 0,
+        "the undamped steady window fast-forwarded nothing"
+    );
     // The traced path stores each line as one string, and the line
     // vector grows by doubling: A - L <= ceil(log2 L) + 1. A >= L > 0
     // also shows that the counting allocator is installed.
     for arm in &arms {
-        let (a, l) = (arm.traced_allocs, arm.lines);
-        let growth = u64::from(l.next_power_of_two().trailing_zeros());
-        assert!(
-            l > 0 && a >= l && a - l <= growth + 1,
-            "{}: traced path made {a} allocations for {l} lines (allowed {l} + {})",
-            arm.id,
-            growth + 1
-        );
+        for (window, a, l) in [
+            ("cycles", arm.traced_allocs, arm.lines),
+            ("steady window", arm.steady_traced_allocs, arm.steady_lines),
+        ] {
+            let growth = u64::from(l.next_power_of_two().trailing_zeros());
+            assert!(
+                l > 0 && a >= l && a - l <= growth + 1,
+                "{} {window}: traced path made {a} allocations for {l} lines (allowed {l} + {})",
+                arm.id,
+                growth + 1
+            );
+        }
     }
 }

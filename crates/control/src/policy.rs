@@ -67,6 +67,14 @@ pub trait ControlPolicy: Send {
     /// observation is unchanged (the skipped call would have returned
     /// the shares already in place), which with incremental load
     /// accounting turns quiescent control rounds into no-ops.
+    ///
+    /// The simulator's limit-cycle fast-forward relies on the same
+    /// promise: when a control loop's whole state repeats, it replays
+    /// the rounds that follow instead of calling `decide` again, at
+    /// later times. A memoryless policy therefore must not read
+    /// [`Observation::t`] at all: a decision that depends on the time
+    /// would make the replayed rounds wrong.
+    ///
     /// Policies with memory (EWMA estimates, cooldown counters) must
     /// return `false`: their state evolves on every call even under
     /// identical observations.

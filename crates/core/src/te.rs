@@ -22,7 +22,13 @@
 //!   not face a fixed target: each claims the headroom the others
 //!   observe too. Such coupled agents can lag or cycle —
 //!   `fig8a-pop-access` shows a 59.5 s tracking lag, and the rolling
-//!   maintenance day sits in exact limit cycles (see ROADMAP).
+//!   maintenance day sits in exact limit cycles of period 1 to 12
+//!   rounds (see ROADMAP). The simulator does not simulate those cycles
+//!   round by round: `ecp_simnet::Simulation::run_until` detects a
+//!   loop whose whole state repeats and fast-forwards it to the next
+//!   event, replaying the skipped rounds' effects and telemetry bit for
+//!   bit (71,737 of the rolling day's 86,402 rounds). The cycles
+//!   themselves are a property of this law, not of the simulator.
 
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;

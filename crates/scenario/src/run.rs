@@ -622,15 +622,20 @@ pub fn run_resolved_traced(
         .map(|(report, trace, _)| (report, trace))
 }
 
-/// [`run_resolved_traced`] with profiling spans on the wall clock: the
-/// same report and trace, plus the timing profile. The resolve phases
-/// are missing from the profile (see [`run_resolved_with_sink`] for
-/// whole-scenario profiling).
+/// [`run_resolved`] with profiling spans on the wall clock, over a
+/// counting sink ([`SpanSink::counting`]): the same report, a trace
+/// that holds the telemetry snapshot and no line (none is formatted, so
+/// the profile times the run and its spans alone), and the timing
+/// profile. The resolve phases are missing from the profile. For a
+/// profiled run that keeps its lines, or whole-scenario profiling, pass
+/// a [`SpanSink::new`] to [`run_resolved_with_sink`] (what `ecp run
+/// --profile --trace` does).
 pub fn run_resolved_profiled(
     scenario: &Scenario,
     resolved: &ResolvedScenario,
 ) -> Result<(ScenarioReport, TraceOutput, TimingSnapshot), ScenarioError> {
-    let (report, trace, mut sink) = run_resolved_with_sink(scenario, resolved, SpanSink::new())?;
+    let (report, trace, mut sink) =
+        run_resolved_with_sink(scenario, resolved, SpanSink::counting())?;
     Ok((report, trace, sink.timing()))
 }
 

@@ -232,3 +232,28 @@ fn profiled_sweep_points_match_unprofiled() {
         );
     }
 }
+
+/// `run_resolved_profiled` profiles into a counting sink: the report and
+/// the snapshot are the traced run's, and no line is formatted, so the
+/// profile times the run alone.
+#[test]
+fn run_resolved_profiled_counts_and_formats_no_line() {
+    let scenario = ScenarioBuilder::new("profile-counting")
+        .topology(TopoSpec::small_waxman(9, 3))
+        .pairs(PairsSpec::Random { count: 4 })
+        .duration_s(3.0)
+        .build();
+    let resolved = resolve(&scenario).unwrap();
+    let (report, trace, timing) =
+        ecp_scenario::run_resolved_profiled(&scenario, &resolved).unwrap();
+    let (traced_report, traced) = run_resolved_traced(&scenario, &resolved).unwrap();
+    assert_eq!(
+        serde_json::to_string(&report).unwrap(),
+        serde_json::to_string(&traced_report).unwrap()
+    );
+    assert!(trace.lines.is_empty(), "a counting sink formats no line");
+    assert!(!traced.lines.is_empty());
+    assert!(traced.snapshot.is_some());
+    assert_eq!(trace.snapshot, traced.snapshot);
+    assert!(timing.span("scenario_run").is_some_and(|s| s.count == 1));
+}

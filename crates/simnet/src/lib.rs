@@ -40,9 +40,16 @@
 //!   ([`Simulation::enable_timeseries`]), every k-th row also becomes a
 //!   [`TimeseriesPoint`]; no event is added for it.
 //!
+//! * **Fast-forward**: under a memoryless policy,
+//!   [`Simulation::run_until`] jumps over the whole periods of a
+//!   control loop whose whole state repeats, up to the next pending
+//!   event, and replays the skipped rounds' effects and telemetry bit
+//!   for bit; [`Simulation::step`] never does.
+//!
 //! The whole simulation is deterministic: events are ordered by
 //! `(time, sequence)` and no randomness is used.
 
+mod cycle;
 pub mod packet;
 pub mod recorder;
 pub mod sim;

@@ -1,5 +1,6 @@
 //! The simulation core.
 
+use crate::cycle::{CycleRing, SinkCall};
 use crate::recorder::{Series, TimeseriesPoint};
 use ecp_control::{ControlPolicy, Observation, Sample, Undamped};
 use ecp_power::PowerModel;
@@ -353,6 +354,9 @@ pub struct Simulation<'a, S: TelemetrySink = NoopSink> {
     /// reconfigurations), maintained unconditionally — a plain integer
     /// increment, so the zero-alloc decision path is untouched.
     reconfig_count: u64,
+    /// The last control rounds of the current quiet stretch, for the
+    /// exact limit-cycle fast-forward (see [`crate::cycle`]).
+    cycle: CycleRing,
 }
 
 impl<'a> Simulation<'a> {
@@ -452,6 +456,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             ts_every: None,
             ts_points: Vec::new(),
             reconfig_count: 0,
+            cycle: CycleRing::new(),
         };
         sim.push(cfg.control_interval, Event::Control);
         sim.push(0.0, Event::Sample);
@@ -480,6 +485,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
     /// Panics if the pair has no tables entry.
     pub fn add_flow(&mut self, tables: &PathTables, o: NodeId, d: NodeId, offered: f64) -> FlowId {
         let od = tables.get(o, d).expect("no installed paths for OD pair");
+        self.cycle.clear();
         let paths: Vec<Path> = od.all().into_iter().cloned().collect();
         // Deduplicate identical paths (failover may coincide with an
         // on-demand path) while preserving priority order.
@@ -609,26 +615,54 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
     /// pausable stepping API. Callers can interleave `step` with state
     /// inspection (`power_w`, `delivered_rate`, …) or with injecting new
     /// events via [`Simulation::schedule`], then resume with either more
-    /// `step` calls or [`Simulation::run_until`].
+    /// `step` calls or [`Simulation::run_until`]. `step` never
+    /// fast-forwards: each call simulates exactly one event, control
+    /// rounds included, and the result equals a `run_until` over the
+    /// same events bit for bit.
     pub fn step(&mut self) -> Option<f64> {
-        let QItem { t, ev, .. } = self.queue.pop()?;
-        self.now = t.max(self.now);
-        self.handle(ev);
-        Some(t)
+        self.step_within(None)
     }
 
     /// Run until `t_end` (inclusive of events at `t_end`), which must be
     /// finite: the queue refills itself, so the loop ends only at a
     /// finite horizon.
+    ///
+    /// Under a memoryless policy, a control round whose whole end state
+    /// repeats the one a few rounds earlier, with only control rounds
+    /// and samples in between, fast-forwards over the whole periods that
+    /// fall strictly before the next pending event and at or before
+    /// `t_end`: the state after them is the state already in place, so
+    /// only the time, the share-change tally and the telemetry move, the
+    /// sink receiving the calls of every skipped round (see
+    /// [`crate::cycle`]). Everything observable equals the unskipped
+    /// run bit for bit, and events scheduled between two `run_until`
+    /// calls are honoured because no skip passes `t_end`.
     pub fn run_until(&mut self, t_end: f64) {
         debug_assert!(t_end.is_finite(), "run horizon {t_end} is not finite");
+        let horizon = t_end + 1e-12;
         while let Some(top) = self.queue.peek() {
-            if top.t > t_end + 1e-12 {
+            if top.t > horizon {
                 break;
             }
-            self.step();
+            self.step_within(Some(horizon));
         }
         self.now = self.now.max(t_end);
+    }
+
+    /// [`Simulation::step`], allowed to fast-forward a repeating control
+    /// loop over rounds at or before `horizon` when one is given.
+    fn step_within(&mut self, horizon: Option<f64>) -> Option<f64> {
+        let QItem { t, ev, .. } = self.queue.pop()?;
+        self.now = t.max(self.now);
+        self.handle(ev, horizon);
+        Some(t)
+    }
+
+    /// Control rounds fast-forwarded so far (see
+    /// [`Simulation::run_until`]): rounds whose effects and telemetry
+    /// were replayed instead of simulated.
+    pub fn fast_forwarded_rounds(&self) -> u64 {
+        self.cycle.fast_forwarded()
     }
 
     /// The sampled series: one row every
@@ -692,10 +726,22 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
 
     /// Process one event, then flush the incremental load state so the
     /// cache is clean (and debug-cross-checked against the from-scratch
-    /// oracle) at every public API boundary.
-    fn handle(&mut self, ev: Event) {
+    /// oracle) at every public API boundary. A control round then
+    /// schedules its successor, after the flush so that the round's end
+    /// state includes the flush's observation marks.
+    fn handle(&mut self, ev: Event, horizon: Option<f64>) {
+        let control = matches!(ev, Event::Control);
+        if control {
+            if self.policy_memoryless {
+                self.cycle
+                    .begin_round(S::ENABLED, self.seq, self.reconfig_count);
+            }
+        } else if !matches!(ev, Event::Sample) {
+            // Anything but a round or a sample ends the quiet stretch.
+            self.cycle.clear();
+        }
         if S::ENABLED {
-            self.sink.add(Counter::EventsProcessed, 1);
+            self.sink_add(Counter::EventsProcessed, 1);
         }
         if S::SPANS {
             self.sink.span_enter(SpanName::EventDrain);
@@ -709,13 +755,149 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         if S::SPANS {
             self.sink.span_exit(SpanName::LoadFlush);
         }
+        if control {
+            if self.policy_memoryless {
+                self.close_control_round(horizon);
+            }
+            self.push(self.now + self.cfg.control_interval, Event::Control);
+        }
+    }
+
+    /// Keep a control round's end state in the cycle ring and, when it
+    /// repeats the state `p` rounds back and the round runs inside
+    /// [`Simulation::run_until`], fast-forward over whole periods.
+    ///
+    /// A round joins the ring only if the policy is memoryless (checked
+    /// by the caller), the TE loop has started (a round before
+    /// `te_start` does nothing, and the one at `te_start` acts on the
+    /// same state), it pushed no event (wake-ups, sleep checks and
+    /// phased agents are consequences a skip could not replay) and it
+    /// left no link newly idle (its drain clock is stamped with the
+    /// round's time). Any other round, and every event other than a
+    /// round or a sample, clears the ring. The ring arms only after a
+    /// round whose successor falls strictly before the next pending
+    /// event, so a loop sampled every round never captures a state.
+    fn close_control_round(&mut self, horizon: Option<f64>) {
+        if self.now + 1e-12 < self.cfg.te_start || !self.cycle.round_was_quiet(self.seq) {
+            self.cycle.clear();
+            return;
+        }
+        let next_event = self.queue.peek().map_or(f64::INFINITY, |q| q.t);
+        let next_round_fits = self.now + self.cfg.control_interval < next_event;
+        if !self.cycle.armed() && !next_round_fits {
+            return;
+        }
+        self.capture_round_state();
+        let Some(period) = self.cycle.close_round(self.reconfig_count) else {
+            return;
+        };
+        if let Some(horizon) = horizon {
+            self.fast_forward(period, next_event, horizon);
+        }
+    }
+
+    /// Write the round's end state into the cycle ring: every share's
+    /// bits and every agent's observation-dirty flag, flow by flow, then
+    /// every link's power state. A waking link is its due time relative
+    /// to now; the two fixed states are NaN patterns, which a finite
+    /// relative time never has.
+    fn capture_round_state(&mut self) {
+        let Simulation {
+            flows,
+            link_state,
+            now,
+            cycle,
+            ..
+        } = self;
+        let words = cycle.state_mut();
+        words.clear();
+        for fl in flows.iter() {
+            words.extend(fl.shares.iter().map(|s| s.to_bits()));
+            words.push(u64::from(fl.obs_dirty));
+        }
+        words.extend(link_state.iter().map(|st| match *st {
+            LinkPowerState::Active => u64::MAX,
+            LinkPowerState::Sleeping => u64::MAX - 1,
+            LinkPowerState::Waking(due) => (due - *now).to_bits(),
+        }));
+    }
+
+    /// Jump over the largest number of whole periods of `period` rounds
+    /// whose rounds all fall strictly before `next_event` and at or
+    /// before `horizon`. Each of those rounds would end in the state
+    /// already in place, so a skip moves only the time (the same chain
+    /// of `t + interval` additions the rounds would make), the
+    /// share-change tally (by the period's changes per period), the
+    /// event sequence counter (one successor push per round) and the
+    /// sink, which receives each skipped round's recorded calls with
+    /// every event moved to that round's time.
+    fn fast_forward(&mut self, period: usize, next_event: f64, horizon: f64) {
+        let interval = self.cfg.control_interval;
+        // `push` adds +0.0 to every time.
+        let advance = |t: f64| (t + interval) + 0.0;
+        let (mut t, mut n) = (self.now, 0);
+        let (mut rounds, mut t_last) = (0, self.now);
+        loop {
+            let next = advance(t);
+            if !(next > t && next < next_event && next <= horizon) {
+                break;
+            }
+            t = next;
+            n += 1;
+            if n % period == 0 {
+                rounds = n;
+                t_last = t;
+            }
+        }
+        if rounds == 0 {
+            return;
+        }
+        if S::ENABLED {
+            let mut t = self.now;
+            for r in 0..rounds {
+                t = advance(t);
+                self.cycle
+                    .replay_round(period, r % period, t, &mut self.sink);
+            }
+        }
+        self.reconfig_count += (rounds / period) as u64 * self.cycle.period_share_changes(period);
+        self.seq += rounds as u64;
+        self.now = t_last;
+        self.cycle.add_fast_forwarded(rounds as u64);
+    }
+
+    /// [`TelemetrySink::add`], kept for replay while the cycle ring
+    /// records a control round. Every sink call of the simulation goes
+    /// through this and the two helpers below.
+    fn sink_add(&mut self, c: Counter, n: u64) {
+        self.sink.add(c, n);
+        if self.cycle.recording() {
+            self.cycle.record(SinkCall::Add(c, n));
+        }
+    }
+
+    /// [`TelemetrySink::observe`], kept for replay like
+    /// [`Simulation::sink_add`].
+    fn sink_observe(&mut self, h: Hist, v: f64) {
+        self.sink.observe(h, v);
+        if self.cycle.recording() {
+            self.cycle.record(SinkCall::Observe(h, v));
+        }
+    }
+
+    /// [`TelemetrySink::emit`], kept for replay like
+    /// [`Simulation::sink_add`].
+    fn sink_emit(&mut self, ev: TelemetryEvent) {
+        self.sink.emit(&ev);
+        if self.cycle.recording() {
+            self.cycle.record(SinkCall::Emit(ev));
+        }
     }
 
     fn dispatch(&mut self, ev: Event) {
         match ev {
             Event::Control => {
                 self.control_round(false);
-                self.push(self.now + self.cfg.control_interval, Event::Control);
             }
             Event::AgentControl(fi) => {
                 self.agent_control(fi);
@@ -733,7 +915,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
                 self.power_cache = None;
                 self.refresh_link_ready(l);
                 if S::ENABLED {
-                    self.sink.add(Counter::FailuresInjected, 1);
+                    self.sink_add(Counter::FailuresInjected, 1);
                     self.emit_element_event(Element::Link, l.idx() as u32, false, false);
                 }
                 self.push(self.now + self.cfg.detect_delay, Event::FailureKnown(a));
@@ -744,7 +926,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
                 self.power_cache = None;
                 self.refresh_link_ready(l);
                 if S::ENABLED {
-                    self.sink.add(Counter::RepairsInjected, 1);
+                    self.sink_add(Counter::RepairsInjected, 1);
                     self.emit_element_event(Element::Link, l.idx() as u32, true, false);
                 }
                 self.push(self.now + self.cfg.detect_delay, Event::RepairKnown(a));
@@ -754,7 +936,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
                 self.power_cache = None;
                 self.refresh_node_links(n);
                 if S::ENABLED {
-                    self.sink.add(Counter::FailuresInjected, 1);
+                    self.sink_add(Counter::FailuresInjected, 1);
                     self.emit_element_event(Element::Node, n.idx() as u32, false, false);
                 }
                 self.push(self.now + self.cfg.detect_delay, Event::NodeFailureKnown(n));
@@ -764,7 +946,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
                 self.power_cache = None;
                 self.refresh_node_links(n);
                 if S::ENABLED {
-                    self.sink.add(Counter::RepairsInjected, 1);
+                    self.sink_add(Counter::RepairsInjected, 1);
                     self.emit_element_event(Element::Node, n.idx() as u32, true, false);
                 }
                 self.push(self.now + self.cfg.detect_delay, Event::NodeRepairKnown(n));
@@ -775,14 +957,14 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             Event::SetTeConfig(te) => {
                 self.cfg.te = te;
                 if S::ENABLED {
-                    self.sink.add(Counter::TeReconfigs, 1);
+                    self.sink_add(Counter::TeReconfigs, 1);
                     let ev = TelemetryEvent::TeReconfig {
                         t: self.now,
                         threshold: te.threshold,
                         step: te.step,
                         min_share: te.min_share,
                     };
-                    self.sink.emit(&ev);
+                    self.sink_emit(ev);
                 }
                 // The TE parameters are part of every observation.
                 for fl in &mut self.flows {
@@ -878,7 +1060,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
                     self.set_link_state(l, LinkPowerState::Sleeping);
                     if S::ENABLED {
                         let idle_s = (self.now - self.idle_since[l.idx()]).max(0.0);
-                        self.sink.observe(Hist::IdleDrainS, idle_s);
+                        self.sink_observe(Hist::IdleDrainS, idle_s);
                         self.emit_power_transition(l.idx() as u32, PowerKind::Sleep, idle_s);
                     }
                 }
@@ -907,19 +1089,19 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
                 detected,
             }
         };
-        self.sink.emit(&ev);
+        self.sink_emit(ev);
     }
 
     /// Emit a power-transition event (telemetry-enabled builds only).
     fn emit_power_transition(&mut self, link: u32, kind: PowerKind, idle_s: f64) {
-        self.sink.add(Counter::PowerTransitions, 1);
+        self.sink_add(Counter::PowerTransitions, 1);
         let ev = TelemetryEvent::PowerTransition {
             t: self.now,
             link,
             kind,
             idle_s,
         };
-        self.sink.emit(&ev);
+        self.sink_emit(ev);
     }
 
     /// Whether a link is effectively down: failed itself or adjacent to
@@ -997,8 +1179,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             return;
         }
         if S::ENABLED {
-            self.sink
-                .add(Counter::DirtyArcRecomputes, self.dirty_arcs.len() as u64);
+            self.sink_add(Counter::DirtyArcRecomputes, self.dirty_arcs.len() as u64);
         }
         let Simulation {
             flows,
@@ -1108,6 +1289,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
                 flows,
                 assigned,
                 idle_since,
+                cycle,
                 ..
             } = self;
             for &li in flows[fi].path_links(pi) {
@@ -1115,9 +1297,12 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
                     assigned[li] += 1;
                 } else {
                     assigned[li] -= 1;
-                    if S::ENABLED && assigned[li] == 0 {
+                    if assigned[li] == 0 {
                         // The link just went idle: start its drain clock.
-                        idle_since[li] = now;
+                        if S::ENABLED {
+                            idle_since[li] = now;
+                        }
+                        cycle.went_idle = true;
                     }
                 }
             }
@@ -1331,6 +1516,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         let sum: f64 = shares.iter().sum();
         assert!((sum - 1.0).abs() < 1e-6, "shares must sum to 1");
         let fi = f.0;
+        self.cycle.clear();
         // The round's wake and sleep-check candidates do not apply here:
         // the links of every positive-share path wake at once below.
         let (mut to_wake, mut to_sleepcheck) = (Vec::new(), Vec::new());
@@ -1519,9 +1705,9 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             self.sink.span_enter(SpanName::RoundSnapshot);
         }
         if S::ENABLED {
-            self.sink.add(Counter::ControlRounds, 1);
+            self.sink_add(Counter::ControlRounds, 1);
             if immediate {
-                self.sink.add(Counter::ImmediateRounds, 1);
+                self.sink_add(Counter::ImmediateRounds, 1);
             }
             // Per-round arc-load summary over the loads the agents of
             // this round observe (pre-decision).
@@ -1532,7 +1718,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
                 mean_util,
                 overloaded,
             };
-            self.sink.emit(&ev);
+            self.sink_emit(ev);
         }
         if S::SPANS {
             self.sink.span_exit(SpanName::RoundSnapshot);
@@ -1577,8 +1763,8 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             };
             self.decide_flow_into(fi, &mut shares);
             if S::ENABLED {
-                self.sink.add(Counter::AgentDecisions, 1);
-                self.sink.observe(
+                self.sink_add(Counter::AgentDecisions, 1);
+                self.sink_observe(
                     Hist::WaterfillPerDecision,
                     (waterfill_iterations() - wf_before) as f64,
                 );
@@ -1619,11 +1805,11 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         self.scratch.to_sleepcheck = to_sleepcheck;
         if S::ENABLED {
             let waterfill_iters = waterfill_iterations() - wf_round_start;
-            self.sink.add(Counter::WaterfillIterations, waterfill_iters);
-            self.sink.add(Counter::SkippedClean, skipped_clean as u64);
-            self.sink.add(Counter::DeferredPhased, phased.len() as u64);
-            self.sink.add(Counter::ShareChanges, share_changes as u64);
-            self.sink.observe(Hist::DecidedPerRound, decided as f64);
+            self.sink_add(Counter::WaterfillIterations, waterfill_iters);
+            self.sink_add(Counter::SkippedClean, skipped_clean as u64);
+            self.sink_add(Counter::DeferredPhased, phased.len() as u64);
+            self.sink_add(Counter::ShareChanges, share_changes as u64);
+            self.sink_observe(Hist::DecidedPerRound, decided as f64);
             let ev = TelemetryEvent::ControlRound {
                 t: self.now,
                 immediate,
@@ -1634,7 +1820,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
                 share_changes,
                 waterfill_iters,
             };
-            self.sink.emit(&ev);
+            self.sink_emit(ev);
         }
         for &(fi, phase) in &phased {
             self.push(self.now + phase, Event::AgentControl(fi));
@@ -1684,7 +1870,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         }
         if self.can_skip_decision(fi) {
             if S::ENABLED {
-                self.sink.add(Counter::SkippedClean, 1);
+                self.sink_add(Counter::SkippedClean, 1);
             }
             return;
         }
@@ -1698,9 +1884,9 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         self.decide_flow_into(fi, &mut shares);
         if S::ENABLED {
             let dw = waterfill_iterations() - wf_before;
-            self.sink.add(Counter::AgentDecisions, 1);
-            self.sink.add(Counter::WaterfillIterations, dw);
-            self.sink.observe(Hist::WaterfillPerDecision, dw as f64);
+            self.sink_add(Counter::AgentDecisions, 1);
+            self.sink_add(Counter::WaterfillIterations, dw);
+            self.sink_observe(Hist::WaterfillPerDecision, dw as f64);
         }
         let mut to_wake = std::mem::take(&mut self.scratch.to_wake);
         let mut to_sleepcheck = std::mem::take(&mut self.scratch.to_sleepcheck);
@@ -1712,7 +1898,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         if self.apply_flow_shares(fi, &shares, &mut to_wake, &mut to_sleepcheck) {
             self.reconfig_count += 1;
             if S::ENABLED {
-                self.sink.add(Counter::ShareChanges, 1);
+                self.sink_add(Counter::ShareChanges, 1);
             }
         }
         if S::SPANS {
@@ -1769,7 +1955,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
     /// row also becomes an observatory point.
     fn take_sample(&mut self) {
         if S::ENABLED {
-            self.sink.add(Counter::Samples, 1);
+            self.sink_add(Counter::Samples, 1);
         }
         let mut offered_total = 0.0;
         let mut delivered_total = 0.0;

@@ -14,9 +14,17 @@
 //!   agent decision is ever skipped, records the exact same sample
 //!   series and final deliveries — end-to-end parity of the
 //!   clean-agent decision skipping.
+//!
+//! The exact limit-cycle fast-forward of `run_until` gets four fixed
+//! scripts over a loop that settles into a period-2 cycle: it must
+//! fast-forward, and equal bit for bit (series, deliveries, trace
+//! lines and telemetry snapshot) a twin that never skips — one whose
+//! policy is not memoryless, or one driven by `step` — including
+//! across a pause with an event scheduled into a would-be skip window
+//! and across a delayed TE start.
 
 use ecp_control::{ControlPolicy, Observation};
-use ecp_simnet::{SimConfig, SimEvent, Simulation};
+use ecp_simnet::{JsonlSink, NoopSink, Series, SimConfig, SimEvent, Simulation, TelemetrySink};
 use ecp_topo::gen::fig3_click;
 use ecp_topo::{ArcId, NodeId, Path};
 use proptest::prelude::*;
@@ -77,7 +85,7 @@ fn decode_event(topo: &ecp_topo::Topology, (t, kind, target, value): RawEvent) -
     (t, ev)
 }
 
-fn policy(which: usize) -> Box<dyn ControlPolicy> {
+fn policy_of(which: usize) -> Box<dyn ControlPolicy> {
     match which % 6 {
         0 => Box::new(ecp_control::Undamped),
         1 => Box::new(ecp_control::Ewma::new(0.3)),
@@ -114,7 +122,7 @@ fn run_script(
     which_policy: usize,
     spread: bool,
     never_skip: bool,
-) -> (ecp_simnet::Series, Vec<Vec<f64>>) {
+) -> (Series, Vec<Vec<f64>>) {
     let (t, n, pt) = click_tables();
     let cfg = SimConfig {
         control_interval: 0.1,
@@ -125,7 +133,7 @@ fn run_script(
         ..Default::default()
     };
     let pm = ecp_power::PowerModel::cisco12000();
-    let mut policy = policy(which_policy);
+    let mut policy = policy_of(which_policy);
     if never_skip {
         policy = Box::new(NeverSkip(policy));
     }
@@ -220,4 +228,223 @@ proptest! {
             prop_assert_eq!(delivery, twin_delivery);
         }
     }
+}
+
+// ---- exact limit-cycle fast-forward ---------------------------------------
+
+/// End of the cycling script.
+const CYCLE_END_S: f64 = 40.0;
+/// The demand steps, each inside a sample window, with the new rate of
+/// each flow that changes.
+const DEMAND_STEPS: [(f64, &[(usize, f64)]); 2] = [
+    (17.35, &[(0, 2e6)]),
+    (27.35, &[(0, 5e6), (1, 5e6), (2, 0.0), (3, 0.0)]),
+];
+/// Where a resumed run pauses before scheduling the demand steps.
+const PAUSE_S: f64 = 16.0;
+
+/// How a cycling run is driven.
+#[derive(Clone, Copy)]
+enum Drive {
+    /// One `run_until` to the end.
+    RunUntil,
+    /// `step` to the end: never fast-forwards.
+    Step,
+    /// `run_until(PAUSE_S)`, then the demand steps are scheduled, then
+    /// `run_until` to the end.
+    Resume,
+}
+
+/// What a cycling run leaves behind.
+struct CycleRun<S> {
+    series: Series,
+    deliveries: Vec<Vec<f64>>,
+    fast_forwarded: u64,
+    sink: S,
+}
+
+/// Four agents, two per Click pair, at constant demand: the undamped
+/// loop settles into a period-2 limit cycle in which every agent moves
+/// its shares every round and no link changes power state. The first
+/// demand step moves it to another cycle; at the second two agents
+/// stop and the other two step up, and the loop converges to a fixed
+/// point, whose last rounds repeat their shares with different
+/// observation flags. Rounds run every 0.1 s and samples every 5 s, so
+/// whole periods fit between samples.
+fn cycling_run<S: TelemetrySink>(
+    policy: Box<dyn ControlPolicy>,
+    sink: S,
+    te_start: f64,
+    drive: Drive,
+) -> CycleRun<S> {
+    let (t, n, pt) = click_tables();
+    let cfg = SimConfig {
+        control_interval: 0.1,
+        wake_time: 0.01,
+        detect_delay: 0.1,
+        sleep_after: 0.2,
+        sample_interval: 5.0,
+        te_start,
+        ..Default::default()
+    };
+    let pm = ecp_power::PowerModel::cisco12000();
+    let mut sim = Simulation::with_telemetry(&t, &pm, &pt, cfg, policy, sink);
+    let flows = [
+        sim.add_flow(&pt, n.a, n.k, 3e6),
+        sim.add_flow(&pt, n.c, n.k, 3e6),
+        sim.add_flow(&pt, n.a, n.k, 3.3e6),
+        sim.add_flow(&pt, n.c, n.k, 3.15e6),
+    ];
+    let demand_steps = |sim: &mut Simulation<'_, S>| {
+        for (at, changes) in DEMAND_STEPS {
+            for &(f, rate) in changes {
+                let flow = flows[f];
+                sim.schedule(at, SimEvent::DemandChange { flow, rate });
+            }
+        }
+    };
+    match drive {
+        Drive::RunUntil => {
+            demand_steps(&mut sim);
+            sim.run_until(CYCLE_END_S);
+        }
+        Drive::Step => {
+            demand_steps(&mut sim);
+            while sim
+                .next_event_time()
+                .is_some_and(|at| at <= CYCLE_END_S + 1e-12)
+            {
+                sim.step();
+            }
+            sim.run_until(CYCLE_END_S);
+        }
+        Drive::Resume => {
+            sim.run_until(PAUSE_S);
+            demand_steps(&mut sim);
+            sim.run_until(CYCLE_END_S);
+        }
+    }
+    let deliveries = flows.iter().map(|&f| sim.per_path_delivered(f)).collect();
+    let fast_forwarded = sim.fast_forwarded_rounds();
+    let (series, _, sink) = sim.finish();
+    CycleRun {
+        series,
+        deliveries,
+        fast_forwarded,
+        sink,
+    }
+}
+
+/// Two traced runs recorded the same trace and the same snapshot, and
+/// simulated the same series and deliveries.
+fn assert_same_traced_run(a: &CycleRun<JsonlSink>, b: &CycleRun<JsonlSink>) {
+    assert_eq!(a.series, b.series);
+    assert_eq!(a.deliveries, b.deliveries);
+    assert_eq!(a.sink.lines(), b.sink.lines());
+    assert_eq!(a.sink.snapshot(), b.sink.snapshot());
+}
+
+/// The memoryless loop fast-forwards its limit cycles, and a twin whose
+/// policy is not memoryless (so it never skips anything) simulates the
+/// same rows and final deliveries bit for bit.
+#[test]
+fn limit_cycles_fast_forward_bit_for_bit() {
+    let run = cycling_run(
+        Box::new(ecp_control::Undamped),
+        NoopSink,
+        0.0,
+        Drive::RunUntil,
+    );
+    let twin = cycling_run(
+        Box::new(NeverSkip(Box::new(ecp_control::Undamped))),
+        NoopSink,
+        0.0,
+        Drive::RunUntil,
+    );
+    assert!(
+        run.fast_forwarded > 100,
+        "the cycling loop fast-forwards: {} rounds",
+        run.fast_forwarded
+    );
+    assert_eq!(twin.fast_forwarded, 0, "a policy with memory never skips");
+    assert_eq!(run.series, twin.series);
+    assert_eq!(run.deliveries, twin.deliveries);
+    // The cycle is live: the traced run changes shares in the rounds
+    // just before the first demand step.
+    let traced = cycling_run(
+        Box::new(ecp_control::Undamped),
+        JsonlSink::new(),
+        0.0,
+        Drive::RunUntil,
+    );
+    assert_eq!(traced.series, run.series, "telemetry must not steer");
+    let late_changes = traced
+        .sink
+        .lines()
+        .iter()
+        .filter(|l| l.starts_with("{\"ControlRound\""))
+        .filter(|l| !l.contains("\"share_changes\":0,"))
+        .filter(|l| l.contains("\"t\":16."))
+        .count();
+    assert!(
+        late_changes > 5,
+        "{late_changes} rounds change shares at 16 s"
+    );
+}
+
+/// A run driven by `step` never fast-forwards, and equals the
+/// fast-forwarding `run_until` in everything it records, for every
+/// memoryless policy.
+#[test]
+fn step_driven_twin_equals_run_until() {
+    for (name, policy) in [("undamped", 0usize), ("desync", 2), ("hysteresis", 4)] {
+        let run = cycling_run(policy_of(policy), JsonlSink::new(), 0.0, Drive::RunUntil);
+        let stepped = cycling_run(policy_of(policy), JsonlSink::new(), 0.0, Drive::Step);
+        assert_eq!(stepped.fast_forwarded, 0, "{name}: step fast-forwarded");
+        assert_same_traced_run(&run, &stepped);
+        if name == "undamped" {
+            assert!(run.fast_forwarded > 100, "{name}: nothing fast-forwarded");
+        }
+    }
+}
+
+/// A run paused before the demand steps, with the steps scheduled only
+/// then, equals the run that had them scheduled from the start: no skip
+/// passes the pause, so the late events land in time.
+#[test]
+fn a_resumed_run_honours_an_event_scheduled_into_a_skip_window() {
+    let upfront = cycling_run(
+        Box::new(ecp_control::Undamped),
+        JsonlSink::new(),
+        0.0,
+        Drive::RunUntil,
+    );
+    let resumed = cycling_run(
+        Box::new(ecp_control::Undamped),
+        JsonlSink::new(),
+        0.0,
+        Drive::Resume,
+    );
+    assert!(resumed.fast_forwarded > 100);
+    assert_same_traced_run(&upfront, &resumed);
+}
+
+/// Rounds before `te_start` do nothing, so they sit at a fixed point;
+/// none of them may be skipped over, or the TE loop would start late.
+#[test]
+fn nothing_is_skipped_across_te_start() {
+    let run = cycling_run(
+        Box::new(ecp_control::Undamped),
+        JsonlSink::new(),
+        2.55,
+        Drive::RunUntil,
+    );
+    let stepped = cycling_run(
+        Box::new(ecp_control::Undamped),
+        JsonlSink::new(),
+        2.55,
+        Drive::Step,
+    );
+    assert!(run.fast_forwarded > 100);
+    assert_same_traced_run(&run, &stepped);
 }

@@ -154,6 +154,19 @@ impl TelemetryEvent {
         }
     }
 
+    /// Move the event to simulation time `t`, leaving every other
+    /// field as it is.
+    pub fn set_time(&mut self, t: f64) {
+        match self {
+            TelemetryEvent::ControlRound { t: at, .. }
+            | TelemetryEvent::ArcLoads { t: at, .. }
+            | TelemetryEvent::PowerTransition { t: at, .. }
+            | TelemetryEvent::TeReconfig { t: at, .. }
+            | TelemetryEvent::Failure { t: at, .. }
+            | TelemetryEvent::Repair { t: at, .. } => *at = t,
+        }
+    }
+
     /// Short kind name (the JSON external tag).
     pub fn kind(&self) -> &'static str {
         match self {
