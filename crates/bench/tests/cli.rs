@@ -98,6 +98,23 @@ fn trace_writes_the_traced_run_lines() {
     assert_eq!(written.lines().collect::<Vec<_>>(), trace.lines);
 }
 
+/// A trace line of 200,000 nested arrays is a malformed line, not a
+/// stack overflow: `ecp trace validate` and `ecp trace summarize` exit
+/// 1 naming it.
+#[test]
+fn a_deeply_nested_trace_line_is_named_not_an_abort() {
+    let path = scratch("nested.jsonl");
+    let event = r#"{"ArcLoads":{"max_util":0.5,"mean_util":0.25,"overloaded":0,"t":1.0}}"#;
+    let doc = format!("{event}\n{}\n{event}\n", "[".repeat(200_000));
+    std::fs::write(&path, doc).unwrap();
+    for cmd in ["validate", "summarize"] {
+        let result = ecp(&["trace", cmd, path.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&result.stderr);
+        assert_eq!(result.status.code(), Some(1), "{cmd}: {stderr}");
+        assert!(stderr.contains("nested.jsonl:2:"), "{cmd}: {stderr}");
+    }
+}
+
 /// `ecp trace summarize` of te-stability-undamped's trace, as text and
 /// as `--json`.
 const UNDAMPED_SUMMARY: &str = "\

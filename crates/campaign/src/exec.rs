@@ -228,8 +228,9 @@ impl std::fmt::Display for ExecStats {
 }
 
 /// Execute shard `k` of `n` in-process, in one rayon pass. Runs are
-/// deduplicated by hash, cached results (those [`ResultStore::load`]
-/// reads) are skipped unless `force`, and each fresh result — report or
+/// deduplicated by hash, cache hits (a run file that loads, with its
+/// whole timeseries sidecar when the run writes one) are skipped unless
+/// `force`, and each fresh result — report or
 /// typed scenario failure — is streamed to the store as it completes.
 /// Every run records into a counting [`JsonlSink`]: the stored run
 /// carries its [`TelemetrySnapshot`](ecp_scenario::TelemetrySnapshot),
@@ -249,13 +250,7 @@ pub fn run_shard(
     }
     let units = expand(spec, resolver)?;
     let mine: Vec<&RunUnit> = units.iter().filter(|u| u.shard(n) == k).collect();
-    let mut jobs: Vec<(String, &RunUnit)> = Vec::new();
-    for u in &mine {
-        let hash = run_hash(&u.scenario);
-        if !jobs.iter().any(|(h, _)| *h == hash) {
-            jobs.push((hash, u));
-        }
-    }
+    let jobs = unique_runs(mine.iter().copied());
 
     // Shard-wide memo of planner/routing artifacts: grid points that
     // only vary engine-side knobs (threshold, load, control policy,
@@ -265,7 +260,7 @@ pub fn run_shard(
         jobs.par_iter()
             .map(|(hash, u)| {
                 if !opts.force {
-                    if let Some(cached) = store.load(hash) {
+                    if let Some(cached) = cache_hit(store, hash, &u.scenario) {
                         let failed = cached.failure.is_some();
                         if opts.progress {
                             emit_progress(&finished_event(
@@ -380,16 +375,38 @@ pub fn run_shard(
     Ok(stats)
 }
 
-/// The campaign's distinct run hashes, in expansion order.
-fn unique_hashes(units: &[RunUnit]) -> Vec<String> {
-    let mut hashes: Vec<String> = Vec::new();
+/// The campaign's distinct runs, each hash with the first unit that
+/// has it, in expansion order.
+fn unique_runs<'a>(units: impl IntoIterator<Item = &'a RunUnit>) -> Vec<(String, &'a RunUnit)> {
+    let mut runs: Vec<(String, &RunUnit)> = Vec::new();
     for u in units {
-        let h = run_hash(&u.scenario);
-        if !hashes.contains(&h) {
-            hashes.push(h);
+        let hash = run_hash(&u.scenario);
+        if !runs.iter().any(|(h, _)| *h == hash) {
+            runs.push((hash, u));
         }
     }
-    hashes
+    runs
+}
+
+/// The stored outcome of a run when it is a cache hit: its run file
+/// loads and, when a fresh execution writes a timeseries sidecar (a
+/// report of a `metrics.timeseries` scenario, which only the simnet
+/// engine runs), the sidecar holds every point the run produces:
+/// ⌈samples / k⌉ lines, every k-th series row, each of which parses. A
+/// cut or damaged sidecar thus re-executes the run, which rewrites it.
+fn cache_hit(store: &ResultStore, hash: &str, scenario: &Scenario) -> Option<StoredRun> {
+    let run = store.load(hash)?;
+    if let (Some(report), true) = (&run.report, scenario.metrics.timeseries) {
+        let every = scenario
+            .metrics
+            .timeseries_every(scenario.sim.sample_interval_s)
+            .ok()?;
+        let points = store.load_timeseries(hash)?;
+        if points.len() != report.samples.div_ceil(every) {
+            return None;
+        }
+    }
+    Some(run)
 }
 
 /// Campaign-level stats of a subprocess run, computed from the store
@@ -398,13 +415,13 @@ fn unique_hashes(units: &[RunUnit]) -> Vec<String> {
 /// run.
 fn audit_stats(
     store: &ResultStore,
-    hashes: &[String],
+    hashes: &[(String, &RunUnit)],
     runs: usize,
     cached_before: usize,
 ) -> Result<ExecStats, CampaignError> {
     let mut failed = 0;
     let mut present = 0;
-    for h in hashes {
+    for (h, _) in hashes {
         if let Some(run) = store.load(h) {
             present += 1;
             failed += run.failure.is_some() as usize;
@@ -480,8 +497,8 @@ pub struct WorkerCommand {
 /// shard, then audit the store: every expanded run must be present.
 /// The returned stats are computed by the parent from the store (so
 /// they are exact even though workers share nothing but the directory).
-/// A run counts as cached when [`ResultStore::load`] reads it before
-/// the workers start — the same check each worker makes.
+/// A run counts as cached when it is a cache hit before the workers
+/// start — the same check each worker makes.
 fn run_campaign_subprocess(
     spec: &CampaignSpec,
     resolver: Resolver,
@@ -491,8 +508,11 @@ fn run_campaign_subprocess(
 ) -> Result<ExecStats, CampaignError> {
     let shards = shards.max(1);
     let units = expand(spec, resolver)?;
-    let hashes = unique_hashes(&units);
-    let cached_before = hashes.iter().filter(|h| store.load(h).is_some()).count();
+    let hashes = unique_runs(&units);
+    let cached_before = hashes
+        .iter()
+        .filter(|(h, u)| cache_hit(store, h, &u.scenario).is_some())
+        .count();
 
     let mut children: Vec<(usize, Child)> = Vec::new();
     for k in 0..shards {

@@ -277,15 +277,12 @@ impl ResultStore {
     }
 
     /// Load a run's timeseries points, if a `metrics.timeseries` run
-    /// wrote a sidecar. Lines that fail to parse are skipped (sidecars
-    /// are best-effort for report tooling).
+    /// wrote a sidecar; `None` also when a line fails to parse, as in a
+    /// sidecar cut short (which is a cache miss, so the run is executed
+    /// again and rewrites it).
     pub fn load_timeseries(&self, hash: &str) -> Option<Vec<ecp_scenario::TimeseriesPoint>> {
         let doc = std::fs::read_to_string(self.timeseries_path(hash)).ok()?;
-        Some(
-            doc.lines()
-                .filter_map(|l| serde_json::from_str(l).ok())
-                .collect(),
-        )
+        doc.lines().map(|l| serde_json::from_str(l).ok()).collect()
     }
 }
 

@@ -286,11 +286,14 @@ mod tests {
         assert!(!w.apply_line("stats: runs=3 unique=3"));
         assert!(w.apply_line(&finished_line("a", false, 0.95)));
         assert!(!w.done());
+        // A line nested too deep to read is skipped like any other
+        // non-event line, not a stack overflow.
+        assert!(!w.apply_line(&"[".repeat(200_000)));
         assert!(w.apply_line(&finished_line("b", false, 0.8)));
         assert!(w.done());
         assert_eq!(w.finished(), 3);
         assert_eq!(w.cached(), 1);
-        assert_eq!(w.skipped_lines, 1);
+        assert_eq!(w.skipped_lines, 2);
         let a = &w.entries()[0];
         assert_eq!((a.finished, a.cached, a.failed), (2, 1, 0));
         assert_eq!(a.delivered, Some(0.95));

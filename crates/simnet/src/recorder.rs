@@ -1,7 +1,10 @@
 //! The sampled series of a simulation run.
 
 use ecp_control::{PathRates, Sample};
-use serde::{Deserialize, FromValue, JsonWriter, Map, Serialize, Serializer, Value};
+use serde::{
+    Deserialize, FromValue, JsonReader, JsonWriter, Map, ReadFields, Serialize, Serializer, Slot,
+    Value,
+};
 
 /// One compact campaign-observatory timeline point (`metrics.timeseries`):
 /// the scalar signals the paper's figures plot, without the per-path
@@ -146,6 +149,23 @@ impl Serialize for Series {
     }
 }
 
+impl Series {
+    /// Close a row read back from JSON: its flows' path counts must
+    /// match the earlier rows', and later rows may add flows.
+    fn end_read_row(&mut self, sample: Sample, ends: &[u32]) -> Result<(), String> {
+        for (f, &end) in ends.iter().enumerate() {
+            match self.flow_ends.get(f) {
+                None => self.flow_ends.push(end),
+                Some(&known) if known == end => {}
+                Some(_) => return Err(format!("flow {f} changes its path count")),
+            }
+        }
+        self.row_flows.push(ends.len() as u32);
+        self.samples.push(sample);
+        Ok(())
+    }
+}
+
 impl FromValue for Series {
     fn from_value(value: Value) -> Result<Self, String> {
         let mut series = Series::default();
@@ -153,20 +173,71 @@ impl FromValue for Series {
             let flows: Vec<Vec<f64>> = serde::from_value_field(&mut row, RATES)?;
             let sample = Sample::from_value(Value::Object(row))?;
             let mut end = 0;
-            for (f, paths) in flows.iter().enumerate() {
-                end += paths.len() as u32;
-                match series.flow_ends.get(f) {
-                    None => series.flow_ends.push(end),
-                    Some(&known) if known == end => {}
-                    Some(_) => return Err(format!("flow {f} changes its path count")),
-                }
-            }
-            series.row_flows.push(flows.len() as u32);
+            let ends: Vec<u32> = flows
+                .iter()
+                .map(|paths| {
+                    end += paths.len() as u32;
+                    end
+                })
+                .collect();
             series.rates.extend(flows.into_iter().flatten());
-            series.samples.push(sample);
+            series.end_read_row(sample, &ends)?;
         }
         Ok(series)
     }
+
+    /// The same series read from the text: each row's rates go straight
+    /// onto the arena, its [`Sample`] fields through the derived reader.
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, String> {
+        if !r.begin_array()? {
+            return Err(format!("expected array, got {}", r.value()?.kind()));
+        }
+        let mut series = Series::default();
+        while r.next_element()? {
+            if !r.begin_object()? {
+                return Err(format!("expected object, got {}", r.value()?.kind()));
+            }
+            let start = series.rates.len();
+            let mut ends = Slot::new();
+            let sample = Sample::read_fields(r, &mut |key, r| {
+                if key != RATES {
+                    return Ok(false);
+                }
+                // A repeated key replaces the rates read before it.
+                series.rates.truncate(start);
+                r.read_member(&mut ends, |r| read_rates(r, &mut series.rates, start))?;
+                Ok(true)
+            })?;
+            let ends: Vec<u32> = ends.field(RATES)?;
+            series.end_read_row(sample, &ends)?;
+        }
+        Ok(series)
+    }
+}
+
+/// Read one row's `[[rate, ..], ..]` onto the arena, whose row starts
+/// at `start`; return each flow's end column.
+fn read_rates(
+    r: &mut JsonReader<'_>,
+    rates: &mut Vec<f64>,
+    start: usize,
+) -> Result<Vec<u32>, String> {
+    let not_array =
+        |r: &mut JsonReader<'_>| Err(format!("expected array, got {}", r.value()?.kind()));
+    if !r.begin_array()? {
+        return not_array(r);
+    }
+    let mut ends = Vec::new();
+    while r.next_element()? {
+        if !r.begin_array()? {
+            return not_array(r);
+        }
+        while r.next_element()? {
+            rates.push(f64::read_json(r)?);
+        }
+        ends.push((rates.len() - start) as u32);
+    }
+    Ok(ends)
 }
 
 #[cfg(test)]
