@@ -2,8 +2,7 @@
 
 use ecp_control::{PathRates, Sample};
 use serde::{
-    Deserialize, FromValue, JsonReader, JsonWriter, Map, ReadFields, Serialize, Serializer, Slot,
-    Value,
+    Deserialize, FromValue, JsonReader, JsonWriter, Map, Serialize, Serializer, Slot, Value,
 };
 
 /// One compact campaign-observatory timeline point (`metrics.timeseries`):
@@ -187,7 +186,8 @@ impl FromValue for Series {
     }
 
     /// The same series read from the text: each row's rates go straight
-    /// onto the arena, its [`Sample`] fields through the derived reader.
+    /// onto the arena, and only its few [`Sample`] fields go through a
+    /// tree, as `write_json` writes them.
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, String> {
         if !r.begin_array()? {
             return Err(format!("expected array, got {}", r.value()?.kind()));
@@ -199,16 +199,18 @@ impl FromValue for Series {
             }
             let start = series.rates.len();
             let mut ends = Slot::new();
-            let sample = Sample::read_fields(r, &mut |key, r| {
-                if key != RATES {
-                    return Ok(false);
+            let mut row = Map::new();
+            while let Some(key) = r.next_key()? {
+                if key == RATES {
+                    // A repeated key replaces the rates read before it.
+                    series.rates.truncate(start);
+                    r.read_member(&mut ends, |r| read_rates(r, &mut series.rates, start))?;
+                } else {
+                    row.insert(key.into_owned(), r.value()?);
                 }
-                // A repeated key replaces the rates read before it.
-                series.rates.truncate(start);
-                r.read_member(&mut ends, |r| read_rates(r, &mut series.rates, start))?;
-                Ok(true)
-            })?;
+            }
             let ends: Vec<u32> = ends.field(RATES)?;
+            let sample = Sample::from_value(Value::Object(row))?;
             series.end_read_row(sample, &ends)?;
         }
         Ok(series)
