@@ -16,9 +16,8 @@
 //! have deterministic emission times (a per-flow phase offset avoids
 //! pathological synchronization).
 
-use ecp_topo::{ArcId, Path, Topology};
+use ecp_topo::{ArcId, MinEntry, Path, Topology};
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Packet-level engine configuration.
@@ -81,32 +80,10 @@ enum Ev {
     Arrive { flow: usize, hop: usize, born: f64 },
 }
 
-struct QEv {
-    t: f64,
-    ord: u64,
-    ev: Ev,
-}
-
-impl PartialEq for QEv {
-    fn eq(&self, other: &Self) -> bool {
-        self.t == other.t && self.ord == other.ord
-    }
-}
-impl Eq for QEv {}
-impl Ord for QEv {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .t
-            .partial_cmp(&self.t)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.ord.cmp(&self.ord))
-    }
-}
-impl PartialOrd for QEv {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
+/// A queued event: ordered by its time, then by push order. The time
+/// also rides in the item with its sign, since a flow may start at
+/// `-0.0`, which the key orders (and reads back) as `+0.0`.
+type QEv = MinEntry<(f64, Ev)>;
 
 /// Per-arc activity record from a packet run, for sleep-opportunity
 /// analysis (§2.1.1: opportunistic sleeping in inter-packet gaps).
@@ -193,7 +170,7 @@ pub fn run_packet_sim_full(
     let mut ord = 0u64;
     let push = |heap: &mut BinaryHeap<QEv>, ord: &mut u64, t: f64, ev: Ev| {
         *ord += 1;
-        heap.push(QEv { t, ord: *ord, ev });
+        heap.push(MinEntry::new(t, *ord, (t, ev)));
     };
     for (i, f) in flows.iter().enumerate() {
         if f.rate_bps > 0.0 && f.start < f.stop {
@@ -201,7 +178,7 @@ pub fn run_packet_sim_full(
         }
     }
 
-    while let Some(QEv { t, ev, .. }) = heap.pop() {
+    while let Some(MinEntry { item: (t, ev), .. }) = heap.pop() {
         if t > t_max {
             break;
         }
@@ -338,15 +315,13 @@ fn transmit(
     let done = start + service;
     busy_until[a.idx()] = done;
     *ord += 1;
-    heap.push(QEv {
-        t: done + arc.latency,
-        ord: *ord,
-        ev: Ev::Arrive {
-            flow,
-            hop: hop + 1,
-            born,
-        },
-    });
+    let t = done + arc.latency;
+    let ev = Ev::Arrive {
+        flow,
+        hop: hop + 1,
+        born,
+    };
+    heap.push(MinEntry::new(t, *ord, (t, ev)));
 }
 
 #[cfg(test)]

@@ -7,11 +7,10 @@ use ecp_power::PowerModel;
 use ecp_telemetry::{
     Counter, Element, Hist, NoopSink, PowerKind, SpanName, TelemetryEvent, TelemetrySink,
 };
-use ecp_topo::{ActiveSet, ArcId, NodeId, Path, Topology};
+use ecp_topo::{ActiveSet, ArcId, MinEntry, NodeId, Path, Topology};
 use respons_core::te::{waterfill_iterations, PathView, TeConfig};
 use respons_core::PathTables;
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Handle to a flow (OD traffic aggregate) in a [`Simulation`].
@@ -130,33 +129,6 @@ enum Event {
     SleepCheck(ArcId),
     SetWakeTime(f64),
     SetTeConfig(TeConfig),
-}
-
-struct QItem {
-    t: f64,
-    seq: u64,
-    ev: Event,
-}
-
-impl PartialEq for QItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.t == other.t && self.seq == other.seq
-    }
-}
-impl Eq for QItem {}
-impl Ord for QItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // min-heap by (t, seq); `total_cmp` keeps the order total
-        other
-            .t
-            .total_cmp(&self.t)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl PartialOrd for QItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 struct Flow {
@@ -278,7 +250,7 @@ pub struct Simulation<'a, S: TelemetrySink = NoopSink> {
     cfg: SimConfig,
     now: f64,
     seq: u64,
-    queue: BinaryHeap<QItem>,
+    queue: BinaryHeap<MinEntry<Event>>,
     flows: Vec<Flow>,
     /// Indexed by canonical link id.
     link_state: Vec<LinkPowerState>,
@@ -465,15 +437,8 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
 
     fn push(&mut self, t: f64, ev: Event) {
         debug_assert!(t.is_finite(), "event time {t} is not finite");
-        // Adding +0.0 turns -0.0 into +0.0, so `total_cmp` orders every
-        // finite time as `partial_cmp` does.
-        let t = t + 0.0;
         self.seq += 1;
-        self.queue.push(QItem {
-            t,
-            seq: self.seq,
-            ev,
-        });
+        self.queue.push(MinEntry::new(t, self.seq, ev));
     }
 
     /// Current simulation time.
@@ -608,7 +573,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
     /// and sampling self-perpetuate), so this is `None` only before the
     /// constructor finishes.
     pub fn next_event_time(&self) -> Option<f64> {
-        self.queue.peek().map(|q| q.t)
+        self.queue.peek().map(MinEntry::priority)
     }
 
     /// Process exactly one pending event and return its time — the
@@ -641,7 +606,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         debug_assert!(t_end.is_finite(), "run horizon {t_end} is not finite");
         let horizon = t_end + 1e-12;
         while let Some(top) = self.queue.peek() {
-            if top.t > horizon {
+            if top.priority() > horizon {
                 break;
             }
             self.step_within(Some(horizon));
@@ -652,9 +617,10 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
     /// [`Simulation::step`], allowed to fast-forward a repeating control
     /// loop over rounds at or before `horizon` when one is given.
     fn step_within(&mut self, horizon: Option<f64>) -> Option<f64> {
-        let QItem { t, ev, .. } = self.queue.pop()?;
+        let top = self.queue.pop()?;
+        let t = top.priority();
         self.now = t.max(self.now);
-        self.handle(ev, horizon);
+        self.handle(top.item, horizon);
         Some(t)
     }
 
@@ -782,7 +748,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             self.cycle.clear();
             return;
         }
-        let next_event = self.queue.peek().map_or(f64::INFINITY, |q| q.t);
+        let next_event = self.queue.peek().map_or(f64::INFINITY, MinEntry::priority);
         let next_round_fits = self.now + self.cfg.control_interval < next_event;
         if !self.cycle.armed() && !next_round_fits {
             return;
@@ -833,7 +799,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
     /// every event moved to that round's time.
     fn fast_forward(&mut self, period: usize, next_event: f64, horizon: f64) {
         let interval = self.cfg.control_interval;
-        // `push` adds +0.0 to every time.
+        // The queue key adds +0.0 to every time.
         let advance = |t: f64| (t + interval) + 0.0;
         let (mut t, mut n) = (self.now, 0);
         let (mut rounds, mut t_last) = (0, self.now);

@@ -5,36 +5,23 @@
 use crate::active::ActiveSet;
 use crate::graph::{ArcId, NodeId, Topology};
 use crate::path::Path;
-use std::cmp::Ordering;
+use crate::queue::MinEntry;
 use std::collections::BinaryHeap;
 
 /// Arc weight function type alias. Must return a non-negative, finite
 /// weight; return `f64::INFINITY` to forbid an arc.
 pub type ArcWeight<'a> = dyn Fn(ArcId) -> f64 + 'a;
 
-#[derive(PartialEq)]
-struct HeapItem {
-    dist: f64,
-    node: NodeId,
+/// A node queued at distance `d`, ties broken by node id.
+fn queued(d: f64, v: NodeId) -> MinEntry {
+    MinEntry::new(d, u64::from(v.0), ())
 }
 
-impl Eq for HeapItem {}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on dist with node id as a deterministic tiebreak.
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.node.0.cmp(&self.node.0))
-    }
-}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// The distance and node of a [`queued`] entry. Distances start at
+/// `+0.0`, and a sum is `-0.0` only when both terms are, so none is
+/// `-0.0` and the key gives each back bit for bit.
+fn unqueued(e: MinEntry) -> (f64, NodeId) {
+    (e.priority(), NodeId(e.tie() as u32))
 }
 
 fn arc_usable(topo: &Topology, active: Option<&ActiveSet>, a: ArcId) -> bool {
@@ -78,7 +65,7 @@ fn grow_active(
 pub struct Dijkstra {
     dist: Vec<f64>,
     parent: Vec<Option<ArcId>>,
-    heap: BinaryHeap<HeapItem>,
+    heap: BinaryHeap<MinEntry>,
 }
 
 impl Dijkstra {
@@ -126,12 +113,10 @@ impl Dijkstra {
         let (dist, parent, heap) = (&mut self.dist, &mut self.parent, &mut self.heap);
         if src_on {
             dist[src.idx()] = 0.0;
-            heap.push(HeapItem {
-                dist: 0.0,
-                node: src,
-            });
+            heap.push(queued(0.0, src));
         }
-        while let Some(HeapItem { dist: d, node: u }) = heap.pop() {
+        while let Some(e) = heap.pop() {
+            let (d, u) = unqueued(e);
             if d > dist[u.idx()] {
                 continue; // stale entry
             }
@@ -149,7 +134,7 @@ impl Dijkstra {
                 if nd + 1e-15 < dist[v.idx()] {
                     dist[v.idx()] = nd;
                     parent[v.idx()] = Some(a);
-                    heap.push(HeapItem { dist: nd, node: v });
+                    heap.push(queued(nd, v));
                 }
             }
         }
@@ -346,12 +331,10 @@ pub fn shortest_path_bounded(
         let mut heap = BinaryHeap::new();
         if active.map(|s| s.node_on(dst)).unwrap_or(true) {
             dist[dst.idx()] = 0.0;
-            heap.push(HeapItem {
-                dist: 0.0,
-                node: dst,
-            });
+            heap.push(queued(0.0, dst));
         }
-        while let Some(HeapItem { dist: d, node: u }) = heap.pop() {
+        while let Some(e) = heap.pop() {
+            let (d, u) = unqueued(e);
             if d > dist[u.idx()] {
                 continue;
             }
@@ -363,7 +346,7 @@ pub fn shortest_path_bounded(
                 let nd = d + topo.arc(a).latency;
                 if nd + 1e-15 < dist[v.idx()] {
                     dist[v.idx()] = nd;
-                    heap.push(HeapItem { dist: nd, node: v });
+                    heap.push(queued(nd, v));
                 }
             }
         }
@@ -374,54 +357,31 @@ pub fn shortest_path_bounded(
     }
 
     // Labels: per node, a Pareto set of (cost, delay, parent_label).
-    #[derive(Clone)]
+    #[derive(Clone, Copy)]
     struct Label {
         cost: f64,
         delay: f64,
         node: NodeId,
         parent: Option<usize>, // index into `labels`
-        via: Option<ArcId>,
     }
     let mut labels: Vec<Label> = Vec::new();
     let mut pareto: Vec<Vec<usize>> = vec![Vec::new(); topo.node_count()];
 
-    #[derive(PartialEq)]
-    struct QItem {
-        cost: f64,
-        id: usize,
-    }
-    impl Eq for QItem {}
-    impl Ord for QItem {
-        fn cmp(&self, other: &Self) -> Ordering {
-            other
-                .cost
-                .partial_cmp(&self.cost)
-                .unwrap_or(Ordering::Equal)
-                .then_with(|| other.id.cmp(&self.id))
-        }
-    }
-    impl PartialOrd for QItem {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    let mut heap: BinaryHeap<QItem> = BinaryHeap::new();
+    // Labels queued by cost, ties broken by label id. Each label is
+    // queued once, at its own cost, so no entry goes stale.
+    let mut heap: BinaryHeap<MinEntry> = BinaryHeap::new();
     labels.push(Label {
         cost: 0.0,
         delay: 0.0,
         node: src,
         parent: None,
-        via: None,
     });
     pareto[src.idx()].push(0);
-    heap.push(QItem { cost: 0.0, id: 0 });
+    heap.push(MinEntry::new(0.0, 0, ()));
 
-    while let Some(QItem { cost, id }) = heap.pop() {
-        let lab = labels[id].clone();
-        if cost > lab.cost + 1e-15 {
-            continue;
-        }
+    while let Some(e) = heap.pop() {
+        let id = e.tie() as usize;
+        let lab = labels[id];
         if lab.node == dst {
             // First dst label popped = cheapest feasible.
             let mut rev_nodes = vec![dst];
@@ -475,13 +435,11 @@ pub fn shortest_path_bounded(
                 delay: nd,
                 node: arc.dst,
                 parent: Some(id),
-                via: Some(a),
             });
-            let _ = labels[nid].via; // silence unused-field lint on some paths
             pareto[arc.dst.idx()]
                 .retain(|&li| !(labels[li].cost >= nc - 1e-15 && labels[li].delay >= nd - 1e-15));
             pareto[arc.dst.idx()].push(nid);
-            heap.push(QItem { cost: nc, id: nid });
+            heap.push(MinEntry::new(nc, nid as u64, ()));
         }
     }
     None

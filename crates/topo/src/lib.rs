@@ -17,6 +17,8 @@
 //! * [`algo`] — Dijkstra (plain, weighted, delay-bounded), Yen's
 //!   k-shortest paths, Dinic max-flow, connectivity checks, and
 //!   link-disjoint path search.
+//! * [`MinEntry`] — the min-queue entry of the shortest-path searches
+//!   and of `ecp-simnet`'s event queues: one integer key per entry.
 //! * [`gen`] — deterministic topology generators for every network the
 //!   paper evaluates: fat-tree(k), a GÉANT-like European WAN, Rocketfuel
 //!   PoP-level Abovenet/Genuity, the Italian-ISP-like hierarchical
@@ -33,10 +35,12 @@ pub mod algo;
 pub mod gen;
 pub mod graph;
 pub mod path;
+pub mod queue;
 
 pub use active::ActiveSet;
 pub use graph::{Arc, ArcId, Node, NodeId, Topology, TopologyBuilder};
 pub use path::Path;
+pub use queue::MinEntry;
 
 /// Bits per second in one megabit per second.
 pub const MBPS: f64 = 1_000_000.0;
