@@ -17,7 +17,7 @@
 //!   (demand-aware), OSPF (REsPoNse-ospf), and GreenTE-like
 //!   (REsPoNse-heuristic).
 //! * **Failover** (§4.3): a single link-disjoint (where possible) path
-//!   per OD pair.
+//!   per OD pair, chosen by [`DisjointSearch::failover`].
 
 use crate::tables::{OdPaths, PathTables};
 use ecp_power::PowerModel;
@@ -27,6 +27,7 @@ use ecp_routing::subset::{greente_like, optimal_subset};
 use ecp_topo::algo::{shortest_path, shortest_path_bounded, DisjointSearch, ShortestPathTrees};
 use ecp_topo::{ActiveSet, ArcId, NodeId, Path, Topology};
 use ecp_traffic::TrafficMatrix;
+use std::collections::{HashMap, HashSet};
 
 /// How on-demand tables are computed (§4.2).
 #[derive(Debug, Clone)]
@@ -207,20 +208,26 @@ impl<'a> Planner<'a> {
         // (X_i = Y = 1 fixed, §4.2).
         let mut on = elements_of(topo, always_on.iter().map(|(_, _, p)| p));
         let rounds = cfg.num_paths - 2;
-        let mut on_demand: Vec<Vec<(NodeId, NodeId, Path)>> = Vec::new();
-        // Path sets accumulated so far (per pair), used for stress.
-        let mut assigned: Vec<(NodeId, NodeId, Vec<Path>)> = always_on
+        // Each pair's slot: the index of its first always-on entry. A
+        // pair listed twice reads and extends its first entry's paths.
+        let mut first = HashMap::new();
+        let slot: Vec<usize> = always_on
             .iter()
-            .map(|(o, d, p)| (*o, *d, vec![p.clone()]))
+            .enumerate()
+            .map(|(i, &(o, d, _))| *first.entry((o, d)).or_insert(i))
             .collect();
+        // Per round, each slot's on-demand path: the first the round
+        // routed for the pair.
+        let mut on_demand: Vec<Vec<Option<Path>>> = Vec::new();
+        // Path sets accumulated so far (per slot), used for stress.
+        let mut assigned: Vec<Vec<Path>> =
+            always_on.iter().map(|(_, _, p)| vec![p.clone()]).collect();
 
-        for round in 0..rounds {
+        for _ in 0..rounds {
             let table: Vec<(NodeId, NodeId, Path)> = match &cfg.strategy {
                 OnDemandStrategy::StressFactor { exclude_fraction } => {
-                    let excluded = self.top_stress_links(
-                        assigned.iter().flat_map(|(_, _, ps)| ps.iter()),
-                        *exclude_fraction,
-                    );
+                    let excluded =
+                        self.top_stress_links(assigned.iter().flatten(), *exclude_fraction);
                     let mut avoiding = ShortestPathTrees::new(
                         topo,
                         &self.new_power_weight(&on, Some(&excluded)),
@@ -269,53 +276,31 @@ impl<'a> Planner<'a> {
                     }
                 }
             };
-            for (o, d, p) in &table {
-                add_elements(topo, &mut on, p);
-                if let Some(slot) = assigned.iter_mut().find(|(ao, ad, _)| ao == o && ad == d) {
-                    slot.2.push(p.clone());
+            let mut by_slot = vec![None; always_on.len()];
+            for (o, d, p) in table {
+                add_elements(topo, &mut on, &p);
+                if let Some(&k) = first.get(&(o, d)) {
+                    assigned[k].push(p.clone());
+                    by_slot[k].get_or_insert(p);
                 }
             }
-            on_demand.push(table);
-            let _ = round;
+            on_demand.push(by_slot);
         }
 
         // ---- 3. failover ----------------------------------------------
         let mut tables = PathTables::new();
         let mut disjoint = DisjointSearch::new(topo, |_| 1.0, None);
-        for (o, d, aon) in &always_on {
-            let mut avoid: Vec<&Path> = vec![aon];
-            for t in &on_demand {
-                if let Some((_, _, p)) = t.iter().find(|(to, td, _)| to == o && td == d) {
-                    avoid.push(p);
-                }
-            }
-            // Prefer full disjointness from every installed path; when the
-            // topology cannot offer that, fall back to disjointness from
-            // the always-on path alone — the paper's Fig. 3 case, where
-            // "the failover paths are coinciding with the on-demand
-            // paths".
-            let failover = match disjoint.path(*o, *d, &avoid) {
-                Some((p, 0)) => p,
-                Some((p_all, _)) => match disjoint.path(*o, *d, &[aon]) {
-                    Some((p_aon, 0)) => p_aon,
-                    _ => p_all,
-                },
-                None => aon.clone(),
-            };
-            let od: Vec<Path> = on_demand
-                .iter()
-                .filter_map(|t| {
-                    t.iter()
-                        .find(|(to, td, _)| to == o && td == d)
-                        .map(|(_, _, p)| p.clone())
-                })
+        for (&(o, d, ref aon), &k) in always_on.iter().zip(&slot) {
+            let installed: Vec<&Path> = std::iter::once(aon)
+                .chain(on_demand.iter().filter_map(|t| t[k].as_ref()))
                 .collect();
+            let failover = disjoint.failover(o, d, &installed);
             tables.insert(
-                *o,
-                *d,
+                o,
+                d,
                 OdPaths {
                     always_on: aon.clone(),
-                    on_demand: od,
+                    on_demand: installed[1..].iter().map(|&p| p.clone()).collect(),
                     failover,
                 },
             );
@@ -432,7 +417,7 @@ impl<'a> Planner<'a> {
     fn new_power_weight<'w>(
         &'w self,
         on: &'w ActiveSet,
-        excluded: Option<&'w [ArcId]>,
+        excluded: Option<&[ArcId]>,
     ) -> impl Fn(ArcId) -> f64 + 'w {
         let topo = self.topo;
         let pmax = topo
@@ -443,11 +428,19 @@ impl<'a> Planner<'a> {
                     + self.power.chassis(topo, topo.arc(l).dst)
             })
             .fold(1.0, f64::max);
+        let excluded = excluded.map(|ex| {
+            let mut mask = vec![false; topo.arc_count()];
+            for l in ex {
+                mask[l.idx()] = true;
+            }
+            mask
+        });
         move |a: ArcId| {
-            if let Some(ex) = excluded {
-                if ex.contains(&topo.link_of(a)) {
-                    return f64::INFINITY;
-                }
+            if excluded
+                .as_ref()
+                .is_some_and(|mask| mask[topo.link_of(a).idx()])
+            {
+                return f64::INFINITY;
             }
             let mut new_power = 0.0;
             if !on.link_bit(topo, a) {
@@ -512,8 +505,10 @@ impl<'a> Planner<'a> {
         let mut load = vec![0.0; topo.arc_count()];
         let mut grown = on.clone();
         let mut out: Vec<(NodeId, NodeId, Path)> = Vec::new();
+        let wanted: HashSet<(NodeId, NodeId)> = od_pairs.iter().copied().collect();
+        let mut routed = HashSet::new();
         for d in &demands {
-            if !od_pairs.contains(&(d.origin, d.dst)) {
+            if !wanted.contains(&(d.origin, d.dst)) {
                 continue;
             }
             let p = {
@@ -535,18 +530,20 @@ impl<'a> Planner<'a> {
                     }
                 }
                 add_elements(topo, &mut grown, &p);
+                routed.insert((d.origin, d.dst));
                 out.push((d.origin, d.dst, p));
             }
         }
         // Pairs not in the peak matrix still get a table entry.
         for &(o, d) in od_pairs {
-            if !out.iter().any(|(oo, dd, _)| *oo == o && *dd == d) {
+            if !routed.contains(&(o, d)) {
                 let p = {
                     let base = self.new_power_weight(&grown, None);
                     shortest_path(topo, o, d, &base, None)
                 };
                 if let Some(p) = p {
                     add_elements(topo, &mut grown, &p);
+                    routed.insert((o, d));
                     out.push((o, d, p));
                 }
             }

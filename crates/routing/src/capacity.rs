@@ -38,7 +38,9 @@ pub fn max_feasible_volume(
         }
         return volume;
     }
-    let mut hi = volume;
+    // The gate proved `volume` feasible, and a feasible call keeps no cut,
+    // so the growth starts one step up.
+    let mut hi = volume * 1.1;
     while feasible(hi) {
         hi *= 1.1;
     }
@@ -88,6 +90,63 @@ mod tests {
         );
         let beyond = gravity_matrix(&t, &pairs, v * 1.25);
         assert!(place_flows(&t, None, &beyond, &oc).is_none(), "125% is not");
+    }
+
+    /// The probe as it was: the gate's volume asked again as the first
+    /// step of the growth.
+    fn reference_max_feasible_volume(
+        topo: &Topology,
+        od_pairs: &[(NodeId, NodeId)],
+        oracle: &OracleConfig,
+    ) -> f64 {
+        let start = topo.total_capacity() * 0.01;
+        let base = gravity_matrix(topo, od_pairs, start);
+        if base.is_empty() {
+            return 0.0;
+        }
+        let mut probe = FeasibilityOracle::new(topo, None, oracle);
+        let mut feasible = |v: f64| probe.fits(&base.scaled(v / start));
+        let mut volume = start;
+        if !feasible(volume) {
+            while volume > 1.0 && !feasible(volume) {
+                volume /= 2.0;
+            }
+            return volume;
+        }
+        let mut hi = volume;
+        while feasible(hi) {
+            hi *= 1.1;
+        }
+        let mut lo = hi / 1.1;
+        for _ in 0..10 {
+            let mid = 0.5 * (lo + hi);
+            if feasible(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    #[test]
+    fn growth_from_one_step_up_matches_the_reference() {
+        let t = geant();
+        for (seed, n) in (100..).zip([1, 2, 5, 10, 20, 40, 60, 90, 120, 200]) {
+            let pairs = random_od_pairs(&t, n, seed);
+            let tight = OracleConfig {
+                margin: 0.5,
+                ..OracleConfig::default()
+            };
+            for oc in [OracleConfig::default(), tight] {
+                assert_eq!(
+                    max_feasible_volume(&t, &pairs, &oc).to_bits(),
+                    reference_max_feasible_volume(&t, &pairs, &oc).to_bits(),
+                    "{n} pairs, margin {}",
+                    oc.margin
+                );
+            }
+        }
     }
 
     #[test]

@@ -331,10 +331,7 @@ impl<'t> FeasibilityOracle<'t> {
             order: Vec::new(),
             pending: Vec::new(),
             failed: Vec::new(),
-            simple: topo.arc_ids().all(|a| {
-                let arc = topo.arc(a);
-                topo.find_arc(arc.src, arc.dst) == Some(a)
-            }),
+            simple: topo.is_simple(),
             rooms: Vec::new(),
             cut: None,
             #[cfg(test)]

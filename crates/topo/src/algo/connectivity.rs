@@ -5,7 +5,7 @@
 //! the (more expensive) capacity feasibility oracle runs.
 
 use crate::active::ActiveSet;
-use crate::graph::{NodeId, Topology};
+use crate::graph::{ArcId, NodeId, Topology};
 
 /// Set of nodes reachable from `src` following active arcs.
 pub fn reachable_from(topo: &Topology, src: NodeId, active: Option<&ActiveSet>) -> Vec<bool> {
@@ -16,7 +16,7 @@ pub fn reachable_from(topo: &Topology, src: NodeId, active: Option<&ActiveSet>) 
 /// `backward`, against them (the nodes that can reach `src`).
 fn search(topo: &Topology, src: NodeId, active: Option<&ActiveSet>, backward: bool) -> Vec<bool> {
     let mut reach = Reach::default();
-    reach.run(topo, src, active, backward, |_| false);
+    reach.run(topo, src, active, backward, |_| true, |_| false);
     reach.seen
 }
 
@@ -40,7 +40,19 @@ impl Reach {
         active: &ActiveSet,
         stop: impl FnMut(NodeId) -> bool,
     ) -> bool {
-        self.run(topo, src, Some(active), false, stop)
+        self.run(topo, src, Some(active), false, |_| true, stop)
+    }
+
+    /// [`Reach::search_until`] on the whole topology, along only the
+    /// arcs `usable` admits.
+    pub fn search_arcs_until(
+        &mut self,
+        topo: &Topology,
+        src: NodeId,
+        usable: impl Fn(ArcId) -> bool,
+        stop: impl FnMut(NodeId) -> bool,
+    ) -> bool {
+        self.run(topo, src, None, false, usable, stop)
     }
 
     /// Whether the last search reached `v`.
@@ -54,6 +66,7 @@ impl Reach {
         src: NodeId,
         active: Option<&ActiveSet>,
         backward: bool,
+        usable: impl Fn(ArcId) -> bool,
         mut stop: impl FnMut(NodeId) -> bool,
     ) -> bool {
         let (seen, stack) = (&mut self.seen, &mut self.stack);
@@ -75,8 +88,7 @@ impl Reach {
                 topo.out_arcs(u)
             };
             for &a in arcs {
-                let usable = active.map(|s| s.arc_on(topo, a)).unwrap_or(true);
-                if !usable {
+                if !active.is_none_or(|s| s.arc_on(topo, a)) || !usable(a) {
                     continue;
                 }
                 let arc = topo.arc(a);

@@ -212,6 +212,16 @@ impl Topology {
             .find(|&a| self.arcs[a.idx()].dst == dst)
     }
 
+    /// Whether no two arcs share their ordered endpoints, so that
+    /// [`Topology::find_arc`] (and with it [`crate::Path::arcs`])
+    /// resolves every hop to the one arc between its two nodes.
+    pub fn is_simple(&self) -> bool {
+        self.arc_ids().all(|a| {
+            let arc = self.arc(a);
+            self.find_arc(arc.src, arc.dst) == Some(a)
+        })
+    }
+
     /// Find a node by its name (exact match).
     pub fn find_node(&self, name: &str) -> Option<NodeId> {
         self.node_ids().find(|&n| self.node(n).name == name)

@@ -465,6 +465,39 @@ fn reference_disjoint_path(
     Some((path, overlap))
 }
 
+/// The failover rule as two searches: the path avoiding every installed
+/// path when it shares none of their links, else the path avoiding the
+/// always-on path (`installed[0]`) when it shares none of that path's,
+/// else the all-avoiding path, else (unreachable) the always-on path.
+fn reference_failover(
+    topo: &Topology,
+    src: NodeId,
+    dst: NodeId,
+    installed: &[&Path],
+    base_weight: &dyn Fn(ArcId) -> f64,
+    active: Option<&ActiveSet>,
+) -> Path {
+    match reference_disjoint_path(topo, src, dst, installed, base_weight, active) {
+        Some((p, 0)) => p,
+        Some((p_all, _)) => {
+            match reference_disjoint_path(topo, src, dst, &installed[..1], base_weight, active) {
+                Some((p_aon, 0)) => p_aon,
+                _ => p_all,
+            }
+        }
+        None => installed[0].clone(),
+    }
+}
+
+/// A random node sequence of one to four nodes: most of its hops are
+/// arcs the network lacks.
+fn random_hops(nodes: &[NodeId], rng: &mut StdRng) -> Path {
+    let mut hops = nodes.to_vec();
+    hops.shuffle(rng);
+    hops.truncate(rng.gen_range(1..=nodes.len().min(4)));
+    Path::new(hops)
+}
+
 /// The parent comparators the min-queue key replaced, on a `u64` tie.
 /// `Partial`: `partial_cmp` on the priority with `Equal` for NaN, then
 /// the tie (the searches and the packet engine). `Total`: `total_cmp`
@@ -722,10 +755,7 @@ proptest! {
         for _ in 0..4 {
             let (o, d) = (*nodes.choose(&mut rng).unwrap(), *nodes.choose(&mut rng).unwrap());
             pool.extend(shortest_path(&topo, o, d, &|_| 1.0, None));
-            let mut hops = nodes.clone();
-            hops.shuffle(&mut rng);
-            hops.truncate(rng.gen_range(1..=n.min(4)));
-            pool.push(Path::new(hops));
+            pool.push(random_hops(&nodes, &mut rng));
         }
         let mut search = DisjointSearch::new(&topo, w, active.as_ref());
         for &src in &nodes {
@@ -736,6 +766,50 @@ proptest! {
                 prop_assert_eq!(
                     link_disjoint_path(&topo, src, dst, &avoid, &w, active.as_ref()),
                     want
+                );
+            }
+        }
+    }
+
+    /// One failover call, on a search set up once for every ordered pair,
+    /// returns what the two-search rule returns. The installed paths are
+    /// the pair's unit-weight shortest path as its always-on path and up
+    /// to two shortest paths under random weights as its on-demand ones,
+    /// each replaced now and then by a random node sequence. The networks
+    /// have ties, forbidden arcs, dark elements, unreachable pairs,
+    /// parallel links, and one-way arcs (`kind` 3).
+    #[test]
+    fn failover_matches_the_two_search_rule(
+        n in 2usize..14,
+        kind in 0u8..4,
+        seed in 0u64..100_000,
+    ) {
+        let TieInstance { topo, weights, active } = match kind {
+            3 => tie_instance(n, seed),
+            _ => two_way_instance(n, kind, seed),
+        };
+        let w = |a: ArcId| weights[a.idx()];
+        let mut rng = StdRng::seed_from_u64(!seed);
+        let nodes: Vec<NodeId> = topo.node_ids().collect();
+        let mut search = DisjointSearch::new(&topo, w, active.as_ref());
+        for &src in &nodes {
+            for &dst in &nodes {
+                let mut installed = Vec::new();
+                for i in 0..rng.gen_range(1..=3) {
+                    let detour: Vec<f64> =
+                        topo.arc_ids().map(|_| rng.gen_range(1..4u32) as f64).collect();
+                    let weight = |a: ArcId| if i == 0 { 1.0 } else { detour[a.idx()] };
+                    let routed = rng
+                        .gen_bool(0.8)
+                        .then(|| shortest_path(&topo, src, dst, &weight, None))
+                        .flatten();
+                    installed.push(routed.unwrap_or_else(|| random_hops(&nodes, &mut rng)));
+                }
+                let installed: Vec<&Path> = installed.iter().collect();
+                prop_assert_eq!(
+                    search.failover(src, dst, &installed),
+                    reference_failover(&topo, src, dst, &installed, &w, active.as_ref()),
+                    "{} -> {}", src, dst
                 );
             }
         }
